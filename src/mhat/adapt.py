@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .losses import ilm_loss, perplexity
+from .losses import context_table, ilm_loss, perplexity, table_nll
 from .model import ConfigError, MhatModel
 from .numerics import Tensor
 from .training import make_optimizer
@@ -74,14 +74,6 @@ def ilm_snapshot(model: MhatModel) -> MhatModel:
     return copy.deepcopy(model)
 
 
-def _kl_sequence_term(model: MhatModel, teacher: MhatModel, tokens: Sequence[int]) -> Tensor:
-    """Cross-entropy of the student against the teacher's full distribution."""
-    with nm.no_grad():
-        t_rows = np.exp(teacher.ilm_log_prob_rows(tokens).data[: len(tokens)])
-    s_rows = model.ilm_log_prob_rows(tokens)[: len(tokens)]
-    return nm.neg(nm.total(nm.mul(t_rows, s_rows)))
-
-
 def ilma_loss(
     model: MhatModel,
     teacher: MhatModel,
@@ -90,24 +82,25 @@ def ilma_loss(
 ) -> Tensor:
     """(1-rho) data cross-entropy plus rho teacher cross-entropy.
 
-    The teacher term uses the full vocabulary distribution (an exact
-    expectation, not samples), which makes rho=1 exactly stationary at
-    the snapshot parameters.
+    Both terms weight the student's log-prob rows over the batch's context
+    table: the data term by the next-token counts N, the teacher term by
+    each context's token count times the teacher's full distribution (an
+    exact expectation, not samples), which makes rho=1 exactly stationary
+    at the snapshot parameters.  rho=0 returns `ilm_loss` itself.
     """
     if not (0.0 <= rho <= 1.0):
         raise ConfigError(f"rho must lie in [0, 1], got {rho}")
     if rho == 0.0:
         return ilm_loss(model, transcripts)
-    terms = [_kl_sequence_term(model, teacher, y) for y in transcripts]
-    if not terms:
+    if any(len(y) == 0 for y in transcripts):
+        raise ConfigError("ilma_loss requires non-empty transcripts")
+    if not transcripts:
         return Tensor(0.0)
-    order = sorted(range(len(terms)), key=lambda i: float(terms[i].data))
-    kl = terms[order[0]]
-    for i in order[1:]:
-        kl = nm.add(kl, terms[i])
-    if rho == 1.0:
-        return nm.mul(rho, kl)
-    return nm.add(nm.mul(1.0 - rho, ilm_loss(model, transcripts)), nm.mul(rho, kl))
+    ctx, counts = context_table(model, transcripts)
+    with nm.no_grad():
+        teacher_probs = np.exp(teacher.context_log_prob_rows(ctx).data)
+    weights = (1.0 - rho) * counts + rho * counts.sum(axis=1, keepdims=True) * teacher_probs
+    return table_nll(model.context_log_prob_rows(ctx), weights)
 
 
 def run_ilma(
@@ -119,7 +112,8 @@ def run_ilma(
 ) -> AdaptReport:
     """Adapt the internal LM on text; mutates only group-"ilm" tensors.
 
-    `corpus` may be a data.Corpus or a plain list of token sequences.
+    `corpus` may be a data.Corpus or a plain list of token sequences.  A
+    NaN or infinite step loss raises EvaluationError naming the step.
     """
     transcripts = [it.tokens for it in corpus.items] if hasattr(corpus, "items") else list(corpus)
     transcripts = [y for y in transcripts if len(y) > 0]
@@ -142,10 +136,11 @@ def run_ilma(
     ilm_tensors = [(n, model.params[n]) for n in model.params.group_names("ilm")]
     opt = make_optimizer(ilm_tensors, cfg)
     rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.steps):
+    for step in range(cfg.steps):
         picks = rng.choice(len(transcripts), size=min(cfg.batch_size, len(transcripts)), replace=False)
         batch = [transcripts[i] for i in picks]
         loss = ilma_loss(model, teacher, batch, cfg.rho)
+        nm.check_finite(loss, f"step {step + 1}")
         model.params.zero_grads()
         loss.backward()
         opt.step()

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import numerics as nm
 from .extlm import ExternalLm
-from .lattice import forward_log_prob
+from .lattice import check_structure, forward_log_prob
 from .model import ConfigError, HatModel, MhatModel
 
 FUSION_MODES = ("none", "shallow", "ilme_subtract")
@@ -113,10 +113,14 @@ def beam_search(
     fusion: FusionConfig = NO_FUSION,
     max_labels_per_frame: int = MAX_LABELS_PER_FRAME,
 ) -> list[DecodeResult]:
-    """Ranked hypotheses with separately tracked score components."""
+    """Ranked hypotheses with separately tracked score components.
+
+    Raises StructureError on T=0, like the lattice: no alignment exists.
+    """
     if beam_width < 1:
         raise ConfigError("beam width must be >= 1")
     _check_lm_vocab(model, fusion)
+    check_structure(X, ())
     scorer = model.scorer(X)
     lm_scorer = fusion.lm.scorer() if fusion.lm is not None else None
     v = model.vocab.size

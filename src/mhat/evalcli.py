@@ -274,6 +274,18 @@ def make_experiment_data(cfg: ExperimentConfig) -> ExperimentData:
     )
 
 
+def write_experiment_data(exp: ExperimentData, out: str) -> None:
+    """The dataset files, for both `mhat gen-data` and the experiment's gen-data stage."""
+    dat.write_vocab(exp.vocab, os.path.join(out, "vocab.txt"))
+    paired = {"source.train": exp.src_train, "source.dev": exp.src_dev, "source.test": exp.src_test,
+              "target.dev": exp.tgt_dev, "target.test": exp.tgt_test}
+    for name, corpus in paired.items():
+        dat.write_corpus(corpus, os.path.join(out, name))
+    text = {"target.train.txt": exp.tgt_text, "source.dev.txt": exp.src_dev, "target.dev.txt": exp.tgt_dev}
+    for name, corpus in text.items():
+        dat.write_text_corpus(corpus, os.path.join(out, name))
+
+
 def build_mhat(cfg: ExperimentConfig, vocab: Vocabulary) -> MhatModel:
     enc = EncoderConfig(d_x=cfg.d_x, context=cfg.enc_context, layers=cfg.enc_layers, d_f=cfg.d_f)
     return MhatModel(
@@ -346,17 +358,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, log=_log) 
         exp = make_experiment_data(cfg)
         state["exp"] = exp
         if out_dir:
-            d = ensure("data")
-            dat.write_vocab(exp.vocab, os.path.join(d, "vocab.txt"))
-            for name, corpus in (
-                ("source.train", exp.src_train),
-                ("source.dev", exp.src_dev),
-                ("source.test", exp.src_test),
-                ("target.dev", exp.tgt_dev),
-                ("target.test", exp.tgt_test),
-            ):
-                dat.write_corpus(corpus, os.path.join(d, name))
-            dat.write_text_corpus(exp.tgt_text, os.path.join(d, "target.train.txt"))
+            write_experiment_data(exp, ensure("data"))
 
     def st_hat():
         exp = state["exp"]
@@ -633,21 +635,8 @@ def cmd_gen_data(args) -> None:
         n_train=args.n_train, n_dev=args.n_dev, n_test=args.n_test,
         n_adapt_text=args.n_adapt_text, seed=args.seed,
     )
-    exp = make_experiment_data(cfg)
-    out = args.out_dir
-    dat.write_vocab(exp.vocab, os.path.join(out, "vocab.txt"))
-    for name, corpus in (
-        ("source.train", exp.src_train),
-        ("source.dev", exp.src_dev),
-        ("source.test", exp.src_test),
-        ("target.dev", exp.tgt_dev),
-        ("target.test", exp.tgt_test),
-    ):
-        dat.write_corpus(corpus, os.path.join(out, name))
-    dat.write_text_corpus(exp.tgt_text, os.path.join(out, "target.train.txt"))
-    dat.write_text_corpus(exp.src_dev, os.path.join(out, "source.dev.txt"))
-    dat.write_text_corpus(exp.tgt_dev, os.path.join(out, "target.dev.txt"))
-    _log(f"wrote dataset under {out}")
+    write_experiment_data(make_experiment_data(cfg), args.out_dir)
+    _log(f"wrote dataset under {args.out_dir}")
 
 
 def cmd_train(args) -> None:

@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
+from .losses import text_nll, text_perplexity
 from .model import (
     ConfigError,
     EmbeddingDecoder,
@@ -45,11 +46,14 @@ class ExternalLm:
         )
         self.out_b = p.add("out_proj.bias", np.zeros(vocab.size + 1), "ilm")
 
+    def context_log_prob_rows(self, ctx: np.ndarray) -> Tensor:
+        """Log-prob rows over tokens+EOS for (n, 2) decoder contexts: (n, |V|+1)."""
+        return nm.log_softmax(nm.affine(self.decoder.outputs(ctx), self.out_w, self.out_b))
+
     def next_log_prob_rows(self, tokens: Sequence[int]) -> Tensor:
         """Log-prob rows over tokens+EOS for every step, incl. the EOS step: (U+1, |V|+1)."""
         self.vocab.check_ids(tokens)
-        ctx = bigram_contexts(tokens, self.vocab.sos_id)
-        return nm.log_softmax(nm.affine(self.decoder.outputs(ctx), self.out_w, self.out_b))
+        return self.context_log_prob_rows(bigram_contexts(tokens, self.vocab.sos_id))
 
     def next_log_probs(self, prefix: Sequence[int]) -> np.ndarray:
         """Distribution over the next event (tokens + EOS) after a prefix."""
@@ -64,13 +68,6 @@ class ExternalLm:
         if not 0 <= int(next_id) <= self.vocab.size:
             raise ConfigError(f"next id {next_id} outside tokens+EOS range")
         return float(self.next_log_probs(prefix)[int(next_id)])
-
-    def token_log_probs(self, tokens: Sequence[int]) -> np.ndarray:
-        """Per-token event log-probs (EOS events excluded), no graph."""
-        with nm.no_grad():
-            rows = self.next_log_prob_rows(tokens).data
-        u = len(tokens)
-        return rows[np.arange(u), np.asarray(tokens, dtype=np.int64)]
 
     def sentence_log_prob(self, tokens: Sequence[int]) -> float:
         """Full sentence log-prob including the terminating EOS event."""
@@ -126,50 +123,34 @@ class LmTrainConfig:
     seed: int = 0
 
 
-def _sentence_nll(lm: ExternalLm, tokens: Sequence[int]) -> Tensor:
-    rows = lm.next_log_prob_rows(tokens)
-    u = len(tokens)
-    targets = np.append(np.asarray(tokens, dtype=np.int64), lm.eos_id)
-    return nm.neg(nm.total(rows[np.arange(u + 1), targets]))
-
-
 def lm_loss(lm: ExternalLm, transcripts: Sequence[Sequence[int]]) -> Tensor:
-    """Summed sentence NLL with EOS appended; value-sorted reduction."""
-    terms = [_sentence_nll(lm, y) for y in transcripts]
-    if not terms:
-        return Tensor(0.0)
-    order = sorted(range(len(terms)), key=lambda i: float(terms[i].data))
-    out = terms[order[0]]
-    for i in order[1:]:
-        out = nm.add(out, terms[i])
-    return out
+    """Summed sentence NLL with EOS appended, over the batch's context table."""
+    return text_nll(lm, transcripts, lm.eos_id)
 
 
 def lm_perplexity(lm: ExternalLm, transcripts: Sequence[Sequence[int]]) -> float:
     """exp(mean NLL per event), the EOS event included."""
-    nll = 0.0
-    events = 0
-    for y in transcripts:
-        nll -= lm.sentence_log_prob(y)
-        events += len(y) + 1
-    if events == 0:
-        raise ConfigError("perplexity requires at least one sentence")
-    return float(np.exp(nll / events))
+    return text_perplexity(lm, transcripts, lm.eos_id)
 
 
 def train_lm(corpus, cfg: LmTrainConfig = LmTrainConfig()) -> tuple[ExternalLm, float]:
-    """Train an external LM on a text corpus; returns (lm, final perplexity)."""
+    """Train an external LM on a text corpus; returns (lm, final perplexity).
+
+    A NaN or infinite batch loss raises EvaluationError naming the epoch
+    and batch.
+    """
     transcripts = [it.tokens for it in corpus.items if len(it.tokens) > 0]
     if not transcripts:
         raise ConfigError("LM training corpus is empty")
     lm = ExternalLm(corpus.vocab, embed_dim=cfg.embed_dim, tied_tables=cfg.tied_tables, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     opt = make_optimizer(list(lm.params.entries.items()), cfg)
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(len(transcripts))
         for start in range(0, len(transcripts), cfg.batch_size):
             chunk = [transcripts[i] for i in order[start : start + cfg.batch_size]]
             loss = lm_loss(lm, chunk)
+            nm.check_finite(loss, f"epoch {epoch + 1}, batch {start // cfg.batch_size + 1}")
             lm.params.zero_grads()
             loss.backward()
             opt.step()

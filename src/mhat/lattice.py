@@ -125,7 +125,8 @@ def lattice_log_prob(log_blank: Tensor, log_label: Tensor) -> Tensor:
     return nm._op(np.asarray(tot), (log_blank, log_label), vjp)
 
 
-def _check_structure(X: np.ndarray, tokens: Sequence[int]) -> None:
+def check_structure(X: np.ndarray, tokens: Sequence[int]) -> None:
+    """Raise StructureError when no alignment exists: every path needs a frame."""
     if np.asarray(X).shape[0] < 1:
         raise StructureError(
             f"no alignment exists for T={np.asarray(X).shape[0]}, U={len(tokens)}"
@@ -134,14 +135,14 @@ def _check_structure(X: np.ndarray, tokens: Sequence[int]) -> None:
 
 def forward_log_prob(model: MhatModel | HatModel, X: np.ndarray, tokens: Sequence[int]) -> Tensor:
     """log P(tokens | X) by the forward recursion; scalar, graph-attached."""
-    _check_structure(X, tokens)
+    check_structure(X, tokens)
     log_blank, log_label = model.arc_log_scores(X, tokens)
     return lattice_log_prob(log_blank, log_label)
 
 
 def build_lattice(model: MhatModel | HatModel, X: np.ndarray, tokens: Sequence[int]) -> AlignmentLattice:
     """Materialize arc scores and both recursions for inspection and tests."""
-    _check_structure(X, tokens)
+    check_structure(X, tokens)
     with nm.no_grad():
         log_blank, log_label = model.arc_log_scores(X, tokens)
     lb, ll = log_blank.data, log_label.data
@@ -171,7 +172,7 @@ def brute_force_log_prob(model: MhatModel | HatModel, X: np.ndarray, tokens: Seq
     grid builder), so the oracle also cross-checks grid assembly.  Refuses
     instances beyond T+U <= 12.
     """
-    _check_structure(X, tokens)
+    check_structure(X, tokens)
     X = np.asarray(X, dtype=np.float64)
     t_len, u_len = X.shape[0], len(tokens)
     if t_len + u_len > BRUTE_FORCE_LIMIT:

@@ -1,4 +1,11 @@
-"""Internal-LM loss, the combined MHAT objective, and perplexity."""
+"""Internal-LM loss, the combined MHAT objective, and perplexity.
+
+Every text-side quantity (internal-LM and external-LM losses, the ILMA
+terms, both perplexities) sees only the last two labels, so a batch
+reduces to one context-count table: each distinct context is scored once
+and weighted by integer event counts, which makes every such sum
+bit-exact under batch permutation.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +17,7 @@ import numpy as np
 
 from . import numerics as nm
 from .lattice import hat_loss
-from .model import ConfigError, MhatModel
+from .model import ConfigError, MhatModel, context_counts
 from .numerics import Tensor
 
 
@@ -24,13 +31,39 @@ class LossConfig:
             raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
 
 
-def _ilm_sequence_nll(model: MhatModel, tokens: Sequence[int]) -> Tensor:
-    if len(tokens) == 0:
-        raise ConfigError("ilm_loss requires non-empty transcripts")
-    rows = model.ilm_log_prob_rows(tokens)  # (U+1, |V|)
-    u = len(tokens)
-    picked = rows[np.arange(u), np.asarray(tokens, dtype=np.int64)]
-    return nm.neg(nm.total(picked))
+def table_nll(rows: Tensor, weights: np.ndarray) -> Tensor:
+    """-sum(weights * rows), gathered at the non-zero weights only.
+
+    A -inf log-prob that no event uses then cannot turn the sum into NaN.
+    """
+    r, c = np.nonzero(weights)
+    return nm.neg(nm.total(nm.mul(weights[r, c], rows[r, c])))
+
+
+def context_table(model_or_lm, transcripts: Sequence[Sequence[int]], eos_id: int | None = None):
+    """`context_counts` over the model's tokens, plus `eos_id` when given."""
+    vocab = model_or_lm.vocab
+    return context_counts(transcripts, vocab.sos_id, vocab.size + (eos_id is not None), eos_id)
+
+
+def text_nll(model_or_lm, transcripts: Sequence[Sequence[int]], eos_id: int | None = None) -> Tensor:
+    """Summed next-event NLL of a batch, scored once per distinct context."""
+    if not transcripts:
+        return Tensor(0.0)
+    ctx, counts = context_table(model_or_lm, transcripts, eos_id)
+    return table_nll(model_or_lm.context_log_prob_rows(ctx), counts)
+
+
+def text_perplexity(model_or_lm, transcripts: Sequence[Sequence[int]], eos_id: int | None = None) -> float:
+    """exp(mean per-event NLL) over the batch's context table; no graph."""
+    ctx, counts = context_table(model_or_lm, transcripts, eos_id)
+    events = int(counts.sum())
+    if events == 0:
+        raise ConfigError("perplexity requires at least one scored event")
+    with nm.no_grad():
+        nll = float(table_nll(model_or_lm.context_log_prob_rows(ctx), counts).data)
+    with np.errstate(over="ignore"):  # an untrained model may overflow to inf
+        return float(np.exp(nll / events))
 
 
 def ilm_loss(model: MhatModel, transcripts: Sequence[Sequence[int]]) -> Tensor:
@@ -38,16 +71,12 @@ def ilm_loss(model: MhatModel, transcripts: Sequence[Sequence[int]]) -> Tensor:
 
     Takes no acoustic input and touches only group-"ilm" parameters.
     There is no end-of-sentence event: the transducer's blank head owns
-    termination.  Terms are added value-sorted for permutation-stable sums.
+    termination.  The sum runs over the batch's context-count table, so
+    it is bit-exact under batch permutation.
     """
-    terms = [_ilm_sequence_nll(model, y) for y in transcripts]
-    if not terms:
-        return Tensor(0.0)
-    order = sorted(range(len(terms)), key=lambda i: float(terms[i].data))
-    out = terms[order[0]]
-    for i in order[1:]:
-        out = nm.add(out, terms[i])
-    return out
+    if any(len(y) == 0 for y in transcripts):
+        raise ConfigError("ilm_loss requires non-empty transcripts")
+    return text_nll(model, transcripts)
 
 
 def mhat_loss(
@@ -74,22 +103,7 @@ def perplexity(model_or_lm, transcripts: Sequence[Sequence[int]]) -> float:
 
     For an MHAT model this scores the internal LM; for an external LM it
     scores token events under the full token+EOS distribution without
-    counting EOS events, keeping the two comparable.
+    counting EOS events, keeping the two comparable.  Empty transcripts
+    hold no events and count for nothing.
     """
-    with nm.no_grad():
-        terms = []
-        count = 0
-        for y in transcripts:
-            if len(y) == 0:
-                continue
-            if isinstance(model_or_lm, MhatModel):
-                rows = model_or_lm.ilm_log_prob_rows(y).data
-                terms.append(-float(rows[np.arange(len(y)), np.asarray(y, dtype=np.int64)].sum()))
-            else:
-                terms.append(-float(np.sum(model_or_lm.token_log_probs(y))))
-            count += len(y)
-    if count == 0:
-        raise ConfigError("perplexity requires at least one token")
-    # fsum: exactly rounded, so corpus order cannot change the result
-    with np.errstate(over="ignore"):  # an untrained model may overflow to inf
-        return float(np.exp(math.fsum(terms) / count))
+    return text_perplexity(model_or_lm, transcripts)

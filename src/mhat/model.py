@@ -113,6 +113,39 @@ def bigram_contexts(tokens: Sequence[int], sos_id: int) -> np.ndarray:
     return ctx
 
 
+def context_counts(
+    transcripts: Sequence[Sequence[int]], sos_id: int, n_out: int, eos_id: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Next-event counts of a batch, one row per distinct decoder context.
+
+    Returns (contexts, counts): `contexts` holds the distinct (prev2, prev1)
+    pairs in ascending order, (k, 2); `counts[i, y]` is how often event y
+    follows context i, (k, n_out).  With `eos_id`, every sentence adds one
+    event `eos_id` at its final context.  Token ids must lie in [0, sos_id).
+    The table depends only on the multiset of sentences, not their order.
+    """
+    lengths = np.array([len(y) for y in transcripts], dtype=np.int64)
+    toks = np.array([t for y in transcripts for t in y], dtype=np.int64)
+    bad = (toks < 0) | (toks >= sos_id)
+    if bad.any():
+        raise VocabError(f"token id {toks[bad][0]} out of range for |V|={sos_id}")
+    # event i follows the first pos[i] labels of its sentence; the last two
+    # of them are padded[at[i] + 1] and padded[at[i]]
+    ends = np.cumsum(lengths)
+    pos = np.arange(toks.size) - np.repeat(ends - lengths, lengths)
+    at, nxt = np.arange(toks.size), toks
+    if eos_id is not None:  # one end event after each sentence's last label
+        pos, at = np.concatenate([pos, lengths]), np.concatenate([at, ends])
+        nxt = np.concatenate([nxt, np.full(lengths.size, eos_id, dtype=np.int64)])
+    padded = np.concatenate([[sos_id, sos_id], toks])
+    prev1 = np.where(pos >= 1, padded[at + 1], sos_id)
+    prev2 = np.where(pos >= 2, padded[at], sos_id)
+    keys, row = np.unique(prev2 * (sos_id + 1) + prev1, return_inverse=True)
+    counts = np.zeros((keys.size, n_out), dtype=np.int64)
+    np.add.at(counts, (row.reshape(-1), nxt), 1)
+    return np.stack([keys // (sos_id + 1), keys % (sos_id + 1)], axis=1), counts
+
+
 def context_of(prefix: Sequence[int], sos_id: int) -> tuple[int, int]:
     """The (second-last, last) label pair for a prefix, SOS-padded."""
     p1 = int(prefix[-1]) if len(prefix) >= 1 else sos_id
@@ -187,6 +220,9 @@ class Encoder:
             raise ConfigError(
                 f"feature dim mismatch: got {X.shape}, encoder expects (T, {self.cfg.d_x})"
             )
+        if not np.isfinite(X).all():
+            t, d = np.argwhere(~np.isfinite(X))[0]
+            raise ConfigError(f"non-finite feature {X[t, d]!r} at frame {t}")
         t, c = X.shape[0], self.cfg.context
         padded = np.vstack([np.zeros((c, self.cfg.d_x)), X, np.zeros((c, self.cfg.d_x))])
         idx = np.arange(t)[:, None] + np.arange(2 * c + 1)[None, :]
@@ -242,10 +278,41 @@ def alignment_arc_log_probs(b: float, label_log_posteriors: np.ndarray) -> np.nd
     return out
 
 
-class MhatModel:
+_ENCODER_KEYS = ("d_x", "context", "layers", "d_f")
+
+
+class _AsrModel:
+    """Checkpoint bookkeeping shared by MhatModel and HatModel.
+
+    A subclass names its integer size arguments in `dim_keys` and keeps
+    each as an attribute of the same name.
+    """
+
+    def param_counts(self) -> dict[str, int]:
+        counts = self.params.group_sizes()
+        counts["total"] = self.params.size()
+        return counts
+
+    def config_items(self) -> dict[str, str]:
+        items = {f"encoder.{k}": str(getattr(self.enc_cfg, k)) for k in _ENCODER_KEYS}
+        items.update({k: str(getattr(self, k)) for k in self.dim_keys})
+        items["trained_alpha"] = "" if self.trained_alpha is None else repr(self.trained_alpha)
+        return items
+
+    @classmethod
+    def from_config(cls, vocab: Vocabulary, cfg: dict[str, str]):
+        enc = EncoderConfig(**{k: int(cfg[f"encoder.{k}"]) for k in _ENCODER_KEYS})
+        m = cls(vocab, enc, **{k: int(cfg[k]) for k in cls.dim_keys})
+        if cfg.get("trained_alpha"):
+            m.trained_alpha = float(cfg["trained_alpha"])
+        return m
+
+
+class MhatModel(_AsrModel):
     """Modular HAT: separate blank/label decoders, additive label scores."""
 
     kind = "mhat"
+    dim_keys = ("label_dim", "blank_dim", "joint_dim")
 
     def __init__(
         self,
@@ -259,9 +326,7 @@ class MhatModel:
         rng = np.random.default_rng(seed)
         self.vocab = vocab
         self.enc_cfg = encoder
-        self.label_cfg = EmbeddingDecoderConfig(embed_dim=label_dim, tied_tables=False)
-        self.blank_cfg = EmbeddingDecoderConfig(embed_dim=blank_dim, tied_tables=True)
-        self.joint_dim = joint_dim
+        self.label_dim, self.blank_dim, self.joint_dim = label_dim, blank_dim, joint_dim
         self.trained_alpha: float | None = None
 
         p = ParameterSet()
@@ -271,9 +336,11 @@ class MhatModel:
             "am_proj.weight", rng.standard_normal((vocab.size, encoder.d_f)) / np.sqrt(encoder.d_f), "encoder"
         )
         self.am_b = p.add("am_proj.bias", np.zeros(vocab.size), "encoder")
-        self.blank_decoder = EmbeddingDecoder(p, "blank_decoder", vocab, self.blank_cfg, "blank_branch", rng)
+        blank_cfg = EmbeddingDecoderConfig(embed_dim=blank_dim, tied_tables=True)
+        self.blank_decoder = EmbeddingDecoder(p, "blank_decoder", vocab, blank_cfg, "blank_branch", rng)
         self.joint = _JointCombiner(p, encoder.d_f, blank_dim, joint_dim, rng)
-        self.label_decoder = EmbeddingDecoder(p, "label_decoder", vocab, self.label_cfg, "ilm", rng)
+        label_cfg = EmbeddingDecoderConfig(embed_dim=label_dim, tied_tables=False)
+        self.label_decoder = EmbeddingDecoder(p, "label_decoder", vocab, label_cfg, "ilm", rng)
         self.ilm_w = p.add(
             "ilm_proj.weight", rng.standard_normal((vocab.size, label_dim)) / np.sqrt(label_dim), "ilm"
         )
@@ -304,11 +371,14 @@ class MhatModel:
         return nm.log_softmax(nm.affine(g_l, self.ilm_w, self.ilm_b))
 
     # -- sequence-level helpers --------------------------------------------
+    def context_log_prob_rows(self, ctx: np.ndarray) -> Tensor:
+        """Internal-LM log-prob rows for (n, 2) decoder contexts: (n, |V|)."""
+        return nm.log_softmax(nm.affine(self.label_decoder.outputs(ctx), self.ilm_w, self.ilm_b))
+
     def ilm_log_prob_rows(self, tokens: Sequence[int]) -> Tensor:
         """Internal-LM log-prob vectors for every step of a transcript: (U+1, |V|)."""
         self.vocab.check_ids(tokens)
-        ctx = bigram_contexts(tokens, self.vocab.sos_id)
-        return nm.log_softmax(nm.affine(self.label_decoder.outputs(ctx), self.ilm_w, self.ilm_b))
+        return self.context_log_prob_rows(bigram_contexts(tokens, self.vocab.sos_id))
 
     def arc_log_scores(self, X: np.ndarray, tokens: Sequence[int]) -> tuple[Tensor, Tensor]:
         """Blank and label arc log-scores for one utterance.
@@ -346,48 +416,12 @@ class MhatModel:
     def scorer(self, X: np.ndarray) -> "MhatScorer":
         return MhatScorer(self, X)
 
-    # -- bookkeeping -------------------------------------------------------
-    def param_counts(self) -> dict[str, int]:
-        counts = self.params.group_sizes()
-        counts["total"] = self.params.size()
-        return counts
 
-    def config_items(self) -> dict[str, str]:
-        return {
-            "encoder.d_x": str(self.enc_cfg.d_x),
-            "encoder.context": str(self.enc_cfg.context),
-            "encoder.layers": str(self.enc_cfg.layers),
-            "encoder.d_f": str(self.enc_cfg.d_f),
-            "label_dim": str(self.label_cfg.embed_dim),
-            "blank_dim": str(self.blank_cfg.embed_dim),
-            "joint_dim": str(self.joint_dim),
-            "trained_alpha": "" if self.trained_alpha is None else repr(self.trained_alpha),
-        }
-
-    @staticmethod
-    def from_config(vocab: Vocabulary, cfg: dict[str, str]) -> "MhatModel":
-        enc = EncoderConfig(
-            d_x=int(cfg["encoder.d_x"]),
-            context=int(cfg["encoder.context"]),
-            layers=int(cfg["encoder.layers"]),
-            d_f=int(cfg["encoder.d_f"]),
-        )
-        m = MhatModel(
-            vocab,
-            enc,
-            label_dim=int(cfg["label_dim"]),
-            blank_dim=int(cfg["blank_dim"]),
-            joint_dim=int(cfg["joint_dim"]),
-        )
-        if cfg.get("trained_alpha"):
-            m.trained_alpha = float(cfg["trained_alpha"])
-        return m
-
-
-class HatModel:
+class HatModel(_AsrModel):
     """Baseline HAT: one decoder feeding a shared joint network."""
 
     kind = "hat"
+    dim_keys = ("decoder_dim", "joint_dim")
 
     def __init__(
         self,
@@ -400,14 +434,14 @@ class HatModel:
         rng = np.random.default_rng(seed)
         self.vocab = vocab
         self.enc_cfg = encoder
-        self.dec_cfg = EmbeddingDecoderConfig(embed_dim=decoder_dim, tied_tables=False)
-        self.joint_dim = joint_dim
+        self.decoder_dim, self.joint_dim = decoder_dim, joint_dim
         self.trained_alpha: float | None = None
 
         p = ParameterSet()
         self.params = p
         self.encoder = Encoder(p, encoder, rng)
-        self.decoder = EmbeddingDecoder(p, "decoder", vocab, self.dec_cfg, "ilm", rng)
+        dec_cfg = EmbeddingDecoderConfig(embed_dim=decoder_dim, tied_tables=False)
+        self.decoder = EmbeddingDecoder(p, "decoder", vocab, dec_cfg, "ilm", rng)
         self.joint = _JointCombiner(p, encoder.d_f, decoder_dim, joint_dim, rng)
         self.label_w = p.add(
             "label_head.weight", rng.standard_normal((vocab.size, joint_dim)) / np.sqrt(joint_dim), "ilm"
@@ -456,37 +490,6 @@ class HatModel:
 
     def scorer(self, X: np.ndarray) -> "HatScorer":
         return HatScorer(self, X)
-
-    def param_counts(self) -> dict[str, int]:
-        counts = self.params.group_sizes()
-        counts["total"] = self.params.size()
-        return counts
-
-    def config_items(self) -> dict[str, str]:
-        return {
-            "encoder.d_x": str(self.enc_cfg.d_x),
-            "encoder.context": str(self.enc_cfg.context),
-            "encoder.layers": str(self.enc_cfg.layers),
-            "encoder.d_f": str(self.enc_cfg.d_f),
-            "decoder_dim": str(self.dec_cfg.embed_dim),
-            "joint_dim": str(self.joint_dim),
-            "trained_alpha": "" if self.trained_alpha is None else repr(self.trained_alpha),
-        }
-
-    @staticmethod
-    def from_config(vocab: Vocabulary, cfg: dict[str, str]) -> "HatModel":
-        enc = EncoderConfig(
-            d_x=int(cfg["encoder.d_x"]),
-            context=int(cfg["encoder.context"]),
-            layers=int(cfg["encoder.layers"]),
-            d_f=int(cfg["encoder.d_f"]),
-        )
-        m = HatModel(
-            vocab, enc, decoder_dim=int(cfg["decoder_dim"]), joint_dim=int(cfg["joint_dim"])
-        )
-        if cfg.get("trained_alpha"):
-            m.trained_alpha = float(cfg["trained_alpha"])
-        return m
 
 
 class MhatScorer:

@@ -21,6 +21,7 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "affine",
+    "check_finite",
     "concat",
     "dot",
     "embedding",
@@ -40,6 +41,12 @@ class ShapeError(ValueError):
 
 class EvaluationError(RuntimeError):
     """A loss evaluation produced a non-finite value."""
+
+
+def check_finite(loss: "Tensor", where: str) -> None:
+    """Raise EvaluationError naming `where` if a loss value is NaN or infinite."""
+    if not np.isfinite(loss.data):
+        raise EvaluationError(f"non-finite loss {float(loss.data)!r} at {where}")
 
 
 _grad_enabled = True

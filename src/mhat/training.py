@@ -10,7 +10,7 @@ import numpy as np
 from .lattice import hat_loss
 from .losses import LossConfig, mhat_loss
 from .model import ConfigError, HatModel, MhatModel
-from .numerics import Tensor
+from .numerics import Tensor, check_finite
 
 
 @dataclass
@@ -109,7 +109,8 @@ def train_asr(
 
     Returns the per-epoch mean loss per utterance.  Deterministic under a
     fixed seed: shuffling, batching, and reductions are all seeded or
-    order-canonical.
+    order-canonical.  A NaN or infinite batch loss raises EvaluationError
+    naming the epoch and batch, before any parameter moves on it.
     """
     if isinstance(model, HatModel) and cfg.alpha != 0.0:
         raise ConfigError("internal-LM loss weight applies to MHAT only")
@@ -129,6 +130,7 @@ def train_asr(
                 loss = mhat_loss(model, chunk, loss_cfg)
             else:
                 loss = hat_loss(model, chunk)
+            check_finite(loss, f"epoch {epoch + 1}, batch {start // cfg.batch_size + 1}")
             model.params.zero_grads()
             loss.backward()
             opt.step()

@@ -10,6 +10,7 @@ from mhat.adapt import IlmaConfig, ilm_snapshot, ilma_loss, run_ilma
 from mhat.data import Corpus, Utterance, Vocabulary, confusable_pair_domains, gen_corpus
 from mhat.losses import ilm_loss, perplexity
 from mhat.model import ConfigError, EncoderConfig, MhatModel
+from mhat.numerics import EvaluationError
 
 
 def text_corpus(vocab, seqs):
@@ -43,6 +44,34 @@ class TestIlmaLoss:
             if t.grad is not None:
                 sq += float(np.sum(t.grad**2))
         assert math.sqrt(sq) <= 1e-6
+
+    def test_shuffle_bit_exact(self, mhat_small, rng):
+        teacher = ilm_snapshot(mhat_small)
+        mhat_small.params["ilm_proj.bias"].data += 0.3  # student and teacher differ
+        seqs = [[int(i) for i in rng.integers(0, 4, size=rng.integers(1, 8))] for _ in range(200)]
+        a = float(ilma_loss(mhat_small, teacher, seqs, 0.5).data)
+        for _ in range(5):
+            order = rng.permutation(len(seqs))
+            assert float(ilma_loss(mhat_small, teacher, [seqs[i] for i in order], 0.5).data) == a
+
+    def test_matches_per_sentence_sum(self, mhat_small, rng):
+        teacher = ilm_snapshot(mhat_small)
+        mhat_small.params["ilm_proj.bias"].data += 0.3
+        seqs = [[int(i) for i in rng.integers(0, 4, size=rng.integers(1, 7))] for _ in range(30)]
+        rho = 0.25
+        expected = 0.0
+        for y in seqs:
+            s_rows = mhat_small.ilm_log_prob_rows(y).data[: len(y)]
+            t_rows = np.exp(teacher.ilm_log_prob_rows(y).data[: len(y)])
+            expected -= (1 - rho) * s_rows[np.arange(len(y)), y].sum() + rho * (t_rows * s_rows).sum()
+        got = float(ilma_loss(mhat_small, teacher, seqs, rho).data)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_empty_transcript_rejected(self, mhat_small):
+        teacher = ilm_snapshot(mhat_small)
+        for rho in (0.0, 0.5, 1.0):
+            with pytest.raises(ConfigError):
+                ilma_loss(mhat_small, teacher, [[1], []], rho)
 
     def test_rho_validation(self, mhat_small):
         teacher = ilm_snapshot(mhat_small)
@@ -100,6 +129,12 @@ class TestRunIlma:
     def test_warns_without_ilm_loss_training(self, mhat_small):
         with pytest.warns(UserWarning, match="internal-LM loss"):
             run_ilma(mhat_small, self._corpus(mhat_small.vocab), IlmaConfig(steps=1, lr=1e-4))
+
+    def test_non_finite_loss_names_step(self, mhat_small):
+        mhat_small.trained_alpha = 0.1
+        mhat_small.params["ilm_proj.bias"].data[0] = np.nan
+        with pytest.raises(EvaluationError, match="step 1"):
+            run_ilma(mhat_small, self._corpus(mhat_small.vocab), IlmaConfig(steps=3))
 
     def test_empty_corpus_rejected(self, mhat_small):
         mhat_small.trained_alpha = 0.1

@@ -15,6 +15,7 @@ from mhat.decode import (
     score_sequence,
 )
 from mhat.extlm import ExternalLm
+from mhat.lattice import StructureError, forward_log_prob
 from mhat.model import ConfigError, Vocabulary
 
 
@@ -161,6 +162,20 @@ class TestBeamProperties:
     def test_beam_width_validation(self, mhat_small, rng):
         with pytest.raises(ConfigError):
             beam_search(mhat_small, rng.standard_normal((2, 3)), beam_width=0)
+
+    def test_no_frames_is_a_structure_error(self, mhat_small, hat_small):
+        # the lattice has no alignment for T=0, so neither has the beam
+        for model in (mhat_small, hat_small):
+            with pytest.raises(StructureError):
+                beam_search(model, np.zeros((0, 3)))
+            with pytest.raises(StructureError):
+                forward_log_prob(model, np.zeros((0, 3)), [])
+
+    def test_non_finite_features_rejected(self, mhat_small, rng):
+        X = rng.standard_normal((3, 3))
+        X[1, 0] = np.nan
+        with pytest.raises(ConfigError, match="non-finite feature"):
+            beam_search(mhat_small, X)
 
     def test_label_cap_bounds_output_length(self, mhat_small, rng):
         # force label-greedy behavior: blank never attractive

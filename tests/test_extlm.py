@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from mhat.data import Corpus, Utterance, save_checkpoint
-from mhat.extlm import ExternalLm, LmTrainConfig, lm_perplexity, train_lm
-from mhat.model import ConfigError, EncoderConfig, MhatModel, Vocabulary
-from mhat.numerics import log_sum_exp
+from mhat.extlm import ExternalLm, LmTrainConfig, lm_loss, lm_perplexity, train_lm
+from mhat.model import ConfigError, EncoderConfig, MhatModel, VocabError, Vocabulary
+from mhat.numerics import EvaluationError, log_sum_exp
 
 
 def text_corpus(vocab, seqs):
     items = tuple(Utterance(uid=f"u{i}", features=None, tokens=tuple(s)) for i, s in enumerate(seqs))
     return Corpus(split="train", seed=0, vocab=vocab, items=items)
+
+
+def random_sentences(rng, n, vocab_size, max_len=8):
+    return [[int(i) for i in rng.integers(0, vocab_size, size=rng.integers(1, max_len))] for _ in range(n)]
 
 
 class TestScoring:
@@ -102,6 +106,13 @@ class TestTraining:
         with pytest.raises(ConfigError):
             train_lm(text_corpus(Vocabulary.default(4), []), LmTrainConfig(epochs=1))
 
+    def test_non_finite_loss_names_epoch_and_batch(self, rng):
+        # an infinite step leaves inf/NaN weights, so the second batch's loss is NaN
+        corpus = text_corpus(Vocabulary.default(4), random_sentences(rng, 8, 4))
+        cfg = LmTrainConfig(embed_dim=4, epochs=2, batch_size=4, lr=float("inf"), optimizer="sgd")
+        with np.errstate(all="ignore"), pytest.raises(EvaluationError, match="epoch 1, batch 2"):
+            train_lm(corpus, cfg)
+
     def test_fixed_seed_bit_identical_checkpoints(self, tmp_path):
         vocab = Vocabulary.default(4)
         rng = np.random.default_rng(1)
@@ -128,9 +139,45 @@ class TestPerplexity:
             events += len(y) + 1
         assert lm_perplexity(lm, seqs) == pytest.approx(math.exp(nll / events), rel=1e-12)
 
+    def test_shuffle_bit_exact(self, rng):
+        lm = ExternalLm(Vocabulary.default(6), embed_dim=8, seed=4)
+        seqs = random_sentences(rng, 200, 6)
+        a = lm_perplexity(lm, seqs)
+        for _ in range(5):
+            order = rng.permutation(len(seqs))
+            assert lm_perplexity(lm, [seqs[i] for i in order]) == a
+
+    def test_empty_sentence_is_one_eos_event(self):
+        lm = ExternalLm(Vocabulary.default(3), embed_dim=4, seed=0)
+        assert lm_perplexity(lm, [[]]) == pytest.approx(math.exp(-lm.sentence_log_prob([])), rel=1e-12)
+        with pytest.raises(ConfigError):
+            lm_perplexity(lm, [])
+
     def test_uniform_lm_value(self):
         vocab = Vocabulary.default(7)
         lm = ExternalLm(vocab, embed_dim=4)
         for name in lm.params.names():
             lm.params[name].data[...] = 0.0
         assert lm_perplexity(lm, [[0, 1, 2]]) == pytest.approx(8.0, rel=1e-12)
+
+
+class TestLmLoss:
+    def test_sum_of_sentence_nlls(self, rng):
+        lm = ExternalLm(Vocabulary.default(5), embed_dim=8, seed=2)
+        seqs = random_sentences(rng, 20, 5) + [[]]
+        expected = -sum(lm.sentence_log_prob(y) for y in seqs)
+        assert float(lm_loss(lm, seqs).data) == pytest.approx(expected, rel=1e-12)
+
+    def test_shuffle_bit_exact(self, rng):
+        lm = ExternalLm(Vocabulary.default(6), embed_dim=8, seed=4)
+        seqs = random_sentences(rng, 200, 6)
+        a = float(lm_loss(lm, seqs).data)
+        for _ in range(5):
+            order = rng.permutation(len(seqs))
+            assert float(lm_loss(lm, [seqs[i] for i in order]).data) == a
+
+    def test_empty_batch_and_out_of_vocab(self):
+        lm = ExternalLm(Vocabulary.default(4), embed_dim=4)
+        assert float(lm_loss(lm, []).data) == 0.0
+        with pytest.raises(VocabError):
+            lm_loss(lm, [[0, 4]])

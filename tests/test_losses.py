@@ -6,7 +6,8 @@ import pytest
 from conftest import random_utterance, small_mhat
 from mhat.lattice import hat_loss
 from mhat.losses import LossConfig, ilm_loss, mhat_loss, perplexity
-from mhat.model import ConfigError, VocabError
+from mhat.extlm import ExternalLm
+from mhat.model import ConfigError, VocabError, Vocabulary
 
 
 class TestIlmLoss:
@@ -15,6 +16,14 @@ class TestIlmLoss:
         mhat_small.params["ilm_proj.bias"].data[...] = 0.0
         loss = float(ilm_loss(mhat_small, [[0, 1, 2]]).data)
         assert loss == pytest.approx(3 * math.log(4), abs=1e-12)
+
+    def test_matches_per_sentence_sum(self, mhat_small, rng):
+        seqs = [[int(i) for i in rng.integers(0, 4, size=rng.integers(1, 7))] for _ in range(30)]
+        expected = 0.0
+        for y in seqs:
+            rows = mhat_small.ilm_log_prob_rows(y).data
+            expected -= rows[np.arange(len(y)), y].sum()
+        assert float(ilm_loss(mhat_small, seqs).data) == pytest.approx(expected, rel=1e-12)
 
     def test_empty_batch(self, mhat_small):
         assert float(ilm_loss(mhat_small, []).data) == 0.0
@@ -105,6 +114,21 @@ class TestPerplexity:
         b = perplexity(mhat_small, [seqs[i] for i in order])
         assert a == b
 
+    def test_external_lm_scores_tokens_without_eos_events(self, rng):
+        lm = ExternalLm(Vocabulary.default(4), embed_dim=8, seed=3)
+        seqs = [[int(i) for i in rng.integers(0, 4, size=rng.integers(1, 6))] for _ in range(10)] + [[]]
+        nll = 0.0
+        for y in seqs:
+            rows = lm.next_log_prob_rows(y).data
+            nll -= rows[np.arange(len(y)), y].sum()
+        tokens = sum(len(y) for y in seqs)
+        assert perplexity(lm, seqs) == pytest.approx(math.exp(nll / tokens), rel=1e-12)
+
     def test_requires_tokens(self, mhat_small):
         with pytest.raises(ConfigError):
             perplexity(mhat_small, [])
+        with pytest.raises(ConfigError):
+            perplexity(mhat_small, [[], []])
+
+    def test_empty_transcripts_count_for_nothing(self, mhat_small):
+        assert perplexity(mhat_small, [[0, 1], [], [2]]) == perplexity(mhat_small, [[0, 1], [2]])

@@ -13,6 +13,7 @@ from mhat.model import (
     Vocabulary,
     alignment_arc_log_probs,
     bigram_contexts,
+    context_counts,
     context_of,
     label_posterior,
 )
@@ -48,6 +49,34 @@ class TestContexts:
     def test_first_step_all_sos(self):
         assert context_of([], 9) == (9, 9)
         assert context_of([3], 9) == (9, 3)
+
+    def test_context_counts_hand_case(self):
+        # events: (s,s)->0, (s,0)->1, (0,1)->eos and (s,s)->1, (s,1)->eos
+        ctx, counts = context_counts([[0, 1], [1]], sos_id=2, n_out=3, eos_id=2)
+        np.testing.assert_array_equal(ctx, [[0, 1], [2, 0], [2, 1], [2, 2]])
+        np.testing.assert_array_equal(counts, [[0, 0, 1], [0, 1, 0], [0, 0, 1], [1, 1, 0]])
+        ctx, counts = context_counts([[0, 1], [1]], sos_id=2, n_out=2)
+        np.testing.assert_array_equal(ctx, [[2, 0], [2, 2]])
+        np.testing.assert_array_equal(counts, [[0, 1], [1, 1]])
+
+    def test_context_counts_match_bigram_contexts(self, rng):
+        seqs = [[int(i) for i in rng.integers(0, 5, size=rng.integers(0, 9))] for _ in range(30)]
+        ctx, counts = context_counts(seqs, sos_id=5, n_out=6, eos_id=5)
+        dense = np.zeros((36, 6), dtype=np.int64)
+        for y in seqs:
+            for (p2, p1), nxt in zip(bigram_contexts(y, 5), [*y, 5]):
+                dense[6 * p2 + p1, nxt] += 1
+        seen = np.flatnonzero(dense.sum(axis=1))
+        np.testing.assert_array_equal(ctx, np.stack([seen // 6, seen % 6], axis=1))
+        np.testing.assert_array_equal(counts, dense[seen])
+
+    def test_context_counts_empty_batch_and_range(self):
+        ctx, counts = context_counts([], sos_id=4, n_out=4)
+        assert ctx.shape == (0, 2) and counts.shape == (0, 4)
+        with pytest.raises(VocabError):
+            context_counts([[0, 4]], sos_id=4, n_out=4)
+        with pytest.raises(VocabError):
+            context_counts([[-1]], sos_id=4, n_out=4)
 
 
 class TestEncoder:
@@ -85,6 +114,13 @@ class TestEncoder:
         m = small_mhat()
         with pytest.raises(ConfigError, match="feature dim"):
             m.encode(np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X = np.zeros((4, 3))
+        X[2, 1] = bad
+        with pytest.raises(ConfigError, match="non-finite feature .* at frame 2"):
+            small_mhat().encode(X)
 
 
 class TestDecoders:

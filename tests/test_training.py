@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from conftest import random_utterance, small_hat, small_mhat
 from mhat.model import ConfigError
+from mhat.numerics import EvaluationError
 from mhat.training import TrainConfig, train_asr
 
 
@@ -53,3 +55,10 @@ def test_all_optimizers_step(rng, opt):
     lr = 1e-4 if opt != "adam" else 1e-3
     train_asr(model, batch(rng, n=4), TrainConfig(epochs=1, batch_size=4, lr=lr, optimizer=opt))
     assert model.params.checksum() != before
+
+
+def test_non_finite_loss_names_epoch_and_batch(rng):
+    # SGD at lr=1e6 blows the weights up within the first epoch
+    cfg = TrainConfig(epochs=3, batch_size=32, lr=1e6, optimizer="sgd", alpha=0.1)
+    with np.errstate(all="ignore"), pytest.raises(EvaluationError, match=r"epoch \d+, batch \d+"):
+        train_asr(small_mhat(), batch(rng, n=64), cfg)
