@@ -9,6 +9,7 @@ between domains, which only a better label prior can fix.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -296,8 +297,16 @@ def write_corpus(corpus: Corpus, path: str) -> None:
 
 
 def read_corpus(path: str, vocab: Vocabulary) -> Corpus:
-    with open(path) as mf:
-        lines = mf.read().splitlines()
+    """Read a paired corpus written by `write_corpus`.
+
+    A malformed manifest or feature file raises ConfigError; an unknown
+    token raises VocabError naming its line.
+    """
+    try:
+        with open(path, encoding="utf-8") as mf:
+            lines = mf.read().splitlines()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not a corpus manifest (not UTF-8 text)") from None
     if not lines or lines[0] != "format mhat-corpus-v1":
         raise ConfigError(f"{path}: not a corpus manifest")
     header: dict[str, str] = {}
@@ -310,24 +319,36 @@ def read_corpus(path: str, vocab: Vocabulary) -> Corpus:
             header[k] = rest
     if header.get("vocab.hash") != vocab.digest():
         raise ConfigError(f"{path}: vocabulary hash mismatch")
+    try:
+        seed = int(header.get("seed", "0"))
+    except ValueError:
+        raise ConfigError(f"{path}: bad seed {header['seed']!r}") from None
     items = []
     with open(path + ".feats", "rb") as bf:
+        remaining = os.fstat(bf.fileno()).st_size
         for lineno, line in utt_lines:
             parts = line.split()
-            uid, t_len = parts[1], int(parts[2])
+            try:
+                uid, t_len = parts[1], int(parts[2])
+            except (IndexError, ValueError):
+                raise ConfigError(f"{path}:{lineno}: expected 'utt <id> <frames> <tokens>', got {line!r}") from None
             try:
                 tokens = tuple(vocab.id_of(n) for n in parts[3:])
             except VocabError as e:
                 raise VocabError(f"{path}:{lineno}: {e}") from None
-            shape = np.frombuffer(bf.read(8), dtype="<u4")
-            if shape.shape != (2,) or int(shape[0]) != t_len:
+            head = bf.read(8)
+            shape = np.frombuffer(head, dtype="<u4") if len(head) == 8 else None
+            if shape is None or int(shape[0]) != t_len:
                 raise ConfigError(f"{path}: feature record for {uid} does not match manifest")
-            raw = bf.read(int(shape[0]) * int(shape[1]) * 4)
-            feats = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(t_len, int(shape[1]))
+            size = 4 * t_len * int(shape[1])
+            remaining -= 8 + size
+            if remaining < 0:
+                raise ConfigError(f"{path}: feature file truncated at {uid}")
+            feats = np.frombuffer(bf.read(size), dtype="<f4").astype(np.float64).reshape(t_len, int(shape[1]))
             items.append(Utterance(uid=uid, features=feats, tokens=tokens))
     return Corpus(
         split=header.get("split", "train"),
-        seed=int(header.get("seed", "0")),
+        seed=seed,
         vocab=vocab,
         items=tuple(items),
     )
@@ -364,10 +385,12 @@ def save_checkpoint(model_or_lm, path: str) -> None:
 
 def _parse_manifest(path: str):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             lines = f.read().splitlines()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint manifest {path}: {e}") from None
+    except UnicodeDecodeError:
+        lines = []
     if not lines or lines[0] != f"format {_CKPT_FORMAT}":
         raise CheckpointError(f"{path}: not a {_CKPT_FORMAT} manifest")
     kind = None
@@ -379,22 +402,27 @@ def _parse_manifest(path: str):
         if not line:
             continue
         key, _, rest = line.partition(" ")
-        if key == "kind":
-            kind = rest
-        elif key.startswith("token."):
-            tokens[int(key[6:])] = rest
-        elif key.startswith("config."):
-            config[key[7:]] = rest
-        elif key.startswith("tensor."):
-            name, group, shape_s = rest.split(" ")
-            shape = tuple(int(d) for d in shape_s.split(",") if d != "")
-            tensors.append((name, group, shape))
-        else:
-            header[key] = rest
+        try:
+            if key == "kind":
+                kind = rest
+            elif key.startswith("token."):
+                tokens[int(key[6:])] = rest
+            elif key.startswith("config."):
+                config[key[7:]] = rest
+            elif key.startswith("tensor."):
+                name, group, shape_s = rest.split(" ")
+                shape = tuple(int(d) for d in shape_s.split(",") if d != "")
+                tensors.append((name, group, shape))
+            else:
+                header[key] = rest
+        except ValueError:
+            raise CheckpointError(f"{path}: malformed manifest line {line!r}") from None
     if kind not in _KINDS:
         raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")
+    if sorted(tokens) != list(range(len(tokens))):
+        raise CheckpointError(f"{path}: token ids are not 0..{len(tokens) - 1}")
     vocab = Vocabulary(tuple(tokens[i] for i in range(len(tokens))))
-    if header.get("vocab.hash") != vocab.digest() or int(header.get("vocab.size", -1)) != vocab.size:
+    if header.get("vocab.hash") != vocab.digest() or header.get("vocab.size") != str(vocab.size):
         raise CheckpointError(f"{path}: vocabulary hash mismatch")
     return kind, vocab, config, tensors
 
@@ -409,11 +437,14 @@ def load_checkpoint(path: str, expect: str | None = None):
         ok = kind == expect or (expect == "asr" and kind in ("mhat", "hat"))
         if not ok:
             raise CheckpointError(f"{path}: kind mismatch: checkpoint is {kind!r}, expected {expect!r}")
-    m = _KINDS[kind].from_config(vocab, config)
     try:
         blob = np.fromfile(path + ".bin", dtype="<f4")
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint blob {path}.bin: {e}") from None
+    try:
+        m = _KINDS[kind].from_config(vocab, config)
+    except (KeyError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad model config: {e}") from None
     offset = 0
     for name, group, shape in tensors:
         size = int(np.prod(shape)) if shape else 1

@@ -230,5 +230,7 @@ def parse_record(line: str) -> tuple[str, tuple[int, ...]]:
     parts = line.rstrip("\n").split("\t")
     if len(parts) != len(RECORD_COLUMNS):
         raise ValueError(f"malformed decode record: {line!r}")
-    ids = tuple(int(s) for s in parts[1].split()) if parts[1] else ()
-    return parts[0], ids
+    ids = parts[1].split()
+    if not all(s.isascii() and s.isdigit() for s in ids):
+        raise ValueError(f"malformed decode record: token ids {parts[1]!r}")
+    return parts[0], tuple(int(s) for s in ids)

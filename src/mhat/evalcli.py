@@ -299,6 +299,24 @@ def build_hat(cfg: ExperimentConfig, vocab: Vocabulary) -> HatModel:
     return HatModel(vocab, enc, decoder_dim=cfg.hat_decoder_dim, joint_dim=cfg.joint_dim, seed=cfg.seed)
 
 
+def train_asr_model(
+    kind: str, cfg: ExperimentConfig, vocab: Vocabulary, pairs, path: str | None = None, log=_log,
+    optimizer: str = "adam",
+):
+    """Build a "mhat" or "hat" model from `cfg`, train it on `pairs`, and
+    save it to `path` when given; returns (model, loss curve).
+
+    The one training path of both `mhat train` and `run_experiment`.
+    """
+    model = build_mhat(cfg, vocab) if kind == "mhat" else build_hat(cfg, vocab)
+    curve = train_asr(model, pairs, TrainConfig(
+        epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, optimizer=optimizer,
+        alpha=cfg.alpha if kind == "mhat" else 0.0, seed=cfg.seed), log)
+    if path:
+        dat.save_checkpoint(model, path)
+    return model, curve
+
+
 def _wer_of(model, corpus, cfg, fusion=NO_FUSION) -> EvalReport:
     hyps = {uid: res.tokens for uid, res in decode_corpus(model, corpus, cfg.beam, fusion, cfg.jobs)}
     return evaluate_decodes(corpus, hyps)
@@ -360,23 +378,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, log=_log) 
         if out_dir:
             write_experiment_data(exp, ensure("data"))
 
-    def st_hat():
+    def st_asr(kind: str):
         exp = state["exp"]
-        hat = build_hat(cfg, exp.vocab)
-        train_asr(hat, exp.src_train.paired(), TrainConfig(
-            epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, seed=cfg.seed), log)
-        state["hat"] = hat
-        if out_dir:
-            dat.save_checkpoint(hat, os.path.join(ensure("models"), "hat.ckpt"))
-
-    def st_mhat():
-        exp = state["exp"]
-        mhat = build_mhat(cfg, exp.vocab)
-        train_asr(mhat, exp.src_train.paired(), TrainConfig(
-            epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, alpha=cfg.alpha, seed=cfg.seed), log)
-        state["mhat"] = mhat
-        if out_dir:
-            dat.save_checkpoint(mhat, os.path.join(ensure("models"), "mhat.ckpt"))
+        path = os.path.join(ensure("models"), f"{kind}.ckpt") if out_dir else None
+        state[kind], _ = train_asr_model(kind, cfg, exp.vocab, exp.src_train.paired(), path, log)
 
     def st_lm():
         exp = state["exp"]
@@ -482,8 +487,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, log=_log) 
                 f.write("\n".join(result.matrix_lines()) + "\n")
 
     stage("gen-data", st_data)
-    stage("train-hat", st_hat)
-    stage("train-mhat", st_mhat)
+    stage("train-hat", lambda: st_asr("hat"))
+    stage("train-mhat", lambda: st_asr("mhat"))
     stage("train-lm", st_lm)
     stage("ilma", st_ilma)
     stage("grid-search", st_grid)
@@ -503,16 +508,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_kv_config(path: str) -> dict[str, str]:
+    """`key=value` lines; `#` starts a comment.  Anything else raises ConfigError."""
     out: dict[str, str] = {}
-    with open(path) as f:
-        for line in f:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: expected key=value, got {line!r}")
-            k, v = line.split("=", 1)
-            out[k.strip()] = v.strip()
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not a UTF-8 text file") from None
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: expected key=value, got {line!r}")
+        k, v = line.split("=", 1)
+        out[k.strip()] = v.strip()
     return out
 
 
@@ -642,21 +652,16 @@ def cmd_gen_data(args) -> None:
 def cmd_train(args) -> None:
     vocab = dat.read_vocab(args.vocab)
     corpus = dat.read_corpus(args.data, vocab)
-    enc = EncoderConfig(d_x=corpus.items[0].features.shape[1], context=args.enc_context,
-                        layers=args.enc_layers, d_f=args.d_f)
-    if args.model == "mhat":
-        model = MhatModel(vocab, enc, label_dim=args.label_dim, blank_dim=args.blank_dim,
-                          joint_dim=args.joint_dim, seed=args.seed)
-        alpha = args.alpha
-    else:
-        model = HatModel(vocab, enc, decoder_dim=args.decoder_dim, joint_dim=args.joint_dim,
-                         seed=args.seed)
-        alpha = 0.0
-    curve = train_asr(model, corpus.paired(), TrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-        optimizer=args.optimizer, alpha=alpha, seed=args.seed), _log)
+    if not corpus.items:
+        raise ConfigError(f"{args.data}: training corpus is empty")
+    cfg = ExperimentConfig(
+        d_x=corpus.items[0].features.shape[1], d_f=args.d_f, enc_context=args.enc_context,
+        enc_layers=args.enc_layers, joint_dim=args.joint_dim, label_dim=args.label_dim,
+        blank_dim=args.blank_dim, hat_decoder_dim=args.decoder_dim, epochs=args.epochs,
+        batch_size=args.batch_size, lr=args.lr, alpha=args.alpha, seed=args.seed,
+    )
     out = os.path.join(args.out_dir, f"{args.model}.ckpt")
-    dat.save_checkpoint(model, out)
+    _, curve = train_asr_model(args.model, cfg, vocab, corpus.paired(), out, optimizer=args.optimizer)
     with open(os.path.join(args.out_dir, "train_log.txt"), "w") as f:
         for i, loss in enumerate(curve, start=1):
             f.write(f"epoch {i} loss_per_utt {loss!r}\n")

@@ -6,10 +6,13 @@ labels have been emitted, for t in [1..T], u in [0..U].  A blank arc
 label u+1 without consuming a frame.  Every alignment ends with a mandatory
 final blank at (T, U) that consumes the last frame.
 
-The dynamic program runs over anti-diagonals in plain numpy; the gradient
-of the marginal log-probability with respect to each arc log-score is its
-posterior occupancy, computed from the alpha/beta recursions and wired into
-the engine as a custom backward rule.
+A batch is one dynamic program: the model scores arcs only at the packed
+valid cells of every utterance, those scores are scattered into -inf-padded
+(B, T_max, U_max + 1) grids, and alpha and beta run once over their
+anti-diagonals in plain numpy.  The gradient of each utterance's marginal
+log-probability with respect to each arc log-score is its posterior
+occupancy, wired into the engine as a custom backward rule.  A single
+utterance is a batch of one.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .model import HatModel, MhatModel, label_posterior
+from .model import HatModel, LatticeCells, MhatModel, label_posterior
 from .numerics import Tensor
 
 
@@ -52,77 +55,113 @@ class AlignmentLattice:
     log_prob: float
 
 
-def _forward_alphas(lb: np.ndarray, ll: np.ndarray) -> np.ndarray:
-    t_len, u1 = lb.shape
-    u_len = u1 - 1
-    alpha = np.full((t_len + 1, u_len + 1), -np.inf)
-    alpha[1, 0] = 0.0
-    for k in range(2, t_len + u_len + 1):
-        ts = np.arange(max(1, k - u_len), min(t_len, k) + 1)
-        us = k - ts
-        vals = np.full(ts.shape, -np.inf)
-        mb = ts >= 2
-        if mb.any():
-            tb, ub = ts[mb], us[mb]
-            vals[mb] = alpha[tb - 1, ub] + lb[tb - 2, ub]
-        ml = us >= 1
-        if ml.any():
-            tl, ul = ts[ml], us[ml]
-            vals[ml] = np.logaddexp(vals[ml], alpha[tl, ul - 1] + ll[tl - 1, ul - 1])
-        alpha[ts, us] = vals
+def _diagonal_arcs(
+    t_lens: np.ndarray, u_lens: np.ndarray, blank_at: tuple, log_blank: np.ndarray, label_at: tuple, log_label: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scatter arc scores into -inf-padded arrays laid out by anti-diagonal.
+
+    `blank_at` and `label_at` hold the (b, t, u) cell of each score, t
+    0-based.  The arc out of node (t + 1, u) of utterance b lands at
+    [t + 1 + u, b, u + 1] of a (T_max + U_max + 2, B, U_max + 3) array;
+    the outer rows and columns stay -inf.  Returns (blank, label, final):
+    blank arcs out of an utterance's last frame are left out, and its
+    final blank, the mandatory terminal arc out of (T_b, U_b), is
+    returned per utterance instead.
+    """
+    shape = (t_lens.max() + u_lens.max() + 2, t_lens.size, u_lens.max() + 3)
+    b, t, u = blank_at
+    last = t == t_lens[b] - 1
+    final = np.empty(t_lens.size)
+    end = last & (u == u_lens[b])
+    final[b[end]] = log_blank[end]
+    blank = np.full(shape, -np.inf)
+    blank[t[~last] + 1 + u[~last], b[~last], u[~last] + 1] = log_blank[~last]
+    label = np.full(shape, -np.inf)
+    b, t, u = label_at
+    label[t + 1 + u, b, u + 1] = log_label
+    return blank, label, final
+
+
+def _span(k: int, shape: tuple[int, ...]) -> tuple[int, int]:
+    """The columns u + 1 of the nodes (k - u, u) on diagonal k inside the grid."""
+    u_max = shape[2] - 3
+    t_max = shape[0] - u_max - 2
+    return max(0, k - t_max) + 1, min(u_max, k - 1) + 2
+
+
+def _alphas(blank: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """Forward log-masses by anti-diagonal: alpha[t + u, b, u + 1] is node (t, u).
+
+    Both predecessors of a node lie on the previous diagonal, so each
+    diagonal is one slice operation.  A node without a blank (t = 1) or
+    label (u = 0) predecessor reads a -inf cell, which leaves `logaddexp`
+    of the other term exact.
+    """
+    alpha = np.full(blank.shape, -np.inf)
+    alpha[1, :, 1] = 0.0
+    for k in range(2, blank.shape[0] - 1):
+        lo, hi = _span(k, blank.shape)
+        prev = alpha[k - 1]
+        alpha[k, :, lo:hi] = np.logaddexp(
+            prev[:, lo:hi] + blank[k - 1, :, lo:hi], prev[:, lo - 1 : hi - 1] + label[k - 1, :, lo - 1 : hi - 1]
+        )
     return alpha
 
 
-def _backward_betas(lb: np.ndarray, ll: np.ndarray) -> np.ndarray:
-    t_len, u1 = lb.shape
-    u_len = u1 - 1
-    beta = np.full((t_len + 1, u_len + 1), -np.inf)
-    beta[t_len, u_len] = lb[t_len - 1, u_len]
-    for k in range(t_len + u_len - 1, 0, -1):
-        ts = np.arange(max(1, k - u_len), min(t_len, k) + 1)
-        us = k - ts
-        vals = np.full(ts.shape, -np.inf)
-        mb = ts <= t_len - 1
-        if mb.any():
-            tb, ub = ts[mb], us[mb]
-            vals[mb] = beta[tb + 1, ub] + lb[tb - 1, ub]
-        ml = us <= u_len - 1
-        if ml.any():
-            tl, ul = ts[ml], us[ml]
-            vals[ml] = np.logaddexp(vals[ml], beta[tl, ul + 1] + ll[tl - 1, ul])
-        beta[ts, us] = vals
+def _betas(blank: np.ndarray, label: np.ndarray, final: np.ndarray, t_lens: np.ndarray, u_lens: np.ndarray) -> np.ndarray:
+    """Backward log-masses, laid out as `_alphas`.  Each utterance starts
+    at its own final node (T_b, U_b), whose mass is its final blank."""
+    beta = np.full(blank.shape, -np.inf)
+    ends = t_lens + u_lens
+    ending = {int(k): np.flatnonzero(ends == k) for k in np.unique(ends)}
+    for k in range(blank.shape[0] - 2, 0, -1):
+        lo, hi = _span(k, blank.shape)
+        nxt = beta[k + 1]
+        beta[k, :, lo:hi] = np.logaddexp(
+            nxt[:, lo:hi] + blank[k, :, lo:hi], nxt[:, lo + 1 : hi + 1] + label[k, :, lo:hi]
+        )
+        if k in ending:
+            done = ending[k]
+            beta[k, done, u_lens[done] + 1] = final[done]
     return beta
 
 
-def lattice_log_prob(log_blank: Tensor, log_label: Tensor) -> Tensor:
-    """Marginal log-probability over all alignments, differentiable.
+def _node_grid(by_diagonal: np.ndarray, t_len: int, u_len: int) -> np.ndarray:
+    """Nodes (t, u) of the first utterance as a (T + 1, U + 1) grid; row 0 is -inf."""
+    t, u = np.ogrid[: t_len + 1, : u_len + 1]
+    return by_diagonal[t + u, 0, u + 1]
 
-    The backward rule scatters the scalar upstream gradient onto each arc
-    weighted by the arc's posterior occupancy; the mandatory final blank
-    has occupancy one.
+
+def lattice_log_prob(log_blank: Tensor, log_label: Tensor, cells: LatticeCells) -> Tensor:
+    """Marginal log-probability of every utterance of a batch, (B,), differentiable.
+
+    One padded forward pass covers the batch.  The backward rule weights
+    each arc by its posterior occupancy, alpha at its source plus beta at
+    its target, times the upstream gradient of its utterance; the
+    mandatory final blank has occupancy one.
     """
-    lb, ll = log_blank.data, log_label.data
-    t_len = lb.shape[0]
-    u_len = ll.shape[1]
-    alpha = _forward_alphas(lb, ll)
-    tot = alpha[t_len, u_len] + lb[t_len - 1, u_len]
+    t_lens, u_lens, n = cells.t_lens, cells.u_lens, cells.n_label
+    b, t, u = cells.b, cells.t, cells.u
+    blank, label, final = _diagonal_arcs(
+        t_lens, u_lens, (b, t, u), log_blank.data, (b[:n], t[:n], u[:n]), log_label.data
+    )
+    alpha = _alphas(blank, label)
+    tot = alpha[t_lens + u_lens, np.arange(t_lens.size), u_lens + 1] + final
 
     def vjp(g):
-        g = float(g)
-        beta = _backward_betas(lb, ll)
+        beta = _betas(blank, label, final, t_lens, u_lens)
+        k, c = t + 1 + u, u + 1  # each cell's source node (t + 1, u) sits at [k, b, c]
+        src = alpha[k, b, c]
         if log_blank.requires_grad:
-            gb = np.zeros_like(lb)
-            if t_len > 1:
-                gb[: t_len - 1, :] = np.exp(
-                    alpha[1:t_len, :] + lb[: t_len - 1, :] + beta[2:, :] - tot
-                )
-            gb[t_len - 1, u_len] += 1.0
-            log_blank._accumulate(g * gb)
-        if log_label.requires_grad and u_len > 0:
-            gl = np.exp(alpha[1:, :u_len] + ll + beta[1:, 1:] - tot)
-            log_label._accumulate(g * gl)
+            # a blank out of the last frame reaches a -inf beta cell
+            gb = np.exp(src + log_blank.data + beta[k + 1, b, c] - tot[b])
+            gb[(t == t_lens[b] - 1) & (u == u_lens[b])] += 1.0
+            log_blank._accumulate(g[b] * gb)
+        if log_label.requires_grad and n:
+            gl = np.exp(src[:n] + log_label.data + beta[k[:n] + 1, b[:n], c[:n] + 1] - tot[b[:n]])
+            log_label._accumulate(g[b[:n]] * gl)
 
-    return nm._op(np.asarray(tot), (log_blank, log_label), vjp)
+    return nm._op(tot, (log_blank, log_label), vjp)
 
 
 def check_structure(X: np.ndarray, tokens: Sequence[int]) -> None:
@@ -133,22 +172,31 @@ def check_structure(X: np.ndarray, tokens: Sequence[int]) -> None:
         )
 
 
+def batch_log_probs(model: MhatModel | HatModel, batch: Sequence[tuple[np.ndarray, Sequence[int]]]) -> Tensor:
+    """log P(tokens | X) of every item, (B,), graph-attached."""
+    if not batch:
+        return Tensor(np.zeros(0))
+    for x, y in batch:
+        check_structure(x, y)
+    return lattice_log_prob(*model.arc_log_scores(batch))
+
+
 def forward_log_prob(model: MhatModel | HatModel, X: np.ndarray, tokens: Sequence[int]) -> Tensor:
     """log P(tokens | X) by the forward recursion; scalar, graph-attached."""
-    check_structure(X, tokens)
-    log_blank, log_label = model.arc_log_scores(X, tokens)
-    return lattice_log_prob(log_blank, log_label)
+    return nm.total(batch_log_probs(model, [(X, tokens)]))
 
 
 def build_lattice(model: MhatModel | HatModel, X: np.ndarray, tokens: Sequence[int]) -> AlignmentLattice:
     """Materialize arc scores and both recursions for inspection and tests."""
     check_structure(X, tokens)
     with nm.no_grad():
-        log_blank, log_label = model.arc_log_scores(X, tokens)
-    lb, ll = log_blank.data, log_label.data
-    t_len, u_len = lb.shape[0], ll.shape[1]
-    alpha = _forward_alphas(lb, ll)
-    beta = _backward_betas(lb, ll)
+        log_blank, log_label, cells = model.arc_log_scores([(X, tokens)])
+    t_len, u_len, n = int(cells.t_lens[0]), int(cells.u_lens[0]), cells.n_label
+    lb = np.empty((t_len, u_len + 1))
+    lb[cells.t, cells.u] = log_blank.data
+    ll = np.empty((t_len, u_len))
+    ll[cells.t[:n], cells.u[:n]] = log_label.data
+    alpha, beta = _grid_recursions(lb, ll)
     return AlignmentLattice(
         t_len=t_len,
         u_len=u_len,
@@ -160,9 +208,23 @@ def build_lattice(model: MhatModel | HatModel, X: np.ndarray, tokens: Sequence[i
     )
 
 
+def _grid_recursions(lb: np.ndarray, ll: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Alpha and beta (T + 1, U + 1) of one utterance from its (T, U + 1)
+    blank and (T, U) label grids, by the batch recursions."""
+    t_len, u_len = ll.shape
+    lens = np.array([t_len]), np.array([u_len])
+
+    def cells(grid):
+        return (np.zeros(grid.size, dtype=np.int64), *np.indices(grid.shape).reshape(2, -1))
+
+    blank, label, final = _diagonal_arcs(*lens, cells(lb), lb.reshape(-1), cells(ll), ll.reshape(-1))
+    alpha = _node_grid(_alphas(blank, label), t_len, u_len)
+    return alpha, _node_grid(_betas(blank, label, final, *lens), t_len, u_len)
+
+
 def backward_log_betas(lat: AlignmentLattice) -> np.ndarray:
     """Companion backward recursion over the stored arc scores."""
-    return _backward_betas(lat.log_blank, lat.log_label)
+    return _grid_recursions(lat.log_blank, lat.log_label)[1]
 
 
 def brute_force_log_prob(model: MhatModel | HatModel, X: np.ndarray, tokens: Sequence[int]) -> float:
@@ -229,17 +291,26 @@ def brute_force_log_prob(model: MhatModel | HatModel, X: np.ndarray, tokens: Seq
     return nm.log_sum_exp(np.array(paths))
 
 
+def canonical_order(batch: Sequence[tuple[np.ndarray, Sequence[int]]]) -> list[int]:
+    """Batch positions sorted by T, then U, then tokens, then feature bytes.
+
+    Items that tie on every key are identical, so the order depends only
+    on the multiset of items.
+    """
+
+    def key(i):
+        x, y = batch[i]
+        return len(x), len(y), tuple(int(v) for v in y), np.asarray(x, dtype=np.float64).tobytes()
+
+    return sorted(range(len(batch)), key=key)
+
+
 def hat_loss(model: MhatModel | HatModel, batch: Sequence[tuple[np.ndarray, Sequence[int]]]) -> Tensor:
     """Summed negative sequence log-likelihood over a batch.
 
-    Per-item terms are added in value-sorted order so the total is
-    bit-exact under batch permutation.
+    The batch is scored in canonical order, so the loss and every gradient
+    are bit-exact under batch permutation.
     """
-    terms = [nm.neg(forward_log_prob(model, x, y)) for x, y in batch]
-    if not terms:
+    if not batch:
         return Tensor(0.0)
-    order = sorted(range(len(terms)), key=lambda i: float(terms[i].data))
-    out = terms[order[0]]
-    for i in order[1:]:
-        out = nm.add(out, terms[i])
-    return out
+    return nm.neg(nm.total(batch_log_probs(model, [batch[i] for i in canonical_order(batch)])))

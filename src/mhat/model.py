@@ -113,6 +113,16 @@ def bigram_contexts(tokens: Sequence[int], sos_id: int) -> np.ndarray:
     return ctx
 
 
+def _token_array(transcripts: Sequence[Sequence[int]], sos_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sentence lengths and all tokens concatenated; ids must lie in [0, sos_id)."""
+    lengths = np.array([len(y) for y in transcripts], dtype=np.int64)
+    toks = np.array([t for y in transcripts for t in y], dtype=np.int64)
+    bad = (toks < 0) | (toks >= sos_id)
+    if bad.any():
+        raise VocabError(f"token id {toks[bad][0]} out of range for |V|={sos_id}")
+    return lengths, toks
+
+
 def context_counts(
     transcripts: Sequence[Sequence[int]], sos_id: int, n_out: int, eos_id: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -124,11 +134,7 @@ def context_counts(
     event `eos_id` at its final context.  Token ids must lie in [0, sos_id).
     The table depends only on the multiset of sentences, not their order.
     """
-    lengths = np.array([len(y) for y in transcripts], dtype=np.int64)
-    toks = np.array([t for y in transcripts for t in y], dtype=np.int64)
-    bad = (toks < 0) | (toks >= sos_id)
-    if bad.any():
-        raise VocabError(f"token id {toks[bad][0]} out of range for |V|={sos_id}")
+    lengths, toks = _token_array(transcripts, sos_id)
     # event i follows the first pos[i] labels of its sentence; the last two
     # of them are padded[at[i] + 1] and padded[at[i]]
     ends = np.cumsum(lengths)
@@ -144,6 +150,65 @@ def context_counts(
     counts = np.zeros((keys.size, n_out), dtype=np.int64)
     np.add.at(counts, (row.reshape(-1), nxt), 1)
     return np.stack([keys // (sos_id + 1), keys % (sos_id + 1)], axis=1), counts
+
+
+@dataclass(frozen=True)
+class LatticeCells:
+    """The valid lattice cells of a batch, packed, label-arc cells first.
+
+    Cell c is frame t[c] (0-based) of utterance b[c] after u[c] emissions,
+    for t < T_b and u <= U_b.  The first `n_label` cells are those with
+    u < U_b, in (b, t, u) order; each carries a label arc emitting
+    `labels[c]`.  The u = U_b cells follow, also in (b, t, u) order.
+    `frame[c]` indexes the batch's stacked encoder frames and `ctx[c]` the
+    rows of `contexts`, the batch's distinct (prev2, prev1) decoder
+    contexts in ascending order.
+    """
+
+    t_lens: np.ndarray  # (B,)
+    u_lens: np.ndarray  # (B,)
+    b: np.ndarray  # (N,)
+    t: np.ndarray  # (N,)
+    u: np.ndarray  # (N,)
+    frame: np.ndarray  # (N,)
+    ctx: np.ndarray  # (N,)
+    contexts: np.ndarray  # (K, 2)
+    labels: np.ndarray  # (n_label,)
+
+    @property
+    def n_label(self) -> int:
+        return self.labels.size
+
+
+def lattice_cells(t_lens: Sequence[int], transcripts: Sequence[Sequence[int]], sos_id: int) -> LatticeCells:
+    """Pack the (T_b, U_b + 1) lattice grids of a batch into one cell list."""
+    t_lens = np.asarray(t_lens, dtype=np.int64)
+    u_lens, toks = _token_array(transcripts, sos_id)
+    sizes = t_lens * (u_lens + 1)
+    b = np.repeat(np.arange(t_lens.size), sizes)
+    t, u = np.divmod(np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes), u_lens[b] + 1)
+    last = u == u_lens[b]
+    order = np.argsort(last, kind="stable")
+    b, t, u = b[order], t[order], u[order]
+    # after u emissions, the context is the u-th pair of bigram_contexts;
+    # its labels are padded[at + 1] and padded[at]
+    at = (np.cumsum(u_lens) - u_lens)[b] + u
+    padded = np.concatenate([[sos_id, sos_id], toks])
+    prev1 = np.where(u >= 1, padded[at + 1], sos_id)
+    prev2 = np.where(u >= 2, padded[at], sos_id)
+    keys, ctx = np.unique(prev2 * (sos_id + 1) + prev1, return_inverse=True)
+    n_label = sizes.sum() - np.count_nonzero(last)
+    return LatticeCells(
+        t_lens=t_lens,
+        u_lens=u_lens,
+        b=b,
+        t=t,
+        u=u,
+        frame=(np.cumsum(t_lens) - t_lens)[b] + t,
+        ctx=ctx.reshape(-1),
+        contexts=np.stack([keys // (sos_id + 1), keys % (sos_id + 1)], axis=1),
+        labels=toks[at[:n_label]],
+    )
 
 
 def context_of(prefix: Sequence[int], sos_id: int) -> tuple[int, int]:
@@ -187,7 +252,7 @@ class EmbeddingDecoder:
 
     def outputs(self, ctx: np.ndarray) -> Tensor:
         """Decoder outputs for a batch of (prev2, prev1) context rows."""
-        e = nm.concat(nm.embedding(self.table0, ctx[..., 0]), nm.embedding(self.table1, ctx[..., 1]))
+        e = nm.concat(nm.gather_rows(self.table0, ctx[..., 0]), nm.gather_rows(self.table1, ctx[..., 1]))
         return nm.affine(e, self.proj_w, self.proj_b)
 
     def output_np(self, ctx: tuple[int, int]) -> np.ndarray:
@@ -228,8 +293,10 @@ class Encoder:
         idx = np.arange(t)[:, None] + np.arange(2 * c + 1)[None, :]
         return padded[idx].reshape(t, (2 * c + 1) * self.cfg.d_x)
 
-    def forward(self, X: np.ndarray) -> Tensor:
-        h: Tensor = Tensor(self.windows(X))
+    def forward(self, X: np.ndarray | list[np.ndarray]) -> Tensor:
+        """Outputs for one (T, d_x) utterance, or the stacked frames of a list of them."""
+        xs = X if isinstance(X, list) else [X]
+        h: Tensor = Tensor(np.concatenate([self.windows(x) for x in xs]))
         for w, b in self.weights:
             h = nm.tanh(nm.affine(h, w, b))
         return h
@@ -248,12 +315,10 @@ class _JointCombiner:
     def hidden(self, f: Tensor | np.ndarray, g: Tensor | np.ndarray) -> Tensor:
         return nm.tanh(nm.add(nm.affine(f, self.w1, self.hidden_bias), nm.affine(g, self.w2)))
 
-    def hidden_grid(self, F: Tensor, G: Tensor) -> Tensor:
-        t, u = F.shape[0], G.shape[0]
-        d_h = self.v.shape[0]
-        zf = nm.reshape(nm.affine(F, self.w1, self.hidden_bias), (t, 1, d_h))
-        zg = nm.reshape(nm.affine(G, self.w2), (1, u, d_h))
-        return nm.tanh(nm.add(zf, zg))
+    def hidden_cells(self, F: Tensor, G: Tensor, cells: LatticeCells) -> Tensor:
+        """Hidden rows at every lattice cell, from frame rows F and context rows G."""
+        zf, zg = nm.affine(F, self.w1, self.hidden_bias), nm.affine(G, self.w2)
+        return nm.tanh(nm.gather_sum(zf, cells.frame, zg, cells.ctx))
 
     def blank_logit(self, h: Tensor) -> Tensor:
         return nm.dot(h, self.v, self.v_bias)
@@ -380,38 +445,22 @@ class MhatModel(_AsrModel):
         self.vocab.check_ids(tokens)
         return self.context_log_prob_rows(bigram_contexts(tokens, self.vocab.sos_id))
 
-    def arc_log_scores(self, X: np.ndarray, tokens: Sequence[int]) -> tuple[Tensor, Tensor]:
-        """Blank and label arc log-scores for one utterance.
+    def arc_log_scores(self, batch: Sequence[tuple[np.ndarray, Sequence[int]]]) -> tuple[Tensor, Tensor, LatticeCells]:
+        """Blank and label arc log-scores at the packed lattice cells of a batch.
 
-        Returns (log_blank, log_label): log_blank[t, u] is the log blank
-        probability at frame t+1 after u emissions; log_label[t, u] the
-        log of (1 - blank) times the posterior of token u+1.
+        Returns (log_blank, log_label, cells): log_blank[c] is the log blank
+        probability at cell c; log_label[c], for the first `cells.n_label`
+        cells, the log of (1 - blank) times the posterior of `labels[c]`.
         """
-        self.vocab.check_ids(tokens)
-        t_len = np.asarray(X).shape[0]
-        u_len = len(tokens)
-        ctx = bigram_contexts(tokens, self.vocab.sos_id)
-        F = self.encode(X)
-        GB = self.blank_decoder.outputs(ctx)
-        s = self.joint.blank_logit(self.joint.hidden_grid(F, GB))
+        cells = lattice_cells([len(x) for x, _ in batch], [y for _, y in batch], self.vocab.sos_id)
+        F = self.encode([x for x, _ in batch])
+        s = self.joint.blank_logit(self.joint.hidden_cells(F, self.blank_decoder.outputs(cells.contexts), cells))
         log_blank = nm.log_sigmoid(s)
         log_keep = nm.log_sigmoid(nm.neg(s))
-        if u_len == 0:
-            return log_blank, Tensor(np.zeros((t_len, 0)))
-        A = self.am_log_probs(F)
-        L = self.ilm_log_prob_rows(tokens)
-        v = self.vocab.size
-        combined = nm.log_softmax(
-            nm.add(
-                nm.reshape(A, (t_len, 1, v)),
-                nm.reshape(L[: u_len], (1, u_len, v)),
-            )
-        )
-        t_ix = np.arange(t_len)[:, None]
-        u_ix = np.arange(u_len)[None, :]
-        y_ix = np.asarray(tokens, dtype=np.int64)[None, :]
-        picked = combined[t_ix, u_ix, y_ix]
-        return log_blank, nm.add(log_keep[:, :u_len], picked)
+        n = cells.n_label
+        A, L = self.am_log_probs(F), self.context_log_prob_rows(cells.contexts)
+        picked = nm.log_softmax_at(nm.gather_sum(A, cells.frame[:n], L, cells.ctx[:n]), cells.labels)
+        return log_blank, nm.add(log_keep[:n], picked), cells
 
     def scorer(self, X: np.ndarray) -> "MhatScorer":
         return MhatScorer(self, X)
@@ -468,25 +517,17 @@ class HatModel(_AsrModel):
         h = self.joint.hidden(f0, g_u)
         return nm.log_softmax(nm.affine(h, self.label_w, self.label_b))
 
-    def arc_log_scores(self, X: np.ndarray, tokens: Sequence[int]) -> tuple[Tensor, Tensor]:
-        self.vocab.check_ids(tokens)
-        t_len = np.asarray(X).shape[0]
-        u_len = len(tokens)
-        ctx = bigram_contexts(tokens, self.vocab.sos_id)
-        F = self.encode(X)
-        G = self.decoder.outputs(ctx)
-        H = self.joint.hidden_grid(F, G)
+    def arc_log_scores(self, batch: Sequence[tuple[np.ndarray, Sequence[int]]]) -> tuple[Tensor, Tensor, LatticeCells]:
+        """As `MhatModel.arc_log_scores`, with labels from the shared joint."""
+        cells = lattice_cells([len(x) for x, _ in batch], [y for _, y in batch], self.vocab.sos_id)
+        F = self.encode([x for x, _ in batch])
+        H = self.joint.hidden_cells(F, self.decoder.outputs(cells.contexts), cells)
         s = self.joint.blank_logit(H)
         log_blank = nm.log_sigmoid(s)
         log_keep = nm.log_sigmoid(nm.neg(s))
-        if u_len == 0:
-            return log_blank, Tensor(np.zeros((t_len, 0)))
-        labels = nm.log_softmax(nm.affine(H, self.label_w, self.label_b))
-        t_ix = np.arange(t_len)[:, None]
-        u_ix = np.arange(u_len)[None, :]
-        y_ix = np.asarray(tokens, dtype=np.int64)[None, :]
-        picked = labels[t_ix, u_ix, y_ix]
-        return log_blank, nm.add(log_keep[:, :u_len], picked)
+        n = cells.n_label
+        picked = nm.log_softmax_at(nm.affine(H[:n], self.label_w, self.label_b), cells.labels)
+        return log_blank, nm.add(log_keep[:n], picked), cells
 
     def scorer(self, X: np.ndarray) -> "HatScorer":
         return HatScorer(self, X)

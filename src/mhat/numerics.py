@@ -24,10 +24,12 @@ __all__ = [
     "check_finite",
     "concat",
     "dot",
-    "embedding",
+    "gather_rows",
+    "gather_sum",
     "gradient_check",
     "log_sigmoid",
     "log_softmax",
+    "log_softmax_at",
     "log_sum_exp",
     "no_grad",
     "sigmoid",
@@ -101,11 +103,18 @@ class Tensor:
         return self.grad
 
     def _accumulate(self, g: np.ndarray) -> None:
-        self._ensure_grad()
-        self.grad += g
+        if self.grad is None:
+            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
-        """Reverse-mode accumulation from a scalar output into leaf grads."""
+        """Reverse-mode accumulation from a scalar output into leaf grads.
+
+        An interior node's gradient is released once passed on, so only a
+        few of them are alive at a time, and a second backward pass over
+        the same graph starts from zero.
+        """
         if self.data.ndim != 0:
             raise ShapeError("backward() requires a scalar tensor")
         order: list[Tensor] = []
@@ -127,6 +136,7 @@ class Tensor:
         for node in reversed(order):
             if node._vjp is not None and node.grad is not None:
                 node._vjp(node.grad)
+                node.grad = None
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -237,17 +247,6 @@ def mul(a, b) -> Tensor:
     return _op(data, (a, b), vjp)
 
 
-def reshape(a, shape) -> Tensor:
-    a = _coerce(a)
-    orig = a.data.shape
-
-    def vjp(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(orig))
-
-    return _op(a.data.reshape(shape), (a,), vjp)
-
-
 def concat(a, b) -> Tensor:
     """Concatenate along the trailing axis."""
     a, b = _coerce(a), _coerce(b)
@@ -298,20 +297,71 @@ def total(a) -> Tensor:
     return _op(a.data.sum(), (a,), vjp)
 
 
-def embedding(table, ids) -> Tensor:
-    """Row lookup `table[ids]` with scatter-add gradient into the table."""
+def _segment_sum(g: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
+    """Row i of `g` added into row ids[i] of an (n, ...) zero array.
+
+    A stable sort by id, then one `np.add.reduceat` over the runs of equal
+    ids: each row sum keeps the order of `ids`, with no per-element scatter.
+    """
+    out = np.zeros((n, *g.shape[1:]))
+    if ids.size:
+        order = np.argsort(ids, kind="stable")
+        s = ids[order]
+        starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
+        out[s[starts]] = np.add.reduceat(g[order], starts, axis=0)
+    return out
+
+
+def gather_rows(table, ids) -> Tensor:
+    """Row lookup `table[ids]`; the gradient sums the rows of each id."""
     table = _coerce(table)
     ids = np.asarray(ids, dtype=np.int64)
     data = table.data[ids]
 
     def vjp(g):
         if table.requires_grad:
-            np.add.at(table._ensure_grad(), ids, g)
+            rows = g.reshape(ids.size, *table.data.shape[1:])
+            table._accumulate(_segment_sum(rows, ids.reshape(-1), table.data.shape[0]))
 
     return _op(data, (table,), vjp)
 
 
+def gather_sum(a, ia, b, ib) -> Tensor:
+    """Rows a[ia] + b[ib]; only the sum is kept for the backward pass, whose
+    gradient sums into the rows of each index as in `gather_rows`."""
+    a, b = _coerce(a), _coerce(b)
+    ia, ib = np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
+
+    def vjp(g):
+        if a.requires_grad:
+            a._accumulate(_segment_sum(g, ia, a.data.shape[0]))
+        if b.requires_grad:
+            b._accumulate(_segment_sum(g, ib, b.data.shape[0]))
+
+    data = a.data[ia]
+    data += b.data[ib]
+    return _op(data, (a, b), vjp)
+
+
 # -- linear maps ---------------------------------------------------------
+
+
+# Products over more rows than this run in row blocks.  A threaded BLAS
+# keeps per-thread packing buffers as large as the largest product it has
+# seen: single products over ~10^4 rows (the HAT label head over every
+# lattice cell) raised the peak memory of a training run by ~15 MB with
+# OpenBLAS on 2 cores, while blocks of this size cost no measurable speed.
+MATMUL_BLOCK_ROWS = 2048
+
+
+def _matmul_rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a @ m over the trailing axis of `a`, at most MATMUL_BLOCK_ROWS rows per call."""
+    rows = a.reshape(-1, a.shape[-1])
+    if rows.shape[0] <= MATMUL_BLOCK_ROWS:
+        return a @ m
+    step = MATMUL_BLOCK_ROWS
+    out = np.concatenate([rows[i : i + step] @ m for i in range(0, rows.shape[0], step)])
+    return out.reshape(*a.shape[:-1], m.shape[1])
 
 
 def affine(x, W, b=None) -> Tensor:
@@ -324,7 +374,7 @@ def affine(x, W, b=None) -> Tensor:
             f"affine: x with shape {x.data.shape} does not conform with W {W.data.shape}"
         )
     m, n = W.data.shape
-    data = x.data @ W.data.T
+    data = _matmul_rows(x.data, W.data.T)
     parents: tuple[Tensor, ...]
     if b is not None:
         b = _coerce(b)
@@ -340,7 +390,7 @@ def affine(x, W, b=None) -> Tensor:
     def vjp(g):
         g2 = g.reshape(-1, m)
         if x.requires_grad:
-            x._accumulate(g @ W.data)
+            x._accumulate(_matmul_rows(g, W.data))
         if W.requires_grad:
             W._accumulate(g2.T @ x.data.reshape(-1, n))
         if b is not None and b.requires_grad:
@@ -372,7 +422,7 @@ def dot(x, w, b=None) -> Tensor:
         if x.requires_grad:
             x._accumulate(g[..., None] * w.data)
         if w.requires_grad:
-            w._accumulate((g[..., None] * x.data).reshape(-1, h).sum(axis=0))
+            w._accumulate(g.reshape(-1) @ x.data.reshape(-1, h))
         if b is not None and b.requires_grad:
             b._accumulate(np.asarray(g.sum()).reshape(b.data.shape))
 
@@ -388,7 +438,10 @@ def tanh(x) -> Tensor:
 
     def vjp(g):
         if x.requires_grad:
-            x._accumulate(g * (1.0 - data * data))
+            d = data * data
+            np.subtract(1.0, d, out=d)
+            d *= g
+            x._accumulate(d)
 
     return _op(data, (x,), vjp)
 
@@ -437,6 +490,27 @@ def log_softmax(x, axis: int = -1) -> Tensor:
             x._accumulate(g - sm * g.sum(axis=axis, keepdims=True))
 
     return _op(data, (x,), vjp)
+
+
+def log_softmax_at(x, ids) -> Tensor:
+    """log_softmax(x)[i, ids[i]] for each row i of a 2-D `x`.
+
+    Only the picked entries are stored; the backward pass recomputes the
+    softmax from `x`.
+    """
+    x = _coerce(x)
+    ids = np.asarray(ids, dtype=np.int64)
+    rows = np.arange(ids.size)
+    m = x.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(x.data - m).sum(axis=-1, keepdims=True))
+
+    def vjp(g):
+        if x.requires_grad:
+            grad = np.exp((x.data - m) - lse) * -g[:, None]
+            grad[rows, ids] += g
+            x._accumulate(grad)
+
+    return _op((x.data[rows, ids] - m[:, 0]) - lse[:, 0], (x,), vjp)
 
 
 def log_sum_exp(z, axis=None):

@@ -1,5 +1,6 @@
 import pytest
 
+from mhat import data as dat
 from mhat.evalcli import (
     EvalReport,
     ExperimentConfig,
@@ -8,6 +9,7 @@ from mhat.evalcli import (
     main,
     read_kv_config,
     run_experiment,
+    train_asr_model,
     wer_counts,
 )
 
@@ -176,6 +178,25 @@ class TestCli:
         assert float(kv["wer"]) >= 0.0
         err = capsys.readouterr().err
         assert "WER" in err
+
+    @pytest.mark.parametrize("kind", ["mhat", "hat"])
+    def test_train_writes_the_experiment_stage_checkpoint(self, tmp_path, kind):
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--out-dir", str(data_dir), "--n-train", "12", "--n-dev", "2",
+                     "--n-test", "2", "--n-adapt-text", "4", "--seed", "3"]) == 0
+        rc = main(["train", "--data", str(data_dir / "source.train"), "--vocab", str(data_dir / "vocab.txt"),
+                   "--model", kind, "--epochs", "2", "--d-f", "16", "--joint-dim", "8", "--label-dim", "8",
+                   "--blank-dim", "4", "--decoder-dim", "8", "--seed", "3", "--out-dir", str(tmp_path / "cli")])
+        assert rc == 0
+        vocab = dat.read_vocab(str(data_dir / "vocab.txt"))
+        corpus = dat.read_corpus(str(data_dir / "source.train"), vocab)
+        cfg = ExperimentConfig(d_x=corpus.items[0].features.shape[1], d_f=16, joint_dim=8, label_dim=8,
+                               blank_dim=4, hat_decoder_dim=8, epochs=2, seed=3)
+        path = tmp_path / f"{kind}.ckpt"
+        train_asr_model(kind, cfg, vocab, corpus.paired(), str(path), log=lambda msg: None)
+        for suffix in ("", ".bin"):
+            cli = (tmp_path / "cli" / f"{kind}.ckpt{suffix}").read_bytes()
+            assert cli == (tmp_path / f"{kind}.ckpt{suffix}").read_bytes()
 
     def test_decode_fusion_requires_lm(self, tmp_path):
         rc = main(

@@ -5,15 +5,18 @@ import pytest
 
 from conftest import random_utterance, small_hat, small_mhat
 from mhat import numerics as nm
+from mhat.evalcli import ExperimentConfig, build_hat, build_mhat
 from mhat.lattice import (
     StructureError,
     backward_log_betas,
+    batch_log_probs,
     brute_force_log_prob,
     build_lattice,
     forward_log_prob,
     hat_loss,
 )
-from mhat.model import label_posterior
+from mhat.losses import LossConfig, mhat_loss
+from mhat.model import Vocabulary, label_posterior
 
 
 def node_scores(model, F, t, u, tokens):
@@ -192,3 +195,79 @@ class TestHatLoss:
             lambda p: hat_loss(mhat_small, batch), mhat_small.params, h=1e-4, num_coords=120, rng=rng
         )
         assert err <= 1e-4
+
+
+# -- the batched lattice at the real experiment dims -------------------------
+
+REAL = ExperimentConfig()
+
+
+def real_model(kind, seed=0):
+    vocab = Vocabulary.default(REAL.vocab_size)
+    build = build_mhat if kind == "mhat" else build_hat
+    return build(ExperimentConfig(seed=seed), vocab)
+
+
+def mixed_batch(rng, shapes):
+    """Utterances of the given (T, U), features at the data's scale."""
+    return [
+        (rng.standard_normal((t, REAL.d_x)), [int(i) for i in rng.integers(0, REAL.vocab_size, size=u)])
+        for t, u in shapes
+    ]
+
+
+# T=1 and U=0 alone and together; the longest T (23) and the longest U (11)
+# sit in different items; two items share a (T, U) shape
+MIXED = [(7, 3), (1, 0), (23, 4), (1, 2), (5, 0), (9, 11), (12, 6), (2, 1), (23, 4)]
+
+
+def loss_and_grads(model, batch, kind):
+    loss = mhat_loss(model, batch, LossConfig(alpha=0.1)) if kind == "mhat" else hat_loss(model, batch)
+    model.params.zero_grads()
+    loss.backward()
+    return float(loss.data), {n: t.grad.copy() for n, t in model.params.entries.items()}
+
+
+@pytest.mark.parametrize("kind", ["mhat", "hat"])
+class TestBatchedLattice:
+    def test_items_match_single_utterance_calls(self, kind):
+        model = real_model(kind)
+        batch = mixed_batch(np.random.default_rng(5), MIXED)
+        with nm.no_grad():
+            totals = batch_log_probs(model, batch).data
+            singles = [float(forward_log_prob(model, x, y).data) for x, y in batch]
+        assert totals.shape == (len(batch),)
+        np.testing.assert_allclose(totals, singles, rtol=0, atol=1e-12)
+        assert np.all(totals < 0)
+
+    def test_loss_and_every_gradient_bit_exact_under_shuffle(self, kind):
+        model = real_model(kind)
+        rng = np.random.default_rng(6)
+        batch = mixed_batch(rng, MIXED)
+        batch.append(batch[4])  # an exact duplicate must not break the canonical order
+        loss, grads = loss_and_grads(model, batch, kind)
+        for _ in range(3):
+            order = rng.permutation(len(batch))
+            loss2, grads2 = loss_and_grads(model, [batch[i] for i in order], kind)
+            assert loss2 == loss
+            for name, g in grads.items():
+                assert np.array_equal(grads2[name], g), name
+
+    def test_gradient_certified_on_mixed_batch(self, kind):
+        model = real_model(kind, seed=4)
+        rng = np.random.default_rng(7)
+        batch = mixed_batch(rng, [(4, 2), (1, 0), (3, 0), (6, 4), (2, 3)])
+        err = nm.gradient_check(
+            lambda p: mhat_loss(model, batch, LossConfig(alpha=0.1)) if kind == "mhat" else hat_loss(model, batch),
+            model.params, h=1e-4, num_coords=200, rng=rng,
+        )
+        assert err <= 1e-4
+
+    def test_enumeration_oracle_at_real_dims(self, kind):
+        model = real_model(kind, seed=2)
+        batch = mixed_batch(np.random.default_rng(8), [(1, 0), (1, 3), (4, 3), (6, 5), (3, 0), (2, 7)])
+        with nm.no_grad():
+            totals = batch_log_probs(model, batch).data
+        for (x, y), tot in zip(batch, totals):
+            ora = brute_force_log_prob(model, x, y)
+            assert abs(tot - ora) <= 1e-10 * max(1.0, abs(ora))

@@ -16,6 +16,7 @@ from mhat.model import (
     context_counts,
     context_of,
     label_posterior,
+    lattice_cells,
 )
 
 
@@ -77,6 +78,25 @@ class TestContexts:
             context_counts([[0, 4]], sos_id=4, n_out=4)
         with pytest.raises(VocabError):
             context_counts([[-1]], sos_id=4, n_out=4)
+
+    def test_lattice_cells_cover_every_node_once(self):
+        t_lens, seqs = [3, 1, 2], [[2, 0], [], [1, 1, 3]]
+        cells = lattice_cells(t_lens, seqs, sos_id=4)
+        got = sorted(zip(cells.b.tolist(), cells.t.tolist(), cells.u.tolist()))
+        want = [(b, t, u) for b, (tl, y) in enumerate(zip(t_lens, seqs)) for t in range(tl) for u in range(len(y) + 1)]
+        assert got == want
+        n = cells.n_label
+        assert n == 3 * 2 + 0 + 2 * 3
+        assert np.all(cells.u[:n] < cells.u_lens[cells.b[:n]])
+        assert np.all(cells.u[n:] == cells.u_lens[cells.b[n:]])
+        np.testing.assert_array_equal(cells.frame, np.array([0, 3, 4])[cells.b] + cells.t)
+        for c in range(cells.b.size):
+            y = seqs[cells.b[c]]
+            assert tuple(cells.contexts[cells.ctx[c]]) == context_of(y[: cells.u[c]], 4)
+            if c < n:
+                assert cells.labels[c] == y[cells.u[c]]
+        with pytest.raises(VocabError):
+            lattice_cells([2], [[4]], sos_id=4)
 
 
 class TestEncoder:

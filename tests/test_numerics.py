@@ -158,6 +158,73 @@ class TestEngine:
         assert np.all(np.isfinite(x.grad))
 
 
+class TestGathers:
+    def test_gather_rows_gradient_sums_repeated_ids(self, rng):
+        table = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        ids = np.array([4, 0, 4, 2, 4, 0])
+        g = rng.standard_normal((6, 3))
+        nm.total(nm.mul(nm.gather_rows(table, ids), g)).backward()
+        expected = np.zeros((5, 3))
+        np.add.at(expected, ids, g)
+        np.testing.assert_allclose(table.grad, expected, rtol=0, atol=1e-15)
+        assert not table.grad[[1, 3]].any()
+
+    def test_gather_sum_matches_two_gathers(self, rng):
+        params = ParameterSet()
+        a = params.add("a", rng.standard_normal((4, 2)), "ilm")
+        b = params.add("b", rng.standard_normal((3, 2)), "ilm")
+        ia, ib = np.array([0, 3, 3, 1, 0]), np.array([2, 2, 0, 1, 2])
+        out = nm.gather_sum(a, ia, b, ib)
+        np.testing.assert_array_equal(out.data, a.data[ia] + b.data[ib])
+        err = gradient_check(lambda p: nm.total(nm.tanh(nm.gather_sum(a, ia, b, ib))), params, rng=rng)
+        assert err < 1e-7
+
+    def test_empty_ids(self):
+        table = Tensor(np.ones((3, 2)), requires_grad=True)
+        out = nm.gather_rows(table, np.zeros(0, dtype=np.int64))
+        nm.total(out).backward()
+        assert out.shape == (0, 2) and not table.grad.any()
+
+
+class TestLogSoftmaxAt:
+    def test_bit_identical_to_pick_of_log_softmax(self, rng):
+        x = rng.standard_normal((6, 5)) * 20
+        ids = np.array([0, 4, 4, 1, 2, 3])
+        a = Tensor(x, requires_grad=True)
+        b = Tensor(x, requires_grad=True)
+        g = rng.standard_normal(6)
+        picked = nm.log_softmax_at(a, ids)
+        ref = log_softmax(b)[np.arange(6), ids]
+        np.testing.assert_array_equal(picked.data, ref.data)
+        nm.total(nm.mul(picked, g)).backward()
+        nm.total(nm.mul(ref, g)).backward()
+        np.testing.assert_array_equal(a.grad, b.grad)
+
+
+class TestLargeAffine:
+    def test_row_blocks_match_one_product(self, rng):
+        n = nm.MATMUL_BLOCK_ROWS * 2 + 7
+        x = Tensor(rng.standard_normal((n, 3)), requires_grad=True)
+        W = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        g = rng.standard_normal((n, 4))
+        out = affine(x, W)
+        np.testing.assert_allclose(out.data, x.data @ W.data.T, rtol=1e-14)
+        nm.total(nm.mul(out, g)).backward()
+        np.testing.assert_allclose(x.grad, g @ W.data, rtol=1e-14)
+        np.testing.assert_allclose(W.grad, g.T @ x.data, rtol=1e-12)
+
+
+class TestBackwardReuse:
+    def test_second_pass_gives_the_same_leaf_grads(self, rng):
+        p = Tensor(rng.standard_normal(4), requires_grad=True)
+        loss = nm.total(nm.tanh(nm.mul(p, p)))
+        loss.backward()
+        first = p.grad.copy()
+        p.grad = None
+        loss.backward()
+        np.testing.assert_array_equal(p.grad, first)
+
+
 class TestParameterSet:
     def test_duplicate_name_rejected(self):
         p = ParameterSet()
