@@ -18,7 +18,6 @@ from .data import (
     write_vocab,
 )
 from .decode import (
-    BeamHypothesis,
     DecodeResult,
     FusionConfig,
     NO_FUSION,

@@ -15,15 +15,16 @@ on an adapted model realizes adapted-LM fusion (no subtraction).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import numerics as nm
-from .extlm import ExternalLm
+from .extlm import ExternalLm, LmScorer
 from .lattice import check_structure, forward_log_prob
-from .model import ConfigError, HatModel, MhatModel
+from .model import ConfigError, HatModel, HatScorer, MhatModel, MhatScorer
 
 FUSION_MODES = ("none", "shallow", "ilme_subtract")
 MAX_LABELS_PER_FRAME = 10  # guards against degenerate non-blank loops
@@ -39,6 +40,8 @@ class FusionConfig:
     def __post_init__(self):
         if self.mode not in FUSION_MODES:
             raise ConfigError(f"unknown fusion mode: {self.mode!r}")
+        if not (math.isfinite(self.lam_ext) and math.isfinite(self.lam_ilm)):
+            raise ConfigError(f"fusion weights must be finite, got {self.lam_ext!r}, {self.lam_ilm!r}")
         if self.lam_ext < 0 or self.lam_ilm < 0:
             raise ConfigError("fusion weights must be >= 0")
         if self.mode == "none":
@@ -64,22 +67,6 @@ def _check_lm_vocab(model, fusion: FusionConfig) -> None:
         raise ConfigError("external LM vocabulary differs from the model's")
 
 
-@dataclass
-class BeamHypothesis:
-    tokens: tuple[int, ...]
-    model_lp: float
-    ext_lp: float = 0.0
-    ilm_lp: float = 0.0
-    finalized: bool = False
-
-    def combined(self, fusion: FusionConfig) -> float:
-        return (
-            self.model_lp
-            + fusion.lam_ext * self.ext_lp
-            - fusion.effective_lam_ilm * self.ilm_lp
-        )
-
-
 @dataclass(frozen=True)
 class DecodeResult:
     tokens: tuple[int, ...]
@@ -89,89 +76,121 @@ class DecodeResult:
     combined: float
 
 
-def _merge(pool: dict, tokens: tuple[int, ...], model_lp: float, ext_lp: float, ilm_lp: float):
-    hyp = pool.get(tokens)
-    if hyp is None:
-        pool[tokens] = BeamHypothesis(tokens, model_lp, ext_lp, ilm_lp)
-    else:
-        # same prefix, different alignments: model mass adds, LM terms coincide
-        hyp.model_lp = float(np.logaddexp(hyp.model_lp, model_lp))
-
-
-def _rank_key(fusion: FusionConfig):
-    def key(item: tuple[tuple[int, ...], BeamHypothesis]):
-        tokens, hyp = item
-        return (-hyp.combined(fusion), len(tokens), tokens)
-
-    return key
-
-
 def beam_search(
     model: MhatModel | HatModel,
     X: np.ndarray,
     beam_width: int = 8,
     fusion: FusionConfig = NO_FUSION,
     max_labels_per_frame: int = MAX_LABELS_PER_FRAME,
+    *,
+    scorer: MhatScorer | HatScorer | None = None,
+    lm_scorer: LmScorer | None = None,
 ) -> list[DecodeResult]:
     """Ranked hypotheses with separately tracked score components.
+
+    `scorer` (from `model.scorer(X)`) and `lm_scorer` (from
+    `fusion.lm.scorer()`) may be passed in to reuse their context tables
+    across calls: one utterance under several fusion weights, or one LM
+    over many utterances.  Each round scores all label extensions of the
+    active hypotheses as one (n_active, |V|) block, with the same float
+    operations, in the same order, as one candidate at a time.
 
     Raises StructureError on T=0, like the lattice: no alignment exists.
     """
     if beam_width < 1:
         raise ConfigError("beam width must be >= 1")
+    if max_labels_per_frame < 0:
+        raise ConfigError("max_labels_per_frame must be >= 0")
     _check_lm_vocab(model, fusion)
     check_structure(X, ())
-    scorer = model.scorer(X)
-    lm_scorer = fusion.lm.scorer() if fusion.lm is not None else None
+    if scorer is None:
+        scorer = model.scorer(X)
+    elif scorer.model is not model or not np.array_equal(scorer.features, X):
+        raise ConfigError("scorer was built for another model or utterance")
+    if fusion.lm is None:
+        lm_scorer = None
+    elif lm_scorer is None:
+        lm_scorer = fusion.lm.scorer()
+    elif lm_scorer.lm is not fusion.lm:
+        raise ConfigError("LM scorer was built for another LM")
     v = model.vocab.size
-    key = _rank_key(fusion)
+    w = v + 1  # context id = prev2 * w + prev1
+    lam_ext, lam_ilm = fusion.lam_ext, fusion.effective_lam_ilm
+    no_ext = np.zeros(v)
 
-    pool: dict[tuple[int, ...], BeamHypothesis] = {(): BeamHypothesis((), 0.0)}
+    # a hypothesis is [tokens, context id, model_lp, ext_lp, ilm_lp]
+    pool = [[(), v * w + v, 0.0, 0.0, 0.0]]
     for t in range(scorer.t_len):
-        advanced: dict[tuple[int, ...], BeamHypothesis] = {}
-        active = pool
+        # hypotheses that consumed frame t, one per prefix
+        adv: list[list] = []
+        where: dict[tuple[int, ...], list] = {}
+        act = pool
         for round_no in range(max_labels_per_frame + 1):
-            if not active:
+            if not act:
                 break
-            fresh: dict[tuple[int, ...], BeamHypothesis] = {}
-            for tokens, hyp in active.items():
-                ctx = scorer.context(tokens)
-                _merge(advanced, tokens, hyp.model_lp + scorer.log_blank(t, ctx), hyp.ext_lp, hyp.ilm_lp)
-                if round_no == max_labels_per_frame:
-                    continue
-                base = hyp.model_lp + scorer.log_keep(t, ctx)
-                lab = scorer.label_log_posteriors(t, ctx)
-                ilm_row = scorer.ilm_log_probs(ctx)
-                ext_row = lm_scorer.next_log_probs(ctx) if lm_scorer is not None else None
-                for k in range(v):
-                    _merge(
-                        fresh,
-                        tokens + (k,),
-                        base + lab[k],
-                        hyp.ext_lp + (ext_row[k] if ext_row is not None else 0.0),
-                        hyp.ilm_lp + ilm_row[k],
-                    )
-            ranked = sorted(
-                [(tok, hyp, True) for tok, hyp in advanced.items()]
-                + [(tok, hyp, False) for tok, hyp in fresh.items()],
-                key=lambda r: key((r[0], r[1])),
-            )[:beam_width]
-            advanced = {tok: hyp for tok, hyp, adv in ranked if adv}
-            active = {tok: hyp for tok, hyp, adv in ranked if not adv}
-        pool = advanced
+            ids = np.array([h[1] for h in act])
+            act_m, act_e, act_i = np.array([h[2:] for h in act]).T
+            rows = scorer.rows(ids)
+            frame = scorer.frame_rows[rows, t]  # log b, log(1 - b), ...
+            ilm = scorer.ilm_rows[rows]
+            blank_m = (act_m + frame[:, 0]).tolist()
+            for h, m in zip(act, blank_m):
+                hit = where.get(h[0])
+                if hit is None:
+                    hit = where[h[0]] = [h[0], h[1], m, h[3], h[4]]
+                    adv.append(hit)
+                else:
+                    # same prefix, different alignments: model mass adds, LM terms coincide
+                    hit[2] = float(np.logaddexp(hit[2], m))
+            n_adv = len(adv)
+            combined = [h[2] + lam_ext * h[3] - lam_ilm * h[4] for h in adv]
+            if round_no < max_labels_per_frame:
+                model_lp = (act_m + frame[:, 1])[:, None] + scorer.label_rows(t, frame, ilm)
+                ext_rows = no_ext
+                if lm_scorer is not None:
+                    lm_rows = lm_scorer.rows(ids)  # may grow the table
+                    ext_rows = lm_scorer.log_prob_rows[lm_rows, :v]
+                ext_lp = act_e[:, None] + ext_rows
+                ilm_lp = act_i[:, None] + ilm
+                fresh = model_lp + lam_ext * ext_lp - lam_ilm * ilm_lp
+                combined = np.concatenate((combined, fresh.reshape(-1)))
 
+            # keep the beam_width best by (-combined, length, tokens), advanced
+            # before fresh on a full tie; the shortlist holds every candidate
+            # tied with the k-th best score
+            neg = -np.asarray(combined)
+            short = range(neg.size)
+            if neg.size > beam_width:
+                short = (neg <= np.partition(neg, beam_width - 1)[beam_width - 1]).nonzero()[0].tolist()
+            ranked = []
+            for q, c in zip(short, neg[short].tolist()):
+                if q < n_adv:
+                    tok = adv[q][0]
+                else:
+                    j, k = divmod(q - n_adv, v)
+                    tok = act[j][0] + (k,)
+                ranked.append((c, len(tok), tok, q >= n_adv, q))
+            ranked.sort()
+
+            parents, act = act, []
+            adv = [adv[r[4]] for r in ranked[:beam_width] if not r[3]]
+            for _, _, tok, is_fresh, q in ranked[:beam_width]:
+                if is_fresh:
+                    j, k = divmod(q - n_adv, v)
+                    act.append([tok, parents[j][1] % w * w + k, model_lp[j, k], ext_lp[j, k], ilm_lp[j, k]])
+            where = {h[0]: h for h in adv}
+        pool = adv
+
+    if lm_scorer is not None:
+        lm_rows = lm_scorer.rows(np.array([h[1] for h in pool], dtype=np.int64))
+        for h, x in zip(pool, lm_scorer.log_prob_rows[lm_rows, fusion.lm.eos_id].tolist()):
+            h[3] = h[3] + x
     results = []
-    for tokens, hyp in pool.items():
-        if lm_scorer is not None:
-            ctx = scorer.context(tokens)
-            hyp.ext_lp += float(lm_scorer.next_log_probs(ctx)[fusion.lm.eos_id])
-        hyp.finalized = True
-        results.append((tokens, hyp))
-    results.sort(key=key)
-    return [
-        DecodeResult(tok, hyp.model_lp, hyp.ext_lp, hyp.ilm_lp, hyp.combined(fusion))
-        for tok, hyp in results
-    ]
+    for tok, _, m, e, i in pool:
+        c = m + lam_ext * e - lam_ilm * i
+        results.append((-c, len(tok), tok, DecodeResult(tok, float(m), float(e), float(i), float(c))))
+    results.sort(key=lambda r: r[:3])
+    return [r[3] for r in results]
 
 
 def greedy_decode(model: MhatModel | HatModel, X: np.ndarray) -> tuple[int, ...]:

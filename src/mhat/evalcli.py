@@ -124,32 +124,45 @@ def evaluate_pairs(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> Eval
 _WORKER: dict = {}
 
 
-def _init_decode_worker(model, beam, fusion):
+def _init_decode_worker(model, beam, fusions):
+    # one LM scorer per LM, shared by every utterance this process decodes
+    lms = {id(f.lm): f.lm for f in fusions if f.lm is not None}
+    lm_scorers = {key: lm.scorer() for key, lm in lms.items()}
     _WORKER["model"] = model
     _WORKER["beam"] = beam
-    _WORKER["fusion"] = fusion
+    _WORKER["fusions"] = [(f, lm_scorers.get(id(f.lm))) for f in fusions]
 
 
 def _decode_one(item):
+    # the utterance's scorer tables serve every fusion config
     uid, feats = item
-    best = beam_search(_WORKER["model"], feats, _WORKER["beam"], _WORKER["fusion"])[0]
-    return uid, best
+    model = _WORKER["model"]
+    scorer = model.scorer(feats)
+    return uid, [
+        beam_search(model, feats, _WORKER["beam"], fusion, scorer=scorer, lm_scorer=lm_scorer)[0]
+        for fusion, lm_scorer in _WORKER["fusions"]
+    ]
+
+
+def _decode_fusions(model, corpus: dat.Corpus, beam: int, fusions, jobs: int):
+    """(uid, best result under each fusion config) per utterance, in corpus order."""
+    items = [(it.uid, it.features) for it in corpus.items]
+    if any(f is None for _, f in items):
+        raise ConfigError("decoding requires a paired corpus with features")
+    if jobs <= 1:
+        _init_decode_worker(model, beam, fusions)
+        return [_decode_one(it) for it in items]
+    with futures.ProcessPoolExecutor(
+        max_workers=jobs, initializer=_init_decode_worker, initargs=(model, beam, fusions)
+    ) as pool:
+        return list(pool.map(_decode_one, items, chunksize=max(1, len(items) // (4 * jobs))))
 
 
 def decode_corpus(
     model, corpus: dat.Corpus, beam: int = 8, fusion: FusionConfig = NO_FUSION, jobs: int = 1
 ) -> list[tuple[str, DecodeResult]]:
     """Decode every utterance; parallel across utterances, order-stable."""
-    items = [(it.uid, it.features) for it in corpus.items]
-    if any(f is None for _, f in items):
-        raise ConfigError("decoding requires a paired corpus with features")
-    if jobs <= 1:
-        _init_decode_worker(model, beam, fusion)
-        return [_decode_one(it) for it in items]
-    with futures.ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_decode_worker, initargs=(model, beam, fusion)
-    ) as pool:
-        return list(pool.map(_decode_one, items, chunksize=max(1, len(items) // (4 * jobs))))
+    return [(uid, best[0]) for uid, best in _decode_fusions(model, corpus, beam, [fusion], jobs)]
 
 
 def evaluate_decodes(corpus: dat.Corpus, hyps: dict[str, Sequence[int]]) -> EvalReport:
@@ -317,9 +330,51 @@ def train_asr_model(
     return model, curve
 
 
-def _wer_of(model, corpus, cfg, fusion=NO_FUSION) -> EvalReport:
-    hyps = {uid: res.tokens for uid, res in decode_corpus(model, corpus, cfg.beam, fusion, cfg.jobs)}
-    return evaluate_decodes(corpus, hyps)
+def adapt_ilma_model(
+    model: MhatModel, cfg: ExperimentConfig, text: dat.Corpus, heldout_source=None, heldout_target=None,
+    path: str | None = None, report_dir: str | None = None, log=_log,
+) -> AdaptReport:
+    """Run ILMA on `model` in place with the `cfg` settings, log the report,
+    save the model to `path` and write `ilma_report.txt` and `ilma_report.kv`
+    under `report_dir` when given.
+
+    The one adaptation path of both `mhat adapt` and `run_experiment`.
+    """
+    report = run_ilma(model, text, IlmaConfig(
+        rho=cfg.rho, steps=cfg.ilma_steps, lr=cfg.ilma_lr, batch_size=cfg.ilma_batch, seed=cfg.seed),
+        heldout_source=heldout_source, heldout_target=heldout_target)
+    log(report.render_text())
+    if path:
+        dat.save_checkpoint(model, path)
+    if report_dir:
+        with open(os.path.join(report_dir, "ilma_report.txt"), "w") as f:
+            f.write(report.render_text() + "\n")
+        with open(os.path.join(report_dir, "ilma_report.kv"), "w") as f:
+            f.write("\n".join(report.kv_lines()) + "\n")
+    return report
+
+
+def lambda_grid_wers(
+    model, lm, dev: dat.Corpus, mode: str, cfg: ExperimentConfig
+) -> dict[tuple[float, float], EvalReport]:
+    """Dev WER report of every (lam_ext, lam_ilm) pair of the grid.
+
+    lam_ilm varies only in `ilme_subtract` mode, and pairs with lam_ext = 0
+    and lam_ilm > 0 are skipped; (0, 0) decodes without fusion.  Each
+    utterance is decoded under every pair in one task, from one set of
+    scorer tables.
+    """
+    ilm_grid = cfg.lam_ilm_grid if mode == "ilme_subtract" else (0.0,)
+    pairs = [(le, li) for le in cfg.lam_ext_grid for li in ilm_grid if not (le == 0.0 and li > 0.0)]
+    fusions = [
+        NO_FUSION if (le == 0.0 and li == 0.0) else FusionConfig(mode=mode, lam_ext=le, lam_ilm=li, lm=lm)
+        for le, li in pairs
+    ]
+    decoded = _decode_fusions(model, dev, cfg.beam, fusions, cfg.jobs)
+    return {
+        pair: evaluate_decodes(dev, {uid: best[k].tokens for uid, best in decoded})
+        for k, pair in enumerate(pairs)
+    }
 
 
 def grid_search_lambdas(
@@ -331,21 +386,7 @@ def grid_search_lambdas(
     log=_log,
 ) -> tuple[float, float]:
     """Pick (lam_ext, lam_ilm) minimizing dev WER; ties go to smaller weights."""
-    ilm_grid = cfg.lam_ilm_grid if mode == "ilme_subtract" else (0.0,)
-    best = None
-    for le in cfg.lam_ext_grid:
-        for li in ilm_grid:
-            if le == 0.0 and li > 0.0:
-                continue
-            fusion = (
-                NO_FUSION
-                if (le == 0.0 and li == 0.0)
-                else FusionConfig(mode=mode, lam_ext=le, lam_ilm=li, lm=lm)
-            )
-            wer = _wer_of(model, dev, cfg, fusion).wer
-            key = (wer, le, li)
-            if best is None or key < best:
-                best = key
+    best = min((rep.wer, le, li) for (le, li), rep in lambda_grid_wers(model, lm, dev, mode, cfg).items())
     log(f"grid[{mode}]: best dev WER {best[0]:.3f} at lam_ext={best[1]}, lam_ilm={best[2]}")
     return best[1], best[2]
 
@@ -396,23 +437,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, log=_log) 
     def st_ilma():
         exp = state["exp"]
         adapted = copy.deepcopy(state["mhat"])
-        report = run_ilma(
-            adapted,
-            exp.tgt_text,
-            IlmaConfig(rho=cfg.rho, steps=cfg.ilma_steps, lr=cfg.ilma_lr,
-                       batch_size=cfg.ilma_batch, seed=cfg.seed),
-            heldout_source=exp.src_dev.transcripts(),
-            heldout_target=exp.tgt_dev.transcripts(),
-        )
+        path = os.path.join(ensure("models"), "mhat_ilma.ckpt") if out_dir else None
+        report = adapt_ilma_model(adapted, cfg, exp.tgt_text, exp.src_dev.transcripts(), exp.tgt_dev.transcripts(),
+                                  path, ensure("reports") if out_dir else None, log)
         state["mhat_ilma"], state["ilma_report"] = adapted, report
-        log(report.render_text())
-        if out_dir:
-            dat.save_checkpoint(adapted, os.path.join(ensure("models"), "mhat_ilma.ckpt"))
-            d = ensure("reports")
-            with open(os.path.join(d, "ilma_report.txt"), "w") as f:
-                f.write(report.render_text() + "\n")
-            with open(os.path.join(d, "ilma_report.kv"), "w") as f:
-                f.write("\n".join(report.kv_lines()) + "\n")
 
     def st_grid():
         exp = state["exp"]
@@ -693,16 +721,10 @@ def cmd_adapt(args) -> None:
         dat.read_text_corpus(args.heldout_target, vocab).transcripts()
         if args.heldout_target else None
     )
-    report = run_ilma(model, corpus, IlmaConfig(
-        rho=args.rho, steps=args.steps, lr=args.lr, batch_size=args.batch_size,
-        seed=args.seed), heldout_src, heldout_tgt)
+    cfg = ExperimentConfig(rho=args.rho, ilma_steps=args.steps, ilma_lr=args.lr, ilma_batch=args.batch_size,
+                           seed=args.seed)
     out = os.path.join(args.out_dir, "mhat_ilma.ckpt")
-    dat.save_checkpoint(model, out)
-    with open(os.path.join(args.out_dir, "ilma_report.txt"), "w") as f:
-        f.write(report.render_text() + "\n")
-    with open(os.path.join(args.out_dir, "ilma_report.kv"), "w") as f:
-        f.write("\n".join(report.kv_lines()) + "\n")
-    _log(report.render_text())
+    adapt_ilma_model(model, cfg, corpus, heldout_src, heldout_tgt, out, args.out_dir)
     _log(f"saved {out}")
 
 

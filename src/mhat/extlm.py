@@ -16,6 +16,7 @@ from . import numerics as nm
 from .losses import text_nll, text_perplexity
 from .model import (
     ConfigError,
+    ContextRows,
     EmbeddingDecoder,
     EmbeddingDecoderConfig,
     Vocabulary,
@@ -95,21 +96,31 @@ class ExternalLm:
         )
 
 
-class LmScorer:
-    """Context-cached next-event distributions for beam search."""
+class LmScorer(ContextRows):
+    """Next-event log-prob rows (tokens + EOS) per context, for beam search.
+
+    One scorer serves every utterance decoded with the LM; each context's
+    row is computed the first time a search reaches it.
+    """
+
+    TABLES = ("log_prob_rows",)
 
     def __init__(self, lm: ExternalLm):
         self.lm = lm
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
+        super().__init__(lm.vocab.sos_id, [(lm.vocab.size + 1,)])
+
+    def _reach(self, ctx: tuple[int, int]) -> None:
+        self.next_log_probs(ctx)
+
+    def _fill(self, ctx: tuple[int, int]):
+        g = self.lm.decoder.output_np(ctx)
+        z = self.lm.out_w.data @ g + self.lm.out_b.data
+        return (z - nm.log_sum_exp(z),)
 
     def next_log_probs(self, ctx: tuple[int, int]) -> np.ndarray:
-        hit = self._cache.get(ctx)
-        if hit is None:
-            g = self.lm.decoder.output_np(ctx)
-            z = self.lm.out_w.data @ g + self.lm.out_b.data
-            hit = z - nm.log_sum_exp(z)
-            self._cache[ctx] = hit
-        return hit
+        """Distribution over the next event after the (prev2, prev1) context."""
+        row = self._row(ctx)  # may grow the table
+        return self.log_prob_rows[row]
 
 
 @dataclass

@@ -533,106 +533,169 @@ class HatModel(_AsrModel):
         return HatScorer(self, X)
 
 
-class MhatScorer:
-    """Per-utterance incremental scorer for decoding (no gradient graphs).
+class ContextRows:
+    """Dense per-context rows for decoding, one table slot per context reached.
 
-    Caches the encoder pass, the acoustic log-prob rows, and per-context
-    decoder quantities keyed by the (prev2, prev1) label pair.
+    Context id c = prev2 * (|V|+1) + prev1 names a (prev2, prev1) decoder
+    context; `slot[c]` is its row in every table listed in `TABLES`, or -1
+    until a search first reaches it.  `_row` stores the rows a subclass's
+    `_fill` computes, so each context is computed once; `rows` fills new
+    contexts through the subclass's public lookup (`_reach`), so that
+    instrumentation on that lookup sees every fill.  Tables double in
+    length when full: they hold only the contexts reached, not (|V|+1)^2.
+    """
+
+    TABLES: tuple[str, ...] = ()
+
+    def __init__(self, sos_id: int, shapes: Sequence[tuple[int, ...]]):
+        self.width = sos_id + 1
+        self.slot = np.full(self.width * self.width, -1, dtype=np.int64)
+        self.size = 0
+        for name, shape in zip(self.TABLES, shapes):
+            setattr(self, name, np.empty((4, *shape)))
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """Table rows of an array of context ids, filling contexts not yet reached."""
+        r = self.slot[ids]
+        if r.size and r.min() < 0:
+            for c in ids[r < 0].tolist():
+                if self.slot[c] < 0:
+                    self._reach(divmod(c, self.width))  # a (prev2, prev1) pair is its own context
+            r = self.slot[ids]
+        return r
+
+    def _row(self, ctx: Sequence[int]) -> int:
+        """The row of the context of `ctx` (a prefix), computed and stored when first reached."""
+        p2, p1 = context_of(ctx, self.width - 1)
+        c = p2 * self.width + p1
+        if self.slot[c] < 0:
+            if self.size == len(getattr(self, self.TABLES[0])):
+                for name in self.TABLES:
+                    table = getattr(self, name)
+                    grown = np.empty((2 * len(table), *table.shape[1:]))
+                    grown[: len(table)] = table  # the new half stays untouched (not resident) until slots fill
+                    setattr(self, name, grown)
+            for name, row in zip(self.TABLES, self._fill((p2, p1))):
+                getattr(self, name)[self.size] = row
+            self.slot[c] = self.size
+            self.size += 1
+        return int(self.slot[c])
+
+    def _reach(self, ctx: tuple[int, int]) -> None:
+        raise NotImplementedError
+
+    def _fill(self, ctx: tuple[int, int]) -> Sequence[np.ndarray]:
+        raise NotImplementedError
+
+
+class _UtteranceRows(ContextRows):
+    """Decoding tables of one utterance (no gradient graphs).
+
+    For each context reached: `frame_rows`, (T, 2 + k), holds log b and
+    log(1 - b) of every frame, then the k columns `label_rows` reads the
+    label log-posteriors from; `ilm_rows` holds the internal-LM row.
+    `context` returns a prefix's table row; the point lookups take it.
+    """
+
+    TABLES = ("frame_rows", "ilm_rows")
+
+    def __init__(self, model, X: np.ndarray, F: np.ndarray, label_cols: int):
+        j = model.joint
+        self.model = model
+        self.features = X
+        self._w1f = F @ j.w1.data.T + j.hidden_bias.data  # (T, d_h)
+        self.t_len = F.shape[0]
+        super().__init__(model.vocab.sos_id, [(self.t_len, 2 + label_cols), (model.vocab.size,)])
+
+    def _reach(self, ctx: tuple[int, int]) -> None:
+        self.context(ctx)
+
+    def _joint_rows(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Joint hidden rows, log b and log(1 - b) of every frame, for decoder output g."""
+        j = self.model.joint
+        h = np.tanh(self._w1f + j.w2.data @ g)  # (T, d_h)
+        s = h @ j.v.data + float(j.v_bias.data)
+        tail = np.log1p(np.exp(-np.abs(s)))  # softplus(-s) and softplus(s) share it
+        return h, -(np.maximum(-s, 0.0) + tail), -(np.maximum(s, 0.0) + tail)
+
+    def label_rows(self, t: int, frame: np.ndarray, ilm: np.ndarray) -> np.ndarray:
+        """Label log-posteriors at frame t, (n, |V|), of the n table rows whose
+        `frame_rows[rows, t]` and `ilm_rows[rows]` are `frame` and `ilm`."""
+        raise NotImplementedError
+
+    # point lookups of one frame and table row; perfbench/tracer.py wraps
+    # them by each scorer class's own __dict__, hence the aliases below
+    def context(self, prefix: Sequence[int]) -> int:
+        """Table row of the prefix's (prev2, prev1) context, filled when first reached."""
+        return self._row(prefix)
+
+    def log_blank(self, t: int, ctx: int) -> float:
+        return float(self.frame_rows[ctx, t, 0])
+
+    def log_keep(self, t: int, ctx: int) -> float:
+        return float(self.frame_rows[ctx, t, 1])
+
+    def label_log_posteriors(self, t: int, ctx: int) -> np.ndarray:
+        return self.label_rows(t, self.frame_rows[ctx, t][None], self.ilm_rows[ctx][None])[0]
+
+    def ilm_log_probs(self, ctx: int) -> np.ndarray:
+        return self.ilm_rows[ctx]
+
+
+class MhatScorer(_UtteranceRows):
+    """Decoding tables of one utterance under an MHAT model.
+
+    The label log-posterior is A[t] + ilm - norm[t]: a context's rows keep
+    only the normaliser norm (column 2, one log-sum-exp per frame, taken
+    once per context), and `label_rows` adds the rest per search round.
     """
 
     def __init__(self, model: MhatModel, X: np.ndarray):
-        self.model = model
         with nm.no_grad():
             F = model.encode(X).data
             self.A = model.am_log_probs(F).data  # (T, |V|)
-        j = model.joint
-        self._w1f = F @ j.w1.data.T + j.hidden_bias.data  # (T, d_h)
-        self._blank_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._ilm_cache: dict[tuple[int, int], np.ndarray] = {}
-        self.t_len = F.shape[0]
+        super().__init__(model, X, F, 1)
 
-    def context(self, prefix: Sequence[int]) -> tuple[int, int]:
-        return context_of(prefix, self.model.vocab.sos_id)
+    def _fill(self, ctx: tuple[int, int]):
+        m = self.model
+        _, log_b, log_k = self._joint_rows(m.blank_decoder.output_np(ctx))
+        z = m.ilm_w.data @ m.label_decoder.output_np(ctx) + m.ilm_b.data
+        ilm = z - nm.log_sum_exp(z)
+        return np.column_stack((log_b, log_k, nm.log_sum_exp(self.A + ilm, axis=1))), ilm
 
-    def _blank(self, ctx: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        hit = self._blank_cache.get(ctx)
-        if hit is None:
-            j = self.model.joint
-            g = self.model.blank_decoder.output_np(ctx)
-            s = np.tanh(self._w1f + j.w2.data @ g) @ j.v.data + float(j.v_bias.data)
-            hit = (-_softplus_np(-s), -_softplus_np(s))  # (log b, log(1-b)) per frame
-            self._blank_cache[ctx] = hit
-        return hit
+    def label_rows(self, t: int, frame: np.ndarray, ilm: np.ndarray) -> np.ndarray:
+        return self.A[t] + ilm - frame[:, 2:]
 
-    def log_blank(self, t: int, ctx: tuple[int, int]) -> float:
-        return float(self._blank(ctx)[0][t])
-
-    def log_keep(self, t: int, ctx: tuple[int, int]) -> float:
-        return float(self._blank(ctx)[1][t])
-
-    def ilm_log_probs(self, ctx: tuple[int, int]) -> np.ndarray:
-        hit = self._ilm_cache.get(ctx)
-        if hit is None:
-            m = self.model
-            g = m.label_decoder.output_np(ctx)
-            z = m.ilm_w.data @ g + m.ilm_b.data
-            hit = z - nm.log_sum_exp(z)
-            self._ilm_cache[ctx] = hit
-        return hit
-
-    def label_log_posteriors(self, t: int, ctx: tuple[int, int]) -> np.ndarray:
-        z = self.A[t] + self.ilm_log_probs(ctx)
-        return z - nm.log_sum_exp(z)
+    context = _UtteranceRows.context
+    log_blank = _UtteranceRows.log_blank
+    log_keep = _UtteranceRows.log_keep
+    label_log_posteriors = _UtteranceRows.label_log_posteriors
+    ilm_log_probs = _UtteranceRows.ilm_log_probs
 
 
-class HatScorer:
-    """Per-utterance incremental scorer for the baseline HAT."""
+class HatScorer(_UtteranceRows):
+    """Decoding tables of one utterance under the baseline HAT; columns 2:
+    of a context's rows are its label log-posteriors at every frame."""
 
     def __init__(self, model: HatModel, X: np.ndarray):
-        self.model = model
         with nm.no_grad():
             F = model.encode(X).data
-        j = model.joint
-        self._w1f = F @ j.w1.data.T + j.hidden_bias.data
-        self._ctx_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._ilm_cache: dict[tuple[int, int], np.ndarray] = {}
-        self.t_len = F.shape[0]
+        super().__init__(model, X, F, model.vocab.size)
 
-    def context(self, prefix: Sequence[int]) -> tuple[int, int]:
-        return context_of(prefix, self.model.vocab.sos_id)
+    def _fill(self, ctx: tuple[int, int]):
+        m = self.model
+        g = m.decoder.output_np(ctx)
+        h, log_b, log_k = self._joint_rows(g)
+        z = h @ m.label_w.data.T + m.label_b.data
+        with nm.no_grad():
+            ilm = m.hat_ilm_log_probs(g).data
+        return np.column_stack((log_b, log_k, z - nm.log_sum_exp(z, axis=1)[:, None])), ilm
 
-    def _per_ctx(self, ctx: tuple[int, int]):
-        hit = self._ctx_cache.get(ctx)
-        if hit is None:
-            m = self.model
-            j = m.joint
-            g = m.decoder.output_np(ctx)
-            h = np.tanh(self._w1f + j.w2.data @ g)  # (T, d_h)
-            s = h @ j.v.data + float(j.v_bias.data)
-            z = h @ m.label_w.data.T + m.label_b.data
-            labels = z - nm.log_sum_exp(z, axis=1)[:, None]
-            hit = (-_softplus_np(-s), -_softplus_np(s), labels)
-            self._ctx_cache[ctx] = hit
-        return hit
+    def label_rows(self, t: int, frame: np.ndarray, ilm: np.ndarray) -> np.ndarray:
+        return frame[:, 2:]
 
-    def log_blank(self, t: int, ctx: tuple[int, int]) -> float:
-        return float(self._per_ctx(ctx)[0][t])
-
-    def log_keep(self, t: int, ctx: tuple[int, int]) -> float:
-        return float(self._per_ctx(ctx)[1][t])
-
-    def label_log_posteriors(self, t: int, ctx: tuple[int, int]) -> np.ndarray:
-        return self._per_ctx(ctx)[2][t]
-
-    def ilm_log_probs(self, ctx: tuple[int, int]) -> np.ndarray:
-        hit = self._ilm_cache.get(ctx)
-        if hit is None:
-            m = self.model
-            with nm.no_grad():
-                hit = m.hat_ilm_log_probs(m.decoder.output_np(ctx)).data
-            self._ilm_cache[ctx] = hit
-        return hit
-
-
-def _softplus_np(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    context = _UtteranceRows.context
+    log_blank = _UtteranceRows.log_blank
+    log_keep = _UtteranceRows.log_keep
+    label_log_posteriors = _UtteranceRows.label_log_posteriors
+    ilm_log_probs = _UtteranceRows.ilm_log_probs

@@ -513,15 +513,19 @@ def log_softmax_at(x, ids) -> Tensor:
     return _op((x.data[rows, ids] - m[:, 0]) - lse[:, 0], (x,), vjp)
 
 
+_TINY = np.finfo(np.float64).tiny
+
+
 def log_sum_exp(z, axis=None):
     """Stable log-sum-exp; tolerates -inf entries (empty-path sentinel)."""
     z = np.asarray(z, dtype=np.float64)
     if z.size == 0:
         raise ShapeError("log_sum_exp: empty input")
-    m = np.max(z, axis=axis, keepdims=True)
+    m = z.max(axis=axis, keepdims=True)
     m_safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.exp(z - m_safe).sum(axis=axis, keepdims=True)) + m
+    # a sum is >= exp(0) = 1 unless its entries are all -inf, where
+    # log(tiny) + m is -inf as well: no log(0)
+    out = np.log(np.maximum(np.exp(z - m_safe).sum(axis=axis, keepdims=True), _TINY)) + m
     if axis is None:
         return float(out.reshape(()))
     return np.squeeze(out, axis=axis)

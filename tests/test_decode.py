@@ -1,8 +1,11 @@
+import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+import reference_beam
 from conftest import small_hat, small_mhat
 from mhat.decode import (
     DecodeResult,
@@ -14,6 +17,7 @@ from mhat.decode import (
     parse_record,
     score_sequence,
 )
+from mhat.evalcli import ExperimentConfig, build_hat, build_mhat, make_experiment_data
 from mhat.extlm import ExternalLm
 from mhat.lattice import StructureError, forward_log_prob
 from mhat.model import ConfigError, Vocabulary
@@ -65,6 +69,15 @@ class TestFusionConfig:
         fusion = FusionConfig(mode="shallow", lam_ext=0.3, lm=lm)
         with pytest.raises(ConfigError, match="vocabulary"):
             beam_search(mhat_small, rng.standard_normal((2, 3)), fusion=fusion)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        lm = ExternalLm(Vocabulary.default(4))
+        for mode in ("shallow", "ilme_subtract"):
+            with pytest.raises(ConfigError, match="finite"):
+                FusionConfig(mode=mode, lam_ext=bad, lm=lm)
+            with pytest.raises(ConfigError, match="finite"):
+                FusionConfig(mode=mode, lam_ext=0.3, lam_ilm=bad, lm=lm)
 
     def test_shallow_ignores_lam_ilm(self):
         lm = ExternalLm(Vocabulary.default(4))
@@ -163,6 +176,11 @@ class TestBeamProperties:
         with pytest.raises(ConfigError):
             beam_search(mhat_small, rng.standard_normal((2, 3)), beam_width=0)
 
+    def test_negative_label_cap_rejected(self, mhat_small, rng):
+        # no round would run, leaving no hypothesis to return
+        with pytest.raises(ConfigError, match="max_labels_per_frame"):
+            beam_search(mhat_small, rng.standard_normal((2, 3)), max_labels_per_frame=-1)
+
     def test_no_frames_is_a_structure_error(self, mhat_small, hat_small):
         # the lattice has no alignment for T=0, so neither has the beam
         for model in (mhat_small, hat_small):
@@ -231,3 +249,113 @@ class TestRecords:
         res = DecodeResult(tokens=(), model_lp=-1.0, ext_lp=0.0, ilm_lp=0.0, combined=-1.0)
         uid, ids = parse_record(format_record("u", res, mhat_small.vocab))
         assert ids == ()
+
+
+def ranked(results):
+    return [(r.tokens, r.model_lp, r.ext_lp, r.ilm_lp, r.combined) for r in results]
+
+
+@pytest.fixture(scope="module")
+def real_setup():
+    """Models at the real experiment dims, an LM and target-domain utterances."""
+    cfg = ExperimentConfig(n_train=0, n_dev=0, n_test=6, n_adapt_text=0)
+    exp = make_experiment_data(cfg)
+    lm = ExternalLm(exp.vocab, embed_dim=cfg.label_dim, seed=7)
+    models = {"mhat": build_mhat(cfg, exp.vocab), "hat": build_hat(cfg, exp.vocab)}
+    return models, lm, [it.features for it in exp.tgt_test.items]
+
+
+class TestDictOracle:
+    """The array search against the dict-based search it replaced (tests/reference_beam.py)."""
+
+    @pytest.mark.parametrize("kind", ["mhat", "hat"])
+    @pytest.mark.parametrize("cap", [10, 1, 0])
+    def test_bit_identical_ranked_results(self, real_setup, kind, cap):
+        models, lm, utts = real_setup
+        model = models[kind]
+        for fusion in fusion_cases(lm):
+            for beam in (1, 2, 4, 8):
+                for X in utts:
+                    want = reference_beam.beam_search(model, X, beam, fusion, max_labels_per_frame=cap)
+                    got = beam_search(model, X, beam, fusion, max_labels_per_frame=cap)
+                    assert ranked(got) == ranked(want)
+
+    @pytest.mark.parametrize("kind", ["mhat", "hat"])
+    def test_exact_ties_break_like_the_stable_sort(self, real_setup, kind):
+        # zeroed label heads and a zeroed LM make every label extension of a
+        # hypothesis score the same, so the ranking rests on the tie-breaks
+        models, _, utts = real_setup
+        model = copy.deepcopy(models[kind])
+        heads = ("am_proj", "ilm_proj") if kind == "mhat" else ("label_head",)
+        for name in heads:
+            for part in ("weight", "bias"):
+                model.params[f"{name}.{part}"].data[...] = 0.0
+        lm = ExternalLm(model.vocab, embed_dim=8, seed=1)
+        lm.params["out_proj.weight"].data[...] = 0.0
+        for fusion in fusion_cases(lm):
+            for beam in (1, 3, 8):
+                for X in utts[:3]:
+                    want = reference_beam.beam_search(model, X, beam, fusion)
+                    got = beam_search(model, X, beam, fusion)
+                    assert ranked(got) == ranked(want)
+        sc = model.scorer(utts[0])
+        assert len(set(sc.label_log_posteriors(0, sc.context([])).tolist())) == 1
+
+
+class TestScorerReuse:
+    def test_reused_tables_give_identical_results(self, real_setup):
+        models, lm, utts = real_setup
+        lm_scorer = lm.scorer()
+        for model in models.values():
+            for X in utts[:3]:
+                scorer = model.scorer(X)
+                for fusion in fusion_cases(lm):
+                    got = beam_search(model, X, 4, fusion, scorer=scorer, lm_scorer=lm_scorer)
+                    assert ranked(got) == ranked(beam_search(model, X, 4, fusion))
+
+    def test_foreign_tables_rejected(self, real_setup):
+        models, lm, utts = real_setup
+        mhat, hat = models["mhat"], models["hat"]
+        with pytest.raises(ConfigError, match="scorer"):
+            beam_search(mhat, utts[0], 4, scorer=hat.scorer(utts[0]))
+        with pytest.raises(ConfigError, match="scorer"):
+            beam_search(mhat, utts[0], 4, scorer=mhat.scorer(utts[0][:1]))
+        same_len = utts[0] + 1.0  # another utterance of the same length
+        with pytest.raises(ConfigError, match="scorer"):
+            beam_search(mhat, utts[0], 4, scorer=mhat.scorer(same_len))
+        other = ExternalLm(lm.vocab, embed_dim=8)
+        with pytest.raises(ConfigError, match="LM scorer"):
+            beam_search(mhat, utts[0], 4, FusionConfig("shallow", 0.3, lm=lm), lm_scorer=other.scorer())
+
+    @pytest.mark.parametrize("kind", ["mhat", "hat"])
+    def test_tables_grow_one_slot_per_context(self, kind, rng):
+        # every context filled, in reverse id order, through several doublings
+        model = small_mhat(vocab_size=5) if kind == "mhat" else small_hat(vocab_size=5)
+        X = rng.standard_normal((4, 3))
+        sc = model.scorer(X)
+        old = getattr(reference_beam, type(sc).__name__)(model, X)
+        width = model.vocab.size + 1
+        ids = np.arange(width * width)[::-1]
+        rows = sc.rows(ids)
+        assert sc.size == ids.size and sorted(rows.tolist()) == list(range(ids.size))
+        for prefix in ([], [2], [1, 3], [0, 4, 3], [4, 4]):
+            row, ctx = sc.context(prefix), old.context(prefix)
+            assert row == rows[ids.tolist().index(ctx[0] * width + ctx[1])]
+            for t in range(len(X)):
+                assert sc.log_blank(t, row) == old.log_blank(t, ctx)
+                assert sc.log_keep(t, row) == old.log_keep(t, ctx)
+                assert sc.label_log_posteriors(t, row).tolist() == old.label_log_posteriors(t, ctx).tolist()
+            assert sc.ilm_log_probs(row).tolist() == old.ilm_log_probs(ctx).tolist()
+        assert sc.size == ids.size
+
+
+class TestResultValues:
+    def test_components_are_plain_floats(self, real_setup):
+        # records print the components with repr(); a numpy scalar would print as np.float64(...)
+        models, lm, utts = real_setup
+        for fusion in fusion_cases(lm):
+            for res in beam_search(models["mhat"], utts[0], 4, fusion):
+                assert all(type(x) is float for x in (res.model_lp, res.ext_lp, res.ilm_lp, res.combined))
+                cols = format_record("u", res, models["mhat"].vocab).split("\t")
+                assert [float(c) for c in cols[3:]] == [res.model_lp, res.ext_lp, res.ilm_lp]
+

@@ -1,17 +1,29 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from mhat import data as dat
+from mhat.decode import NO_FUSION, FusionConfig, beam_search
 from mhat.evalcli import (
     EvalReport,
     ExperimentConfig,
     METHODS,
+    adapt_ilma_model,
+    build_mhat,
+    decode_corpus,
+    evaluate_decodes,
     evaluate_pairs,
+    grid_search_lambdas,
+    lambda_grid_wers,
     main,
+    make_experiment_data,
     read_kv_config,
     run_experiment,
     train_asr_model,
     wer_counts,
 )
+from mhat.extlm import ExternalLm, LmTrainConfig, train_lm
 
 
 class TestWer:
@@ -103,6 +115,58 @@ class TestParallelDecode:
         seq = decode_corpus(model, exp.src_test, beam=2, fusion=fusion, jobs=1)
         par = decode_corpus(model, exp.src_test, beam=2, fusion=fusion, jobs=2)
         assert seq == par
+
+    def test_shared_lm_scorer_matches_per_utterance_search(self):
+        cfg = tiny_config()
+        exp = make_experiment_data(cfg)
+        model = build_mhat(cfg, exp.vocab)
+        lm = ExternalLm(exp.vocab, embed_dim=8, seed=1)
+        fusion = FusionConfig(mode="ilme_subtract", lam_ext=0.3, lam_ilm=0.2, lm=lm)
+        decoded = decode_corpus(model, exp.tgt_test, beam=3, fusion=fusion)
+        assert [best for _, best in decoded] == [
+            beam_search(model, it.features, 3, fusion)[0] for it in exp.tgt_test.items
+        ]
+
+
+@pytest.fixture(scope="module")
+def grid_setup():
+    """A briefly trained MHAT and LM, so that the fusion weights move the dev WER."""
+    cfg = dataclasses.replace(tiny_config(), n_train=300, n_dev=10, n_adapt_text=300, d_f=16, label_dim=16,
+                              blank_dim=4, joint_dim=8, epochs=6, lr=1e-2)
+    exp = make_experiment_data(cfg)
+    model, _ = train_asr_model("mhat", cfg, exp.vocab, exp.src_train.paired(), log=lambda msg: None)
+    lm, _ = train_lm(exp.tgt_text, LmTrainConfig(epochs=3, embed_dim=16, seed=0))
+    return cfg, model, lm, exp.tgt_dev
+
+
+class TestLambdaGrid:
+    @pytest.mark.parametrize("mode", ["shallow", "ilme_subtract"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_matches_a_lambda_outer_loop(self, grid_setup, mode, jobs):
+        cfg, model, lm, dev = grid_setup
+        cfg = dataclasses.replace(cfg, jobs=jobs, lam_ext_grid=(0.0, 0.4, 1.5), lam_ilm_grid=(0.0, 0.3, 1.0))
+        ref = {}
+        for le in cfg.lam_ext_grid:
+            for li in cfg.lam_ilm_grid if mode == "ilme_subtract" else (0.0,):
+                if le == 0.0 and li > 0.0:
+                    continue
+                fusion = NO_FUSION if le == li == 0.0 else FusionConfig(mode=mode, lam_ext=le, lam_ilm=li, lm=lm)
+                hyps = {uid: res.tokens for uid, res in decode_corpus(model, dev, cfg.beam, fusion)}
+                ref[(le, li)] = evaluate_decodes(dev, hyps)
+        got = lambda_grid_wers(model, lm, dev, mode, cfg)
+        assert list(got) == list(ref)
+        assert got == ref
+        best = min((rep.wer, le, li) for (le, li), rep in ref.items())
+        assert grid_search_lambdas(model, lm, dev, mode, cfg, log=lambda msg: None) == best[1:]
+        assert len({rep.wer for rep in ref.values()}) > 1  # the weights matter on this model
+
+    def test_ties_go_to_smaller_weights(self, grid_setup):
+        cfg, _, lm, dev = grid_setup
+        silent = build_mhat(cfg, lm.vocab)
+        silent.params["joint.v_bias"].data = np.asarray(50.0)  # blank always wins: every pair decodes ()
+        wers = lambda_grid_wers(silent, lm, dev, "ilme_subtract", cfg)
+        assert {rep.wer for rep in wers.values()} == {100.0}
+        assert grid_search_lambdas(silent, lm, dev, "ilme_subtract", cfg, log=lambda msg: None) == (0.0, 0.0)
 
 
 class TestCli:
@@ -197,6 +261,47 @@ class TestCli:
         for suffix in ("", ".bin"):
             cli = (tmp_path / "cli" / f"{kind}.ckpt{suffix}").read_bytes()
             assert cli == (tmp_path / f"{kind}.ckpt{suffix}").read_bytes()
+
+    def test_adapt_writes_the_experiment_stage_files(self, tmp_path):
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--out-dir", str(data_dir), "--n-train", "2", "--n-dev", "6",
+                     "--n-test", "2", "--n-adapt-text", "40", "--seed", "3"]) == 0
+        vocab = dat.read_vocab(str(data_dir / "vocab.txt"))
+        model = build_mhat(ExperimentConfig(d_f=16, label_dim=8, blank_dim=4, joint_dim=8, seed=3), vocab)
+        model.trained_alpha = 0.1
+        dat.save_checkpoint(model, str(tmp_path / "mhat.ckpt"))
+        rc = main(["adapt", "--ckpt", str(tmp_path / "mhat.ckpt"), "--text", str(data_dir / "target.train.txt"),
+                   "--vocab", str(data_dir / "vocab.txt"), "--rho", "0.3", "--steps", "4", "--lr", "0.05",
+                   "--batch-size", "8", "--heldout-source", str(data_dir / "source.dev.txt"),
+                   "--heldout-target", str(data_dir / "target.dev.txt"), "--seed", "3",
+                   "--out-dir", str(tmp_path / "cli")])
+        assert rc == 0
+        text = lambda name: dat.read_text_corpus(str(data_dir / name), vocab)
+        stage = tmp_path / "stage"
+        stage.mkdir()
+        cfg = ExperimentConfig(rho=0.3, ilma_steps=4, ilma_lr=0.05, ilma_batch=8, seed=3)
+        adapt_ilma_model(dat.load_checkpoint(str(tmp_path / "mhat.ckpt")), cfg, text("target.train.txt"),
+                         text("source.dev.txt").transcripts(), text("target.dev.txt").transcripts(),
+                         str(stage / "mhat_ilma.ckpt"), str(stage), log=lambda msg: None)
+        for name in ("mhat_ilma.ckpt", "mhat_ilma.ckpt.bin", "ilma_report.txt", "ilma_report.kv"):
+            assert (tmp_path / "cli" / name).read_bytes() == (stage / name).read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--lam-ext", "--lam-ilm"])
+    def test_decode_rejects_non_finite_weights(self, tmp_path, capsys, flag):
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--out-dir", str(data_dir), "--n-train", "2", "--n-dev", "2",
+                     "--n-test", "2", "--n-adapt-text", "4"]) == 0
+        vocab = dat.read_vocab(str(data_dir / "vocab.txt"))
+        dat.save_checkpoint(build_mhat(ExperimentConfig(d_f=8, label_dim=8, blank_dim=4, joint_dim=4), vocab),
+                            str(tmp_path / "mhat.ckpt"))
+        dat.save_checkpoint(ExternalLm(vocab, embed_dim=8), str(tmp_path / "lm.ckpt"))
+        rc = main(["decode", "--ckpt", str(tmp_path / "mhat.ckpt"), "--data", str(data_dir / "target.test"),
+                   "--vocab", str(data_dir / "vocab.txt"), "--fusion", "ilme_subtract",
+                   "--lm", str(tmp_path / "lm.ckpt"), "--lam-ext", "0.3", flag, "nan",
+                   "--out-dir", str(tmp_path / "dec")])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "dec" / "decodes.tsv").exists()
 
     def test_decode_fusion_requires_lm(self, tmp_path):
         rc = main(

@@ -378,35 +378,35 @@ class TestStructuralInvariances:
 
 
 class TestScorerAgreesWithHeads:
+    # the search reads the tables: frame_rows columns 0 and 1, label_rows, ilm_rows
     def test_mhat_scorer_matches_graph_path(self, mhat_small, rng):
         X = rng.standard_normal((4, 3))
         sc = mhat_small.scorer(X)
         F = mhat_small.encode(X).data
         prefix = [1, 3]
-        ctx = sc.context(prefix)
+        row = sc.context(prefix)
+        ilm = mhat_small.ilm_log_probs(mhat_small.decode_label(prefix))
         for t in range(4):
             g = mhat_small.decode_blank(prefix)
             b = mhat_small.blank_posterior(F[t], g)
-            assert sc.log_blank(t, ctx) == pytest.approx(math.log(b), abs=1e-12)
-            assert sc.log_keep(t, ctx) == pytest.approx(math.log1p(-b), abs=1e-12)
-            lab = label_posterior(
-                mhat_small.am_log_probs(F[t]),
-                mhat_small.ilm_log_probs(mhat_small.decode_label(prefix)),
-            ).data
-            np.testing.assert_allclose(sc.label_log_posteriors(t, ctx), lab, atol=1e-12)
+            assert sc.frame_rows[row, t, 0] == pytest.approx(math.log(b), abs=1e-12)
+            assert sc.frame_rows[row, t, 1] == pytest.approx(math.log1p(-b), abs=1e-12)
+            lab = label_posterior(mhat_small.am_log_probs(F[t]), ilm).data
+            np.testing.assert_allclose(sc.label_rows(t, sc.frame_rows[[row], t], sc.ilm_rows[[row]])[0], lab, atol=1e-12)
+        np.testing.assert_allclose(sc.ilm_rows[row], ilm.data, atol=1e-12)
 
     def test_hat_scorer_matches_graph_path(self, hat_small, rng):
         X = rng.standard_normal((3, 3))
         sc = hat_small.scorer(X)
         F = hat_small.encode(X).data
         prefix = [0]
-        ctx = sc.context(prefix)
+        row = sc.context(prefix)
         for t in range(3):
             b, labels = hat_small.hat_joint(F[t], hat_small.decode_state(prefix))
-            assert sc.log_blank(t, ctx) == pytest.approx(math.log(b), abs=1e-12)
-            np.testing.assert_allclose(sc.label_log_posteriors(t, ctx), labels.data, atol=1e-12)
+            assert sc.frame_rows[row, t, 0] == pytest.approx(math.log(b), abs=1e-12)
+            np.testing.assert_allclose(sc.label_rows(t, sc.frame_rows[[row], t], sc.ilm_rows[[row]])[0], labels.data, atol=1e-12)
         np.testing.assert_allclose(
-            sc.ilm_log_probs(ctx),
+            sc.ilm_rows[row],
             hat_small.hat_ilm_log_probs(hat_small.decode_state(prefix)).data,
             atol=1e-12,
         )
