@@ -183,7 +183,6 @@ def confusable_pair_domains(
     target_member_bias: float = 0.92,
     eos_prob: float = 0.12,
     concentration: float = 0.1,
-    target_prototype_jitter: float = 0.0,
 ) -> tuple[DomainSpec, DomainSpec]:
     """Source/target DomainSpecs sharing prototypes and noise.
 
@@ -194,8 +193,6 @@ def confusable_pair_domains(
     signal within a pair), the target a biased 0.9: adapting the prior
     toward the target then helps target decisions first-order while
     costing the balanced source only second-order.
-    `target_prototype_jitter` adds an acoustic shift and stays 0 in
-    every standard run.
     """
     v = vocab.size
     if v % 2 != 0:
@@ -232,10 +229,7 @@ def confusable_pair_domains(
         return table
 
     source = DomainSpec(vocab, expand(source_member_bias), prototypes, noise_sigma)
-    target_protos = prototypes
-    if target_prototype_jitter > 0:
-        target_protos = prototypes + target_prototype_jitter * rng.standard_normal(prototypes.shape)
-    target = DomainSpec(vocab, expand(target_member_bias), target_protos, noise_sigma)
+    target = DomainSpec(vocab, expand(target_member_bias), prototypes, noise_sigma)
     return source, target
 
 

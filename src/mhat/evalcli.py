@@ -12,7 +12,6 @@ import copy
 import os
 import sys
 import time
-from concurrent import futures
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -121,48 +120,32 @@ def evaluate_pairs(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> Eval
 
 # -- corpus decoding ---------------------------------------------------------
 
-_WORKER: dict = {}
 
+def _decode_fusions(model, corpus: dat.Corpus, beam: int, fusions):
+    """(uid, best result under each fusion config) per utterance, in corpus order.
 
-def _init_decode_worker(model, beam, fusions):
-    # one LM scorer per LM, shared by every utterance this process decodes
+    One LM scorer per distinct LM serves every utterance, and one model
+    scorer per utterance serves every fusion config.
+    """
+    if any(it.features is None for it in corpus.items):
+        raise ConfigError("decoding requires a paired corpus with features")
     lms = {id(f.lm): f.lm for f in fusions if f.lm is not None}
     lm_scorers = {key: lm.scorer() for key, lm in lms.items()}
-    _WORKER["model"] = model
-    _WORKER["beam"] = beam
-    _WORKER["fusions"] = [(f, lm_scorers.get(id(f.lm))) for f in fusions]
-
-
-def _decode_one(item):
-    # the utterance's scorer tables serve every fusion config
-    uid, feats = item
-    model = _WORKER["model"]
-    scorer = model.scorer(feats)
-    return uid, [
-        beam_search(model, feats, _WORKER["beam"], fusion, scorer=scorer, lm_scorer=lm_scorer)[0]
-        for fusion, lm_scorer in _WORKER["fusions"]
-    ]
-
-
-def _decode_fusions(model, corpus: dat.Corpus, beam: int, fusions, jobs: int):
-    """(uid, best result under each fusion config) per utterance, in corpus order."""
-    items = [(it.uid, it.features) for it in corpus.items]
-    if any(f is None for _, f in items):
-        raise ConfigError("decoding requires a paired corpus with features")
-    if jobs <= 1:
-        _init_decode_worker(model, beam, fusions)
-        return [_decode_one(it) for it in items]
-    with futures.ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_decode_worker, initargs=(model, beam, fusions)
-    ) as pool:
-        return list(pool.map(_decode_one, items, chunksize=max(1, len(items) // (4 * jobs))))
+    decoded = []
+    for it in corpus.items:
+        scorer = model.scorer(it.features)
+        decoded.append((it.uid, [
+            beam_search(model, it.features, beam, f, scorer=scorer, lm_scorer=lm_scorers.get(id(f.lm)))[0]
+            for f in fusions
+        ]))
+    return decoded
 
 
 def decode_corpus(
-    model, corpus: dat.Corpus, beam: int = 8, fusion: FusionConfig = NO_FUSION, jobs: int = 1
+    model, corpus: dat.Corpus, beam: int = 8, fusion: FusionConfig = NO_FUSION
 ) -> list[tuple[str, DecodeResult]]:
-    """Decode every utterance; parallel across utterances, order-stable."""
-    return [(uid, best[0]) for uid, best in _decode_fusions(model, corpus, beam, [fusion], jobs)]
+    """(uid, best result) of every utterance, in corpus order."""
+    return [(uid, best[0]) for uid, best in _decode_fusions(model, corpus, beam, [fusion])]
 
 
 def evaluate_decodes(corpus: dat.Corpus, hyps: dict[str, Sequence[int]]) -> EvalReport:
@@ -221,7 +204,6 @@ class ExperimentConfig:
     beam: int = 4
     lam_ext_grid: tuple[float, ...] = (0.0, 0.2, 0.4, 0.8)
     lam_ilm_grid: tuple[float, ...] = (0.0, 0.2, 0.4)
-    jobs: int = 1
     seed: int = 0
 
 
@@ -354,6 +336,28 @@ def adapt_ilma_model(
     return report
 
 
+def train_lm_model(cfg: ExperimentConfig, text: dat.Corpus, path: str | None = None, log=_log):
+    """Train the external LM on `text` with the `cfg` settings, log its
+    train-set perplexity and save it to `path` when given; returns (lm,
+    perplexity).
+
+    The one LM training path of both `mhat train-lm` and `run_experiment`.
+    """
+    lm, ppl = train_lm(text, LmTrainConfig(
+        epochs=cfg.lm_epochs, lr=cfg.lm_lr, batch_size=cfg.lm_batch, embed_dim=cfg.label_dim, seed=cfg.seed))
+    log(f"external LM train-set perplexity: {ppl:.3f}")
+    if path:
+        dat.save_checkpoint(lm, path)
+    return lm, ppl
+
+
+def _fusion(mode: str, lam_ext: float, lam_ilm: float, lm) -> FusionConfig:
+    """The fusion config of one weight pair; (0, 0) decodes without fusion."""
+    if lam_ext == 0.0 and lam_ilm == 0.0:
+        return NO_FUSION
+    return FusionConfig(mode=mode, lam_ext=lam_ext, lam_ilm=lam_ilm, lm=lm)
+
+
 def lambda_grid_wers(
     model, lm, dev: dat.Corpus, mode: str, cfg: ExperimentConfig
 ) -> dict[tuple[float, float], EvalReport]:
@@ -361,16 +365,11 @@ def lambda_grid_wers(
 
     lam_ilm varies only in `ilme_subtract` mode, and pairs with lam_ext = 0
     and lam_ilm > 0 are skipped; (0, 0) decodes without fusion.  Each
-    utterance is decoded under every pair in one task, from one set of
-    scorer tables.
+    utterance is decoded under every pair from one set of scorer tables.
     """
     ilm_grid = cfg.lam_ilm_grid if mode == "ilme_subtract" else (0.0,)
     pairs = [(le, li) for le in cfg.lam_ext_grid for li in ilm_grid if not (le == 0.0 and li > 0.0)]
-    fusions = [
-        NO_FUSION if (le == 0.0 and li == 0.0) else FusionConfig(mode=mode, lam_ext=le, lam_ilm=li, lm=lm)
-        for le, li in pairs
-    ]
-    decoded = _decode_fusions(model, dev, cfg.beam, fusions, cfg.jobs)
+    decoded = _decode_fusions(model, dev, cfg.beam, [_fusion(mode, le, li, lm) for le, li in pairs])
     return {
         pair: evaluate_decodes(dev, {uid: best[k].tokens for uid, best in decoded})
         for k, pair in enumerate(pairs)
@@ -389,6 +388,15 @@ def grid_search_lambdas(
     best = min((rep.wer, le, li) for (le, li), rep in lambda_grid_wers(model, lm, dev, mode, cfg).items())
     log(f"grid[{mode}]: best dev WER {best[0]:.3f} at lam_ext={best[1]}, lam_ilm={best[2]}")
     return best[1], best[2]
+
+
+# (model, method without fusion, method with the external LM, fusion mode):
+# the adapted internal LM is kept in the score, the others are subtracted
+MATRIX_ROWS = (
+    ("hat", "HAT", "HAT+LM", "ilme_subtract"),
+    ("mhat", "MHAT", "MHAT+LM", "ilme_subtract"),
+    ("mhat_ilma", "MHAT+ILMA", "MHAT+ILMA+LM", "shallow"),
+)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, log=_log) -> ExperimentResult:
@@ -425,14 +433,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, log=_log) 
         state[kind], _ = train_asr_model(kind, cfg, exp.vocab, exp.src_train.paired(), path, log)
 
     def st_lm():
-        exp = state["exp"]
-        lm, ppl = train_lm(exp.tgt_text, LmTrainConfig(
-            epochs=cfg.lm_epochs, lr=cfg.lm_lr, batch_size=cfg.lm_batch,
-            embed_dim=cfg.label_dim, seed=cfg.seed))
-        log(f"external LM train-set perplexity: {ppl:.3f}")
-        state["lm"], state["lm_ppl"] = lm, ppl
-        if out_dir:
-            dat.save_checkpoint(lm, os.path.join(ensure("models"), "extlm.ckpt"))
+        path = os.path.join(ensure("models"), "extlm.ckpt") if out_dir else None
+        state["lm"], state["lm_ppl"] = train_lm_model(cfg, state["exp"].tgt_text, path, log)
 
     def st_ilma():
         exp = state["exp"]
@@ -443,50 +445,29 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, log=_log) 
         state["mhat_ilma"], state["ilma_report"] = adapted, report
 
     def st_grid():
-        exp = state["exp"]
-        lams = {}
-        lams["HAT+LM"] = grid_search_lambdas(state["hat"], state["lm"], exp.tgt_dev, "ilme_subtract", cfg, log)
-        lams["MHAT+LM"] = grid_search_lambdas(state["mhat"], state["lm"], exp.tgt_dev, "ilme_subtract", cfg, log)
-        lams["MHAT+ILMA+LM"] = grid_search_lambdas(state["mhat_ilma"], state["lm"], exp.tgt_dev, "shallow", cfg, log)
-        state["lams"] = lams
-
-    def _fusion_for(method: str) -> FusionConfig:
-        lams = state["lams"]
-        if method in ("HAT", "MHAT", "MHAT+ILMA"):
-            return NO_FUSION
-        le, li = lams[method]
-        if le == 0.0 and li == 0.0:
-            return NO_FUSION
-        mode = "shallow" if method == "MHAT+ILMA+LM" else "ilme_subtract"
-        return FusionConfig(mode=mode, lam_ext=le, lam_ilm=li, lm=state["lm"])
+        state["lams"] = {
+            fused: grid_search_lambdas(state[key], state["lm"], state["exp"].tgt_dev, mode, cfg, log)
+            for key, _, fused, mode in MATRIX_ROWS
+        }
 
     def st_matrix():
         exp = state["exp"]
-        models = {
-            "HAT": state["hat"],
-            "MHAT": state["mhat"],
-            "HAT+LM": state["hat"],
-            "MHAT+LM": state["mhat"],
-            "MHAT+ILMA": state["mhat_ilma"],
-            "MHAT+ILMA+LM": state["mhat_ilma"],
-        }
-        wer: dict[str, dict[str, float]] = {}
-        reports: dict[str, dict[str, EvalReport]] = {}
-        for method in METHODS:
-            fusion = _fusion_for(method)
-            wer[method], reports[method] = {}, {}
+        wer: dict[str, dict[str, float]] = {method: {} for method in METHODS}
+        reports: dict[str, dict[str, EvalReport]] = {method: {} for method in METHODS}
+        for key, plain, fused, mode in MATRIX_ROWS:
+            fusions = [NO_FUSION, _fusion(mode, *state["lams"][fused], state["lm"])]
             for domain, corpus in (("source", exp.src_test), ("target", exp.tgt_test)):
-                decoded = decode_corpus(models[method], corpus, cfg.beam, fusion, cfg.jobs)
-                if out_dir:
-                    d = ensure("decodes")
-                    fname = method.replace("+", "_").replace(" ", "") + f"__{domain}.tsv"
-                    with open(os.path.join(d, fname), "w") as f:
-                        for uid, res in decoded:
-                            f.write(format_record(uid, res, exp.vocab) + "\n")
-                rep = evaluate_decodes(corpus, {uid: r.tokens for uid, r in decoded})
-                wer[method][domain] = rep.wer
-                reports[method][domain] = rep
-                log(f"{method} [{domain}]: WER {rep.wer:.3f}")
+                decoded = _decode_fusions(state[key], corpus, cfg.beam, fusions)
+                for k, method in enumerate((plain, fused)):
+                    if out_dir:
+                        fname = method.replace("+", "_") + f"__{domain}.tsv"
+                        with open(os.path.join(ensure("decodes"), fname), "w") as f:
+                            for uid, best in decoded:
+                                f.write(format_record(uid, best[k], exp.vocab) + "\n")
+                    rep = evaluate_decodes(corpus, {uid: best[k].tokens for uid, best in decoded})
+                    wer[method][domain] = rep.wer
+                    reports[method][domain] = rep
+                    log(f"{method} [{domain}]: WER {rep.wer:.3f}")
         state["wer"], state["reports"] = wer, reports
 
     def st_report():
@@ -499,12 +480,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, log=_log) 
             lm_train_ppl=state["lm_ppl"],
             ilm_source_ppl=perplexity(state["mhat"], exp.src_dev.transcripts()),
             ilm_target_ppl=perplexity(state["mhat"], exp.tgt_dev.transcripts()),
-            models={
-                "hat": state["hat"],
-                "mhat": state["mhat"],
-                "mhat_ilma": state["mhat_ilma"],
-                "lm": state["lm"],
-            },
+            models={key: state[key] for key in ("hat", "mhat", "mhat_ilma", "lm")},
             data=exp,
             durations=dict(state["durations"]),
         )
@@ -527,9 +503,43 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, log=_log) 
 
 # -- CLI ---------------------------------------------------------------------
 
+# The hyperparameter flags of each subcommand (besides `--seed`, which every
+# subcommand has) and the ExperimentConfig field each one sets; a flag's
+# default is its field's value in ExperimentConfig().
+CONFIG_FLAGS: dict[str, dict[str, str]] = {
+    "gen-data": {"--vocab-size": "vocab_size", "--d-x": "d_x", "--sigma": "sigma", "--n-train": "n_train",
+                 "--n-dev": "n_dev", "--n-test": "n_test", "--n-adapt-text": "n_adapt_text"},
+    "train": {"--alpha": "alpha", "--epochs": "epochs", "--batch-size": "batch_size", "--lr": "lr",
+              "--d-f": "d_f", "--enc-context": "enc_context", "--enc-layers": "enc_layers",
+              "--joint-dim": "joint_dim", "--label-dim": "label_dim", "--blank-dim": "blank_dim",
+              "--decoder-dim": "hat_decoder_dim"},
+    "train-lm": {"--epochs": "lm_epochs", "--batch-size": "lm_batch", "--lr": "lm_lr", "--embed-dim": "label_dim"},
+    "adapt": {"--rho": "rho", "--steps": "ilma_steps", "--lr": "ilma_lr", "--batch-size": "ilma_batch"},
+    "decode": {"--beam": "beam"},
+    "eval": {},
+    "experiment": {"--alpha": "alpha", "--rho": "rho", "--epochs": "epochs", "--beam": "beam"},
+}
+
+
+def _config_flags(command: str) -> dict[str, str]:
+    return {"--seed": "seed", **CONFIG_FLAGS[command]}
+
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 1 on usage errors
+    """Exits 1 on usage errors, and keeps the flag of each one-value option
+    under its dest in `flags`: a `--config` key names a dest."""
+
+    def __init__(self, **kw):
+        self.flags: dict[str, str] = {}
+        super().__init__(**kw)
+
+    def add_argument(self, *names, **kw):
+        action = super().add_argument(*names, **kw)
+        if action.option_strings and action.nargs is None:
+            self.flags[action.dest] = action.option_strings[-1]
+        return action
+
+    def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
@@ -554,68 +564,41 @@ def read_kv_config(path: str) -> dict[str, str]:
     return out
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", help="key=value file overriding flag defaults")
-    p.add_argument("--out-dir", default=".", help="artifact directory")
-
-
-def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
+def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="mhat", description="desk-scale modular transducer toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
+    registry: dict[str, _Parser] = {}
+    defaults = ExperimentConfig()
 
-    def sub(name: str, **kw) -> argparse.ArgumentParser:
+    def sub(name: str, **kw) -> _Parser:
         p = subs.add_parser(name, **kw)
-        _add_common(p)
+        p.add_argument("--config", help="key=value file of option values; the command line's flags win")
+        p.add_argument("--out-dir", default=".", help="artifact directory")
+        for flag, field_name in _config_flags(name).items():
+            value = getattr(defaults, field_name)
+            p.add_argument(flag, type=type(value), default=value, help=f"ExperimentConfig.{field_name} (default %(default)s)")
         registry[name] = p
         return p
 
     p = sub("gen-data", help="generate the synthetic domain-shift dataset")
-    p.add_argument("--vocab-size", type=int, default=16)
-    p.add_argument("--d-x", type=int, default=8)
-    p.add_argument("--sigma", type=float, default=0.3)
-    p.add_argument("--n-train", type=int, default=2000)
-    p.add_argument("--n-dev", type=int, default=200)
-    p.add_argument("--n-test", type=int, default=200)
-    p.add_argument("--n-adapt-text", type=int, default=5000)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub("train", help="train a HAT or MHAT on a paired corpus")
     p.add_argument("--data", required=True, help="corpus manifest")
     p.add_argument("--vocab", required=True, help="vocabulary file")
     p.add_argument("--model", choices=("mhat", "hat"), default="mhat")
-    p.add_argument("--alpha", type=float, default=0.1, help="internal-LM loss weight (mhat)")
-    p.add_argument("--epochs", type=int, default=8)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=3e-3)
     p.add_argument("--optimizer", choices=("sgd", "momentum", "adam"), default="adam")
-    p.add_argument("--d-f", type=int, default=64)
-    p.add_argument("--enc-context", type=int, default=1)
-    p.add_argument("--enc-layers", type=int, default=2)
-    p.add_argument("--joint-dim", type=int, default=32)
-    p.add_argument("--label-dim", type=int, default=64)
-    p.add_argument("--blank-dim", type=int, default=16)
-    p.add_argument("--decoder-dim", type=int, default=64, help="HAT decoder dim")
     p.set_defaults(func=cmd_train)
 
     p = sub("train-lm", help="train the external LM on text")
     p.add_argument("--text", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=5e-3)
-    p.add_argument("--embed-dim", type=int, default=64)
     p.set_defaults(func=cmd_train_lm)
 
     p = sub("adapt", help="internal-LM adaptation on text")
     p.add_argument("--ckpt", required=True, help="trained MHAT checkpoint")
     p.add_argument("--text", required=True, help="adaptation text")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--heldout-source", help="held-out source text for the report")
     p.add_argument("--heldout-target", help="held-out target text for the report")
     p.set_defaults(func=cmd_adapt)
@@ -624,12 +607,10 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--beam", type=int, default=8)
     p.add_argument("--fusion", choices=("none", "shallow", "ilme_subtract"), default="none")
     p.add_argument("--lm", help="external LM checkpoint (fusion modes)")
     p.add_argument("--lam-ext", type=float, default=0.0)
     p.add_argument("--lam-ilm", type=float, default=0.0)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_decode)
 
     p = sub("eval", help="score decodes against references")
@@ -639,14 +620,37 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.set_defaults(func=cmd_eval)
 
     p = sub("experiment", help="full pipeline: data, training, ILMA, fusion matrix")
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=8)
-    p.add_argument("--beam", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_experiment)
 
     return parser, registry
+
+
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The parsed command line.  The keys of a `--config` file that the
+    subcommand has options for are parsed as those options, ahead of the
+    command line's own flags, which therefore win; other keys are ignored.
+    Usage errors, bad config values included, exit 1.
+    """
+    argv = list(argv)
+    parser, registry = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        sub = registry[args.command]
+        try:
+            overrides = read_kv_config(args.config)
+        except (OSError, ConfigError) as e:
+            sub.error(str(e))
+        at = argv.index(args.command) + 1
+        tokens = [f"{sub.flags[key]}={value}" for key, value in overrides.items() if key in sub.flags]
+        args = parser.parse_args(argv[:at] + tokens + argv[at:])
+    return args
+
+
+def _config(args, **fixed) -> ExperimentConfig:
+    """ExperimentConfig() with the subcommand's flag values, and `fixed`, in place."""
+    values = {field_name: getattr(args, flag[2:].replace("-", "_"))
+              for flag, field_name in _config_flags(args.command).items()}
+    return ExperimentConfig(**values, **fixed)
 
 
 def _write_resolved_config(args) -> None:
@@ -668,12 +672,7 @@ def _read_refs(path: str, vocab: Vocabulary) -> dat.Corpus:
 
 
 def cmd_gen_data(args) -> None:
-    cfg = ExperimentConfig(
-        vocab_size=args.vocab_size, d_x=args.d_x, sigma=args.sigma,
-        n_train=args.n_train, n_dev=args.n_dev, n_test=args.n_test,
-        n_adapt_text=args.n_adapt_text, seed=args.seed,
-    )
-    write_experiment_data(make_experiment_data(cfg), args.out_dir)
+    write_experiment_data(make_experiment_data(_config(args)), args.out_dir)
     _log(f"wrote dataset under {args.out_dir}")
 
 
@@ -682,12 +681,7 @@ def cmd_train(args) -> None:
     corpus = dat.read_corpus(args.data, vocab)
     if not corpus.items:
         raise ConfigError(f"{args.data}: training corpus is empty")
-    cfg = ExperimentConfig(
-        d_x=corpus.items[0].features.shape[1], d_f=args.d_f, enc_context=args.enc_context,
-        enc_layers=args.enc_layers, joint_dim=args.joint_dim, label_dim=args.label_dim,
-        blank_dim=args.blank_dim, hat_decoder_dim=args.decoder_dim, epochs=args.epochs,
-        batch_size=args.batch_size, lr=args.lr, alpha=args.alpha, seed=args.seed,
-    )
+    cfg = _config(args, d_x=corpus.items[0].features.shape[1])
     out = os.path.join(args.out_dir, f"{args.model}.ckpt")
     _, curve = train_asr_model(args.model, cfg, vocab, corpus.paired(), out, optimizer=args.optimizer)
     with open(os.path.join(args.out_dir, "train_log.txt"), "w") as f:
@@ -699,32 +693,21 @@ def cmd_train(args) -> None:
 def cmd_train_lm(args) -> None:
     vocab = dat.read_vocab(args.vocab)
     corpus = dat.read_text_corpus(args.text, vocab)
-    lm, ppl = train_lm(corpus, LmTrainConfig(
-        embed_dim=args.embed_dim, epochs=args.epochs, batch_size=args.batch_size,
-        lr=args.lr, seed=args.seed))
     out = os.path.join(args.out_dir, "extlm.ckpt")
-    dat.save_checkpoint(lm, out)
+    _, ppl = train_lm_model(_config(args), corpus, out)
     with open(os.path.join(args.out_dir, "lm_report.kv"), "w") as f:
         f.write(f"train_ppl {ppl!r}\n")
-    _log(f"saved {out} (train-set perplexity {ppl:.3f})")
+    _log(f"saved {out}")
 
 
 def cmd_adapt(args) -> None:
     vocab = dat.read_vocab(args.vocab)
     model = dat.load_checkpoint(args.ckpt, expect="mhat")
     corpus = dat.read_text_corpus(args.text, vocab)
-    heldout_src = (
-        dat.read_text_corpus(args.heldout_source, vocab).transcripts()
-        if args.heldout_source else None
-    )
-    heldout_tgt = (
-        dat.read_text_corpus(args.heldout_target, vocab).transcripts()
-        if args.heldout_target else None
-    )
-    cfg = ExperimentConfig(rho=args.rho, ilma_steps=args.steps, ilma_lr=args.lr, ilma_batch=args.batch_size,
-                           seed=args.seed)
+    heldout = [dat.read_text_corpus(path, vocab).transcripts() if path else None
+               for path in (args.heldout_source, args.heldout_target)]
     out = os.path.join(args.out_dir, "mhat_ilma.ckpt")
-    adapt_ilma_model(model, cfg, corpus, heldout_src, heldout_tgt, out, args.out_dir)
+    adapt_ilma_model(model, _config(args), corpus, *heldout, out, args.out_dir)
     _log(f"saved {out}")
 
 
@@ -740,7 +723,7 @@ def cmd_decode(args) -> None:
         lm = dat.load_checkpoint(args.lm, expect="lm")
         fusion = FusionConfig(mode=args.fusion, lam_ext=args.lam_ext,
                               lam_ilm=args.lam_ilm, lm=lm)
-    decoded = decode_corpus(model, corpus, args.beam, fusion, args.jobs)
+    decoded = decode_corpus(model, corpus, _config(args).beam, fusion)
     out = os.path.join(args.out_dir, "decodes.tsv")
     with open(out, "w") as f:
         for uid, res in decoded:
@@ -766,42 +749,14 @@ def cmd_eval(args) -> None:
 
 
 def cmd_experiment(args) -> None:
-    cfg = ExperimentConfig(alpha=args.alpha, rho=args.rho, epochs=args.epochs,
-                           beam=args.beam, jobs=args.jobs, seed=args.seed)
-    result = run_experiment(cfg, args.out_dir, _log)
+    result = run_experiment(_config(args), args.out_dir, _log)
     for line in result.matrix_lines():
         _log(line)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-
-    parser, registry = build_parser()
-    if known.config:
-        try:
-            overrides = read_kv_config(known.config)
-        except (OSError, ConfigError) as e:
-            _log(f"error: {e}")
-            return 1
-        for p in registry.values():
-            defaults = {}
-            for action in p._actions:
-                if action.dest in overrides:
-                    value = overrides[action.dest]
-                    if isinstance(action.const, bool):
-                        defaults[action.dest] = value.lower() in ("1", "true", "yes")
-                    elif action.type is not None:
-                        defaults[action.dest] = action.type(value)
-                    else:
-                        defaults[action.dest] = value
-            if defaults:
-                p.set_defaults(**defaults)
-
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

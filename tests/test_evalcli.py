@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from mhat import data as dat
-from mhat.decode import NO_FUSION, FusionConfig, beam_search
+from mhat.decode import NO_FUSION, FusionConfig, beam_search, format_record
 from mhat.evalcli import (
+    CONFIG_FLAGS,
     EvalReport,
     ExperimentConfig,
     METHODS,
     adapt_ilma_model,
     build_mhat,
+    build_parser,
     decode_corpus,
     evaluate_decodes,
     evaluate_pairs,
@@ -100,22 +102,26 @@ class TestExperiment:
         assert lines[0] == "method\tsource_wer\ttarget_wer"
         assert [l.split("\t")[0] for l in lines[1:]] == list(METHODS)
 
+    def test_decodes_match_standalone_decoding(self, tmp_path):
+        # one nonzero weight pair: every fused method decodes with its LM, and
+        # only the ilme_subtract rows take lam_ilm from the grid
+        cfg = dataclasses.replace(tiny_config(), lam_ext_grid=(2.0,), lam_ilm_grid=(3.0,))
+        res = run_experiment(cfg, out_dir=str(tmp_path), log=lambda m: None)
+        exp, models = res.data, res.models
+        rows = [("hat", "HAT", "HAT+LM", "ilme_subtract"), ("mhat", "MHAT", "MHAT+LM", "ilme_subtract"),
+                ("mhat_ilma", "MHAT+ILMA", "MHAT+ILMA+LM", "shallow")]
+        assert res.best_lambdas == {fused: (2.0, 3.0 if mode == "ilme_subtract" else 0.0) for _, _, fused, mode in rows}
+        for key, plain, fused, mode in rows:
+            fusion = FusionConfig(mode=mode, lam_ext=2.0, lam_ilm=res.best_lambdas[fused][1], lm=models["lm"])
+            for domain, corpus in (("source", exp.src_test), ("target", exp.tgt_test)):
+                for method, f in ((plain, NO_FUSION), (fused, fusion)):
+                    expected = "".join(format_record(uid, r, exp.vocab) + "\n"
+                                       for uid, r in decode_corpus(models[key], corpus, cfg.beam, f))
+                    tsv = tmp_path / "decodes" / (method.replace("+", "_") + f"__{domain}.tsv")
+                    assert tsv.read_text() == expected, (method, domain)
+
 
 class TestParallelDecode:
-    def test_jobs_match_sequential(self):
-        from mhat.decode import FusionConfig
-        from mhat.evalcli import build_mhat, decode_corpus, make_experiment_data
-        from mhat.extlm import ExternalLm
-
-        cfg = tiny_config()
-        exp = make_experiment_data(cfg)
-        model = build_mhat(cfg, exp.vocab)
-        lm = ExternalLm(exp.vocab, embed_dim=8, seed=1)
-        fusion = FusionConfig(mode="shallow", lam_ext=0.3, lm=lm)
-        seq = decode_corpus(model, exp.src_test, beam=2, fusion=fusion, jobs=1)
-        par = decode_corpus(model, exp.src_test, beam=2, fusion=fusion, jobs=2)
-        assert seq == par
-
     def test_shared_lm_scorer_matches_per_utterance_search(self):
         cfg = tiny_config()
         exp = make_experiment_data(cfg)
@@ -141,10 +147,9 @@ def grid_setup():
 
 class TestLambdaGrid:
     @pytest.mark.parametrize("mode", ["shallow", "ilme_subtract"])
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_matches_a_lambda_outer_loop(self, grid_setup, mode, jobs):
+    def test_matches_a_lambda_outer_loop(self, grid_setup, mode):
         cfg, model, lm, dev = grid_setup
-        cfg = dataclasses.replace(cfg, jobs=jobs, lam_ext_grid=(0.0, 0.4, 1.5), lam_ilm_grid=(0.0, 0.3, 1.0))
+        cfg = dataclasses.replace(cfg, lam_ext_grid=(0.0, 0.4, 1.5), lam_ilm_grid=(0.0, 0.3, 1.0))
         ref = {}
         for le in cfg.lam_ext_grid:
             for li in cfg.lam_ilm_grid if mode == "ilme_subtract" else (0.0,):
@@ -169,10 +174,26 @@ class TestLambdaGrid:
         assert grid_search_lambdas(silent, lm, dev, "ilme_subtract", cfg, log=lambda msg: None) == (0.0, 0.0)
 
 
+# every hyperparameter flag, by dest, and the ExperimentConfig field it sets
+FLAG_FIELDS = {
+    "gen-data": {"vocab_size": "vocab_size", "d_x": "d_x", "sigma": "sigma", "n_train": "n_train",
+                 "n_dev": "n_dev", "n_test": "n_test", "n_adapt_text": "n_adapt_text"},
+    "train": {"alpha": "alpha", "epochs": "epochs", "batch_size": "batch_size", "lr": "lr", "d_f": "d_f",
+              "enc_context": "enc_context", "enc_layers": "enc_layers", "joint_dim": "joint_dim",
+              "label_dim": "label_dim", "blank_dim": "blank_dim", "decoder_dim": "hat_decoder_dim"},
+    "train-lm": {"epochs": "lm_epochs", "batch_size": "lm_batch", "lr": "lm_lr", "embed_dim": "label_dim"},
+    "adapt": {"rho": "rho", "steps": "ilma_steps", "lr": "ilma_lr", "batch_size": "ilma_batch"},
+    "decode": {"beam": "beam"},
+    "eval": {},
+    "experiment": {"alpha": "alpha", "rho": "rho", "epochs": "epochs", "beam": "beam"},
+}
+
+
 class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert main(["train"]) == 1  # missing required args
         assert main(["no-such-command"]) == 1
+        assert main(["train", "--config"]) == 1
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         rc = main(
@@ -320,6 +341,71 @@ class TestCli:
         assert "n_train 10" in resolved
         manifest = (out / "source.train").read_text()
         assert manifest.count("\nutt ") == 10
+
+    def test_each_flag_defaults_to_its_experiment_field(self):
+        _, registry = build_parser()
+        defaults = ExperimentConfig()
+        drift = [
+            (command, dest, registry[command].get_default(dest), getattr(defaults, field))
+            for command, fields in FLAG_FIELDS.items()
+            for dest, field in {"seed": "seed", **fields}.items()
+            if registry[command].get_default(dest) != getattr(defaults, field)
+        ]
+        assert drift == []
+        table = {command: {flag[2:].replace("-", "_"): field for flag, field in flags.items()}
+                 for command, flags in CONFIG_FLAGS.items()}
+        assert table == FLAG_FIELDS
+
+    def test_readme_flow_with_default_hyperparameters(self, tmp_path):
+        data, vocab = str(tmp_path / "data"), str(tmp_path / "data" / "vocab.txt")
+        steps = [
+            ["gen-data", "--out-dir", data, "--n-train", "64", "--n-dev", "8", "--n-test", "8",
+             "--n-adapt-text", "200", "--seed", "0"],
+            ["train", "--data", f"{data}/source.train", "--vocab", vocab, "--model", "mhat", "--alpha", "0.1",
+             "--d-f", "16", "--joint-dim", "8", "--label-dim", "16", "--blank-dim", "4",
+             "--out-dir", str(tmp_path / "mhat")],
+            ["train-lm", "--text", f"{data}/target.train.txt", "--vocab", vocab, "--embed-dim", "16",
+             "--out-dir", str(tmp_path / "lm")],
+            # every optimisation setting of ILMA at its default
+            ["adapt", "--ckpt", str(tmp_path / "mhat" / "mhat.ckpt"), "--text", f"{data}/target.train.txt",
+             "--vocab", vocab, "--rho", "0.5", "--out-dir", str(tmp_path / "adapt")],
+            ["decode", "--ckpt", str(tmp_path / "adapt" / "mhat_ilma.ckpt"), "--data", f"{data}/target.test",
+             "--vocab", vocab, "--fusion", "shallow", "--lm", str(tmp_path / "lm" / "extlm.ckpt"),
+             "--lam-ext", "0.3", "--out-dir", str(tmp_path / "dec")],
+            ["eval", "--ref", f"{data}/target.test", "--vocab", vocab, "--hyp", str(tmp_path / "dec" / "decodes.tsv"),
+             "--out-dir", str(tmp_path / "dec")],
+        ]
+        for argv in steps:
+            assert (argv[0], main(argv)) == (argv[0], 0)
+        assert (tmp_path / "dec" / "eval.kv").exists()
+
+    @pytest.mark.parametrize("line", ["epochs=abc", "model=mhta"])
+    def test_config_values_are_checked_like_flags(self, tmp_path, capsys, line):
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--out-dir", str(data_dir), "--n-train", "4", "--n-dev", "2",
+                     "--n-test", "2", "--n-adapt-text", "4"]) == 0
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        rc = main(["train", "--data", str(data_dir / "source.train"), "--vocab", str(data_dir / "vocab.txt"),
+                   "--epochs", "1", "--config", str(cfg), "--out-dir", str(out)])
+        assert rc == 1
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_command_line_flags_win_over_config(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n_train=10\nn_dev=3\nn_test=3\nn_adapt_text=12\nbeam=3\nno_such_key=1\n")
+        out = tmp_path / "out"
+        assert main(["gen-data", "--n-train", "5", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        resolved = (out / "resolved-config.txt").read_text().splitlines()
+        assert "n_train 5" in resolved and "n_dev 3" in resolved
+        assert not any(line.startswith(("beam ", "no_such_key ")) for line in resolved)
+
+    def test_jobs_is_not_an_option(self, tmp_path):
+        assert main(["decode", "--ckpt", "x", "--data", "y", "--vocab", "z", "--jobs", "2",
+                     "--out-dir", str(tmp_path)]) == 1
+        assert main(["experiment", "--jobs", "2", "--out-dir", str(tmp_path)]) == 1
 
     def test_read_kv_config_rejects_garbage(self, tmp_path):
         p = tmp_path / "bad.txt"

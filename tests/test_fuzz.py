@@ -1,7 +1,8 @@
 """Property-based fuzzing of the file and record parsers.
 
 Each parser must either accept its input or raise its documented error;
-an IndexError, KeyError or UnicodeDecodeError escaping one is a bug.
+an IndexError, KeyError or UnicodeDecodeError escaping one is a bug.  The
+command line's `--config` step must either parse or exit 1.
 """
 
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import small_mhat
 from mhat.data import CheckpointError, load_checkpoint, read_corpus, save_checkpoint
 from mhat.decode import parse_record
-from mhat.evalcli import read_kv_config
+from mhat.evalcli import parse_args, read_kv_config
 from mhat.model import ConfigError, VocabError, Vocabulary
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -176,3 +177,36 @@ def test_parse_record_raises_only_value_error(line):
         assert not isinstance(e, UnicodeDecodeError)
         return
     assert isinstance(uid, str) and all(isinstance(i, int) and i >= 0 for i in ids)
+
+
+# -- the --config override step -----------------------------------------------
+
+COMMANDS = {
+    "train": ["train", "--data", "d", "--vocab", "v"],
+    "decode": ["decode", "--ckpt", "c", "--data", "d", "--vocab", "v"],
+}
+VALUE = st.one_of(
+    st.sampled_from(["", "3", "-1", "0.5", "1e-3", "nan", "mhat", "hat", "shallow", "adam", "-h", "--lr"]),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+@FUZZ
+@given(
+    command=st.sampled_from(sorted(COMMANDS)),
+    values=st.dictionaries(st.sampled_from(["epochs", "lr", "beam", "model", "fusion", "optimizer", "seed"]), VALUE,
+                           max_size=4),
+)
+def test_config_override_parses_or_exits_1(command, values):
+    with tempfile.TemporaryDirectory() as d:
+        path = write(d, "cfg", "".join(f"{key}={value}\n" for key, value in values.items()))
+        try:
+            args = parse_args([*COMMANDS[command], "--config", path])
+        except SystemExit as e:
+            assert e.code == 1
+            return
+    assert args.command == command and args.config == path
+    for key, kind in (("epochs", int), ("lr", float), ("beam", int), ("seed", int)):
+        assert isinstance(getattr(args, key, kind()), kind)
+    assert getattr(args, "model", "hat") in ("mhat", "hat")
+    assert getattr(args, "fusion", "none") in ("none", "shallow", "ilme_subtract")
