@@ -80,56 +80,83 @@ def beam_search(
     model: MhatModel | HatModel,
     X: np.ndarray,
     beam_width: int = 8,
-    fusion: FusionConfig = NO_FUSION,
+    fusion: FusionConfig | Sequence[FusionConfig] = NO_FUSION,
     max_labels_per_frame: int = MAX_LABELS_PER_FRAME,
     *,
     scorer: MhatScorer | HatScorer | None = None,
     lm_scorer: LmScorer | None = None,
-) -> list[DecodeResult]:
+) -> list[DecodeResult] | list[list[DecodeResult]]:
     """Ranked hypotheses with separately tracked score components.
 
-    `scorer` (from `model.scorer(X)`) and `lm_scorer` (from
-    `fusion.lm.scorer()`) may be passed in to reuse their context tables
-    across calls: one utterance under several fusion weights, or one LM
-    over many utterances.  Each round scores all label extensions of the
-    active hypotheses as one (n_active, |V|) block, with the same float
-    operations, in the same order, as one candidate at a time.
+    `fusion` is one config, for one ranked list, or a sequence of configs
+    that share one external LM (or use none), for one ranked list per
+    config, in order.  The configs are searched in lockstep: a hypothesis
+    carries its config's index (its group), each round scores the label
+    extensions of every group's active hypotheses as one (n_active, |V|)
+    block, and each group keeps its own beam_width best, exactly as if it
+    were searched alone.
+
+    `scorer` (from `model.scorer(X)`) and `lm_scorer` (from the LM's
+    `scorer()`) may be passed in to reuse their context tables across
+    calls, e.g. one LM over many utterances.  The block scores use the same
+    float operations, in the same order, as one candidate at a time.
 
     Raises StructureError on T=0, like the lattice: no alignment exists.
     """
+    fusions = [fusion] if isinstance(fusion, FusionConfig) else list(fusion)
+    if not fusions:
+        raise ConfigError("beam search needs at least one fusion config")
     if beam_width < 1:
         raise ConfigError("beam width must be >= 1")
     if max_labels_per_frame < 0:
         raise ConfigError("max_labels_per_frame must be >= 0")
-    _check_lm_vocab(model, fusion)
+    lms = {id(f.lm): f.lm for f in fusions if f.lm is not None}
+    if len(lms) > 1:
+        raise ConfigError("the fusion configs of one search must share one external LM")
+    lm = next(iter(lms.values()), None)
+    for f in fusions:
+        _check_lm_vocab(model, f)
     check_structure(X, ())
     if scorer is None:
         scorer = model.scorer(X)
     elif scorer.model is not model or not np.array_equal(scorer.features, X):
         raise ConfigError("scorer was built for another model or utterance")
-    if fusion.lm is None:
+    if lm is None:
         lm_scorer = None
     elif lm_scorer is None:
-        lm_scorer = fusion.lm.scorer()
-    elif lm_scorer.lm is not fusion.lm:
+        lm_scorer = lm.scorer()
+    elif lm_scorer.lm is not lm:
         raise ConfigError("LM scorer was built for another LM")
     v = model.vocab.size
     w = v + 1  # context id = prev2 * w + prev1
-    lam_ext, lam_ilm = fusion.lam_ext, fusion.effective_lam_ilm
+    n_groups = len(fusions)
+    uses_lm = [f.lm is not None for f in fusions]
+    no_lm = None if all(uses_lm) else ~np.array(uses_lm)[:, None]  # groups whose ext rows stay zero
     no_ext = np.zeros(v)
 
-    # a hypothesis is [tokens, context id, model_lp, ext_lp, ilm_lp]
-    pool = [[(), v * w + v, 0.0, 0.0, 0.0]]
+    lam_ext = [f.lam_ext for f in fusions]
+    lam_ilm = [f.effective_lam_ilm for f in fusions]
+    row_ext, row_ilm = np.array(lam_ext)[:, None], np.array(lam_ilm)[:, None]
+
+    # a hypothesis is [(group, tokens), context id, model_lp, ext_lp, ilm_lp]
+    pool = [[(g, ()), v * w + v, 0.0, 0.0, 0.0] for g in range(n_groups)]
     for t in range(scorer.t_len):
-        # hypotheses that consumed frame t, one per prefix
+        # hypotheses that consumed frame t, one per (group, prefix)
         adv: list[list] = []
-        where: dict[tuple[int, ...], list] = {}
+        where: dict[tuple[int, tuple[int, ...]], list] = {}
         act = pool
         for round_no in range(max_labels_per_frame + 1):
             if not act:
                 break
             ids = np.array([h[1] for h in act])
             act_m, act_e, act_i = np.array([h[2:] for h in act]).T
+            # one group takes scalar weights and a plain k-th cut (below): no
+            # group arrays, so that a one-config search runs as fast as before
+            if n_groups == 1:
+                le, li = lam_ext[0], lam_ilm[0]
+            else:
+                act_g = np.array([h[0][0] for h in act])
+                le, li = row_ext[act_g], row_ilm[act_g]
             rows = scorer.rows(ids)
             frame = scorer.frame_rows[rows, t]  # log b, log(1 - b), ...
             ilm = scorer.ilm_rows[rows]
@@ -143,54 +170,72 @@ def beam_search(
                     # same prefix, different alignments: model mass adds, LM terms coincide
                     hit[2] = float(np.logaddexp(hit[2], m))
             n_adv = len(adv)
-            combined = [h[2] + lam_ext * h[3] - lam_ilm * h[4] for h in adv]
+            combined = [h[2] + lam_ext[h[0][0]] * h[3] - lam_ilm[h[0][0]] * h[4] for h in adv]
             if round_no < max_labels_per_frame:
                 model_lp = (act_m + frame[:, 1])[:, None] + scorer.label_rows(t, frame, ilm)
                 ext_rows = no_ext
                 if lm_scorer is not None:
                     lm_rows = lm_scorer.rows(ids)  # may grow the table
                     ext_rows = lm_scorer.log_prob_rows[lm_rows, :v]
+                    if no_lm is not None:
+                        ext_rows = np.where(no_lm[act_g], 0.0, ext_rows)
                 ext_lp = act_e[:, None] + ext_rows
                 ilm_lp = act_i[:, None] + ilm
-                fresh = model_lp + lam_ext * ext_lp - lam_ilm * ilm_lp
+                fresh = model_lp + le * ext_lp - li * ilm_lp
                 combined = np.concatenate((combined, fresh.reshape(-1)))
 
-            # keep the beam_width best by (-combined, length, tokens), advanced
-            # before fresh on a full tie; the shortlist holds every candidate
-            # tied with the k-th best score
+            # per group, keep the beam_width best by (-combined, length,
+            # tokens), advanced before fresh on a full tie (advanced come
+            # first in q); the shortlist holds every candidate tied with its
+            # group's k-th best score
             neg = -np.asarray(combined)
-            short = range(neg.size)
-            if neg.size > beam_width:
-                short = (neg <= np.partition(neg, beam_width - 1)[beam_width - 1]).nonzero()[0].tolist()
+            if n_groups == 1:
+                cut = np.partition(neg, beam_width - 1)[beam_width - 1] if neg.size > beam_width else np.inf
+            else:
+                group = [h[0][0] for h in adv]
+                if neg.size > n_adv:
+                    group = np.concatenate((group, np.repeat(act_g, v)))
+                group = np.asarray(group, dtype=np.intp)
+                sizes = np.bincount(group, minlength=n_groups)
+                ends = sizes.cumsum()
+                cut = neg[np.lexsort((neg, group))[np.minimum(ends - sizes + beam_width, ends) - 1]][group]
+            short = (neg <= cut).nonzero()[0].tolist()
             ranked = []
             for q, c in zip(short, neg[short].tolist()):
                 if q < n_adv:
-                    tok = adv[q][0]
+                    g, tok = adv[q][0]
                 else:
                     j, k = divmod(q - n_adv, v)
-                    tok = act[j][0] + (k,)
-                ranked.append((c, len(tok), tok, q >= n_adv, q))
+                    g, tok = act[j][0]
+                    tok = tok + (k,)
+                ranked.append((g, c, len(tok), tok, q))
             ranked.sort()
 
-            parents, act = act, []
-            adv = [adv[r[4]] for r in ranked[:beam_width] if not r[3]]
-            for _, _, tok, is_fresh, q in ranked[:beam_width]:
-                if is_fresh:
+            parents, survivors, act, adv = act, adv, [], []
+            kept = [0] * n_groups
+            for g, _, _, tok, q in ranked:
+                if kept[g] == beam_width:
+                    continue
+                kept[g] += 1
+                if q >= n_adv:
                     j, k = divmod(q - n_adv, v)
-                    act.append([tok, parents[j][1] % w * w + k, model_lp[j, k], ext_lp[j, k], ilm_lp[j, k]])
+                    act.append([(g, tok), parents[j][1] % w * w + k, model_lp[j, k], ext_lp[j, k], ilm_lp[j, k]])
+                else:
+                    adv.append(survivors[q])
             where = {h[0]: h for h in adv}
         pool = adv
 
     if lm_scorer is not None:
-        lm_rows = lm_scorer.rows(np.array([h[1] for h in pool], dtype=np.int64))
-        for h, x in zip(pool, lm_scorer.log_prob_rows[lm_rows, fusion.lm.eos_id].tolist()):
+        scored = [h for h in pool if uses_lm[h[0][0]]]
+        lm_rows = lm_scorer.rows(np.array([h[1] for h in scored], dtype=np.int64))
+        for h, x in zip(scored, lm_scorer.log_prob_rows[lm_rows, lm.eos_id].tolist()):
             h[3] = h[3] + x
-    results = []
-    for tok, _, m, e, i in pool:
-        c = m + lam_ext * e - lam_ilm * i
-        results.append((-c, len(tok), tok, DecodeResult(tok, float(m), float(e), float(i), float(c))))
-    results.sort(key=lambda r: r[:3])
-    return [r[3] for r in results]
+    results: list[list] = [[] for _ in fusions]
+    for (g, tok), _, m, e, i in pool:
+        c = m + lam_ext[g] * e - lam_ilm[g] * i
+        results[g].append((-c, len(tok), tok, DecodeResult(tok, float(m), float(e), float(i), float(c))))
+    ranked_lists = [[r[3] for r in sorted(res, key=lambda r: r[:3])] for res in results]
+    return ranked_lists[0] if isinstance(fusion, FusionConfig) else ranked_lists
 
 
 def greedy_decode(model: MhatModel | HatModel, X: np.ndarray) -> tuple[int, ...]:

@@ -86,8 +86,9 @@ class EvalReport:
     n_utts: int = 0
     ref_tokens: int = 0
 
-    def add(self, ref: Sequence[int], hyp: Sequence[int]) -> None:
-        s, i, d = wer_counts(ref, hyp)
+    def add(self, ref: Sequence[int], hyp: Sequence[int], counts: tuple[int, int, int] | None = None) -> None:
+        """Count one utterance; `counts` is its `wer_counts(ref, hyp)`, if already known."""
+        s, i, d = wer_counts(ref, hyp) if counts is None else counts
         self.subs += s
         self.ins += i
         self.dels += d
@@ -124,25 +125,19 @@ def evaluate_pairs(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> Eval
 def _decode_fusions(model, corpus: dat.Corpus, beam: int, fusions):
     """(uid, best result under each fusion config) per utterance, in corpus order.
 
-    One LM scorer per distinct LM serves every utterance, and one model
-    scorer per utterance serves every fusion config.
+    Each utterance is one lockstep search over every config; one LM scorer
+    serves every utterance.  The configs must share one external LM or use none.
     """
     if any(it.features is None for it in corpus.items):
         raise ConfigError("decoding requires a paired corpus with features")
-    lms = {id(f.lm): f.lm for f in fusions if f.lm is not None}
-    lm_scorers = {key: lm.scorer() for key, lm in lms.items()}
-    decoded = []
-    for it in corpus.items:
-        scorer = model.scorer(it.features)
-        decoded.append((it.uid, [
-            beam_search(model, it.features, beam, f, scorer=scorer, lm_scorer=lm_scorers.get(id(f.lm)))[0]
-            for f in fusions
-        ]))
-    return decoded
+    lm = next((f.lm for f in fusions if f.lm is not None), None)
+    lm_scorer = lm.scorer() if lm is not None else None
+    return [(it.uid, [ranked[0] for ranked in beam_search(model, it.features, beam, fusions, lm_scorer=lm_scorer)])
+            for it in corpus.items]
 
 
 def decode_corpus(
-    model, corpus: dat.Corpus, beam: int = 8, fusion: FusionConfig = NO_FUSION
+    model, corpus: dat.Corpus, beam: int = 4, fusion: FusionConfig = NO_FUSION
 ) -> list[tuple[str, DecodeResult]]:
     """(uid, best result) of every utterance, in corpus order."""
     return [(uid, best[0]) for uid, best in _decode_fusions(model, corpus, beam, [fusion])]
@@ -365,15 +360,22 @@ def lambda_grid_wers(
 
     lam_ilm varies only in `ilme_subtract` mode, and pairs with lam_ext = 0
     and lam_ilm > 0 are skipped; (0, 0) decodes without fusion.  Each
-    utterance is decoded under every pair from one set of scorer tables.
+    utterance is decoded under every pair in one lockstep search, and each
+    distinct (utterance, hypothesis) is aligned to its reference once.
     """
     ilm_grid = cfg.lam_ilm_grid if mode == "ilme_subtract" else (0.0,)
     pairs = [(le, li) for le in cfg.lam_ext_grid for li in ilm_grid if not (le == 0.0 and li > 0.0)]
     decoded = _decode_fusions(model, dev, cfg.beam, [_fusion(mode, le, li, lm) for le, li in pairs])
-    return {
-        pair: evaluate_decodes(dev, {uid: best[k].tokens for uid, best in decoded})
-        for k, pair in enumerate(pairs)
-    }
+    memo: dict[tuple[str, tuple[int, ...]], tuple[int, int, int]] = {}
+    reports = {}
+    for k, pair in enumerate(pairs):
+        reports[pair] = report = EvalReport()
+        for it, (uid, best) in zip(dev.items, decoded):
+            hyp = best[k].tokens
+            if (uid, hyp) not in memo:
+                memo[uid, hyp] = wer_counts(it.tokens, hyp)
+            report.add(it.tokens, hyp, memo[uid, hyp])
+    return reports
 
 
 def grid_search_lambdas(

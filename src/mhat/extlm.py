@@ -127,7 +127,7 @@ class LmScorer(ContextRows):
 class LmTrainConfig:
     embed_dim: int = 64
     tied_tables: bool = False
-    epochs: int = 30
+    epochs: int = 20
     batch_size: int = 64
     lr: float = 5e-3
     optimizer: str = "adam"

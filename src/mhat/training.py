@@ -15,7 +15,7 @@ from .numerics import Tensor, check_finite
 
 @dataclass
 class TrainConfig:
-    epochs: int = 10
+    epochs: int = 8
     batch_size: int = 32
     lr: float = 3e-3
     optimizer: str = "adam"  # sgd | momentum | adam

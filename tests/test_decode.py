@@ -298,6 +298,11 @@ class TestDictOracle:
                     want = reference_beam.beam_search(model, X, beam, fusion)
                     got = beam_search(model, X, beam, fusion)
                     assert ranked(got) == ranked(want)
+        configs = mixed_configs(lm)  # and each group of a lockstep search
+        for beam in (1, 3, 8):
+            for X in utts[:3]:
+                got = beam_search(model, X, beam, configs)
+                assert [ranked(g) for g in got] == [ranked(reference_beam.beam_search(model, X, beam, f)) for f in configs]
         sc = model.scorer(utts[0])
         assert len(set(sc.label_log_posteriors(0, sc.context([])).tolist())) == 1
 
@@ -359,3 +364,86 @@ class TestResultValues:
                 cols = format_record("u", res, models["mhat"].vocab).split("\t")
                 assert [float(c) for c in cols[3:]] == [res.model_lp, res.ext_lp, res.ilm_lp]
 
+
+
+def mixed_configs(lm):
+    """Every fusion mode, with a duplicated config, in one lockstep search."""
+    fused = FusionConfig(mode="ilme_subtract", lam_ext=0.4, lam_ilm=0.2, lm=lm)
+    return [NO_FUSION, FusionConfig(mode="shallow", lam_ext=0.3, lm=lm), fused,
+            FusionConfig(mode="ilme_subtract", lam_ext=0.8, lam_ilm=0.4, lm=lm), fused]
+
+
+class _TieScorer:
+    """Stub tables over two frames under which an advanced and a fresh
+    hypothesis with the same tokens, (0,), tie exactly at frame 1."""
+
+    def __init__(self, model, X):
+        v = model.vocab.size
+        self.model, self.features, self.t_len = model, X, 2
+        self.frame_rows = np.zeros((1, 2, 2 + v))  # one row serves every context
+        self.frame_rows[0, :, 0] = (-0.5, -1.0)  # log b of frames 0 and 1
+        self.frame_rows[0, :, 1] = (-1.0, -2.0)  # log(1 - b)
+        self.frame_rows[0, :, 3:] = -10.0  # label 0 scores 0, every other label -10
+        self.ilm_rows = np.zeros((1, v))
+
+    def rows(self, ids):
+        return np.zeros(len(ids), dtype=np.int64)
+
+    def label_rows(self, t, frame, ilm):
+        return frame[:, 2:]
+
+
+class TestLockstep:
+    """Several fusion configs in one search: each group ranks as its own search."""
+
+    @pytest.mark.parametrize("kind", ["mhat", "hat"])
+    @pytest.mark.parametrize("cap", [10, 1, 0])
+    def test_each_group_matches_the_dict_oracle(self, real_setup, kind, cap):
+        models, lm, utts = real_setup
+        model = models[kind]
+        configs = mixed_configs(lm)
+        for beam in (1, 2, 4, 8):
+            for X in utts:
+                want = {f: reference_beam.beam_search(model, X, beam, f, max_labels_per_frame=cap)
+                        for f in set(configs)}
+                got = beam_search(model, X, beam, configs, max_labels_per_frame=cap)
+                assert [ranked(g) for g in got] == [ranked(want[f]) for f in configs]
+
+    def test_advanced_before_fresh_on_a_full_tie(self, mhat_small):
+        # at frame 1, () + blank scores -1.5 and both (0,) candidates -2.5:
+        # the advanced one (label at frame 0) is kept, the fresh one dropped
+        X = np.zeros((2, 3))
+        for configs in (NO_FUSION, [NO_FUSION, NO_FUSION]):
+            got = beam_search(mhat_small, X, 2, configs, scorer=_TieScorer(mhat_small, X))
+            for res in [got] if configs is NO_FUSION else got:
+                assert [(r.tokens, r.model_lp) for r in res] == [((), -1.5), ((0,), -2.5)]
+
+    def test_one_config_and_a_list_of_one_agree(self, real_setup):
+        models, lm, utts = real_setup
+        for f in mixed_configs(lm)[:3]:
+            assert beam_search(models["mhat"], utts[0], 4, [f]) == [beam_search(models["mhat"], utts[0], 4, f)]
+            assert beam_search(models["mhat"], utts[0], 4, (f,)) == [beam_search(models["mhat"], utts[0], 4, f)]
+
+    def test_shared_lm_scorer(self, real_setup):
+        models, lm, utts = real_setup
+        lm_scorer = lm.scorer()
+        configs = mixed_configs(lm)
+        for X in utts[:3]:
+            assert beam_search(models["hat"], X, 4, configs, lm_scorer=lm_scorer) == beam_search(
+                models["hat"], X, 4, configs)
+
+    def test_rejected_inputs(self, real_setup, mhat_small):
+        models, lm, utts = real_setup
+        mhat = models["mhat"]
+        with pytest.raises(ConfigError, match="at least one"):
+            beam_search(mhat, utts[0], 4, [])
+        other = ExternalLm(lm.vocab, embed_dim=8)
+        with pytest.raises(ConfigError, match="one external LM"):
+            beam_search(mhat, utts[0], 4, [FusionConfig("shallow", 0.3, lm=lm), FusionConfig("shallow", 0.3, lm=other)])
+        with pytest.raises(ConfigError, match="LM scorer"):
+            beam_search(mhat, utts[0], 4, mixed_configs(lm), lm_scorer=other.scorer())
+        with pytest.raises(ConfigError, match="vocabulary"):
+            beam_search(mhat, utts[0], 4, [NO_FUSION, FusionConfig("shallow", 0.3, lm=ExternalLm(Vocabulary.default(6)))])
+        for model in (mhat, models["hat"]):
+            with pytest.raises(StructureError):
+                beam_search(model, np.zeros((0, utts[0].shape[1])), 4, mixed_configs(lm))

@@ -1,9 +1,11 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 from mhat import data as dat
+from mhat import evalcli
 from mhat.decode import NO_FUSION, FusionConfig, beam_search, format_record
 from mhat.evalcli import (
     CONFIG_FLAGS,
@@ -26,6 +28,7 @@ from mhat.evalcli import (
     wer_counts,
 )
 from mhat.extlm import ExternalLm, LmTrainConfig, train_lm
+from mhat.training import TrainConfig
 
 
 class TestWer:
@@ -63,6 +66,14 @@ class TestWer:
         # pooled: 1 edit over 10 ref tokens, not mean(100%, 0%)
         assert rep.wer == pytest.approx(10.0)
         assert rep.n_utts == 2 and rep.ref_tokens == 10
+
+
+def test_library_defaults_match_experiment_config():
+    # a library caller that leans on a default gets the experiment's value
+    cfg = ExperimentConfig()
+    assert TrainConfig().epochs == cfg.epochs
+    assert LmTrainConfig().epochs == cfg.lm_epochs
+    assert inspect.signature(decode_corpus).parameters["beam"].default == cfg.beam
 
 
 def tiny_config(seed=0):
@@ -164,6 +175,18 @@ class TestLambdaGrid:
         best = min((rep.wer, le, li) for (le, li), rep in ref.items())
         assert grid_search_lambdas(model, lm, dev, mode, cfg, log=lambda msg: None) == best[1:]
         assert len({rep.wer for rep in ref.values()}) > 1  # the weights matter on this model
+
+    def test_each_distinct_hypothesis_is_aligned_once(self, grid_setup, monkeypatch):
+        cfg, model, lm, dev = grid_setup
+        seen = []
+
+        def counted(ref, hyp):
+            seen.append((id(ref), tuple(hyp)))  # ref is the utterance's own transcript
+            return wer_counts(ref, hyp)
+
+        monkeypatch.setattr(evalcli, "wer_counts", counted)
+        wers = lambda_grid_wers(model, lm, dev, "ilme_subtract", cfg)
+        assert len(seen) == len(set(seen)) < len(wers) * len(dev.items)
 
     def test_ties_go_to_smaller_weights(self, grid_setup):
         cfg, _, lm, dev = grid_setup

@@ -1,0 +1,62 @@
+"""perfbench/tracer.py wraps `mhat` by name from outside; these tests keep
+its targets resolvable and its decode op count non-zero, without editing it."""
+
+import importlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves_in_mhat():
+    for name, mod_name, path, _ in load_tracer().TARGETS:
+        mod = importlib.import_module(f"mhat.{mod_name}")
+        if "." in path:
+            cls_name, meth = path.split(".")
+            # install() replaces the entry of the class's own __dict__
+            assert meth in vars(getattr(mod, cls_name)), name
+        else:
+            assert callable(getattr(mod, path, None)), name
+
+
+# run in a child process: install() rewraps `mhat` for the life of the process
+GRID_UNDER_TRACER = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import mhat
+from mhat import evalcli as ev
+from mhat.extlm import ExternalLm
+t = tracer.Tracer()
+t.install(mhat)
+cfg = ev.ExperimentConfig(n_train=0, n_dev=3, n_test=0, n_adapt_text=0, d_f=8, label_dim=8, blank_dim=4,
+                          joint_dim=6, lam_ext_grid=(0.0, 0.4), lam_ilm_grid=(0.0, 0.2))
+exp = ev.make_experiment_data(cfg)
+lm = ExternalLm(exp.vocab, embed_dim=8)
+ev.grid_search_lambdas(ev.build_mhat(cfg, exp.vocab), lm, exp.tgt_dev, "ilme_subtract", cfg, log=lambda m: None)
+stats, counts = t.take()
+print(json.dumps({"ops": counts.get("ops", 0), "calls": stats["decode.beam_search"][0],
+                  "frames": counts.get("decode.frames", 0), "utterances": len(exp.tgt_dev.items)}))
+"""
+
+
+def test_traced_grid_counts_decode_ops_and_frames():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (os.path.join(ROOT, "src"),
+                                                                  os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", GRID_UNDER_TRACER, TRACER], env=env, capture_output=True,
+                         text=True, check=True)
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen["calls"] == seen["utterances"]  # one lockstep search per utterance
+    assert seen["ops"] > 0 and seen["frames"] > 0
