@@ -557,7 +557,7 @@ class ContextRows:
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """Table rows of an array of context ids, filling contexts not yet reached."""
         r = self.slot[ids]
-        if r.size and r.min() < 0:
+        if r.size and min(r.tolist()) < 0:  # a Python min: ndarray.min costs more on a beam's few ids
             for c in ids[r < 0].tolist():
                 if self.slot[c] < 0:
                     self._reach(divmod(c, self.width))  # a (prev2, prev1) pair is its own context
