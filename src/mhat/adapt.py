@@ -18,19 +18,17 @@ from . import numerics as nm
 from .losses import context_table, ilm_loss, perplexity, table_nll
 from .model import ConfigError, MhatModel
 from .numerics import Tensor
-from .training import make_optimizer
+from .training import Sgd
 
 
 @dataclass
 class IlmaConfig:
-    # lr is calibrated against the sum-reduction loss (gradients scale
-    # with the token count of a batch)
+    # plain fixed-step SGD; lr is calibrated against the sum-reduction loss
+    # (gradients scale with the token count of a batch)
     rho: float = 0.5
     steps: int = 600
     lr: float = 1e-3
     batch_size: int = 32
-    optimizer: str = "sgd"  # plain fixed-step by default; momentum/adam behind config
-    momentum: float = 0.9
     seed: int = 0
 
     def __post_init__(self):
@@ -134,7 +132,7 @@ def run_ilma(
 
     teacher = ilm_snapshot(model)
     ilm_tensors = [(n, model.params[n]) for n in model.params.group_names("ilm")]
-    opt = make_optimizer(ilm_tensors, cfg)
+    opt = Sgd(ilm_tensors, cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     for step in range(cfg.steps):
         picks = rng.choice(len(transcripts), size=min(cfg.batch_size, len(transcripts)), replace=False)

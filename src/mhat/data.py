@@ -31,15 +31,14 @@ class DomainSpec:
     """Generator for one domain: bigram chain plus acoustic prototypes.
 
     `bigram` is (|V|+1) x (|V|+1): rows are contexts (tokens, then the
-    start row), columns are next events (tokens, then EOS).
+    start row), columns are next events (tokens, then EOS).  Each token
+    lasts 1 to 3 frames.
     """
 
     vocab: Vocabulary
     bigram: np.ndarray
     prototypes: np.ndarray
     noise_sigma: float
-    frames_min: int = 1
-    frames_max: int = 3
 
     def __post_init__(self):
         v = self.vocab.size
@@ -50,8 +49,6 @@ class DomainSpec:
             raise ConfigError("bigram rows must be non-negative and sum to 1 within 1e-9")
         if self.prototypes.shape[0] != v:
             raise ConfigError("one prototype row per token required")
-        if self.frames_min < 1 or self.frames_max < self.frames_min:
-            raise ConfigError("frames-per-token range must satisfy 1 <= min <= max")
         if self.noise_sigma < 0:
             raise ConfigError("noise sigma must be >= 0")
         for i in range(v):
@@ -104,7 +101,7 @@ def _sample_tokens(spec: DomainSpec, rng: np.random.Generator) -> tuple[int, ...
 def _emit_features(spec: DomainSpec, tokens: Sequence[int], rng: np.random.Generator) -> np.ndarray:
     frames = []
     for tok in tokens:
-        k = int(rng.integers(spec.frames_min, spec.frames_max + 1))
+        k = int(rng.integers(1, 4))  # 1 to 3 frames
         noise = rng.standard_normal((k, spec.d_x))
         frames.append(spec.prototypes[tok] + spec.noise_sigma * noise)
     return np.vstack(frames)
@@ -173,26 +170,19 @@ def corpus_log_loss(spec: DomainSpec, corpus: Corpus) -> float:
 
 
 def confusable_pair_domains(
-    vocab: Vocabulary,
-    d_x: int,
-    seed: int,
-    noise_sigma: float = 0.3,
-    pair_separation: float = 0.65,
-    center_scale: float = 1.0,
-    source_member_bias: float = 0.5,
-    target_member_bias: float = 0.92,
-    eos_prob: float = 0.12,
-    concentration: float = 0.1,
+    vocab: Vocabulary, d_x: int, seed: int, noise_sigma: float = 0.3
 ) -> tuple[DomainSpec, DomainSpec]:
     """Source/target DomainSpecs sharing prototypes and noise.
 
-    Tokens come in confusable pairs (close prototypes); cluster-level
-    transition structure is shared, and only the within-pair member
-    preference differs between the domains, so the shift lives entirely
-    in the label prior.  The source default is a balanced 0.5 (no prior
-    signal within a pair), the target a biased 0.9: adapting the prior
-    toward the target then helps target decisions first-order while
-    costing the balanced source only second-order.
+    The lab's one fixed recipe.  Tokens come in confusable pairs whose
+    prototypes lie 0.65 apart; cluster-level transition structure is shared
+    (Dirichlet(0.1) rows, EOS 0.12 after every token), and only the
+    within-pair member preference differs between the domains, so the
+    shift lives entirely in the label prior.  The source takes the second
+    member of a pair with a balanced 0.5 (no prior signal within a pair),
+    the target with a biased 0.92: adapting the prior toward the target
+    then helps target decisions first-order while costing the balanced
+    source only second-order.
     """
     v = vocab.size
     if v % 2 != 0:
@@ -200,22 +190,22 @@ def confusable_pair_domains(
     n_pairs = v // 2
     rng = np.random.default_rng(seed)
 
-    centers = center_scale * rng.standard_normal((n_pairs, d_x))
+    centers = rng.standard_normal((n_pairs, d_x))
     offsets = rng.standard_normal((n_pairs, d_x))
     offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
     prototypes = np.empty((v, d_x))
-    prototypes[0::2] = centers - 0.5 * pair_separation * offsets
-    prototypes[1::2] = centers + 0.5 * pair_separation * offsets
+    prototypes[0::2] = centers - 0.5 * 0.65 * offsets
+    prototypes[1::2] = centers + 0.5 * 0.65 * offsets
 
     # shared cluster-level chain: rows = clusters + start, cols = clusters + EOS
     cluster = np.zeros((n_pairs + 1, n_pairs + 1))
     for row in range(n_pairs + 1):
-        w = rng.dirichlet(np.full(n_pairs, concentration))
+        w = rng.dirichlet(np.full(n_pairs, 0.1))
         if row == n_pairs:  # start row: never empty sentences
             cluster[row, :n_pairs] = w
         else:
-            cluster[row, :n_pairs] = (1.0 - eos_prob) * w
-            cluster[row, n_pairs] = eos_prob
+            cluster[row, :n_pairs] = (1.0 - 0.12) * w
+            cluster[row, n_pairs] = 0.12
 
     def expand(bias_second: float) -> np.ndarray:
         table = np.zeros((v + 1, v + 1))
@@ -228,8 +218,8 @@ def confusable_pair_domains(
         table /= table.sum(axis=1, keepdims=True)
         return table
 
-    source = DomainSpec(vocab, expand(source_member_bias), prototypes, noise_sigma)
-    target = DomainSpec(vocab, expand(target_member_bias), prototypes, noise_sigma)
+    source = DomainSpec(vocab, expand(0.5), prototypes, noise_sigma)
+    target = DomainSpec(vocab, expand(0.92), prototypes, noise_sigma)
     return source, target
 
 
@@ -293,8 +283,10 @@ def write_corpus(corpus: Corpus, path: str) -> None:
 def read_corpus(path: str, vocab: Vocabulary) -> Corpus:
     """Read a paired corpus written by `write_corpus`.
 
-    A malformed manifest or feature file raises ConfigError; an unknown
-    token raises VocabError naming its line.
+    A malformed manifest or feature file raises ConfigError, as does a
+    `count` line that differs from the number of `utt` lines or a feature
+    file with bytes after the last record; an unknown token raises
+    VocabError naming its line.
     """
     try:
         with open(path, encoding="utf-8") as mf:
@@ -317,6 +309,10 @@ def read_corpus(path: str, vocab: Vocabulary) -> Corpus:
         seed = int(header.get("seed", "0"))
     except ValueError:
         raise ConfigError(f"{path}: bad seed {header['seed']!r}") from None
+    if "count" not in header:
+        raise ConfigError(f"{path}: no 'count' line")
+    if header["count"] != str(len(utt_lines)):
+        raise ConfigError(f"{path}: count {header['count']!r} but {len(utt_lines)} 'utt' lines")
     items = []
     with open(path + ".feats", "rb") as bf:
         remaining = os.fstat(bf.fileno()).st_size
@@ -340,6 +336,8 @@ def read_corpus(path: str, vocab: Vocabulary) -> Corpus:
                 raise ConfigError(f"{path}: feature file truncated at {uid}")
             feats = np.frombuffer(bf.read(size), dtype="<f4").astype(np.float64).reshape(t_len, int(shape[1]))
             items.append(Utterance(uid=uid, features=feats, tokens=tokens))
+    if remaining:
+        raise ConfigError(f"{path}: feature file has {remaining} bytes after the last record")
     return Corpus(
         split=header.get("split", "train"),
         seed=seed,
@@ -433,6 +431,7 @@ def load_checkpoint(path: str, expect: str | None = None):
             raise CheckpointError(f"{path}: kind mismatch: checkpoint is {kind!r}, expected {expect!r}")
     try:
         blob = np.fromfile(path + ".bin", dtype="<f4")
+        n_bytes = os.path.getsize(path + ".bin")
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint blob {path}.bin: {e}") from None
     try:
@@ -457,6 +456,8 @@ def load_checkpoint(path: str, expect: str | None = None):
         offset += size
     if offset != blob.size:
         raise CheckpointError(f"{path}: blob has {blob.size - offset} trailing values")
+    if n_bytes != 4 * blob.size:  # fromfile drops a ragged tail
+        raise CheckpointError(f"{path}: blob of {n_bytes} bytes is not a whole number of float32 values")
     if len(tensors) != len(m.params.entries):
         missing = sorted(set(m.params.entries) - {n for n, _, _ in tensors})
         raise CheckpointError(f"{path}: missing tensor {missing[0]!r}")

@@ -24,7 +24,7 @@ import numpy as np
 from . import numerics as nm
 from .extlm import ExternalLm, LmScorer
 from .lattice import check_structure, forward_log_prob
-from .model import ConfigError, HatModel, HatScorer, MhatModel, MhatScorer
+from .model import ConfigError, HatModel, MhatModel
 
 FUSION_MODES = ("none", "shallow", "ilme_subtract")
 MAX_LABELS_PER_FRAME = 10  # guards against degenerate non-blank loops
@@ -83,7 +83,6 @@ def beam_search(
     fusion: FusionConfig | Sequence[FusionConfig] = NO_FUSION,
     max_labels_per_frame: int = MAX_LABELS_PER_FRAME,
     *,
-    scorer: MhatScorer | HatScorer | None = None,
     lm_scorer: LmScorer | None = None,
 ) -> list[DecodeResult] | list[list[DecodeResult]]:
     """Ranked hypotheses with separately tracked score components.
@@ -96,10 +95,10 @@ def beam_search(
     block, and each group keeps its own beam_width best, exactly as if it
     were searched alone.
 
-    `scorer` (from `model.scorer(X)`) and `lm_scorer` (from the LM's
-    `scorer()`) may be passed in to reuse their context tables across
-    calls, e.g. one LM over many utterances.  The block scores use the same
-    float operations, in the same order, as one candidate at a time.
+    `lm_scorer` (from the LM's `scorer()`) may be passed in to reuse its
+    context table across calls, e.g. one LM over many utterances.  The
+    block scores use the same float operations, in the same order, as one
+    candidate at a time.
 
     Raises StructureError on T=0, like the lattice: no alignment exists.
     """
@@ -117,10 +116,7 @@ def beam_search(
     for f in fusions:
         _check_lm_vocab(model, f)
     check_structure(X, ())
-    if scorer is None:
-        scorer = model.scorer(X)
-    elif scorer.model is not model or not np.array_equal(scorer.features, X):
-        raise ConfigError("scorer was built for another model or utterance")
+    scorer = model.scorer(X)
     if lm is None:
         lm_scorer = None
     elif lm_scorer is None:

@@ -8,6 +8,7 @@ stdout stays clean for piping.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import os
 import sys
@@ -167,12 +168,6 @@ class ExperimentConfig:
     n_dev: int = 200
     n_test: int = 200
     n_adapt_text: int = 5000
-    pair_separation: float = 0.65
-    center_scale: float = 1.0
-    source_member_bias: float = 0.5
-    target_member_bias: float = 0.92
-    eos_prob: float = 0.12
-    concentration: float = 0.1
     # model dims
     d_f: int = 64
     enc_context: int = 1
@@ -238,18 +233,7 @@ class ExperimentResult:
 
 def make_experiment_data(cfg: ExperimentConfig) -> ExperimentData:
     vocab = Vocabulary.default(cfg.vocab_size)
-    source, target = dat.confusable_pair_domains(
-        vocab,
-        cfg.d_x,
-        seed=cfg.seed,
-        noise_sigma=cfg.sigma,
-        pair_separation=cfg.pair_separation,
-        center_scale=cfg.center_scale,
-        source_member_bias=cfg.source_member_bias,
-        target_member_bias=cfg.target_member_bias,
-        eos_prob=cfg.eos_prob,
-        concentration=cfg.concentration,
-    )
+    source, target = dat.confusable_pair_domains(vocab, cfg.d_x, seed=cfg.seed, noise_sigma=cfg.sigma)
     s = cfg.seed
     return ExperimentData(
         vocab=vocab,
@@ -407,59 +391,52 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, log=_log) 
     Any stage failure aborts with the stage name; artifacts written by
     completed stages stay on disk.
     """
-    state: dict = {"durations": {}}
+    durations: dict[str, float] = {}
 
-    def stage(name, fn):
+    @contextlib.contextmanager
+    def stage(name: str):
         log(f"stage: {name}")
         start = time.monotonic()
         try:
-            fn()
+            yield
         except Exception as e:
             raise RuntimeError(f"experiment stage {name!r} failed: {e}") from e
-        state["durations"][name] = time.monotonic() - start
+        durations[name] = time.monotonic() - start
 
-    def ensure(sub: str) -> str:
+    def ensure(sub: str) -> str | None:
+        if not out_dir:
+            return None
         path = os.path.join(out_dir, sub)
         os.makedirs(path, exist_ok=True)
         return path
 
-    def st_data():
+    def ckpt(name: str) -> str | None:
+        return os.path.join(ensure("models"), f"{name}.ckpt") if out_dir else None
+
+    with stage("gen-data"):
         exp = make_experiment_data(cfg)
-        state["exp"] = exp
         if out_dir:
             write_experiment_data(exp, ensure("data"))
-
-    def st_asr(kind: str):
-        exp = state["exp"]
-        path = os.path.join(ensure("models"), f"{kind}.ckpt") if out_dir else None
-        state[kind], _ = train_asr_model(kind, cfg, exp.vocab, exp.src_train.paired(), path, log)
-
-    def st_lm():
-        path = os.path.join(ensure("models"), "extlm.ckpt") if out_dir else None
-        state["lm"], state["lm_ppl"] = train_lm_model(cfg, state["exp"].tgt_text, path, log)
-
-    def st_ilma():
-        exp = state["exp"]
-        adapted = copy.deepcopy(state["mhat"])
-        path = os.path.join(ensure("models"), "mhat_ilma.ckpt") if out_dir else None
-        report = adapt_ilma_model(adapted, cfg, exp.tgt_text, exp.src_dev.transcripts(), exp.tgt_dev.transcripts(),
-                                  path, ensure("reports") if out_dir else None, log)
-        state["mhat_ilma"], state["ilma_report"] = adapted, report
-
-    def st_grid():
-        state["lams"] = {
-            fused: grid_search_lambdas(state[key], state["lm"], state["exp"].tgt_dev, mode, cfg, log)
-            for key, _, fused, mode in MATRIX_ROWS
-        }
-
-    def st_matrix():
-        exp = state["exp"]
+    models = {}
+    for kind in ("hat", "mhat"):
+        with stage(f"train-{kind}"):
+            models[kind], _ = train_asr_model(kind, cfg, exp.vocab, exp.src_train.paired(), ckpt(kind), log)
+    with stage("train-lm"):
+        lm, lm_ppl = train_lm_model(cfg, exp.tgt_text, ckpt("extlm"), log)
+    with stage("ilma"):
+        models["mhat_ilma"] = copy.deepcopy(models["mhat"])
+        ilma_report = adapt_ilma_model(models["mhat_ilma"], cfg, exp.tgt_text, exp.src_dev.transcripts(),
+                                       exp.tgt_dev.transcripts(), ckpt("mhat_ilma"), ensure("reports"), log)
+    with stage("grid-search"):
+        lams = {fused: grid_search_lambdas(models[key], lm, exp.tgt_dev, mode, cfg, log)
+                for key, _, fused, mode in MATRIX_ROWS}
+    with stage("decode-matrix"):
         wer: dict[str, dict[str, float]] = {method: {} for method in METHODS}
         reports: dict[str, dict[str, EvalReport]] = {method: {} for method in METHODS}
         for key, plain, fused, mode in MATRIX_ROWS:
-            fusions = [NO_FUSION, _fusion(mode, *state["lams"][fused], state["lm"])]
+            fusions = [NO_FUSION, _fusion(mode, *lams[fused], lm)]
             for domain, corpus in (("source", exp.src_test), ("target", exp.tgt_test)):
-                decoded = _decode_fusions(state[key], corpus, cfg.beam, fusions)
+                decoded = _decode_fusions(models[key], corpus, cfg.beam, fusions)
                 for k, method in enumerate((plain, fused)):
                     if out_dir:
                         fname = method.replace("+", "_") + f"__{domain}.tsv"
@@ -470,37 +447,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, log=_log) 
                     wer[method][domain] = rep.wer
                     reports[method][domain] = rep
                     log(f"{method} [{domain}]: WER {rep.wer:.3f}")
-        state["wer"], state["reports"] = wer, reports
-
-    def st_report():
-        exp = state["exp"]
+    with stage("report"):
         result = ExperimentResult(
-            wer=state["wer"],
-            reports=state["reports"],
-            best_lambdas=state["lams"],
-            ilma_report=state["ilma_report"],
-            lm_train_ppl=state["lm_ppl"],
-            ilm_source_ppl=perplexity(state["mhat"], exp.src_dev.transcripts()),
-            ilm_target_ppl=perplexity(state["mhat"], exp.tgt_dev.transcripts()),
-            models={key: state[key] for key in ("hat", "mhat", "mhat_ilma", "lm")},
+            wer=wer,
+            reports=reports,
+            best_lambdas=lams,
+            ilma_report=ilma_report,
+            lm_train_ppl=lm_ppl,
+            ilm_source_ppl=perplexity(models["mhat"], exp.src_dev.transcripts()),
+            ilm_target_ppl=perplexity(models["mhat"], exp.tgt_dev.transcripts()),
+            models={**models, "lm": lm},
             data=exp,
-            durations=dict(state["durations"]),
+            durations=dict(durations),
         )
-        state["result"] = result
         if out_dir:
-            d = ensure("reports")
-            with open(os.path.join(d, "wer_matrix.tsv"), "w") as f:
+            with open(os.path.join(ensure("reports"), "wer_matrix.tsv"), "w") as f:
                 f.write("\n".join(result.matrix_lines()) + "\n")
-
-    stage("gen-data", st_data)
-    stage("train-hat", lambda: st_asr("hat"))
-    stage("train-mhat", lambda: st_asr("mhat"))
-    stage("train-lm", st_lm)
-    stage("ilma", st_ilma)
-    stage("grid-search", st_grid)
-    stage("decode-matrix", st_matrix)
-    stage("report", st_report)
-    return state["result"]
+    return result
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -717,14 +680,8 @@ def cmd_decode(args) -> None:
     vocab = dat.read_vocab(args.vocab)
     model = dat.load_checkpoint(args.ckpt, expect="asr")
     corpus = dat.read_corpus(args.data, vocab)
-    if args.fusion == "none":
-        fusion = NO_FUSION
-    else:
-        if not args.lm:
-            raise ConfigError(f"fusion mode {args.fusion!r} requires --lm")
-        lm = dat.load_checkpoint(args.lm, expect="lm")
-        fusion = FusionConfig(mode=args.fusion, lam_ext=args.lam_ext,
-                              lam_ilm=args.lam_ilm, lm=lm)
+    lm = dat.load_checkpoint(args.lm, expect="lm") if args.lm else None
+    fusion = FusionConfig(mode=args.fusion, lam_ext=args.lam_ext, lam_ilm=args.lam_ilm, lm=lm)
     decoded = decode_corpus(model, corpus, _config(args).beam, fusion)
     out = os.path.join(args.out_dir, "decodes.tsv")
     with open(out, "w") as f:

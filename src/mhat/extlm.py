@@ -24,7 +24,7 @@ from .model import (
     context_of,
 )
 from .numerics import ParameterSet, Tensor
-from .training import make_optimizer
+from .training import Adam
 
 
 class ExternalLm:
@@ -126,11 +126,9 @@ class LmScorer(ContextRows):
 @dataclass
 class LmTrainConfig:
     embed_dim: int = 64
-    tied_tables: bool = False
     epochs: int = 20
     batch_size: int = 64
     lr: float = 5e-3
-    optimizer: str = "adam"
     seed: int = 0
 
 
@@ -145,7 +143,7 @@ def lm_perplexity(lm: ExternalLm, transcripts: Sequence[Sequence[int]]) -> float
 
 
 def train_lm(corpus, cfg: LmTrainConfig = LmTrainConfig()) -> tuple[ExternalLm, float]:
-    """Train an external LM on a text corpus; returns (lm, final perplexity).
+    """Train an untied external LM with Adam; returns (lm, final perplexity).
 
     A NaN or infinite batch loss raises EvaluationError naming the epoch
     and batch.
@@ -153,9 +151,9 @@ def train_lm(corpus, cfg: LmTrainConfig = LmTrainConfig()) -> tuple[ExternalLm, 
     transcripts = [it.tokens for it in corpus.items if len(it.tokens) > 0]
     if not transcripts:
         raise ConfigError("LM training corpus is empty")
-    lm = ExternalLm(corpus.vocab, embed_dim=cfg.embed_dim, tied_tables=cfg.tied_tables, seed=cfg.seed)
+    lm = ExternalLm(corpus.vocab, embed_dim=cfg.embed_dim, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
-    opt = make_optimizer(list(lm.params.entries.items()), cfg)
+    opt = Adam(list(lm.params.entries.items()), cfg.lr)
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(transcripts))
         for start in range(0, len(transcripts), cfg.batch_size):

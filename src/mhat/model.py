@@ -599,10 +599,9 @@ class _UtteranceRows(ContextRows):
 
     TABLES = ("frame_rows", "ilm_rows")
 
-    def __init__(self, model, X: np.ndarray, F: np.ndarray, label_cols: int):
+    def __init__(self, model, F: np.ndarray, label_cols: int):
         j = model.joint
         self.model = model
-        self.features = X
         self._w1f = F @ j.w1.data.T + j.hidden_bias.data  # (T, d_h)
         self.t_len = F.shape[0]
         super().__init__(model.vocab.sos_id, [(self.t_len, 2 + label_cols), (model.vocab.size,)])
@@ -654,7 +653,7 @@ class MhatScorer(_UtteranceRows):
         with nm.no_grad():
             F = model.encode(X).data
             self.A = model.am_log_probs(F).data  # (T, |V|)
-        super().__init__(model, X, F, 1)
+        super().__init__(model, F, 1)
 
     def _fill(self, ctx: tuple[int, int]):
         m = self.model
@@ -680,7 +679,7 @@ class HatScorer(_UtteranceRows):
     def __init__(self, model: HatModel, X: np.ndarray):
         with nm.no_grad():
             F = model.encode(X).data
-        super().__init__(model, X, F, model.vocab.size)
+        super().__init__(model, F, model.vocab.size)
 
     def _fill(self, ctx: tuple[int, int]):
         m = self.model

@@ -20,7 +20,6 @@ class TrainConfig:
     lr: float = 3e-3
     optimizer: str = "adam"  # sgd | momentum | adam
     alpha: float = 0.0  # internal-LM loss weight (MHAT only)
-    momentum: float = 0.9
     seed: int = 0
 
 
@@ -34,69 +33,64 @@ class Optimizer:
     def step(self) -> None:
         raise NotImplementedError
 
-    def _grad(self, t: Tensor) -> np.ndarray | None:
-        return t.grad
-
 
 class Sgd(Optimizer):
     def step(self) -> None:
         for _, t in self.tensors:
-            g = self._grad(t)
-            if g is not None:
-                t.data = t.data - self.lr * g
+            if t.grad is not None:
+                t.data = t.data - self.lr * t.grad
 
 
 class Momentum(Optimizer):
-    def __init__(self, tensors, lr, momentum=0.9):
+    MOMENTUM = 0.9
+
+    def __init__(self, tensors, lr):
         super().__init__(tensors, lr)
-        self.momentum = momentum
         self.vel = {n: np.zeros_like(t.data) for n, t in self.tensors}
 
     def step(self) -> None:
         for n, t in self.tensors:
-            g = self._grad(t)
-            if g is None:
+            if t.grad is None:
                 continue
             v = self.vel[n]
-            v *= self.momentum
-            v += g
+            v *= self.MOMENTUM
+            v += t.grad
             t.data = t.data - self.lr * v
 
 
 class Adam(Optimizer):
-    def __init__(self, tensors, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, tensors, lr):
         super().__init__(tensors, lr)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {n: np.zeros_like(t.data) for n, t in self.tensors}
         self.v = {n: np.zeros_like(t.data) for n, t in self.tensors}
 
     def step(self) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - self.BETA1**self.t
+        b2c = 1.0 - self.BETA2**self.t
         for n, t in self.tensors:
-            g = self._grad(t)
+            g = t.grad
             if g is None:
                 continue
             m = self.m[n]
             v = self.v[n]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            t.data = t.data - self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            t.data = t.data - self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.EPS)
 
 
-def make_optimizer(tensors: Sequence[tuple[str, Tensor]], cfg) -> Optimizer:
-    kind = getattr(cfg, "optimizer", "sgd")
-    if kind == "sgd":
-        return Sgd(tensors, cfg.lr)
-    if kind == "momentum":
-        return Momentum(tensors, cfg.lr, getattr(cfg, "momentum", 0.9))
-    if kind == "adam":
-        return Adam(tensors, cfg.lr)
-    raise ConfigError(f"unknown optimizer: {kind!r}")
+OPTIMIZERS = {"sgd": Sgd, "momentum": Momentum, "adam": Adam}
+
+
+def make_optimizer(tensors: Sequence[tuple[str, Tensor]], cfg: TrainConfig) -> Optimizer:
+    if cfg.optimizer not in OPTIMIZERS:
+        raise ConfigError(f"unknown optimizer: {cfg.optimizer!r}")
+    return OPTIMIZERS[cfg.optimizer](tensors, cfg.lr)
 
 
 def train_asr(

@@ -83,6 +83,21 @@ class TestDomainSpec:
                 t = tgt.bigram[row, 2 * pair] + tgt.bigram[row, 2 * pair + 1]
                 assert s == pytest.approx(t, abs=1e-12)
 
+    def test_the_fixed_recipe(self):
+        vocab = Vocabulary.default(16)
+        src, tgt = confusable_pair_domains(vocab, d_x=8, seed=0)
+        for spec, bias in ((src, 0.5), (tgt, 0.92)):
+            first, second = spec.bigram[:, 0:16:2], spec.bigram[:, 1:16:2]
+            np.testing.assert_allclose(second, bias * (first + second), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(spec.bigram[:16, 16], 0.12, rtol=0, atol=1e-12)
+        gaps = np.linalg.norm(src.prototypes[1::2] - src.prototypes[0::2], axis=1)
+        np.testing.assert_allclose(gaps, 0.65, rtol=0, atol=1e-12)
+        corpus = gen_corpus(src, seed=1, n_utts=300)
+        for it in corpus.items:
+            assert len(it.tokens) <= len(it.features) <= 3 * len(it.tokens)
+        # each token lasts 1, 2 or 3 frames, and each length occurs
+        assert {len(it.features) for it in corpus.items if len(it.tokens) == 1} == {1, 2, 3}
+
     def test_odd_vocab_rejected(self):
         with pytest.raises(ConfigError):
             confusable_pair_domains(Vocabulary.default(5), d_x=4, seed=0)
@@ -150,6 +165,33 @@ class TestPairedCorpusIO:
             read_corpus(str(tmp_path / "c"), Vocabulary.default(3))
 
 
+    def three_utterances(self, tmp_path):
+        spec = point_mass_spec()
+        path = tmp_path / "c"
+        write_corpus(gen_corpus(spec, seed=6, n_utts=3), str(path))
+        assert len(read_corpus(str(path), spec.vocab).items) == 3
+        return path, spec.vocab
+
+    def test_missing_count_rejected(self, tmp_path):
+        path, vocab = self.three_utterances(tmp_path)
+        path.write_text("".join(l for l in path.read_text().splitlines(True) if not l.startswith("count ")))
+        with pytest.raises(ConfigError, match="count"):
+            read_corpus(str(path), vocab)
+
+    def test_cut_utterance_line_rejected(self, tmp_path):
+        path, vocab = self.three_utterances(tmp_path)
+        path.write_text("".join(path.read_text().splitlines(True)[:-1]))
+        with pytest.raises(ConfigError, match="count '3' but 2"):
+            read_corpus(str(path), vocab)
+
+    def test_bytes_after_the_last_record_rejected(self, tmp_path):
+        path, vocab = self.three_utterances(tmp_path)
+        feats = tmp_path / "c.feats"
+        feats.write_bytes(feats.read_bytes() + b"junk")
+        with pytest.raises(ConfigError, match="4 bytes after the last record"):
+            read_corpus(str(path), vocab)
+
+
 class TestCheckpoints:
     @pytest.mark.parametrize("kind", ["mhat", "hat", "lm"])
     def test_save_load_save_identical_bytes(self, tmp_path, kind):
@@ -181,6 +223,14 @@ class TestCheckpoints:
         blob = (tmp_path / "m.ckpt.bin").read_bytes()
         (tmp_path / "m.ckpt.bin").write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError, match="truncated at tensor"):
+            load_checkpoint(str(path))
+
+    def test_ragged_blob(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(small_mhat(), str(path))
+        blob = tmp_path / "m.ckpt.bin"
+        blob.write_bytes(blob.read_bytes() + b"\0")
+        with pytest.raises(CheckpointError, match="whole number"):
             load_checkpoint(str(path))
 
     def test_kind_mismatch(self, tmp_path):

@@ -313,24 +313,15 @@ class TestScorerReuse:
         lm_scorer = lm.scorer()
         for model in models.values():
             for X in utts[:3]:
-                scorer = model.scorer(X)
                 for fusion in fusion_cases(lm):
-                    got = beam_search(model, X, 4, fusion, scorer=scorer, lm_scorer=lm_scorer)
+                    got = beam_search(model, X, 4, fusion, lm_scorer=lm_scorer)
                     assert ranked(got) == ranked(beam_search(model, X, 4, fusion))
 
     def test_foreign_tables_rejected(self, real_setup):
         models, lm, utts = real_setup
-        mhat, hat = models["mhat"], models["hat"]
-        with pytest.raises(ConfigError, match="scorer"):
-            beam_search(mhat, utts[0], 4, scorer=hat.scorer(utts[0]))
-        with pytest.raises(ConfigError, match="scorer"):
-            beam_search(mhat, utts[0], 4, scorer=mhat.scorer(utts[0][:1]))
-        same_len = utts[0] + 1.0  # another utterance of the same length
-        with pytest.raises(ConfigError, match="scorer"):
-            beam_search(mhat, utts[0], 4, scorer=mhat.scorer(same_len))
         other = ExternalLm(lm.vocab, embed_dim=8)
         with pytest.raises(ConfigError, match="LM scorer"):
-            beam_search(mhat, utts[0], 4, FusionConfig("shallow", 0.3, lm=lm), lm_scorer=other.scorer())
+            beam_search(models["mhat"], utts[0], 4, FusionConfig("shallow", 0.3, lm=lm), lm_scorer=other.scorer())
 
     @pytest.mark.parametrize("kind", ["mhat", "hat"])
     def test_tables_grow_one_slot_per_context(self, kind, rng):
@@ -377,9 +368,9 @@ class _TieScorer:
     """Stub tables over two frames under which an advanced and a fresh
     hypothesis with the same tokens, (0,), tie exactly at frame 1."""
 
-    def __init__(self, model, X):
+    def __init__(self, model):
         v = model.vocab.size
-        self.model, self.features, self.t_len = model, X, 2
+        self.model, self.t_len = model, 2
         self.frame_rows = np.zeros((1, 2, 2 + v))  # one row serves every context
         self.frame_rows[0, :, 0] = (-0.5, -1.0)  # log b of frames 0 and 1
         self.frame_rows[0, :, 1] = (-1.0, -2.0)  # log(1 - b)
@@ -409,12 +400,13 @@ class TestLockstep:
                 got = beam_search(model, X, beam, configs, max_labels_per_frame=cap)
                 assert [ranked(g) for g in got] == [ranked(want[f]) for f in configs]
 
-    def test_advanced_before_fresh_on_a_full_tie(self, mhat_small):
+    def test_advanced_before_fresh_on_a_full_tie(self, mhat_small, monkeypatch):
         # at frame 1, () + blank scores -1.5 and both (0,) candidates -2.5:
         # the advanced one (label at frame 0) is kept, the fresh one dropped
         X = np.zeros((2, 3))
+        monkeypatch.setattr(mhat_small, "scorer", lambda _: _TieScorer(mhat_small))
         for configs in (NO_FUSION, [NO_FUSION, NO_FUSION]):
-            got = beam_search(mhat_small, X, 2, configs, scorer=_TieScorer(mhat_small, X))
+            got = beam_search(mhat_small, X, 2, configs)
             for res in [got] if configs is NO_FUSION else got:
                 assert [(r.tokens, r.model_lp) for r in res] == [((), -1.5), ((0,), -2.5)]
 

@@ -95,6 +95,8 @@ def tiny_config(seed=0):
 class TestExperiment:
     def test_matrix_rows_and_determinism(self, tmp_path):
         res1 = run_experiment(tiny_config(), out_dir=str(tmp_path / "run1"), log=lambda m: None)
+        assert list(res1.durations) == ["gen-data", "train-hat", "train-mhat", "train-lm", "ilma", "grid-search",
+                                        "decode-matrix"]
         assert set(res1.wer.keys()) == set(METHODS)
         for method in METHODS:
             assert set(res1.wer[method].keys()) == {"source", "target"}
@@ -112,6 +114,13 @@ class TestExperiment:
         lines = (out / "reports" / "wer_matrix.tsv").read_text().splitlines()
         assert lines[0] == "method\tsource_wer\ttarget_wer"
         assert [l.split("\t")[0] for l in lines[1:]] == list(METHODS)
+
+    def test_stage_failure_names_the_stage_and_keeps_earlier_files(self, tmp_path):
+        cfg = dataclasses.replace(tiny_config(), n_adapt_text=0)  # no LM training text
+        with pytest.raises(RuntimeError, match="experiment stage 'train-lm' failed"):
+            run_experiment(cfg, out_dir=str(tmp_path), log=lambda m: None)
+        assert (tmp_path / "models" / "hat.ckpt").exists()
+        assert (tmp_path / "models" / "mhat.ckpt").exists()
 
     def test_decodes_match_standalone_decoding(self, tmp_path):
         # one nonzero weight pair: every fused method decodes with its LM, and
@@ -353,6 +362,23 @@ class TestCli:
              "--fusion", "shallow", "--out-dir", str(tmp_path)]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("given", ["lam_ext", "lm"])
+    def test_decode_without_fusion_rejects_fusion_inputs(self, tmp_path, capsys, given):
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--out-dir", str(data_dir), "--n-train", "2", "--n-dev", "2",
+                     "--n-test", "2", "--n-adapt-text", "4"]) == 0
+        vocab = dat.read_vocab(str(data_dir / "vocab.txt"))
+        dat.save_checkpoint(build_mhat(ExperimentConfig(d_f=8, label_dim=8, blank_dim=4, joint_dim=4), vocab),
+                            str(tmp_path / "mhat.ckpt"))
+        dat.save_checkpoint(ExternalLm(vocab, embed_dim=8), str(tmp_path / "lm.ckpt"))
+        extra = ["--lam-ext", "0.3"] if given == "lam_ext" else ["--lm", str(tmp_path / "lm.ckpt")]
+        rc = main(["decode", "--ckpt", str(tmp_path / "mhat.ckpt"), "--data", str(data_dir / "target.test"),
+                   "--vocab", str(data_dir / "vocab.txt"), "--fusion", "none", *extra,
+                   "--out-dir", str(tmp_path / "dec")])
+        assert rc == 2
+        assert "mode='none'" in capsys.readouterr().err
+        assert not (tmp_path / "dec" / "decodes.tsv").exists()
 
     def test_config_file_overrides_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

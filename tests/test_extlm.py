@@ -109,7 +109,7 @@ class TestTraining:
     def test_non_finite_loss_names_epoch_and_batch(self, rng):
         # an infinite step leaves inf/NaN weights, so the second batch's loss is NaN
         corpus = text_corpus(Vocabulary.default(4), random_sentences(rng, 8, 4))
-        cfg = LmTrainConfig(embed_dim=4, epochs=2, batch_size=4, lr=float("inf"), optimizer="sgd")
+        cfg = LmTrainConfig(embed_dim=4, epochs=2, batch_size=4, lr=float("inf"))
         with np.errstate(all="ignore"), pytest.raises(EvaluationError, match="epoch 1, batch 2"):
             train_lm(corpus, cfg)
 
