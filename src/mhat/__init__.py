@@ -29,7 +29,6 @@ from .extlm import ExternalLm, LmTrainConfig, lm_perplexity, train_lm
 from .lattice import (
     AlignmentLattice,
     StructureError,
-    backward_log_betas,
     brute_force_log_prob,
     build_lattice,
     forward_log_prob,
@@ -39,7 +38,6 @@ from .losses import LossConfig, ilm_loss, mhat_loss, perplexity
 from .model import (
     ConfigError,
     EncoderConfig,
-    EmbeddingDecoderConfig,
     HatModel,
     MhatModel,
     VocabError,

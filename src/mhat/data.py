@@ -244,7 +244,7 @@ def write_text_corpus(corpus: Corpus, path: str) -> None:
             f.write(corpus.vocab.text(it.tokens) + "\n")
 
 
-def read_text_corpus(path: str, vocab: Vocabulary, split: str = "train", seed: int = 0) -> Corpus:
+def read_text_corpus(path: str, vocab: Vocabulary) -> Corpus:
     items = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -255,15 +255,22 @@ def read_text_corpus(path: str, vocab: Vocabulary, split: str = "train", seed: i
                 tokens = tuple(vocab.id_of(n) for n in names)
             except VocabError as e:
                 raise VocabError(f"{path}:{lineno}: {e}") from None
-            items.append(Utterance(uid=f"{split}-{lineno:05d}", features=None, tokens=tokens))
-    return Corpus(split=split, seed=seed, vocab=vocab, items=tuple(items))
+            items.append(Utterance(uid=f"train-{lineno:05d}", features=None, tokens=tokens))
+    return Corpus(split="train", seed=0, vocab=vocab, items=tuple(items))
 
 
 def write_corpus(corpus: Corpus, path: str) -> None:
-    """Paired corpora: text manifest at `path` plus binary features at `path.feats`."""
-    if all(it.features is None for it in corpus.items):
+    """Paired corpora: text manifest at `path` plus binary features at `path.feats`.
+
+    A corpus with no features at all is written as text; one where only
+    some utterances have features raises ConfigError and writes nothing.
+    """
+    bare = [it.uid for it in corpus.items if it.features is None]
+    if len(bare) == len(corpus.items):
         write_text_corpus(corpus, path)
         return
+    if bare:
+        raise ConfigError(f"{path}: utterance {bare[0]} has no features, but others do")
     with open(path, "w") as mf, open(path + ".feats", "wb") as bf:
         mf.write("format mhat-corpus-v1\n")
         mf.write(f"split {corpus.split}\n")
@@ -271,13 +278,11 @@ def write_corpus(corpus: Corpus, path: str) -> None:
         mf.write(f"vocab.hash {corpus.vocab.digest()}\n")
         mf.write(f"count {len(corpus.items)}\n")
         for it in corpus.items:
-            t_len = 0 if it.features is None else it.features.shape[0]
-            mf.write(f"utt {it.uid} {t_len} {corpus.vocab.text(it.tokens)}\n")
-            if it.features is not None:
-                feats = np.ascontiguousarray(it.features, dtype="<f4")
-                header = np.array(feats.shape, dtype="<u4")
-                bf.write(header.tobytes())
-                bf.write(feats.tobytes())
+            mf.write(f"utt {it.uid} {it.features.shape[0]} {corpus.vocab.text(it.tokens)}\n")
+            feats = np.ascontiguousarray(it.features, dtype="<f4")
+            header = np.array(feats.shape, dtype="<u4")
+            bf.write(header.tobytes())
+            bf.write(feats.tobytes())
 
 
 def read_corpus(path: str, vocab: Vocabulary) -> Corpus:
@@ -416,6 +421,8 @@ def _parse_manifest(path: str):
     vocab = Vocabulary(tuple(tokens[i] for i in range(len(tokens))))
     if header.get("vocab.hash") != vocab.digest() or header.get("vocab.size") != str(vocab.size):
         raise CheckpointError(f"{path}: vocabulary hash mismatch")
+    if header.get("dtype") != "float32":  # the blob is read as little-endian float32
+        raise CheckpointError(f"{path}: unsupported dtype {header.get('dtype')!r}, expected 'float32'")
     return kind, vocab, config, tensors
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import numerics as nm
 from .extlm import ExternalLm, LmScorer
 from .lattice import check_structure, forward_log_prob
-from .model import ConfigError, HatModel, MhatModel
+from .model import ConfigError, HatModel, MhatModel, bigram_contexts
 
 FUSION_MODES = ("none", "shallow", "ilme_subtract")
 MAX_LABELS_PER_FRAME = 10  # guards against degenerate non-blank loops
@@ -243,16 +243,10 @@ def greedy_decode(model: MhatModel | HatModel, X: np.ndarray) -> tuple[int, ...]
 
 def ilm_sequence_log_prob(model: MhatModel | HatModel, tokens: Sequence[int]) -> float:
     """Internal-LM log-probability of a label sequence (no EOS event)."""
+    model.vocab.check_ids(tokens)
     with nm.no_grad():
-        if isinstance(model, MhatModel):
-            rows = model.ilm_log_prob_rows(tokens).data
-            u = len(tokens)
-            return float(rows[np.arange(u), np.asarray(tokens, dtype=np.int64)].sum())
-        out = 0.0
-        for u, y in enumerate(tokens):
-            row = model.hat_ilm_log_probs(model.decode_state(tokens[:u])).data
-            out += float(row[y])
-        return out
+        rows = model.context_log_prob_rows(bigram_contexts(tokens, model.vocab.sos_id)).data
+    return float(rows[np.arange(len(tokens)), np.asarray(tokens, dtype=np.int64)].sum())
 
 
 def score_sequence(

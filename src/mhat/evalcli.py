@@ -561,17 +561,15 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.set_defaults(func=cmd_train_lm)
 
     p = sub("adapt", help="internal-LM adaptation on text")
-    p.add_argument("--ckpt", required=True, help="trained MHAT checkpoint")
+    p.add_argument("--ckpt", required=True, help="trained MHAT checkpoint; its vocabulary reads the text")
     p.add_argument("--text", required=True, help="adaptation text")
-    p.add_argument("--vocab", required=True)
     p.add_argument("--heldout-source", help="held-out source text for the report")
     p.add_argument("--heldout-target", help="held-out target text for the report")
     p.set_defaults(func=cmd_adapt)
 
     p = sub("decode", help="beam-search decode a paired corpus")
-    p.add_argument("--ckpt", required=True)
+    p.add_argument("--ckpt", required=True, help="HAT or MHAT checkpoint; its vocabulary reads the corpus")
     p.add_argument("--data", required=True)
-    p.add_argument("--vocab", required=True)
     p.add_argument("--fusion", choices=("none", "shallow", "ilme_subtract"), default="none")
     p.add_argument("--lm", help="external LM checkpoint (fusion modes)")
     p.add_argument("--lam-ext", type=float, default=0.0)
@@ -666,10 +664,9 @@ def cmd_train_lm(args) -> None:
 
 
 def cmd_adapt(args) -> None:
-    vocab = dat.read_vocab(args.vocab)
     model = dat.load_checkpoint(args.ckpt, expect="mhat")
-    corpus = dat.read_text_corpus(args.text, vocab)
-    heldout = [dat.read_text_corpus(path, vocab).transcripts() if path else None
+    corpus = dat.read_text_corpus(args.text, model.vocab)
+    heldout = [dat.read_text_corpus(path, model.vocab).transcripts() if path else None
                for path in (args.heldout_source, args.heldout_target)]
     out = os.path.join(args.out_dir, "mhat_ilma.ckpt")
     adapt_ilma_model(model, _config(args), corpus, *heldout, out, args.out_dir)
@@ -677,16 +674,15 @@ def cmd_adapt(args) -> None:
 
 
 def cmd_decode(args) -> None:
-    vocab = dat.read_vocab(args.vocab)
     model = dat.load_checkpoint(args.ckpt, expect="asr")
-    corpus = dat.read_corpus(args.data, vocab)
+    corpus = dat.read_corpus(args.data, model.vocab)
     lm = dat.load_checkpoint(args.lm, expect="lm") if args.lm else None
     fusion = FusionConfig(mode=args.fusion, lam_ext=args.lam_ext, lam_ilm=args.lam_ilm, lm=lm)
     decoded = decode_corpus(model, corpus, _config(args).beam, fusion)
     out = os.path.join(args.out_dir, "decodes.tsv")
     with open(out, "w") as f:
         for uid, res in decoded:
-            f.write(format_record(uid, res, vocab) + "\n")
+            f.write(format_record(uid, res, model.vocab) + "\n")
     _log(f"decoded {len(decoded)} utterances -> {out}")
 
 

@@ -18,7 +18,6 @@ from .model import (
     ConfigError,
     ContextRows,
     EmbeddingDecoder,
-    EmbeddingDecoderConfig,
     Vocabulary,
     bigram_contexts,
     context_of,
@@ -35,11 +34,11 @@ class ExternalLm:
     def __init__(self, vocab: Vocabulary, embed_dim: int = 64, tied_tables: bool = False, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.vocab = vocab
-        self.cfg = EmbeddingDecoderConfig(embed_dim=embed_dim, tied_tables=tied_tables)
+        self.embed_dim, self.tied_tables = embed_dim, tied_tables
         self.eos_id = vocab.size  # output index; contexts use sos_id = vocab.size
         p = ParameterSet()
         self.params = p
-        self.decoder = EmbeddingDecoder(p, "decoder", vocab, self.cfg, "ilm", rng)
+        self.decoder = EmbeddingDecoder(p, "decoder", vocab, embed_dim, "ilm", rng, tied_tables=tied_tables)
         self.out_w = p.add(
             "out_proj.weight",
             rng.standard_normal((vocab.size + 1, embed_dim)) / np.sqrt(embed_dim),
@@ -83,8 +82,8 @@ class ExternalLm:
 
     def config_items(self) -> dict[str, str]:
         return {
-            "embed_dim": str(self.cfg.embed_dim),
-            "tied_tables": str(int(self.cfg.tied_tables)),
+            "embed_dim": str(self.embed_dim),
+            "tied_tables": str(int(self.tied_tables)),
         }
 
     @staticmethod

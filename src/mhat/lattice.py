@@ -191,40 +191,26 @@ def build_lattice(model: MhatModel | HatModel, X: np.ndarray, tokens: Sequence[i
     check_structure(X, tokens)
     with nm.no_grad():
         log_blank, log_label, cells = model.arc_log_scores([(X, tokens)])
-    t_len, u_len, n = int(cells.t_lens[0]), int(cells.u_lens[0]), cells.n_label
+    t_lens, u_lens, n = cells.t_lens, cells.u_lens, cells.n_label
+    t_len, u_len = int(t_lens[0]), int(u_lens[0])
+    b, t, u = cells.b, cells.t, cells.u
+    blank, label, final = _diagonal_arcs(
+        t_lens, u_lens, (b, t, u), log_blank.data, (b[:n], t[:n], u[:n]), log_label.data
+    )
     lb = np.empty((t_len, u_len + 1))
-    lb[cells.t, cells.u] = log_blank.data
+    lb[t, u] = log_blank.data
     ll = np.empty((t_len, u_len))
-    ll[cells.t[:n], cells.u[:n]] = log_label.data
-    alpha, beta = _grid_recursions(lb, ll)
+    ll[t[:n], u[:n]] = log_label.data
+    alpha = _node_grid(_alphas(blank, label), t_len, u_len)
     return AlignmentLattice(
         t_len=t_len,
         u_len=u_len,
         log_blank=lb,
         log_label=ll,
         log_alpha=alpha,
-        log_beta=beta,
-        log_prob=float(alpha[t_len, u_len] + lb[t_len - 1, u_len]),
+        log_beta=_node_grid(_betas(blank, label, final, t_lens, u_lens), t_len, u_len),
+        log_prob=float(alpha[t_len, u_len] + final[0]),
     )
-
-
-def _grid_recursions(lb: np.ndarray, ll: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Alpha and beta (T + 1, U + 1) of one utterance from its (T, U + 1)
-    blank and (T, U) label grids, by the batch recursions."""
-    t_len, u_len = ll.shape
-    lens = np.array([t_len]), np.array([u_len])
-
-    def cells(grid):
-        return (np.zeros(grid.size, dtype=np.int64), *np.indices(grid.shape).reshape(2, -1))
-
-    blank, label, final = _diagonal_arcs(*lens, cells(lb), lb.reshape(-1), cells(ll), ll.reshape(-1))
-    alpha = _node_grid(_alphas(blank, label), t_len, u_len)
-    return alpha, _node_grid(_betas(blank, label, final, *lens), t_len, u_len)
-
-
-def backward_log_betas(lat: AlignmentLattice) -> np.ndarray:
-    """Companion backward recursion over the stored arc scores."""
-    return _grid_recursions(lat.log_blank, lat.log_label)[1]
 
 
 def brute_force_log_prob(model: MhatModel | HatModel, X: np.ndarray, tokens: Sequence[int]) -> float:

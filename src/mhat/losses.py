@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics as nm
 from .lattice import hat_loss
-from .model import ConfigError, MhatModel, context_counts
+from .model import ConfigError, HatModel, MhatModel, context_counts
 from .numerics import Tensor
 
 
@@ -80,13 +80,14 @@ def ilm_loss(model: MhatModel, transcripts: Sequence[Sequence[int]]) -> Tensor:
 
 
 def mhat_loss(
-    model: MhatModel,
+    model: MhatModel | HatModel,
     batch: Sequence[tuple[np.ndarray, Sequence[int]]],
     cfg: LossConfig = LossConfig(),
 ) -> Tensor:
     """Transducer loss plus alpha times the internal-LM loss on the transcripts.
 
-    With alpha = 0 this returns the transducer loss itself (bit-exact).
+    With alpha = 0 this returns the transducer loss itself (bit-exact),
+    which is also the whole HAT objective: a HatModel takes alpha = 0.
     Empty transcripts contribute nothing to the internal-LM term.
     """
     base = hat_loss(model, batch)

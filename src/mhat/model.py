@@ -90,13 +90,6 @@ class EncoderConfig:
     # activation is fixed to tanh
 
 
-@dataclass(frozen=True)
-class EmbeddingDecoderConfig:
-    embed_dim: int
-    tied_tables: bool
-    # context order is fixed to 2 (the last two labels)
-
-
 def bigram_contexts(tokens: Sequence[int], sos_id: int) -> np.ndarray:
     """Decoder context ids for every step of a label sequence.
 
@@ -231,15 +224,15 @@ class EmbeddingDecoder:
         params: ParameterSet,
         name: str,
         vocab: Vocabulary,
-        cfg: EmbeddingDecoderConfig,
+        embed_dim: int,
         group: str,
         rng: np.random.Generator,
+        *,
+        tied_tables: bool,
     ):
-        self.cfg = cfg
-        self.vocab = vocab
-        d = cfg.embed_dim
+        d = embed_dim
         rows = vocab.size + 1  # +1 row for SOS context
-        if cfg.tied_tables:
+        if tied_tables:
             self.table0 = params.add(f"{name}.table", 0.5 * rng.standard_normal((rows, d)), group)
             self.table1 = self.table0
         else:
@@ -401,11 +394,9 @@ class MhatModel(_AsrModel):
             "am_proj.weight", rng.standard_normal((vocab.size, encoder.d_f)) / np.sqrt(encoder.d_f), "encoder"
         )
         self.am_b = p.add("am_proj.bias", np.zeros(vocab.size), "encoder")
-        blank_cfg = EmbeddingDecoderConfig(embed_dim=blank_dim, tied_tables=True)
-        self.blank_decoder = EmbeddingDecoder(p, "blank_decoder", vocab, blank_cfg, "blank_branch", rng)
+        self.blank_decoder = EmbeddingDecoder(p, "blank_decoder", vocab, blank_dim, "blank_branch", rng, tied_tables=True)
         self.joint = _JointCombiner(p, encoder.d_f, blank_dim, joint_dim, rng)
-        label_cfg = EmbeddingDecoderConfig(embed_dim=label_dim, tied_tables=False)
-        self.label_decoder = EmbeddingDecoder(p, "label_decoder", vocab, label_cfg, "ilm", rng)
+        self.label_decoder = EmbeddingDecoder(p, "label_decoder", vocab, label_dim, "ilm", rng, tied_tables=False)
         self.ilm_w = p.add(
             "ilm_proj.weight", rng.standard_normal((vocab.size, label_dim)) / np.sqrt(label_dim), "ilm"
         )
@@ -489,8 +480,7 @@ class HatModel(_AsrModel):
         p = ParameterSet()
         self.params = p
         self.encoder = Encoder(p, encoder, rng)
-        dec_cfg = EmbeddingDecoderConfig(embed_dim=decoder_dim, tied_tables=False)
-        self.decoder = EmbeddingDecoder(p, "decoder", vocab, dec_cfg, "ilm", rng)
+        self.decoder = EmbeddingDecoder(p, "decoder", vocab, decoder_dim, "ilm", rng, tied_tables=False)
         self.joint = _JointCombiner(p, encoder.d_f, decoder_dim, joint_dim, rng)
         self.label_w = p.add(
             "label_head.weight", rng.standard_normal((vocab.size, joint_dim)) / np.sqrt(joint_dim), "ilm"
@@ -516,6 +506,10 @@ class HatModel(_AsrModel):
         f0 = np.zeros(self.enc_cfg.d_f)
         h = self.joint.hidden(f0, g_u)
         return nm.log_softmax(nm.affine(h, self.label_w, self.label_b))
+
+    def context_log_prob_rows(self, ctx: np.ndarray) -> Tensor:
+        """Internal-LM estimate rows for (n, 2) decoder contexts: (n, |V|)."""
+        return self.hat_ilm_log_probs(self.decoder.outputs(ctx))
 
     def arc_log_scores(self, batch: Sequence[tuple[np.ndarray, Sequence[int]]]) -> tuple[Tensor, Tensor, LatticeCells]:
         """As `MhatModel.arc_log_scores`, with labels from the shared joint."""

@@ -87,10 +87,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
 
@@ -138,33 +134,8 @@ class Tensor:
                 node._vjp(node.grad)
                 node.grad = None
 
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
     def __getitem__(self, idx):
         return take(self, idx)
-
-    def sum(self):
-        return total(self)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -207,19 +178,6 @@ def add(a, b) -> Tensor:
             a._accumulate(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _op(data, (a, b), vjp)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    data = a.data - b.data
-
-    def vjp(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
 
     return _op(data, (a, b), vjp)
 
@@ -474,20 +432,20 @@ def log_sigmoid(x) -> Tensor:
     return _op(data, (x,), vjp)
 
 
-def log_softmax(x, axis: int = -1) -> Tensor:
-    """Log-probabilities along `axis`, stable via max subtraction."""
+def log_softmax(x) -> Tensor:
+    """Log-probabilities along the trailing axis, stable via max subtraction."""
     x = _coerce(x)
-    if x.data.ndim == 0 or x.data.shape[axis] == 0:
+    if x.data.ndim == 0 or x.data.shape[-1] == 0:
         raise ShapeError("log_softmax: empty input")
-    m = x.data.max(axis=axis, keepdims=True)
+    m = x.data.max(axis=-1, keepdims=True)
     shifted = x.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     data = shifted - lse
 
     def vjp(g):
         if x.requires_grad:
             sm = np.exp(data)
-            x._accumulate(g - sm * g.sum(axis=axis, keepdims=True))
+            x._accumulate(g - sm * g.sum(axis=-1, keepdims=True))
 
     return _op(data, (x,), vjp)
 

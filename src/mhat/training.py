@@ -7,7 +7,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import hat_loss
 from .losses import LossConfig, mhat_loss
 from .model import ConfigError, HatModel, MhatModel
 from .numerics import Tensor, check_finite
@@ -120,10 +119,7 @@ def train_asr(
         epoch_loss = 0.0
         for start in range(0, len(items), cfg.batch_size):
             chunk = [items[i] for i in order[start : start + cfg.batch_size]]
-            if isinstance(model, MhatModel):
-                loss = mhat_loss(model, chunk, loss_cfg)
-            else:
-                loss = hat_loss(model, chunk)
+            loss = mhat_loss(model, chunk, loss_cfg)
             check_finite(loss, f"epoch {epoch + 1}, batch {start // cfg.batch_size + 1}")
             model.params.zero_grads()
             loss.backward()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,14 @@ class TestPairedCorpusIO:
         with pytest.raises(ConfigError, match="hash"):
             read_corpus(str(tmp_path / "c"), Vocabulary.default(3))
 
+    def test_partly_featureless_corpus_rejected_before_writing(self, tmp_path):
+        corpus = gen_corpus(point_mass_spec(), seed=6, n_utts=3)
+        items = list(corpus.items)
+        items[1] = dataclasses.replace(items[1], features=None)
+        with pytest.raises(ConfigError, match=f"{items[1].uid} has no features"):
+            write_corpus(dataclasses.replace(corpus, items=tuple(items)), str(tmp_path / "c"))
+        assert list(tmp_path.iterdir()) == []
+
 
     def three_utterances(self, tmp_path):
         spec = point_mass_spec()
@@ -256,6 +266,14 @@ class TestCheckpoints:
         text = path.read_text().replace("token.0 w0", "token.0 q0")
         path.write_text(text)
         with pytest.raises(CheckpointError, match="hash"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("line", ["dtype float64\n", ""])
+    def test_dtype_other_than_float32_rejected(self, tmp_path, line):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(small_mhat(), str(path))
+        path.write_text(path.read_text().replace("dtype float32\n", line))
+        with pytest.raises(CheckpointError, match="float64" if line else "dtype None"):
             load_checkpoint(str(path))
 
     def test_not_a_checkpoint(self, tmp_path):

@@ -28,6 +28,7 @@ from mhat.evalcli import (
     wer_counts,
 )
 from mhat.extlm import ExternalLm, LmTrainConfig, train_lm
+from mhat.model import Vocabulary
 from mhat.training import TrainConfig
 
 
@@ -263,7 +264,7 @@ class TestCli:
         adapt_dir = tmp_path / "adapt"
         rc = main(
             ["adapt", "--ckpt", str(ckpt), "--text", str(data_dir / "target.train.txt"),
-             "--vocab", str(data_dir / "vocab.txt"), "--steps", "5",
+             "--steps", "5",
              "--heldout-target", str(data_dir / "target.dev.txt"),
              "--out-dir", str(adapt_dir)]
         )
@@ -274,7 +275,7 @@ class TestCli:
         dec_dir = tmp_path / "dec"
         rc = main(
             ["decode", "--ckpt", str(adapt_dir / "mhat_ilma.ckpt"), "--data",
-             str(data_dir / "target.test"), "--vocab", str(data_dir / "vocab.txt"),
+             str(data_dir / "target.test"),
              "--beam", "2", "--fusion", "shallow", "--lm", str(lm_dir / "extlm.ckpt"),
              "--lam-ext", "0.3", "--out-dir", str(dec_dir)]
         )
@@ -324,7 +325,7 @@ class TestCli:
         model.trained_alpha = 0.1
         dat.save_checkpoint(model, str(tmp_path / "mhat.ckpt"))
         rc = main(["adapt", "--ckpt", str(tmp_path / "mhat.ckpt"), "--text", str(data_dir / "target.train.txt"),
-                   "--vocab", str(data_dir / "vocab.txt"), "--rho", "0.3", "--steps", "4", "--lr", "0.05",
+                   "--rho", "0.3", "--steps", "4", "--lr", "0.05",
                    "--batch-size", "8", "--heldout-source", str(data_dir / "source.dev.txt"),
                    "--heldout-target", str(data_dir / "target.dev.txt"), "--seed", "3",
                    "--out-dir", str(tmp_path / "cli")])
@@ -349,16 +350,30 @@ class TestCli:
                             str(tmp_path / "mhat.ckpt"))
         dat.save_checkpoint(ExternalLm(vocab, embed_dim=8), str(tmp_path / "lm.ckpt"))
         rc = main(["decode", "--ckpt", str(tmp_path / "mhat.ckpt"), "--data", str(data_dir / "target.test"),
-                   "--vocab", str(data_dir / "vocab.txt"), "--fusion", "ilme_subtract",
+                   "--fusion", "ilme_subtract",
                    "--lm", str(tmp_path / "lm.ckpt"), "--lam-ext", "0.3", flag, "nan",
                    "--out-dir", str(tmp_path / "dec")])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "dec" / "decodes.tsv").exists()
 
+    @pytest.mark.parametrize("command", ["decode", "adapt"])
+    def test_input_under_a_foreign_vocabulary_rejected(self, tmp_path, command):
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--out-dir", str(data_dir), "--n-train", "2", "--n-dev", "2",
+                     "--n-test", "2", "--n-adapt-text", "4"]) == 0
+        foreign = Vocabulary(tuple(f"x{i:02d}" for i in range(16)))  # as many names as the data's
+        dat.save_checkpoint(build_mhat(ExperimentConfig(d_f=8, label_dim=8, blank_dim=4, joint_dim=4), foreign),
+                            str(tmp_path / "mhat.ckpt"))
+        data = ["--data", str(data_dir / "target.test")] if command == "decode" else \
+            ["--text", str(data_dir / "target.train.txt")]
+        out = tmp_path / "out"
+        assert main([command, "--ckpt", str(tmp_path / "mhat.ckpt"), *data, "--out-dir", str(out)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["resolved-config.txt"]
+
     def test_decode_fusion_requires_lm(self, tmp_path):
         rc = main(
-            ["decode", "--ckpt", "x", "--data", "y", "--vocab", "z",
+            ["decode", "--ckpt", "x", "--data", "y",
              "--fusion", "shallow", "--out-dir", str(tmp_path)]
         )
         assert rc == 2
@@ -374,7 +389,7 @@ class TestCli:
         dat.save_checkpoint(ExternalLm(vocab, embed_dim=8), str(tmp_path / "lm.ckpt"))
         extra = ["--lam-ext", "0.3"] if given == "lam_ext" else ["--lm", str(tmp_path / "lm.ckpt")]
         rc = main(["decode", "--ckpt", str(tmp_path / "mhat.ckpt"), "--data", str(data_dir / "target.test"),
-                   "--vocab", str(data_dir / "vocab.txt"), "--fusion", "none", *extra,
+                   "--fusion", "none", *extra,
                    "--out-dir", str(tmp_path / "dec")])
         assert rc == 2
         assert "mode='none'" in capsys.readouterr().err
@@ -417,9 +432,9 @@ class TestCli:
              "--out-dir", str(tmp_path / "lm")],
             # every optimisation setting of ILMA at its default
             ["adapt", "--ckpt", str(tmp_path / "mhat" / "mhat.ckpt"), "--text", f"{data}/target.train.txt",
-             "--vocab", vocab, "--rho", "0.5", "--out-dir", str(tmp_path / "adapt")],
+             "--rho", "0.5", "--out-dir", str(tmp_path / "adapt")],
             ["decode", "--ckpt", str(tmp_path / "adapt" / "mhat_ilma.ckpt"), "--data", f"{data}/target.test",
-             "--vocab", vocab, "--fusion", "shallow", "--lm", str(tmp_path / "lm" / "extlm.ckpt"),
+             "--fusion", "shallow", "--lm", str(tmp_path / "lm" / "extlm.ckpt"),
              "--lam-ext", "0.3", "--out-dir", str(tmp_path / "dec")],
             ["eval", "--ref", f"{data}/target.test", "--vocab", vocab, "--hyp", str(tmp_path / "dec" / "decodes.tsv"),
              "--out-dir", str(tmp_path / "dec")],
@@ -452,7 +467,7 @@ class TestCli:
         assert not any(line.startswith(("beam ", "no_such_key ")) for line in resolved)
 
     def test_jobs_is_not_an_option(self, tmp_path):
-        assert main(["decode", "--ckpt", "x", "--data", "y", "--vocab", "z", "--jobs", "2",
+        assert main(["decode", "--ckpt", "x", "--data", "y", "--jobs", "2",
                      "--out-dir", str(tmp_path)]) == 1
         assert main(["experiment", "--jobs", "2", "--out-dir", str(tmp_path)]) == 1
 

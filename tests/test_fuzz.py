@@ -183,7 +183,7 @@ def test_parse_record_raises_only_value_error(line):
 
 COMMANDS = {
     "train": ["train", "--data", "d", "--vocab", "v"],
-    "decode": ["decode", "--ckpt", "c", "--data", "d", "--vocab", "v"],
+    "decode": ["decode", "--ckpt", "c", "--data", "d"],
 }
 VALUE = st.one_of(
     st.sampled_from(["", "3", "-1", "0.5", "1e-3", "nan", "mhat", "hat", "shallow", "adam", "-h", "--lr"]),

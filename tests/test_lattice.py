@@ -8,7 +8,6 @@ from mhat import numerics as nm
 from mhat.evalcli import ExperimentConfig, build_hat, build_mhat
 from mhat.lattice import (
     StructureError,
-    backward_log_betas,
     batch_log_probs,
     brute_force_log_prob,
     build_lattice,
@@ -99,7 +98,6 @@ class TestAlphaBeta:
         assert lat.log_beta[1, 0] == pytest.approx(lat.log_prob, abs=1e-8)
         # terminal beta is the mandatory final blank
         assert lat.log_beta[lat.t_len, lat.u_len] == lat.log_blank[lat.t_len - 1, lat.u_len]
-        np.testing.assert_allclose(backward_log_betas(lat), lat.log_beta)
 
         combined = lat.log_alpha + lat.log_beta
         assert np.all(combined <= lat.log_prob + 1e-8)

@@ -273,6 +273,15 @@ class TestHatHeads:
         hat_small.params["joint.w1"].data[...] = rng.standard_normal((6, 8))
         np.testing.assert_array_equal(hat_small.hat_ilm_log_probs(g).data, before)
 
+    def test_context_rows_match_prefix_by_prefix(self, hat_small, rng):
+        tokens = [int(i) for i in rng.integers(0, 4, size=7)]
+        rows = hat_small.context_log_prob_rows(bigram_contexts(tokens, hat_small.vocab.sos_id)).data
+        assert rows.shape == (8, 4)
+        for u in range(len(tokens) + 1):
+            ref = hat_small.hat_ilm_log_probs(hat_small.decode_state(tokens[:u])).data
+            np.testing.assert_allclose(rows[u], ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.exp(rows).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
 
 class TestStructuralInvariances:
     def test_heads_normalized_many_draws(self):
