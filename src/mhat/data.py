@@ -23,7 +23,7 @@ _SPLIT_CODE = {"train": 0, "dev": 1, "test": 2}
 
 
 class CheckpointError(RuntimeError):
-    """A checkpoint file failed validation on load."""
+    """A checkpoint failed validation on save or load."""
 
 
 @dataclass(frozen=True)
@@ -235,7 +235,10 @@ def write_vocab(vocab: Vocabulary, path: str) -> None:
 def read_vocab(path: str) -> Vocabulary:
     with open(path) as f:
         names = [line.strip() for line in f if line.strip()]
-    return Vocabulary(tuple(names))
+    try:
+        return Vocabulary(tuple(names))
+    except VocabError as e:
+        raise VocabError(f"{path}: {e}") from None
 
 
 def write_text_corpus(corpus: Corpus, path: str) -> None:
@@ -358,9 +361,17 @@ _KINDS = {"mhat": MhatModel, "hat": HatModel, "lm": ExternalLm}
 
 
 def save_checkpoint(model_or_lm, path: str) -> None:
-    """Text manifest at `path` plus little-endian float32 blob at `path.bin`."""
+    """Text manifest at `path` plus little-endian float32 blob at `path.bin`.
+
+    A parameter with a NaN or an infinity in float32 raises CheckpointError
+    naming the tensor, before any file is created.
+    """
     m = model_or_lm
     names = sorted(m.params.entries)
+    blobs = [np.ascontiguousarray(m.params[name].data, dtype="<f4") for name in names]
+    for name, blob in zip(names, blobs):
+        if not np.isfinite(blob).all():
+            raise CheckpointError(f"cannot save {path}: tensor {name!r} holds a non-finite value")
     with open(path, "w") as f:
         f.write(f"format {_CKPT_FORMAT}\n")
         f.write(f"kind {m.kind}\n")
@@ -376,8 +387,8 @@ def save_checkpoint(model_or_lm, path: str) -> None:
             shape = ",".join(str(d) for d in t.data.shape)
             f.write(f"tensor.{i} {name} {m.params.group[name]} {shape}\n")
     with open(path + ".bin", "wb") as bf:
-        for name in names:
-            bf.write(np.ascontiguousarray(m.params[name].data, dtype="<f4").tobytes())
+        for blob in blobs:
+            bf.write(blob.tobytes())
 
 
 def _parse_manifest(path: str):
@@ -418,7 +429,10 @@ def _parse_manifest(path: str):
         raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")
     if sorted(tokens) != list(range(len(tokens))):
         raise CheckpointError(f"{path}: token ids are not 0..{len(tokens) - 1}")
-    vocab = Vocabulary(tuple(tokens[i] for i in range(len(tokens))))
+    try:
+        vocab = Vocabulary(tuple(tokens[i] for i in range(len(tokens))))
+    except VocabError as e:
+        raise CheckpointError(f"{path}: {e}") from None
     if header.get("vocab.hash") != vocab.digest() or header.get("vocab.size") != str(vocab.size):
         raise CheckpointError(f"{path}: vocabulary hash mismatch")
     if header.get("dtype") != "float32":  # the blob is read as little-endian float32
@@ -427,7 +441,8 @@ def _parse_manifest(path: str):
 
 
 def load_checkpoint(path: str, expect: str | None = None):
-    """Rebuild a model or LM from a checkpoint; validates kind, shapes, hash.
+    """Rebuild a model or LM from a checkpoint; validates kind, shapes, hash
+    and values (a NaN or an infinity raises CheckpointError).
 
     `expect` may be a kind ("mhat", "hat", "lm") or the family "asr".
     """
@@ -459,7 +474,10 @@ def load_checkpoint(path: str, expect: str | None = None):
             raise CheckpointError(f"{path}: group mismatch for {name!r}")
         if offset + size > blob.size:
             raise CheckpointError(f"{path}: blob truncated at tensor {name!r}")
-        t.data = blob[offset : offset + size].astype(np.float64).reshape(shape)
+        values = blob[offset : offset + size]
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
+        t.data = values.astype(np.float64).reshape(shape)
         offset += size
     if offset != blob.size:
         raise CheckpointError(f"{path}: blob has {blob.size - offset} trailing values")

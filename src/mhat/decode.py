@@ -101,6 +101,8 @@ def beam_search(
     candidate at a time.
 
     Raises StructureError on T=0, like the lattice: no alignment exists.
+    Raises EvaluationError when a config is left with no hypothesis of
+    finite combined score, or when a scorer row holds a NaN or +inf.
     """
     fusions = [fusion] if isinstance(fusion, FusionConfig) else list(fusion)
     if not fusions:
@@ -228,11 +230,16 @@ def beam_search(
         lm_rows = lm_scorer.rows(np.array([h[1] for h in scored], dtype=np.int64))
         for h, x in zip(scored, lm_scorer.log_prob_rows[lm_rows, lm.eos_id].tolist()):
             h[3] = h[3] + x
+        lm_scorer.check_finite()
+    scorer.check_finite()
     results: list[list] = [[] for _ in fusions]
     for (g, tok), _, m, e, i in pool:
         c = m + lam_ext[g] * e - lam_ilm[g] * i
         results[g].append((-c, len(tok), tok, DecodeResult(tok, float(m), float(e), float(i), float(c))))
     ranked_lists = [[r[3] for r in sorted(res, key=lambda r: r[:3])] for res in results]
+    for g, ranked in enumerate(ranked_lists):
+        if not any(math.isfinite(r.combined) for r in ranked):
+            raise nm.EvaluationError(f"no hypothesis with a finite score survived under fusion config {g}")
     return ranked_lists[0] if isinstance(fusion, FusionConfig) else ranked_lists
 
 

@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from . import data as dat
 from .adapt import AdaptReport, IlmaConfig, run_ilma
 from .decode import (
@@ -30,7 +28,7 @@ from .decode import (
 )
 from .extlm import LmTrainConfig, train_lm
 from .losses import perplexity
-from .model import ConfigError, EncoderConfig, HatModel, MhatModel, Vocabulary
+from .model import ConfigError, EncoderConfig, HatModel, MhatModel, VocabError, Vocabulary
 from .training import TrainConfig, train_asr
 
 
@@ -44,39 +42,29 @@ def _log(msg: str) -> None:
 def wer_counts(ref: Sequence[int], hyp: Sequence[int]) -> tuple[int, int, int]:
     """(substitutions, insertions, deletions) of a minimum-edit alignment.
 
-    Ties prefer substitutions over insert+delete pairs (diagonal moves
-    first in the backtrace), then deletions over insertions.
+    One forward pass over the edit-distance table, a row at a time: each
+    cell keeps (cost, subs, ins, dels) of the first move that reaches its
+    minimum cost, in the order diagonal, deletion, insertion.  So ties
+    prefer substitutions over insert+delete pairs, then deletions over
+    insertions.
     """
-    n, m = len(ref), len(hyp)
-    cost = np.zeros((n + 1, m + 1), dtype=np.int64)
-    move = np.zeros((n + 1, m + 1), dtype=np.int8)  # 0 diag, 1 del, 2 ins
-    cost[:, 0] = np.arange(n + 1)
-    cost[0, :] = np.arange(m + 1)
-    move[1:, 0] = 1
-    move[0, 1:] = 2
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            diag = cost[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1])
-            dele = cost[i - 1, j] + 1
-            ins = cost[i, j - 1] + 1
-            best = min(diag, dele, ins)
-            cost[i, j] = best
-            move[i, j] = 0 if diag == best else (1 if dele == best else 2)
-    subs = ins = dels = 0
-    i, j = n, m
-    while i > 0 or j > 0:
-        mv = move[i, j]
-        if mv == 0:
-            subs += ref[i - 1] != hyp[j - 1]
-            i -= 1
-            j -= 1
-        elif mv == 1:
-            dels += 1
-            i -= 1
-        else:
-            ins += 1
-            j -= 1
-    return int(subs), int(ins), int(dels)
+    row = [(j, 0, j, 0) for j in range(len(hyp) + 1)]  # no reference yet: j insertions
+    for i, r in enumerate(ref, start=1):
+        up, row = row, [(i, 0, 0, i)]  # no hypothesis yet: i deletions
+        for j, h in enumerate(hyp, start=1):
+            cost, subs, ins, dels = up[j - 1]
+            if r != h:
+                cost, subs = cost + 1, subs + 1
+            cost_del, cost_ins = up[j][0] + 1, row[j - 1][0] + 1
+            if cost <= cost_del and cost <= cost_ins:
+                row.append((cost, subs, ins, dels))
+            elif cost_del <= cost_ins:
+                _, subs, ins, dels = up[j]
+                row.append((cost_del, subs, ins, dels + 1))
+            else:
+                _, subs, ins, dels = row[j - 1]
+                row.append((cost_ins, subs, ins + 1, dels))
+    return row[-1][1:]
 
 
 @dataclass
@@ -87,9 +75,8 @@ class EvalReport:
     n_utts: int = 0
     ref_tokens: int = 0
 
-    def add(self, ref: Sequence[int], hyp: Sequence[int], counts: tuple[int, int, int] | None = None) -> None:
-        """Count one utterance; `counts` is its `wer_counts(ref, hyp)`, if already known."""
-        s, i, d = wer_counts(ref, hyp) if counts is None else counts
+    def add(self, ref: Sequence[int], hyp: Sequence[int]) -> None:
+        s, i, d = wer_counts(ref, hyp)
         self.subs += s
         self.ins += i
         self.dels += d
@@ -145,12 +132,10 @@ def decode_corpus(
 
 
 def evaluate_decodes(corpus: dat.Corpus, hyps: dict[str, Sequence[int]]) -> EvalReport:
-    report = EvalReport()
     for it in corpus.items:
         if it.uid not in hyps:
             raise ConfigError(f"no hypothesis for utterance {it.uid}")
-        report.add(it.tokens, hyps[it.uid])
-    return report
+    return evaluate_pairs([(it.tokens, hyps[it.uid]) for it in corpus.items])
 
 
 # -- the experiment pipeline -------------------------------------------------
@@ -344,22 +329,13 @@ def lambda_grid_wers(
 
     lam_ilm varies only in `ilme_subtract` mode, and pairs with lam_ext = 0
     and lam_ilm > 0 are skipped; (0, 0) decodes without fusion.  Each
-    utterance is decoded under every pair in one lockstep search, and each
-    distinct (utterance, hypothesis) is aligned to its reference once.
+    utterance is decoded under every pair in one lockstep search.
     """
     ilm_grid = cfg.lam_ilm_grid if mode == "ilme_subtract" else (0.0,)
     pairs = [(le, li) for le in cfg.lam_ext_grid for li in ilm_grid if not (le == 0.0 and li > 0.0)]
     decoded = _decode_fusions(model, dev, cfg.beam, [_fusion(mode, le, li, lm) for le, li in pairs])
-    memo: dict[tuple[str, tuple[int, ...]], tuple[int, int, int]] = {}
-    reports = {}
-    for k, pair in enumerate(pairs):
-        reports[pair] = report = EvalReport()
-        for it, (uid, best) in zip(dev.items, decoded):
-            hyp = best[k].tokens
-            if (uid, hyp) not in memo:
-                memo[uid, hyp] = wer_counts(it.tokens, hyp)
-            report.add(it.tokens, hyp, memo[uid, hyp])
-    return reports
+    return {pair: evaluate_pairs([(it.tokens, best[k].tokens) for it, (_, best) in zip(dev.items, decoded)])
+            for k, pair in enumerate(pairs)}
 
 
 def grid_search_lambdas(
@@ -443,7 +419,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, log=_log) 
                         with open(os.path.join(ensure("decodes"), fname), "w") as f:
                             for uid, best in decoded:
                                 f.write(format_record(uid, best[k], exp.vocab) + "\n")
-                    rep = evaluate_decodes(corpus, {uid: best[k].tokens for uid, best in decoded})
+                    rep = evaluate_pairs([(it.tokens, best[k].tokens) for it, (_, best) in zip(corpus.items, decoded)])
                     wer[method][domain] = rep.wer
                     reports[method][domain] = rep
                     log(f"{method} [{domain}]: WER {rep.wer:.3f}")
@@ -691,10 +667,19 @@ def cmd_eval(args) -> None:
     refs = _read_refs(args.ref, vocab)
     hyps: dict[str, tuple[int, ...]] = {}
     with open(args.hyp) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             if line.strip():
                 uid, ids = parse_record(line)
+                if uid in hyps:
+                    raise ConfigError(f"{args.hyp}:{lineno}: second record for utterance {uid}")
+                try:
+                    vocab.check_ids(ids)
+                except VocabError as e:
+                    raise VocabError(f"{args.hyp}:{lineno}: {e}") from None
                 hyps[uid] = ids
+    unknown = hyps.keys() - {it.uid for it in refs.items}
+    if unknown:
+        raise ConfigError(f"{args.hyp}: utterance {min(unknown)} is not in {args.ref}")
     report = evaluate_decodes(refs, hyps)
     out = os.path.join(args.out_dir, "eval.kv")
     with open(out, "w") as f:

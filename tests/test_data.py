@@ -145,6 +145,14 @@ class TestTextCorpusIO:
         write_vocab(vocab, str(tmp_path / "v.txt"))
         assert read_vocab(str(tmp_path / "v.txt")) == vocab
 
+    @pytest.mark.parametrize("text, what", [("a b\nc\n", "whitespace"), ("", "no tokens"), ("\n \n", "no tokens"),
+                                            ("a\nb\na\n", "duplicate")])
+    def test_bad_vocab_file_rejected(self, tmp_path, text, what):
+        path = tmp_path / "v.txt"
+        path.write_text(text)
+        with pytest.raises(VocabError, match=f"v.txt: .*{what}"):
+            read_vocab(str(path))
+
 
 class TestPairedCorpusIO:
     def test_roundtrip_and_stable_bytes(self, tmp_path):
@@ -280,4 +288,29 @@ class TestCheckpoints:
         path = tmp_path / "junk"
         path.write_text("hello\n")
         with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])  # 1e39 is infinite in float32
+    def test_non_finite_parameter_not_saved(self, tmp_path, bad):
+        m = small_mhat()
+        m.params["am_proj.weight"].data[1, 2] = bad
+        with np.errstate(over="ignore"), pytest.raises(CheckpointError, match="'am_proj.weight'.*non-finite"):
+            save_checkpoint(m, str(tmp_path / "m.ckpt"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_blob_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(small_mhat(), str(path))
+        blob = tmp_path / "m.ckpt.bin"
+        values = np.fromfile(blob, dtype="<f4")
+        values[-1] = np.nan
+        values.tofile(blob)
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(str(path))
+
+    def test_bad_manifest_vocabulary_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(small_mhat(), str(path))
+        path.write_text(path.read_text().replace("token.1 w1", "token.1 w0"))
+        with pytest.raises(CheckpointError, match="duplicate token name 'w0'"):
             load_checkpoint(str(path))

@@ -21,6 +21,7 @@ from mhat.evalcli import ExperimentConfig, build_hat, build_mhat, make_experimen
 from mhat.extlm import ExternalLm
 from mhat.lattice import StructureError, forward_log_prob
 from mhat.model import ConfigError, Vocabulary
+from mhat.numerics import EvaluationError
 
 
 def exhaustive_best(model, X, fusion, max_u=4):
@@ -383,6 +384,9 @@ class _TieScorer:
     def label_rows(self, t, frame, ilm):
         return frame[:, 2:]
 
+    def check_finite(self):
+        pass  # the stub tables are finite
+
 
 class TestLockstep:
     """Several fusion configs in one search: each group ranks as its own search."""
@@ -439,3 +443,39 @@ class TestLockstep:
         for model in (mhat, models["hat"]):
             with pytest.raises(StructureError):
                 beam_search(model, np.zeros((0, utts[0].shape[1])), 4, mixed_configs(lm))
+
+
+class TestNonFiniteValues:
+    """A NaN or +inf scorer row, or a search with no finite hypothesis, raises
+    EvaluationError: never an empty ranked list or a -inf "best" result."""
+
+    @pytest.mark.parametrize("kind, name", [("mhat", "am_proj.weight"), ("hat", "label_head.weight")])
+    def test_nan_parameter_raises(self, real_setup, kind, name):
+        models, _, utts = real_setup
+        model = copy.deepcopy(models[kind])
+        model.params[name].data[0, 0] = np.nan
+        with pytest.raises(EvaluationError, match="non-finite frame_rows"):
+            beam_search(model, utts[0], 4)
+
+    def test_infinite_lm_row_raises(self, real_setup):
+        models, lm, utts = real_setup
+        lm = copy.deepcopy(lm)
+        lm.out_b.data[2] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(EvaluationError, match="non-finite log_prob_rows"):
+            beam_search(models["mhat"], utts[0], 4, FusionConfig("shallow", 0.3, lm=lm))
+
+    @pytest.mark.parametrize("kind", ["mhat", "hat"])
+    def test_no_finite_hypothesis_raises(self, real_setup, kind):
+        models, lm, utts = real_setup
+        model = copy.deepcopy(models[kind])
+        model.params["joint.v_bias"].data = np.asarray(-np.inf)  # log b = -inf: no alignment consumes a frame
+        with pytest.raises(EvaluationError, match="no hypothesis with a finite score"):
+            beam_search(model, utts[0], 4, mixed_configs(lm))
+
+    def test_minus_inf_from_underflow_is_legal(self, real_setup):
+        models, lm, utts = real_setup
+        lm = copy.deepcopy(lm)
+        lm.out_b.data[3] = -np.inf  # the LM rules token 3 out
+        ranked = beam_search(models["mhat"], utts[0], 4, FusionConfig("shallow", 0.3, lm=lm))
+        assert ranked and math.isfinite(ranked[0].combined)
+        assert all(3 not in r.tokens for r in ranked if math.isfinite(r.combined))

@@ -4,6 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
+import reference_wer
 from mhat import data as dat
 from mhat import evalcli
 from mhat.decode import NO_FUSION, FusionConfig, beam_search, format_record
@@ -61,6 +62,25 @@ class TestWer:
             assert wer_counts(ref, hyp) == wer_counts(
                 [int(perm[x]) for x in ref], [int(perm[x]) for x in hyp]
             )
+
+    def test_add_takes_only_the_pair(self):
+        assert list(inspect.signature(EvalReport.add).parameters) == ["self", "ref", "hyp"]
+
+    def test_matches_the_move_matrix_oracle(self, rng):
+        # 1-4 symbols make many tied alignments; both sides empty is drawn too
+        assert wer_counts([], []) == reference_wer.wer_counts([], []) == (0, 0, 0)
+        for _ in range(20_000):
+            k = int(rng.integers(1, 5))
+            ref = rng.integers(0, k, size=rng.integers(0, 10)).tolist()
+            hyp = rng.integers(0, k, size=rng.integers(0, 10)).tolist()
+            assert wer_counts(ref, hyp) == reference_wer.wer_counts(ref, hyp), (ref, hyp)
+
+    def test_long_pairs_match_the_move_matrix_oracle(self, rng):
+        for _ in range(200):
+            k = int(rng.integers(1, 5))
+            ref = rng.integers(0, k, size=rng.integers(0, 61)).tolist()
+            hyp = rng.integers(0, k, size=rng.integers(0, 61)).tolist()
+            assert wer_counts(ref, hyp) == reference_wer.wer_counts(ref, hyp), (ref, hyp)
 
     def test_corpus_pooling_not_mean_of_rates(self):
         rep = evaluate_pairs([([0], [1]), ([0] * 9, [0] * 9)])
@@ -186,17 +206,20 @@ class TestLambdaGrid:
         assert grid_search_lambdas(model, lm, dev, mode, cfg, log=lambda msg: None) == best[1:]
         assert len({rep.wer for rep in ref.values()}) > 1  # the weights matter on this model
 
-    def test_each_distinct_hypothesis_is_aligned_once(self, grid_setup, monkeypatch):
+    def test_every_grid_pair_matches_the_move_matrix_oracle(self, grid_setup, monkeypatch):
         cfg, model, lm, dev = grid_setup
         seen = []
 
-        def counted(ref, hyp):
-            seen.append((id(ref), tuple(hyp)))  # ref is the utterance's own transcript
-            return wer_counts(ref, hyp)
+        def recorded(ref, hyp):
+            seen.append((ref, hyp, wer_counts(ref, hyp)))
+            return seen[-1][2]
 
-        monkeypatch.setattr(evalcli, "wer_counts", counted)
+        monkeypatch.setattr(evalcli, "wer_counts", recorded)
         wers = lambda_grid_wers(model, lm, dev, "ilme_subtract", cfg)
-        assert len(seen) == len(set(seen)) < len(wers) * len(dev.items)
+        assert len(seen) == len(wers) * len(dev.items)
+        assert len({(ref, hyp) for ref, hyp, _ in seen}) > len(dev.items)  # the weights change some hypotheses
+        for ref, hyp, counts in seen:
+            assert counts == reference_wer.wer_counts(ref, hyp), (ref, hyp)
 
     def test_ties_go_to_smaller_weights(self, grid_setup):
         cfg, _, lm, dev = grid_setup
@@ -465,6 +488,28 @@ class TestCli:
         resolved = (out / "resolved-config.txt").read_text().splitlines()
         assert "n_train 5" in resolved and "n_dev 3" in resolved
         assert not any(line.startswith(("beam ", "no_such_key ")) for line in resolved)
+
+    @pytest.mark.parametrize("last, why", [("train-00002\t2\tw2", "second record for utterance train-00002"),
+                                           ("train-00009\t2\tw2", "utterance train-00009 is not in"),
+                                           ("train-00003\t4\t?", "token id 4 out of range")])
+    def test_eval_rejects_a_bad_hypothesis_file(self, tmp_path, capsys, last, why):
+        dat.write_vocab(Vocabulary.default(4), str(tmp_path / "vocab.txt"))
+        (tmp_path / "ref.txt").write_text("w0 w1\nw2\nw3\n")  # utterances train-00001 to train-00003
+        hyp, out = tmp_path / "hyp.tsv", tmp_path / "out"
+        args = ["eval", "--ref", str(tmp_path / "ref.txt"), "--vocab", str(tmp_path / "vocab.txt"), "--hyp", str(hyp),
+                "--out-dir", str(out)]
+
+        def run(record):
+            lines = ["train-00001\t0 1\tw0 w1", "train-00002\t2\tw2", record]
+            hyp.write_text("".join(line + "\t0.0\t0.0\t0.0\n" for line in lines))
+            return main(args)
+
+        assert run("train-00003\t3\tw3") == 0
+        (out / "eval.kv").unlink()
+        capsys.readouterr()
+        assert run(last) == 2
+        assert why in capsys.readouterr().err
+        assert not (out / "eval.kv").exists()
 
     def test_jobs_is_not_an_option(self, tmp_path):
         assert main(["decode", "--ckpt", "x", "--data", "y", "--jobs", "2",

@@ -31,6 +31,12 @@ class TestVocabulary:
         assert v.size == 5 and v.sos_id == 5
         assert v.names == ("w0", "w1", "w2", "w3", "w4")
 
+    @pytest.mark.parametrize("names, what", [((), "no tokens"), (("a", "a", "b"), "duplicate"), (("a", ""), "empty"),
+                                             (("a b", "c"), "whitespace"), (("a\tb",), "whitespace")])
+    def test_bad_inventory_rejected(self, names, what):
+        with pytest.raises(VocabError, match=what):
+            Vocabulary(names)
+
     def test_id_roundtrip_and_errors(self):
         v = Vocabulary.default(3)
         assert v.id_of("w1") == 1
