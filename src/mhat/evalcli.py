@@ -553,7 +553,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.set_defaults(func=cmd_decode)
 
     p = sub("eval", help="score decodes against references")
-    p.add_argument("--ref", required=True, help="corpus manifest or text file")
+    p.add_argument("--ref", required=True, help="the decoded paired corpus (manifest)")
     p.add_argument("--vocab", required=True)
     p.add_argument("--hyp", required=True, help="decode records (tsv)")
     p.set_defaults(func=cmd_eval)
@@ -600,14 +600,6 @@ def _write_resolved_config(args) -> None:
     ]
     with open(os.path.join(args.out_dir, "resolved-config.txt"), "w") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def _read_refs(path: str, vocab: Vocabulary) -> dat.Corpus:
-    with open(path) as f:
-        first = f.readline()
-    if first.startswith("format mhat-corpus-v1"):
-        return dat.read_corpus(path, vocab)
-    return dat.read_text_corpus(path, vocab)
 
 
 def cmd_gen_data(args) -> None:
@@ -664,7 +656,7 @@ def cmd_decode(args) -> None:
 
 def cmd_eval(args) -> None:
     vocab = dat.read_vocab(args.vocab)
-    refs = _read_refs(args.ref, vocab)
+    refs = dat.read_corpus(args.ref, vocab)
     hyps: dict[str, tuple[int, ...]] = {}
     with open(args.hyp) as f:
         for lineno, line in enumerate(f, start=1):

@@ -156,10 +156,10 @@ def lattice_log_prob(log_blank: Tensor, log_label: Tensor, cells: LatticeCells) 
             # a blank out of the last frame reaches a -inf beta cell
             gb = np.exp(src + log_blank.data + beta[k + 1, b, c] - tot[b])
             gb[(t == t_lens[b] - 1) & (u == u_lens[b])] += 1.0
-            log_blank._accumulate(g[b] * gb)
+            log_blank._hand_over(g[b] * gb)
         if log_label.requires_grad and n:
             gl = np.exp(src[:n] + log_label.data + beta[k[:n] + 1, b[:n], c[:n] + 1] - tot[b[:n]])
-            log_label._accumulate(g[b[:n]] * gl)
+            log_label._hand_over(g[b[:n]] * gl)
 
     return nm._op(tot, (log_blank, log_label), vjp)
 

@@ -188,20 +188,27 @@ def lattice_cells(t_lens: Sequence[int], transcripts: Sequence[Sequence[int]], s
     """Pack the (T_b, U_b + 1) lattice grids of a batch into one cell list."""
     t_lens = np.asarray(t_lens, dtype=np.int64)
     u_lens, toks = _token_array(transcripts, sos_id)
-    sizes = t_lens * (u_lens + 1)
+    tok0 = np.cumsum(u_lens) - u_lens  # each utterance's first token in `toks`
+    # label cells (u < U_b), then last cells (u = U_b), each in (b, t, u) order
+    sizes = t_lens * u_lens
     b = np.repeat(np.arange(t_lens.size), sizes)
-    t, u = np.divmod(np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes), u_lens[b] + 1)
-    last = u == u_lens[b]
-    order = np.argsort(last, kind="stable")
-    b, t, u = b[order], t[order], u[order]
-    # after u emissions, the context is the u-th pair of bigram_contexts;
-    # its labels are padded[at + 1] and padded[at]
-    at = (np.cumsum(u_lens) - u_lens)[b] + u
+    t, u = np.divmod(np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes), u_lens[b])
+    b_last = np.repeat(np.arange(t_lens.size), t_lens)
+    b = np.concatenate([b, b_last])
+    t = np.concatenate([t, np.arange(t_lens.sum()) - np.repeat(np.cumsum(t_lens) - t_lens, t_lens)])
+    u = np.concatenate([u, u_lens[b_last]])
+    # the context after u emissions, for every (b, u) of an utterance with
+    # frames, is the u-th pair of bigram_contexts: padded[at + 1], padded[at]
+    steps = (u_lens + 1) * (t_lens > 0)
+    first = np.cumsum(steps) - steps
+    sb = np.repeat(np.arange(t_lens.size), steps)
+    su = np.arange(steps.sum()) - first[sb]
+    at = tok0[sb] + su
     padded = np.concatenate([[sos_id, sos_id], toks])
-    prev1 = np.where(u >= 1, padded[at + 1], sos_id)
-    prev2 = np.where(u >= 2, padded[at], sos_id)
+    prev1 = np.where(su >= 1, padded[at + 1], sos_id)
+    prev2 = np.where(su >= 2, padded[at], sos_id)
     keys, ctx = np.unique(prev2 * (sos_id + 1) + prev1, return_inverse=True)
-    n_label = sizes.sum() - np.count_nonzero(last)
+    n_label = sizes.sum()
     return LatticeCells(
         t_lens=t_lens,
         u_lens=u_lens,
@@ -209,9 +216,9 @@ def lattice_cells(t_lens: Sequence[int], transcripts: Sequence[Sequence[int]], s
         t=t,
         u=u,
         frame=(np.cumsum(t_lens) - t_lens)[b] + t,
-        ctx=ctx.reshape(-1),
+        ctx=ctx.reshape(-1)[first[b] + u],
         contexts=np.stack([keys // (sos_id + 1), keys % (sos_id + 1)], axis=1),
-        labels=toks[at[:n_label]],
+        labels=toks[tok0[b[:n_label]] + u[:n_label]],
     )
 
 
@@ -283,24 +290,32 @@ class Encoder:
             self.weights.append((w, b))
             d_in = cfg.d_f
 
-    def windows(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.cfg.d_x:
-            raise ConfigError(
-                f"feature dim mismatch: got {X.shape}, encoder expects (T, {self.cfg.d_x})"
-            )
+    def windows(self, xs: list[np.ndarray]) -> np.ndarray:
+        """The zero-padded (2c+1)-frame windows of every frame of a list of
+        (T, d_x) utterances, stacked, from one gather."""
+        xs = [np.asarray(x, dtype=np.float64) for x in xs]
+        for x in xs:
+            if x.ndim != 2 or x.shape[1] != self.cfg.d_x:
+                raise ConfigError(
+                    f"feature dim mismatch: got {x.shape}, encoder expects (T, {self.cfg.d_x})"
+                )
+        X = np.concatenate(xs)
+        t_lens = np.array([len(x) for x in xs])
+        b = np.repeat(np.arange(len(xs)), t_lens)
         if not np.isfinite(X).all():
-            t, d = np.argwhere(~np.isfinite(X))[0]
-            raise ConfigError(f"non-finite feature {X[t, d]!r} at frame {t}")
-        t, c = X.shape[0], self.cfg.context
-        padded = np.vstack([np.zeros((c, self.cfg.d_x)), X, np.zeros((c, self.cfg.d_x))])
-        idx = np.arange(t)[:, None] + np.arange(2 * c + 1)[None, :]
-        return padded[idx].reshape(t, (2 * c + 1) * self.cfg.d_x)
+            i, d = np.argwhere(~np.isfinite(X))[0]
+            t = i - (np.cumsum(t_lens) - t_lens)[b[i]]
+            raise ConfigError(f"non-finite feature {X[i, d]!r} at frame {t}")
+        # utterance b's frames sit between c zero rows of their own on each side
+        c = self.cfg.context
+        rows = np.arange(len(X)) + c * (2 * b + 1)
+        padded = np.zeros((len(X) + 2 * c * len(xs), self.cfg.d_x))
+        padded[rows] = X
+        return padded[rows[:, None] + np.arange(-c, c + 1)].reshape(len(X), (2 * c + 1) * self.cfg.d_x)
 
     def forward(self, X: np.ndarray | list[np.ndarray]) -> Tensor:
         """Outputs for one (T, d_x) utterance, or the stacked frames of a list of them."""
-        xs = X if isinstance(X, list) else [X]
-        h: Tensor = Tensor(np.concatenate([self.windows(x) for x in xs]))
+        h: Tensor = Tensor(self.windows(X if isinstance(X, list) else [X]))
         for w, b in self.weights:
             h = nm.tanh(nm.affine(h, w, b))
         return h

@@ -104,6 +104,15 @@ class Tensor:
         else:
             self.grad += g
 
+    def _hand_over(self, g: np.ndarray) -> None:
+        """`_accumulate` an array the caller has just allocated and never touches
+        again: a first gradient of the right shape is kept, not copied.  (A
+        ufunc of 0-d arrays returns a numpy scalar, which is copied.)"""
+        if self.grad is None and type(g) is np.ndarray and g.shape == self.data.shape:
+            self.grad = g
+        else:
+            self._accumulate(g)
+
     def backward(self) -> None:
         """Reverse-mode accumulation from a scalar output into leaf grads.
 
@@ -187,7 +196,7 @@ def neg(a) -> Tensor:
 
     def vjp(g):
         if a.requires_grad:
-            a._accumulate(-g)
+            a._hand_over(-g)
 
     return _op(-a.data, (a,), vjp)
 
@@ -198,9 +207,9 @@ def mul(a, b) -> Tensor:
 
     def vjp(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+            a._hand_over(_unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            b._hand_over(_unbroadcast(g * a.data, b.data.shape))
 
     return _op(data, (a, b), vjp)
 
@@ -258,15 +267,20 @@ def total(a) -> Tensor:
 def _segment_sum(g: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
     """Row i of `g` added into row ids[i] of an (n, ...) zero array.
 
-    A stable sort by id, then one `np.add.reduceat` over the runs of equal
-    ids: each row sum keeps the order of `ids`, with no per-element scatter.
+    A stable sort by id (none when `ids` is already non-decreasing), then
+    one `np.add.reduceat` over the runs of equal ids: each row sum keeps the
+    order of `ids`, with no per-element scatter.
     """
     out = np.zeros((n, *g.shape[1:]))
     if ids.size:
-        order = np.argsort(ids, kind="stable")
-        s = ids[order]
+        s = ids
+        if (s[1:] < s[:-1]).any():
+            # a stable sort's permutation is unique, so the narrowest id type
+            # (a radix sort up to 16 bits) gives the int64 sort's order
+            order = np.argsort(ids.astype(np.min_scalar_type(n - 1)), kind="stable")
+            s, g = ids[order], g[order]
         starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
-        out[s[starts]] = np.add.reduceat(g[order], starts, axis=0)
+        out[s[starts]] = np.add.reduceat(g, starts, axis=0)
     return out
 
 
@@ -279,7 +293,7 @@ def gather_rows(table, ids) -> Tensor:
     def vjp(g):
         if table.requires_grad:
             rows = g.reshape(ids.size, *table.data.shape[1:])
-            table._accumulate(_segment_sum(rows, ids.reshape(-1), table.data.shape[0]))
+            table._hand_over(_segment_sum(rows, ids.reshape(-1), table.data.shape[0]))
 
     return _op(data, (table,), vjp)
 
@@ -292,12 +306,12 @@ def gather_sum(a, ia, b, ib) -> Tensor:
 
     def vjp(g):
         if a.requires_grad:
-            a._accumulate(_segment_sum(g, ia, a.data.shape[0]))
+            a._hand_over(_segment_sum(g, ia, a.data.shape[0]))
         if b.requires_grad:
-            b._accumulate(_segment_sum(g, ib, b.data.shape[0]))
+            b._hand_over(_segment_sum(g, ib, b.data.shape[0]))
 
-    data = a.data[ia]
-    data += b.data[ib]
+    data = np.take(a.data, ia, axis=0)
+    data += np.take(b.data, ib, axis=0)
     return _op(data, (a, b), vjp)
 
 
@@ -348,11 +362,11 @@ def affine(x, W, b=None) -> Tensor:
     def vjp(g):
         g2 = g.reshape(-1, m)
         if x.requires_grad:
-            x._accumulate(_matmul_rows(g, W.data))
+            x._hand_over(_matmul_rows(g, W.data))
         if W.requires_grad:
-            W._accumulate(g2.T @ x.data.reshape(-1, n))
+            W._hand_over(g2.T @ x.data.reshape(-1, n))
         if b is not None and b.requires_grad:
-            b._accumulate(g2.sum(axis=0))
+            b._hand_over(g2.sum(axis=0))
 
     return _op(data, parents, vjp)
 
@@ -378,11 +392,11 @@ def dot(x, w, b=None) -> Tensor:
 
     def vjp(g):
         if x.requires_grad:
-            x._accumulate(g[..., None] * w.data)
+            x._hand_over(g[..., None] * w.data)
         if w.requires_grad:
-            w._accumulate(g.reshape(-1) @ x.data.reshape(-1, h))
+            w._hand_over(g.reshape(-1) @ x.data.reshape(-1, h))
         if b is not None and b.requires_grad:
-            b._accumulate(np.asarray(g.sum()).reshape(b.data.shape))
+            b._hand_over(np.asarray(g.sum()).reshape(b.data.shape))
 
     return _op(data, parents, vjp)
 
@@ -399,7 +413,7 @@ def tanh(x) -> Tensor:
             d = data * data
             np.subtract(1.0, d, out=d)
             d *= g
-            x._accumulate(d)
+            x._hand_over(d)
 
     return _op(data, (x,), vjp)
 
@@ -427,7 +441,7 @@ def log_sigmoid(x) -> Tensor:
     def vjp(g):
         if x.requires_grad:
             # d/dx log sigmoid(x) = sigmoid(-x)
-            x._accumulate(g * sigmoid(-x.data))
+            x._hand_over(g * sigmoid(-x.data))
 
     return _op(data, (x,), vjp)
 
@@ -445,7 +459,7 @@ def log_softmax(x) -> Tensor:
     def vjp(g):
         if x.requires_grad:
             sm = np.exp(data)
-            x._accumulate(g - sm * g.sum(axis=-1, keepdims=True))
+            x._hand_over(g - sm * g.sum(axis=-1, keepdims=True))
 
     return _op(data, (x,), vjp)
 
@@ -466,7 +480,7 @@ def log_softmax_at(x, ids) -> Tensor:
         if x.requires_grad:
             grad = np.exp((x.data - m) - lse) * -g[:, None]
             grad[rows, ids] += g
-            x._accumulate(grad)
+            x._hand_over(grad)
 
     return _op((x.data[rows, ids] - m[:, 0]) - lse[:, 0], (x,), vjp)
 

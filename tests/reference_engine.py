@@ -1,0 +1,106 @@
+"""The training-step pieces that the cheaper step replaced.
+
+Kept verbatim as test oracles, each under its original name:
+`Tensor._accumulate`, which copies every first gradient (a method: it
+takes the tensor as `self`); `numerics._segment_sum` with its int64
+sort; `numerics.gather_sum` with fancy-index gathers (it calls the
+`_segment_sum` below); `model.lattice_cells` with its argsort into final
+order; and the per-utterance `Encoder.windows` (a method of the
+encoder).  The new pieces must give byte-identical arrays, and a whole
+training step with these patched back in must give byte-identical
+gradients.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from mhat.model import ConfigError, LatticeCells, _token_array
+from mhat.numerics import Tensor, _coerce, _op
+
+
+def _accumulate(self, g: np.ndarray) -> None:
+    if self.grad is None:
+        self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64)
+    else:
+        self.grad += g
+
+
+def _segment_sum(g: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
+    """Row i of `g` added into row ids[i] of an (n, ...) zero array.
+
+    A stable sort by id, then one `np.add.reduceat` over the runs of equal
+    ids: each row sum keeps the order of `ids`, with no per-element scatter.
+    """
+    out = np.zeros((n, *g.shape[1:]))
+    if ids.size:
+        order = np.argsort(ids, kind="stable")
+        s = ids[order]
+        starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
+        out[s[starts]] = np.add.reduceat(g[order], starts, axis=0)
+    return out
+
+
+def gather_sum(a, ia, b, ib) -> Tensor:
+    """Rows a[ia] + b[ib]; only the sum is kept for the backward pass, whose
+    gradient sums into the rows of each index as in `gather_rows`."""
+    a, b = _coerce(a), _coerce(b)
+    ia, ib = np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
+
+    def vjp(g):
+        if a.requires_grad:
+            a._accumulate(_segment_sum(g, ia, a.data.shape[0]))
+        if b.requires_grad:
+            b._accumulate(_segment_sum(g, ib, b.data.shape[0]))
+
+    data = a.data[ia]
+    data += b.data[ib]
+    return _op(data, (a, b), vjp)
+
+
+def lattice_cells(t_lens: Sequence[int], transcripts: Sequence[Sequence[int]], sos_id: int) -> LatticeCells:
+    """Pack the (T_b, U_b + 1) lattice grids of a batch into one cell list."""
+    t_lens = np.asarray(t_lens, dtype=np.int64)
+    u_lens, toks = _token_array(transcripts, sos_id)
+    sizes = t_lens * (u_lens + 1)
+    b = np.repeat(np.arange(t_lens.size), sizes)
+    t, u = np.divmod(np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes), u_lens[b] + 1)
+    last = u == u_lens[b]
+    order = np.argsort(last, kind="stable")
+    b, t, u = b[order], t[order], u[order]
+    # after u emissions, the context is the u-th pair of bigram_contexts;
+    # its labels are padded[at + 1] and padded[at]
+    at = (np.cumsum(u_lens) - u_lens)[b] + u
+    padded = np.concatenate([[sos_id, sos_id], toks])
+    prev1 = np.where(u >= 1, padded[at + 1], sos_id)
+    prev2 = np.where(u >= 2, padded[at], sos_id)
+    keys, ctx = np.unique(prev2 * (sos_id + 1) + prev1, return_inverse=True)
+    n_label = sizes.sum() - np.count_nonzero(last)
+    return LatticeCells(
+        t_lens=t_lens,
+        u_lens=u_lens,
+        b=b,
+        t=t,
+        u=u,
+        frame=(np.cumsum(t_lens) - t_lens)[b] + t,
+        ctx=ctx.reshape(-1),
+        contexts=np.stack([keys // (sos_id + 1), keys % (sos_id + 1)], axis=1),
+        labels=toks[at[:n_label]],
+    )
+
+
+def windows(self, X: np.ndarray) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != self.cfg.d_x:
+        raise ConfigError(
+            f"feature dim mismatch: got {X.shape}, encoder expects (T, {self.cfg.d_x})"
+        )
+    if not np.isfinite(X).all():
+        t, d = np.argwhere(~np.isfinite(X))[0]
+        raise ConfigError(f"non-finite feature {X[t, d]!r} at frame {t}")
+    t, c = X.shape[0], self.cfg.context
+    padded = np.vstack([np.zeros((c, self.cfg.d_x)), X, np.zeros((c, self.cfg.d_x))])
+    idx = np.arange(t)[:, None] + np.arange(2 * c + 1)[None, :]
+    return padded[idx].reshape(t, (2 * c + 1) * self.cfg.d_x)

@@ -394,6 +394,19 @@ class TestCli:
         assert main([command, "--ckpt", str(tmp_path / "mhat.ckpt"), *data, "--out-dir", str(out)]) == 2
         assert sorted(p.name for p in out.iterdir()) == ["resolved-config.txt"]
 
+    def test_eval_reference_must_be_a_corpus_manifest(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--out-dir", str(data_dir), "--n-train", "2", "--n-dev", "2",
+                     "--n-test", "2", "--n-adapt-text", "4"]) == 0
+        hyp = tmp_path / "decodes.tsv"
+        hyp.write_text("")
+        out = tmp_path / "eval"
+        rc = main(["eval", "--ref", str(data_dir / "target.dev.txt"), "--vocab", str(data_dir / "vocab.txt"),
+                   "--hyp", str(hyp), "--out-dir", str(out)])
+        assert rc == 2
+        assert "not a corpus manifest" in capsys.readouterr().err
+        assert not (out / "eval.kv").exists()
+
     def test_decode_fusion_requires_lm(self, tmp_path):
         rc = main(
             ["decode", "--ckpt", "x", "--data", "y",
@@ -493,10 +506,12 @@ class TestCli:
                                            ("train-00009\t2\tw2", "utterance train-00009 is not in"),
                                            ("train-00003\t4\t?", "token id 4 out of range")])
     def test_eval_rejects_a_bad_hypothesis_file(self, tmp_path, capsys, last, why):
-        dat.write_vocab(Vocabulary.default(4), str(tmp_path / "vocab.txt"))
-        (tmp_path / "ref.txt").write_text("w0 w1\nw2\nw3\n")  # utterances train-00001 to train-00003
+        vocab = Vocabulary.default(4)
+        dat.write_vocab(vocab, str(tmp_path / "vocab.txt"))
+        items = tuple(dat.Utterance(f"train-0000{i}", np.zeros((2, 3)), y) for i, y in [(1, (0, 1)), (2, (2,)), (3, (3,))])
+        dat.write_corpus(dat.Corpus("train", 0, vocab, items), str(tmp_path / "ref"))
         hyp, out = tmp_path / "hyp.tsv", tmp_path / "out"
-        args = ["eval", "--ref", str(tmp_path / "ref.txt"), "--vocab", str(tmp_path / "vocab.txt"), "--hyp", str(hyp),
+        args = ["eval", "--ref", str(tmp_path / "ref"), "--vocab", str(tmp_path / "vocab.txt"), "--hyp", str(hyp),
                 "--out-dir", str(out)]
 
         def run(record):

@@ -1,0 +1,245 @@
+"""The training step against the pieces it replaced (tests/reference_engine.py).
+
+The cell list, the segment sums and the encoder windows must give
+byte-identical arrays, and a whole step must give byte-identical losses
+and gradients.  Both sides run in one process, so they share one BLAS
+thread count.  Gradient handover must never let two tensors share one
+gradient array.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import reference_engine as ref
+from mhat import model as model_mod
+from mhat import numerics as nm
+from mhat.evalcli import ExperimentConfig, build_hat, build_mhat, make_experiment_data
+from mhat.lattice import canonical_order, hat_loss
+from mhat.losses import LossConfig, mhat_loss
+from mhat.model import ConfigError, Encoder, EncoderConfig, lattice_cells
+from mhat.numerics import ParameterSet, Tensor
+from mhat.training import TrainConfig, train_asr
+
+CFG = ExperimentConfig(n_dev=0, n_test=0, n_adapt_text=0)
+FIELDS = ("t_lens", "u_lens", "b", "t", "u", "frame", "ctx", "contexts", "labels")
+
+
+@pytest.fixture(scope="module")
+def real():
+    """The vocabulary, the standard training corpus and its first 50
+    minibatches as `train_asr` draws them at seed 0, each in canonical order."""
+    exp = make_experiment_data(CFG)
+    items = exp.src_train.paired()
+    order = np.random.default_rng(CFG.seed).permutation(len(items))
+    batches = []
+    for start in range(0, 50 * CFG.batch_size, CFG.batch_size):
+        chunk = [items[i] for i in order[start : start + CFG.batch_size]]
+        batches.append([chunk[i] for i in canonical_order(chunk)])
+    return exp.vocab, items, batches
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_cells(t_lens, seqs, sos_id):
+    got, want = lattice_cells(t_lens, seqs, sos_id), ref.lattice_cells(t_lens, seqs, sos_id)
+    for f in FIELDS:
+        assert same_bytes(getattr(got, f), getattr(want, f)), f
+
+
+def batch_windows(enc, xs):
+    return np.concatenate([ref.windows(enc, x) for x in xs])
+
+
+@pytest.fixture
+def old_step(monkeypatch):
+    """Patch the replaced pieces back in: the step as it was before them."""
+
+    def install():
+        monkeypatch.setattr(Tensor, "_hand_over", ref._accumulate)
+        monkeypatch.setattr(nm, "_segment_sum", ref._segment_sum)
+        monkeypatch.setattr(nm, "gather_sum", ref.gather_sum)
+        monkeypatch.setattr(model_mod, "lattice_cells", ref.lattice_cells)
+        monkeypatch.setattr(Encoder, "windows", batch_windows)
+
+    return install
+
+
+class TestCellsOracle:
+    def test_real_batches(self, real):
+        vocab, _, batches = real
+        for batch in batches:
+            assert_same_cells([len(x) for x, _ in batch], [y for _, y in batch], vocab.sos_id)
+
+    @pytest.mark.parametrize(
+        "t_lens, seqs",
+        [
+            ([3], [[2, 0, 1]]),  # a batch of one
+            ([1], [[]]),  # T = 1, U = 0
+            ([4, 1, 2], [[], [], []]),  # no label cells
+            ([1, 5, 1], [[3], [], [0, 0, 2]]),
+            ([2, 0, 3], [[1, 2], [3], [2]]),  # an utterance without frames has no cells
+            ([0], [[1]]),
+        ],
+    )
+    def test_edge_cases(self, t_lens, seqs):
+        assert_same_cells(t_lens, seqs, 4)
+
+
+class TestSegmentSumOracle:
+    def test_real_batch_ids(self, real):
+        vocab, _, batches = real
+        rng = np.random.default_rng(0)
+        for batch in batches:
+            cells = lattice_cells([len(x) for x, _ in batch], [y for _, y in batch], vocab.sos_id)
+            n, k = cells.n_label, len(cells.contexts)
+            for ids, rows in [
+                (cells.frame, cells.t_lens.sum()),
+                (cells.frame[:n], cells.t_lens.sum()),  # non-decreasing: no sort
+                (cells.ctx, k),
+                (cells.ctx[:n], k),
+                (cells.contexts[:, 0], vocab.sos_id + 1),  # non-decreasing
+                (cells.contexts[:, 1], vocab.sos_id + 1),
+            ]:
+                g = rng.standard_normal((ids.size, 32))
+                assert same_bytes(nm._segment_sum(g, ids, rows), ref._segment_sum(g, ids, rows))
+
+    @pytest.mark.parametrize(
+        "ids, n",
+        [
+            (np.array([0, 0, 1, 3, 3, 3], dtype=np.int64), 5),  # sorted
+            (np.array([3, 0, 3, 1, 0, 3], dtype=np.int64), 5),  # unsorted
+            (np.zeros(0, dtype=np.int64), 4),  # empty
+            (np.array([2], dtype=np.int64), 3),
+            (np.zeros(7, dtype=np.int64), 1),  # one row: uint8 ids
+            (np.random.default_rng(1).integers(0, 300, 2000), 300),  # uint16
+            (np.random.default_rng(2).integers(0, 70_000, 100_000), 70_000),  # wider than 16 bits
+            (np.sort(np.random.default_rng(3).integers(0, 70_000, 100_000)), 70_000),
+        ],
+    )
+    @pytest.mark.parametrize("tail", [(), (3,), (2, 3)])
+    def test_edge_cases(self, ids, n, tail):
+        g = np.random.default_rng(4).standard_normal((ids.size, *tail))
+        assert same_bytes(nm._segment_sum(g, ids, n), ref._segment_sum(g, ids, n))
+
+
+class TestWindowsOracle:
+    def test_real_batches(self, real):
+        vocab, _, batches = real
+        enc = build_mhat(CFG, vocab).encoder
+        for batch in batches:
+            xs = [x for x, _ in batch]
+            assert same_bytes(enc.windows(xs), batch_windows(enc, xs))
+
+    @pytest.mark.parametrize("context", [0, 1, 3])
+    @pytest.mark.parametrize("t_lens", [[1], [5], [1, 4, 1], [3, 0, 2], [2, 7, 1, 1]])
+    def test_edge_cases(self, context, t_lens):
+        enc = Encoder(ParameterSet(), EncoderConfig(d_x=3, context=context, d_f=4), np.random.default_rng(0))
+        rng = np.random.default_rng(5)
+        xs = [rng.standard_normal((t, 3)) for t in t_lens]
+        assert same_bytes(enc.windows(xs), batch_windows(enc, xs))
+
+    def test_non_finite_names_the_frame_of_its_utterance(self):
+        enc = Encoder(ParameterSet(), EncoderConfig(d_x=3), np.random.default_rng(0))
+        xs = [np.zeros((4, 3)), np.zeros((5, 3)), np.zeros((3, 3))]
+        xs[1][2, 1] = np.nan
+        xs[2][0, 0] = np.inf
+        with pytest.raises(ConfigError, match=r"non-finite feature np\.float64\(nan\) at frame 2$"):
+            enc.windows(xs)
+
+    def test_feature_dim_mismatch(self):
+        enc = Encoder(ParameterSet(), EncoderConfig(d_x=3), np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="feature dim"):
+            enc.windows([np.zeros((2, 3)), np.zeros((2, 4))])
+
+
+def loss_fn(kind):
+    if kind == "mhat":
+        return lambda m, batch: mhat_loss(m, batch, LossConfig(alpha=0.1))
+    return hat_loss
+
+
+def step_grads(model, kind, batches):
+    out = []
+    for batch in batches:
+        loss = loss_fn(kind)(model, batch)
+        model.params.zero_grads()
+        loss.backward()
+        out.append((loss.data.copy(), {n: t.grad.copy() for n, t in model.params.entries.items()}))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["mhat", "hat"])
+class TestStepIdentity:
+    def test_gradients_byte_identical(self, real, old_step, kind):
+        vocab, _, batches = real
+        build = build_mhat if kind == "mhat" else build_hat
+        new = step_grads(build(CFG, vocab), kind, batches[:5])
+        old_step()
+        old = step_grads(build(CFG, vocab), kind, batches[:5])
+        for (loss, grads), (loss0, grads0) in zip(new, old):
+            assert same_bytes(loss, loss0)
+            assert grads.keys() == grads0.keys()
+            for name in grads:
+                assert same_bytes(grads[name], grads0[name]), name
+
+    def test_training_byte_identical(self, real, old_step, kind):
+        vocab, items, _ = real
+        build = build_mhat if kind == "mhat" else build_hat
+        cfg = TrainConfig(epochs=1, alpha=0.1 if kind == "mhat" else 0.0)
+        new = build(CFG, vocab)
+        curve = train_asr(new, items[:160], cfg)
+        old_step()
+        old = build(CFG, vocab)
+        assert train_asr(old, items[:160], cfg) == curve
+        assert new.params.checksum() == old.params.checksum()
+
+
+class TestHandover:
+    @pytest.mark.parametrize("kind", ["mhat", "hat"])
+    def test_leaf_grads_never_share_memory(self, real, kind):
+        vocab, _, batches = real
+        model = (build_mhat if kind == "mhat" else build_hat)(CFG, vocab)
+        loss = loss_fn(kind)(model, batches[0])
+        model.params.zero_grads()
+        loss.backward()
+        grads = [(n, t.grad) for n, t in model.params.entries.items()]
+        assert all(g is not None for _, g in grads)
+        for (n1, g1), (n2, g2) in itertools.combinations(grads, 2):
+            assert not np.shares_memory(g1, g2), (n1, n2)
+
+    def test_one_tensor_on_many_paths(self, old_step):
+        def grads():
+            rng = np.random.default_rng(9)
+            x, u, v = (Tensor(rng.standard_normal((3, 4)), requires_grad=True) for _ in range(3))
+            w = Tensor(rng.standard_normal(8), requires_grad=True)
+            h = nm.tanh(x)
+            parts = [
+                nm.add(x, x),
+                nm.add(u, v),  # one upstream array for two leaves without a gradient yet
+                nm.mul(x, x),
+                nm.mul(h, h),
+                nm.neg(nm.mul(nm.add(h, x), h)),
+                nm.dot(nm.concat(x, v), w),
+                nm.concat(h, h),
+                x[1],
+                x[np.array([0, 2, 0])],
+                nm.gather_rows(h, np.array([2, 2, 1])),
+                nm.log_softmax(nm.concat(h, x)),
+            ]
+            loss = nm.total(parts[0])
+            for p in parts[1:]:
+                loss = nm.add(loss, nm.total(nm.mul(p, p)))
+            loss.backward()
+            leaves = (x.grad, u.grad, v.grad, w.grad)
+            assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(leaves, 2))
+            return leaves
+
+        new = grads()
+        old_step()
+        for got, want in zip(new, grads()):
+            assert same_bytes(got, want)
