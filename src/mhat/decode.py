@@ -15,6 +15,8 @@ on an adapted model realizes adapted-LM fusion (no subtraction).
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import numerics as nm
 from .extlm import ExternalLm, LmScorer
-from .lattice import check_structure, forward_log_prob
+from .lattice import StructureError, forward_log_prob
 from .model import ConfigError, HatModel, MhatModel, bigram_contexts
 
 FUSION_MODES = ("none", "shallow", "ilme_subtract")
@@ -76,34 +78,98 @@ class DecodeResult:
     combined: float
 
 
+@functools.cache
+def _next_contexts(v: int) -> np.ndarray:
+    """Context id of (prev2, prev1) extended by label k: (prev1, k).  Read only."""
+    w = v + 1
+    return (np.arange(w * w) % w * w)[:, None] + np.arange(v)
+
+
+class _Trie:
+    """Prefix nodes, one tree per group (roots 0 .. n_roots-1), so a node
+    names one (group, prefix): child[n, k] is node n extended by label k, or
+    -1.  A node keeps its group and its context id; `adv` is scratch space
+    for the merge, -1 outside it."""
+
+    def __init__(self, n_roots: int, v: int):
+        cap = max(64, 4 * n_roots)
+        self.child = np.full((cap, v), -1, dtype=np.int32)  # the largest table: int32 halves it
+        self.adv, self.ctx = np.full((2, cap), -1)
+        self.group = np.zeros(cap, dtype=np.intp)  # stays 0 under one root
+        self.group[:n_roots] = np.arange(n_roots)
+        self.ctx[:n_roots] = (v + 1) * (v + 1) - 1  # (SOS, SOS)
+        self.size, self.n_roots, self.next_ctx = n_roots, n_roots, _next_contexts(v)
+
+    def extend(self, parents: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Nodes of `parents` extended by `labels` (distinct pairs), made
+        where new, and whether any existed before."""
+        nodes = self.child[parents, labels].astype(np.intp)  # indexing with intp is faster
+        found = nodes.tolist()
+        existed = max(found) >= 0
+        if min(found) < 0:
+            new = nodes < 0 if existed else slice(None)
+            parents, labels = parents[new], labels[new]
+            ids = np.arange(self.size, self.size + len(parents))
+            self.size += len(ids)
+            if self.size > len(self.adv):
+                for name in ("child", "adv", "group", "ctx"):
+                    old = getattr(self, name)
+                    grown = np.full((self.size, *old.shape[1:]), 0 if name == "group" else -1, old.dtype)
+                    setattr(self, name, np.concatenate((old, grown)))
+            self.child[parents, labels] = ids
+            if self.n_roots > 1:
+                self.group[ids] = self.group[parents]
+            self.ctx[ids] = self.next_ctx[self.ctx[parents], labels]
+            nodes[new] = ids
+        return nodes, existed
+
+    def tokens(self, nodes: Sequence[int]) -> list[tuple[int, ...]]:
+        p, k = np.nonzero(self.child[: self.size] >= 0)
+        parent, token = np.empty(self.size, dtype=np.intp), np.empty(self.size, dtype=np.intp)
+        c = self.child[p, k]
+        parent[c], token[c] = p, k
+        parent, token = parent.tolist(), token.tolist()
+        out = []
+        for n in nodes:
+            tok = []
+            while n >= self.n_roots:
+                tok.append(token[n])
+                n = parent[n]
+            out.append(tuple(reversed(tok)))
+        return out
+
+
 def beam_search(
     model: MhatModel | HatModel,
-    X: np.ndarray,
+    X: np.ndarray | Sequence[np.ndarray],
     beam_width: int = 8,
     fusion: FusionConfig | Sequence[FusionConfig] = NO_FUSION,
     max_labels_per_frame: int = MAX_LABELS_PER_FRAME,
     *,
     lm_scorer: LmScorer | None = None,
-) -> list[DecodeResult] | list[list[DecodeResult]]:
+):
     """Ranked hypotheses with separately tracked score components.
 
-    `fusion` is one config, for one ranked list, or a sequence of configs
-    that share one external LM (or use none), for one ranked list per
-    config, in order.  The configs are searched in lockstep: a hypothesis
-    carries its config's index (its group), each round scores the label
-    extensions of every group's active hypotheses as one (n_active, |V|)
-    block, and each group keeps its own beam_width best, exactly as if it
-    were searched alone.
+    `X` is one (T, d_x) utterance, or a sequence of them (a corpus), for one
+    result per utterance.  `fusion` is one config, for one ranked list, or a
+    sequence of configs that share one external LM (or use none), for one
+    ranked list per config.  Every (utterance, config) pair is a group, and
+    all groups are searched in lockstep, one frame at a time, each utterance
+    stopping at its own last frame: a hypothesis is a prefix node (`_Trie`)
+    and a row of scores, each round scores the label extensions of every
+    group as one block, and each group keeps its own beam_width best,
+    exactly as if it were searched alone, with the same float operations in
+    the same order.  One scorer serves the corpus, so the rows that depend
+    only on the model and the context are computed once.  `lm_scorer` (from
+    the LM's `scorer()`) may be passed in to reuse its table across calls.
 
-    `lm_scorer` (from the LM's `scorer()`) may be passed in to reuse its
-    context table across calls, e.g. one LM over many utterances.  The
-    block scores use the same float operations, in the same order, as one
-    candidate at a time.
-
-    Raises StructureError on T=0, like the lattice: no alignment exists.
-    Raises EvaluationError when a config is left with no hypothesis of
-    finite combined score, or when a scorer row holds a NaN or +inf.
+    Raises StructureError when an utterance has no frames (T=0), like the
+    lattice: no alignment exists.  Raises EvaluationError when a group is
+    left with no hypothesis of finite combined score, or when a scorer row
+    holds a NaN or +inf.
     """
+    corpus = not isinstance(X, np.ndarray)
+    xs = list(X) if corpus else [X]
     fusions = [fusion] if isinstance(fusion, FusionConfig) else list(fusion)
     if not fusions:
         raise ConfigError("beam search needs at least one fusion config")
@@ -117,130 +183,175 @@ def beam_search(
     lm = next(iter(lms.values()), None)
     for f in fusions:
         _check_lm_vocab(model, f)
-    check_structure(X, ())
-    scorer = model.scorer(X)
+    for u, x in enumerate(xs):
+        if np.asarray(x).shape[0] < 1:
+            raise StructureError(f"no alignment exists for utterance {u}: it has no frames (T=0)")
     if lm is None:
         lm_scorer = None
     elif lm_scorer is None:
         lm_scorer = lm.scorer()
     elif lm_scorer.lm is not lm:
         raise ConfigError("LM scorer was built for another LM")
+    if not xs:
+        return []
+    scorer = model.scorer(xs if corpus else X)
+    k = beam_width
     v = model.vocab.size
-    w = v + 1  # context id = prev2 * w + prev1
-    n_groups = len(fusions)
-    uses_lm = [f.lm is not None for f in fusions]
-    no_lm = None if all(uses_lm) else ~np.array(uses_lm)[:, None]  # groups whose ext rows stay zero
+    n_ctx = (v + 1) * (v + 1)  # context id = prev2 * (v + 1) + prev1; utterance u's keys add u * n_ctx
+    n_cfg, n_utt = len(fusions), len(xs)
+    n_groups = n_utt * n_cfg  # group = utterance * n_cfg + config
+    uses_lm = np.array([f.lm is not None for f in fusions] * n_utt)  # per group
+    no_lm = None if all(f.lm is not None for f in fusions) else ~uses_lm[:, None]  # groups whose ext rows stay zero
     no_ext = np.zeros(v)
-
-    lam_ext = [f.lam_ext for f in fusions]
-    lam_ilm = [f.effective_lam_ilm for f in fusions]
-    row_ext, row_ilm = np.array(lam_ext)[:, None], np.array(lam_ilm)[:, None]
-
-    # a hypothesis is [(group, tokens), context id, model_lp, ext_lp, ilm_lp]
-    pool = [[(g, ()), v * w + v, 0.0, 0.0, 0.0] for g in range(n_groups)]
+    lam_ext = np.array([f.lam_ext for f in fusions] * n_utt)
+    lam_ilm = np.array([f.effective_lam_ilm for f in fusions] * n_utt)
+    t_end = np.repeat(scorer.t_lens, n_cfg) if corpus else None  # per group
+    stops = set(scorer.t_lens) if corpus else ()
+    le1, li1 = fusions[0].lam_ext, fusions[0].effective_lam_ilm  # the weights of a one-group search
+    trie = _Trie(n_groups, v)
+    # a hypothesis: a node and (model_lp, ext_lp, ilm_lp, lam_ext * ext_lp, lam_ilm * ilm_lp)
+    pool, done = (np.arange(n_groups), np.zeros((n_groups, 5))), []
     for t in range(scorer.t_len):
-        # hypotheses that consumed frame t, one per (group, prefix)
-        adv: list[list] = []
-        where: dict[tuple[int, tuple[int, ...]], list] = {}
-        act = pool
+        if t in stops:  # utterances whose last frame has passed
+            live = t_end[trie.group[pool[0]]] > t
+            done.append((pool[0][~live], pool[1][~live]))
+            pool = pool[0][live], pool[1][live]
+        act_n, act_f = pool
+        adv_n, adv_f = act_n[:0], act_f[:0]  # hypotheses that consumed frame t
+        may_merge = False
         for round_no in range(max_labels_per_frame + 1):
-            if not act:
+            n_act = len(act_n)
+            if not n_act:
                 break
-            ids = np.array([h[1] for h in act])
-            act_m, act_e, act_i = np.array([h[2:] for h in act]).T
+            ctx = trie.ctx[act_n]
             # one group takes scalar weights and a plain k-th cut (below), no
             # group arrays: through the group path a one-config decode took
-            # about 1.2x as long (benchmark decode phase 1: 2,759 against
-            # 3,427 /s, 10/10 pairs; BENCH_lockstep.json, "one_config_fork")
+            # about 1.2x as long (BENCH_lockstep.json, "one_config_fork")
             if n_groups == 1:
-                le, li = lam_ext[0], lam_ilm[0]
+                le, li, utt, rows = le1, li1, 0, scorer.rows(ctx)
             else:
-                act_g = np.array([h[0][0] for h in act])
-                le, li = row_ext[act_g], row_ilm[act_g]
-            rows = scorer.rows(ids)
-            frame = scorer.frame_rows[rows, t]  # log b, log(1 - b), ...
-            ilm = scorer.ilm_rows[rows]
-            blank_m = (act_m + frame[:, 0]).tolist()
-            for h, m in zip(act, blank_m):
-                hit = where.get(h[0])
-                if hit is None:
-                    hit = where[h[0]] = [h[0], h[1], m, h[3], h[4]]
-                    adv.append(hit)
-                else:
-                    # same prefix, different alignments: model mass adds, LM terms coincide
-                    hit[2] = float(np.logaddexp(hit[2], m))
-            n_adv = len(adv)
-            combined = [h[2] + lam_ext[h[0][0]] * h[3] - lam_ilm[h[0][0]] * h[4] for h in adv]
+                act_g = trie.group[act_n]
+                le, li, utt = lam_ext[act_g][:, None], lam_ilm[act_g][:, None], act_g // n_cfg
+                rows = scorer.rows(utt * n_ctx + ctx)
+            frame = scorer.frame_rows[rows + t]  # log b, log(1 - b), ...
+            fresh = None
             if round_no < max_labels_per_frame:
-                model_lp = (act_m + frame[:, 1])[:, None] + scorer.label_rows(t, frame, ilm)
+                ilm = scorer.ilm_rows[ctx]
                 ext_rows = no_ext
                 if lm_scorer is not None:
-                    lm_rows = lm_scorer.rows(ids)  # may grow the table
+                    lm_rows = lm_scorer.rows(ctx)  # may grow the table
                     ext_rows = lm_scorer.log_prob_rows[lm_rows, :v]
                     if no_lm is not None:
                         ext_rows = np.where(no_lm[act_g], 0.0, ext_rows)
-                ext_lp = act_e[:, None] + ext_rows
-                ilm_lp = act_i[:, None] + ilm
-                fresh = model_lp + le * ext_lp - li * ilm_lp
-                combined = np.concatenate((combined, fresh.reshape(-1)))
+                scores = np.empty((5, n_act, v))  # the five columns of every extension
+                np.add((act_f[:, 0] + frame[:, 1])[:, None], scorer.label_rows(t, frame, ilm, utt), out=scores[0])
+                np.add(act_f[:, 1, None], ext_rows, out=scores[1])
+                np.add(act_f[:, 2, None], ilm, out=scores[2])
+                np.multiply(le, scores[1], out=scores[3])
+                np.multiply(li, scores[2], out=scores[4])
+                fresh = scores[4] - (scores[0] + scores[3])  # -combined, exactly
+
+            act_f[:, 0] += frame[:, 0]  # the blank extensions, which consume frame t
+            new_n, new_f = act_n, act_f
+            if may_merge:
+                # same prefix, different alignments: model mass adds, LM terms coincide
+                trie.adv[adv_n] = np.arange(len(adv_n))
+                pos = trie.adv[act_n]
+                trie.adv[adv_n] = -1
+                if max(pos.tolist()) >= 0:
+                    hit = pos >= 0
+                    p = pos[hit]
+                    adv_f[p, 0] = np.logaddexp(adv_f[p, 0], act_f[hit, 0])
+                    new_n, new_f = act_n[~hit], act_f[~hit]
+            if len(adv_n):
+                adv_n, adv_f = np.concatenate((adv_n, new_n)), np.concatenate((adv_f, new_f))
+            else:
+                adv_n, adv_f = new_n, new_f
+            neg = adv_f[:, 4] - (adv_f[:, 0] + adv_f[:, 3])
 
             # per group, keep the beam_width best by (-combined, length,
-            # tokens), advanced before fresh on a full tie (advanced come
-            # first in q); the shortlist holds every candidate tied with its
-            # group's k-th best score
-            neg = -np.asarray(combined)
+            # tokens), advanced before fresh on a full tie: every candidate up
+            # to its group's k-th best score, then the tie-break only where a
+            # tie at that score leaves more than k
             if n_groups == 1:
-                cut = np.partition(neg, beam_width - 1)[beam_width - 1] if neg.size > beam_width else np.inf
+                both = neg if fresh is None else np.concatenate((neg, fresh.reshape(-1)))
+                cut = np.partition(both, k - 1)[k - 1] if both.size > k else np.inf
+                keep = (both <= cut).nonzero()[0]
+                s = bisect.bisect_left(keep.tolist(), len(neg))
+                keep_adv, (j, label) = keep[:s], np.divmod(keep[s:] - len(neg), v)
+                crowded = len(keep) > k
             else:
-                group = [h[0][0] for h in adv]
-                if neg.size > n_adv:
-                    group = np.concatenate((group, np.repeat(act_g, v)))
-                group = np.asarray(group, dtype=np.intp)
-                sizes = np.bincount(group, minlength=n_groups)
-                ends = sizes.cumsum()
-                cut = neg[np.lexsort((neg, group))[np.minimum(ends - sizes + beam_width, ends) - 1]][group]
-            short = (neg <= cut).nonzero()[0].tolist()
-            ranked = []
-            for q, c in zip(short, neg[short].tolist()):
-                if q < n_adv:
-                    g, tok = adv[q][0]
-                else:
-                    j, k = divmod(q - n_adv, v)
-                    g, tok = act[j][0]
-                    tok = tok + (k,)
-                ranked.append((g, c, len(tok), tok, q))
-            ranked.sort()
+                adv_g = trie.group[adv_n]
+                cut = _group_cuts(neg, fresh, adv_g, act_g, k, n_groups)
+                keep_adv = (neg <= cut[adv_g]).nonzero()[0]
+                j, label = (fresh <= cut[act_g][:, None]).nonzero() if fresh is not None else (act_g[:0], act_g[:0])
+                kept = np.bincount(adv_g[keep_adv], minlength=n_groups) + np.bincount(act_g[j], minlength=n_groups)
+                crowded = kept.max() > k
+            if crowded:
+                keep_adv, j, label = _break_ties(keep_adv, j, label, neg, fresh, k, adv_n, act_n, n_groups, trie)
 
-            parents, survivors, act, adv = act, adv, [], []
-            kept = [0] * n_groups
-            for g, _, _, tok, q in ranked:
-                if kept[g] == beam_width:
-                    continue
-                kept[g] += 1
-                if q >= n_adv:
-                    j, k = divmod(q - n_adv, v)
-                    act.append([(g, tok), parents[j][1] % w * w + k, model_lp[j, k], ext_lp[j, k], ilm_lp[j, k]])
-                else:
-                    adv.append(survivors[q])
-            where = {h[0]: h for h in adv}
-        pool = adv
+            if len(keep_adv) < len(adv_n):
+                adv_n, adv_f = adv_n[keep_adv], adv_f[keep_adv]
+            if not len(j):
+                break
+            act_n, may_merge = trie.extend(act_n[j], label)
+            act_f = scores[:, j, label].T
+        pool = adv_n, adv_f
+    done.append(pool)
 
+    nodes, hyps = done[0] if len(done) == 1 else (np.concatenate([d[0] for d in done]), np.concatenate([d[1] for d in done]))
+    m, e, i = hyps[:, :3].T
+    g = trie.group[nodes]
     if lm_scorer is not None:
-        scored = [h for h in pool if uses_lm[h[0][0]]]
-        lm_rows = lm_scorer.rows(np.array([h[1] for h in scored], dtype=np.int64))
-        for h, x in zip(scored, lm_scorer.log_prob_rows[lm_rows, lm.eos_id].tolist()):
-            h[3] = h[3] + x
+        lm_rows = lm_scorer.rows(trie.ctx[nodes])
+        e = np.where(uses_lm[g], e + lm_scorer.log_prob_rows[lm_rows, lm.eos_id], e)
         lm_scorer.check_finite()
     scorer.check_finite()
-    results: list[list] = [[] for _ in fusions]
-    for (g, tok), _, m, e, i in pool:
-        c = m + lam_ext[g] * e - lam_ilm[g] * i
-        results[g].append((-c, len(tok), tok, DecodeResult(tok, float(m), float(e), float(i), float(c))))
-    ranked_lists = [[r[3] for r in sorted(res, key=lambda r: r[:3])] for res in results]
-    for g, ranked in enumerate(ranked_lists):
-        if not any(math.isfinite(r.combined) for r in ranked):
-            raise nm.EvaluationError(f"no hypothesis with a finite score survived under fusion config {g}")
-    return ranked_lists[0] if isinstance(fusion, FusionConfig) else ranked_lists
+    c = m + lam_ext[g] * e - lam_ilm[g] * i
+    ranked: list[list] = [[] for _ in range(n_groups)]
+    for gr, tok, *vals in zip(g.tolist(), trie.tokens(nodes.tolist()), m.tolist(), e.tolist(), i.tolist(), c.tolist()):
+        ranked[gr].append((-vals[3], len(tok), tok, DecodeResult(tok, *vals)))
+    ranked = [[r[3] for r in sorted(res, key=lambda r: r[:3])] for res in ranked]
+    for gr, res in enumerate(ranked):
+        if not any(math.isfinite(r.combined) for r in res):
+            where = f" of utterance {gr // n_cfg}" if corpus else ""
+            raise nm.EvaluationError(f"no hypothesis with a finite score survived under fusion config {gr % n_cfg}{where}")
+    per_utt = [ranked[u * n_cfg] if isinstance(fusion, FusionConfig) else ranked[u * n_cfg : (u + 1) * n_cfg]
+               for u in range(n_utt)]
+    return per_utt if corpus else per_utt[0]
+
+
+def _group_cuts(neg, fresh, adv_g, act_g, k, n_groups) -> np.ndarray:
+    """Each group's k-th smallest -combined over its advanced hypotheses and
+    its active ones' extensions (NaN last).  Only an active hypothesis's k
+    best extensions can be among its group's k best, so only those are sorted."""
+    group = adv_g
+    if fresh is not None:
+        top = np.partition(fresh, k - 1, axis=1)[:, :k] if fresh.shape[1] > k else fresh
+        neg = np.concatenate((neg, top.reshape(-1)))
+        group = np.concatenate((adv_g, np.repeat(act_g, top.shape[1])))
+    order = np.argsort(neg)
+    order = order[np.argsort(group[order].astype(np.min_scalar_type(n_groups - 1)), kind="stable")]
+    sizes = np.bincount(group, minlength=n_groups)
+    ends = sizes.cumsum()
+    return neg[order[np.minimum(ends - sizes + k, ends) - 1]]
+
+
+def _break_ties(keep_adv, j, label, neg, fresh, k, adv_n, act_n, n_groups, trie):
+    """The kept advanced rows and (active row, label) extensions, cut to each
+    group's k best by (-combined, length, tokens), advanced first on a full tie."""
+    n, nodes = len(keep_adv), np.concatenate((adv_n[keep_adv], act_n[j]))
+    scores = np.concatenate((neg[keep_adv], fresh[j, label] if fresh is not None else neg[:0]))
+    labels = [()] * n + [(k_,) for k_ in label.tolist()]  # the label a fresh candidate adds
+    ranked = sorted((gr, c, len(tok + lab), tok + lab, q >= n, q) for q, (gr, c, tok, lab) in enumerate(
+        zip(trie.group[nodes].tolist(), scores.tolist(), trie.tokens(nodes.tolist()), labels)))
+    out, kept = [], [0] * n_groups
+    for gr, *_, q in ranked:
+        if kept[gr] < k:
+            kept[gr] += 1
+            out.append(q)
+    out = np.array(sorted(out), dtype=np.intp)
+    return keep_adv[out[out < n]], j[out[out >= n] - n], label[out[out >= n] - n]
 
 
 def greedy_decode(model: MhatModel | HatModel, X: np.ndarray) -> tuple[int, ...]:

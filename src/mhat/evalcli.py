@@ -27,6 +27,7 @@ from .decode import (
     parse_record,
 )
 from .extlm import LmTrainConfig, train_lm
+from .lattice import StructureError
 from .losses import perplexity
 from .model import ConfigError, EncoderConfig, HatModel, MhatModel, VocabError, Vocabulary
 from .training import TrainConfig, train_asr
@@ -113,15 +114,16 @@ def evaluate_pairs(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> Eval
 def _decode_fusions(model, corpus: dat.Corpus, beam: int, fusions):
     """(uid, best result under each fusion config) per utterance, in corpus order.
 
-    Each utterance is one lockstep search over every config; one LM scorer
-    serves every utterance.  The configs must share one external LM or use none.
+    One lockstep search over every (utterance, config) pair of the corpus.
+    The configs must share one external LM or use none.
     """
     if any(it.features is None for it in corpus.items):
         raise ConfigError("decoding requires a paired corpus with features")
-    lm = next((f.lm for f in fusions if f.lm is not None), None)
-    lm_scorer = lm.scorer() if lm is not None else None
-    return [(it.uid, [ranked[0] for ranked in beam_search(model, it.features, beam, fusions, lm_scorer=lm_scorer)])
-            for it in corpus.items]
+    for it in corpus.items:
+        if len(it.features) == 0:
+            raise StructureError(f"utterance {it.uid} has no frames: no alignment exists for T=0")
+    ranked = beam_search(model, [it.features for it in corpus.items], beam, fusions)
+    return [(it.uid, [r[0] for r in lists]) for it, lists in zip(corpus.items, ranked)]
 
 
 def decode_corpus(

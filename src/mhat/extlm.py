@@ -99,7 +99,7 @@ class LmScorer(ContextRows):
     """Next-event log-prob rows (tokens + EOS) per context, for beam search.
 
     One scorer serves every utterance decoded with the LM; each context's
-    row is computed the first time a search reaches it.
+    row is computed the first time a search reaches it.  Keys are context ids.
     """
 
     TABLES = ("log_prob_rows",)
@@ -108,13 +108,13 @@ class LmScorer(ContextRows):
         self.lm = lm
         super().__init__(lm.vocab.sos_id, [(lm.vocab.size + 1,)])
 
-    def _reach(self, ctx: tuple[int, int]) -> None:
-        self.next_log_probs(ctx)
+    def _reach(self, key: int) -> None:
+        self.next_log_probs(divmod(key, self.width))
 
-    def _fill(self, ctx: tuple[int, int]):
+    def _fill(self, ctx: tuple[int, int], utt: int, row: int) -> None:
         g = self.lm.decoder.output_np(ctx)
         z = self.lm.out_w.data @ g + self.lm.out_b.data
-        return (z - nm.log_sum_exp(z),)
+        self.log_prob_rows[row] = z - nm.log_sum_exp(z)
 
     def next_log_probs(self, ctx: tuple[int, int]) -> np.ndarray:
         """Distribution over the next event after the (prev2, prev1) context."""

@@ -479,7 +479,8 @@ class MhatModel(_AsrModel):
         picked = nm.log_softmax_at(nm.gather_sum(A, cells.frame[:n], L, cells.ctx[:n]), cells.labels)
         return log_blank, nm.add(log_keep[:n], picked), cells
 
-    def scorer(self, X: np.ndarray) -> "MhatScorer":
+    def scorer(self, X: np.ndarray | Sequence[np.ndarray]) -> "MhatScorer":
+        """Decoding tables of one (T, d_x) utterance or of a sequence of them."""
         return MhatScorer(self, X)
 
 
@@ -549,149 +550,191 @@ class HatModel(_AsrModel):
         picked = nm.log_softmax_at(nm.affine(H[:n], self.label_w, self.label_b), cells.labels)
         return log_blank, nm.add(log_keep[:n], picked), cells
 
-    def scorer(self, X: np.ndarray) -> "HatScorer":
+    def scorer(self, X: np.ndarray | Sequence[np.ndarray]) -> "HatScorer":
+        """Decoding tables of one (T, d_x) utterance or of a sequence of them."""
         return HatScorer(self, X)
 
 
 class ContextRows:
-    """Dense per-context rows for decoding, one table slot per context reached.
+    """Per-context rows for decoding, computed when a search first reaches them.
 
-    Context id c = prev2 * (|V|+1) + prev1 names a (prev2, prev1) decoder
-    context; `slot[c]` is its row in every table listed in `TABLES`, or -1
-    until a search first reaches it.  `_row` stores the rows a subclass's
-    `_fill` computes, so each context is computed once; `rows` fills new
-    contexts through the subclass's public lookup (`_reach`), so that
-    instrumentation on that lookup sees every fill.  Tables double in
-    length when full: they hold only the contexts reached, not (|V|+1)^2.
+    Key c = prev2 * (|V|+1) + prev1 names a (prev2, prev1) decoder context,
+    and u * (|V|+1)^2 + c the context of utterance u in tables over several
+    utterances.  A key owns `_span(utt)` consecutive rows of every table in
+    `TABLES`; `slot[key]` is the first, or -1 until the key is reached.
+    `_row` has a subclass's `_fill` write a new key's rows, and `rows` fills
+    keys through the subclass's public lookup (`_reach`), so that
+    instrumentation on that lookup sees every fill.  Tables double in length
+    when full: they hold only the rows of the keys reached.
     """
 
     TABLES: tuple[str, ...] = ()
 
-    def __init__(self, sos_id: int, shapes: Sequence[tuple[int, ...]]):
+    def __init__(self, sos_id: int, shapes: Sequence[tuple[int, ...]], n_utts: int = 1, capacity: int = 4):
         self.width = sos_id + 1
-        self.slot = np.full(self.width * self.width, -1, dtype=np.int64)
-        self.size = 0
+        self.slot = np.full(n_utts * self.width * self.width, -1, dtype=np.int64)
+        self.size = 0  # rows in use
         for name, shape in zip(self.TABLES, shapes):
-            setattr(self, name, np.empty((4, *shape)))
+            setattr(self, name, np.zeros((capacity, *shape)))
 
-    def rows(self, ids: np.ndarray) -> np.ndarray:
-        """Table rows of an array of context ids, filling contexts not yet reached."""
-        r = self.slot[ids]
-        if r.size and min(r.tolist()) < 0:  # a Python min: ndarray.min costs more on a beam's few ids
-            for c in ids[r < 0].tolist():
-                if self.slot[c] < 0:
-                    self._reach(divmod(c, self.width))  # a (prev2, prev1) pair is its own context
-            r = self.slot[ids]
+    def rows(self, keys: np.ndarray) -> np.ndarray:
+        """First table rows of an array of keys, filling keys not yet reached."""
+        r = self.slot[keys]
+        if r.size and min(r.tolist()) < 0:  # a Python min: ndarray.min costs more on a beam's few keys
+            for key in keys[r < 0].tolist():
+                if self.slot[key] < 0:
+                    self._reach(key)
+            r = self.slot[keys]
         return r
 
-    def _row(self, ctx: Sequence[int]) -> int:
-        """The row of the context of `ctx` (a prefix), computed and stored when first reached."""
+    def _row(self, ctx: Sequence[int], utt: int = 0) -> int:
+        """The first row of the context of `ctx` (a prefix) in utterance
+        `utt`, computed and stored when first reached."""
         p2, p1 = context_of(ctx, self.width - 1)
-        c = p2 * self.width + p1
-        if self.slot[c] < 0:
-            if self.size == len(getattr(self, self.TABLES[0])):
+        key = (utt * self.width + p2) * self.width + p1
+        row = int(self.slot[key])
+        if row < 0:
+            row, end = self.size, self.size + self._span(utt)
+            if end > len(getattr(self, self.TABLES[0])):
                 for name in self.TABLES:
                     table = getattr(self, name)
-                    grown = np.empty((2 * len(table), *table.shape[1:]))
-                    grown[: len(table)] = table  # the new half stays untouched (not resident) until slots fill
+                    grown = np.zeros((2 * end, *table.shape[1:]))
+                    grown[:row] = table[:row]  # the rest stays untouched (not resident) until rows fill
                     setattr(self, name, grown)
-            for name, row in zip(self.TABLES, self._fill((p2, p1))):
-                getattr(self, name)[self.size] = row
-            self.slot[c] = self.size
-            self.size += 1
-        return int(self.slot[c])
+            self._fill((p2, p1), utt, row)
+            self.slot[key] = row
+            self.size = end
+        return row
+
+    def _filled(self) -> list[tuple[str, np.ndarray]]:
+        return [(name, getattr(self, name)[: self.size]) for name in self.TABLES]
 
     def check_finite(self) -> None:
         """Raise EvaluationError if a filled row holds a NaN or +inf; a -inf
         log-probability from underflow is legal.  One pass over the tables:
         checking each fill as it lands cost 2.5 % of a decode."""
-        for name in self.TABLES:
-            if not (getattr(self, name)[: self.size] < np.inf).all():
+        for name, rows in self._filled():
+            if rows.size and not rows.max() < np.inf:  # NaN or +inf; NaN makes the max NaN
                 raise nm.EvaluationError(f"non-finite {name} entry in a {type(self).__name__} table")
 
-    def _reach(self, ctx: tuple[int, int]) -> None:
+    def _span(self, utt: int) -> int:
+        return 1
+
+    def _reach(self, key: int) -> None:
         raise NotImplementedError
 
-    def _fill(self, ctx: tuple[int, int]) -> Sequence[np.ndarray]:
+    def _fill(self, ctx: tuple[int, int], utt: int, row: int) -> None:
+        """Write the rows of a context of utterance `utt` from `row` on in every table."""
         raise NotImplementedError
 
 
 class _UtteranceRows(ContextRows):
-    """Decoding tables of one utterance (no gradient graphs).
+    """Decoding tables of one utterance or of a corpus (no gradient graphs).
 
-    For each context reached: `frame_rows`, (T, 2 + k), holds log b and
-    log(1 - b) of every frame, then the k columns `label_rows` reads the
-    label log-posteriors from; `ilm_rows` holds the internal-LM row.
-    `context` returns a prefix's table row; the point lookups take it.
+    An (utterance, context) owns one `frame_rows` row per frame: log b,
+    log(1 - b), then the columns `label_rows` reads.  What depends only on
+    the model and the context is computed once for every utterance: w2 g,
+    and `ilm_rows[c]`, the internal-LM row of context id c.  `context`
+    returns a prefix's first frame row; the point lookups take it.
     """
 
-    TABLES = ("frame_rows", "ilm_rows")
+    TABLES = ("frame_rows",)
 
-    def __init__(self, model, F: np.ndarray, label_cols: int):
+    def __init__(self, model, Fs: Sequence[np.ndarray], label_cols: int):
         j = model.joint
         self.model = model
-        self._w1f = F @ j.w1.data.T + j.hidden_bias.data  # (T, d_h)
-        self.t_len = F.shape[0]
-        super().__init__(model.vocab.sos_id, [(self.t_len, 2 + label_cols), (model.vocab.size,)])
+        self._w1f = [F @ j.w1.data.T + j.hidden_bias.data for F in Fs]  # (T_u, d_h) each
+        self.t_lens = [F.shape[0] for F in Fs]
+        self.t_len = max(self.t_lens)
+        v = model.vocab.size
+        n_ctx = (v + 1) * (v + 1)
+        self._shared = np.zeros(n_ctx, dtype=bool)
+        self._w2g, self.ilm_rows = np.empty((n_ctx, j.w2.data.shape[0])), np.empty((n_ctx, v))
+        self._ctx_of: dict[int, int] = {}  # first frame row -> context id
+        super().__init__(model.vocab.sos_id, [(2 + label_cols,)], len(Fs), capacity=4 * self.t_len)
 
-    def _reach(self, ctx: tuple[int, int]) -> None:
-        self.context(ctx)
+    def _span(self, utt: int) -> int:
+        return self.t_lens[utt]
 
-    def _joint_rows(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Joint hidden rows, log b and log(1 - b) of every frame, for decoder output g."""
+    def _reach(self, key: int) -> None:
+        utt, c = divmod(key, self.width * self.width)
+        self.context(divmod(c, self.width), utt)
+
+    def _filled(self) -> list[tuple[str, np.ndarray]]:
+        return [*super()._filled(), ("ilm_rows", self.ilm_rows[self._shared])]
+
+    def _fill(self, ctx: tuple[int, int], utt: int, row: int) -> None:
+        c = ctx[0] * self.width + ctx[1]
+        if not self._shared[c]:
+            self._w2g[c], self.ilm_rows[c] = self._context_rows(ctx)
+            self._shared[c] = True
+        self._ctx_of[row] = c
+        frame = self.frame_rows[row : row + self.t_lens[utt]]
         j = self.model.joint
-        h = np.tanh(self._w1f + j.w2.data @ g)  # (T, d_h)
+        h = np.tanh(self._w1f[utt] + self._w2g[c])  # (T, d_h)
         s = h @ j.v.data + float(j.v_bias.data)
         tail = np.log1p(np.exp(-np.abs(s)))  # softplus(-s) and softplus(s) share it
-        return h, -(np.maximum(-s, 0.0) + tail), -(np.maximum(s, 0.0) + tail)
+        np.negative(np.maximum(-s, 0.0) + tail, out=frame[:, 0])
+        np.negative(np.maximum(s, 0.0) + tail, out=frame[:, 1])
+        self._label_cols(h, self.ilm_rows[c], utt, frame)
 
-    def label_rows(self, t: int, frame: np.ndarray, ilm: np.ndarray) -> np.ndarray:
-        """Label log-posteriors at frame t, (n, |V|), of the n table rows whose
-        `frame_rows[rows, t]` and `ilm_rows[rows]` are `frame` and `ilm`."""
+    # a subclass defines _context_rows(ctx) -> (w2 g, internal-LM row), and
+    # _label_cols(h, ilm, utt, frame), which writes the label columns of a
+    # context's frame rows from the joint hidden rows h
+
+    def label_rows(self, t: int, frame: np.ndarray, ilm: np.ndarray, utt=0) -> np.ndarray:
+        """Label log-posteriors at frame t, (n, |V|), of n hypotheses of
+        utterances `utt` (an array, or one index for all) whose frame t
+        rows and internal-LM rows are `frame` and `ilm`."""
         raise NotImplementedError
 
     # point lookups of one frame and table row; perfbench/tracer.py wraps
     # them by each scorer class's own __dict__, hence the aliases below
-    def context(self, prefix: Sequence[int]) -> int:
-        """Table row of the prefix's (prev2, prev1) context, filled when first reached."""
-        return self._row(prefix)
+    def context(self, prefix: Sequence[int], utt: int = 0) -> int:
+        """First frame row of the prefix's (prev2, prev1) context, filled when first reached."""
+        return self._row(prefix, utt)
 
-    def log_blank(self, t: int, ctx: int) -> float:
-        return float(self.frame_rows[ctx, t, 0])
+    def log_blank(self, t: int, row: int) -> float:
+        return float(self.frame_rows[row + t, 0])
 
-    def log_keep(self, t: int, ctx: int) -> float:
-        return float(self.frame_rows[ctx, t, 1])
+    def log_keep(self, t: int, row: int) -> float:
+        return float(self.frame_rows[row + t, 1])
 
-    def label_log_posteriors(self, t: int, ctx: int) -> np.ndarray:
-        return self.label_rows(t, self.frame_rows[ctx, t][None], self.ilm_rows[ctx][None])[0]
+    def label_log_posteriors(self, t: int, row: int, utt: int = 0) -> np.ndarray:
+        return self.label_rows(t, self.frame_rows[[row + t]], self.ilm_rows[[self._ctx_of[row]]], utt)[0]
 
-    def ilm_log_probs(self, ctx: int) -> np.ndarray:
-        return self.ilm_rows[ctx]
+    def ilm_log_probs(self, row: int) -> np.ndarray:
+        return self.ilm_rows[self._ctx_of[row]]
 
 
 class MhatScorer(_UtteranceRows):
-    """Decoding tables of one utterance under an MHAT model.
+    """Decoding tables of an utterance or a corpus under an MHAT model.
 
     The label log-posterior is A[t] + ilm - norm[t]: a context's rows keep
     only the normaliser norm (column 2, one log-sum-exp per frame, taken
     once per context), and `label_rows` adds the rest per search round.
     """
 
-    def __init__(self, model: MhatModel, X: np.ndarray):
+    def __init__(self, model: MhatModel, X: np.ndarray | Sequence[np.ndarray]):
+        xs = [X] if isinstance(X, np.ndarray) else list(X)
         with nm.no_grad():
-            F = model.encode(X).data
-            self.A = model.am_log_probs(F).data  # (T, |V|)
-        super().__init__(model, F, 1)
+            Fs = [model.encode(x).data for x in xs]
+            As = [model.am_log_probs(F).data for F in Fs]  # (T_u, |V|) each
+        super().__init__(model, Fs, 1)
+        self.A = np.zeros((len(As), self.t_len, model.vocab.size))  # zero past each utterance's end
+        for u, a in enumerate(As):
+            self.A[u, : len(a)] = a
 
-    def _fill(self, ctx: tuple[int, int]):
+    def _context_rows(self, ctx: tuple[int, int]):
         m = self.model
-        _, log_b, log_k = self._joint_rows(m.blank_decoder.output_np(ctx))
         z = m.ilm_w.data @ m.label_decoder.output_np(ctx) + m.ilm_b.data
-        ilm = z - nm.log_sum_exp(z)
-        return np.column_stack((log_b, log_k, nm.log_sum_exp(self.A + ilm, axis=1))), ilm
+        return m.joint.w2.data @ m.blank_decoder.output_np(ctx), z - nm.log_sum_exp(z)
 
-    def label_rows(self, t: int, frame: np.ndarray, ilm: np.ndarray) -> np.ndarray:
-        return self.A[t] + ilm - frame[:, 2:]
+    def _label_cols(self, h: np.ndarray, ilm: np.ndarray, utt: int, frame: np.ndarray) -> None:
+        frame[:, 2] = nm.log_sum_exp(self.A[utt, : len(frame)] + ilm, axis=1)
+
+    def label_rows(self, t: int, frame: np.ndarray, ilm: np.ndarray, utt=0) -> np.ndarray:
+        return self.A[utt, t] + ilm - frame[:, 2:]
 
     context = _UtteranceRows.context
     log_blank = _UtteranceRows.log_blank
@@ -701,24 +744,26 @@ class MhatScorer(_UtteranceRows):
 
 
 class HatScorer(_UtteranceRows):
-    """Decoding tables of one utterance under the baseline HAT; columns 2:
-    of a context's rows are its label log-posteriors at every frame."""
+    """Decoding tables of an utterance or a corpus under the baseline HAT;
+    columns 2: of a context's frame rows are its label log-posteriors."""
 
-    def __init__(self, model: HatModel, X: np.ndarray):
+    def __init__(self, model: HatModel, X: np.ndarray | Sequence[np.ndarray]):
+        xs = [X] if isinstance(X, np.ndarray) else list(X)
         with nm.no_grad():
-            F = model.encode(X).data
-        super().__init__(model, F, model.vocab.size)
+            Fs = [model.encode(x).data for x in xs]
+        super().__init__(model, Fs, model.vocab.size)
 
-    def _fill(self, ctx: tuple[int, int]):
+    def _context_rows(self, ctx: tuple[int, int]):
         m = self.model
         g = m.decoder.output_np(ctx)
-        h, log_b, log_k = self._joint_rows(g)
-        z = h @ m.label_w.data.T + m.label_b.data
         with nm.no_grad():
-            ilm = m.hat_ilm_log_probs(g).data
-        return np.column_stack((log_b, log_k, z - nm.log_sum_exp(z, axis=1)[:, None])), ilm
+            return m.joint.w2.data @ g, m.hat_ilm_log_probs(g).data
 
-    def label_rows(self, t: int, frame: np.ndarray, ilm: np.ndarray) -> np.ndarray:
+    def _label_cols(self, h: np.ndarray, ilm: np.ndarray, utt: int, frame: np.ndarray) -> None:
+        z = h @ self.model.label_w.data.T + self.model.label_b.data
+        frame[:, 2:] = z - nm.log_sum_exp(z, axis=1)[:, None]
+
+    def label_rows(self, t: int, frame: np.ndarray, ilm: np.ndarray, utt=0) -> np.ndarray:
         return frame[:, 2:]
 
     context = _UtteranceRows.context

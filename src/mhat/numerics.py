@@ -269,18 +269,23 @@ def _segment_sum(g: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
 
     A stable sort by id (none when `ids` is already non-decreasing), then
     one `np.add.reduceat` over the runs of equal ids: each row sum keeps the
-    order of `ids`, with no per-element scatter.
+    order of `ids`, with no per-element scatter.  When every id occurs, the
+    run sums are already the n rows in order, and no zero array is filled.
     """
+    if not ids.size:
+        return np.zeros((n, *g.shape[1:]))
+    s = ids
+    if (s[1:] < s[:-1]).any():
+        # a stable sort's permutation is unique, so the narrowest id type
+        # (a radix sort up to 16 bits) gives the int64 sort's order
+        order = np.argsort(ids.astype(np.min_scalar_type(n - 1)), kind="stable")
+        s, g = ids[order], g[order]
+    starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
+    sums = np.add.reduceat(g, starts, axis=0)
+    if starts.size == n:
+        return sums
     out = np.zeros((n, *g.shape[1:]))
-    if ids.size:
-        s = ids
-        if (s[1:] < s[:-1]).any():
-            # a stable sort's permutation is unique, so the narrowest id type
-            # (a radix sort up to 16 bits) gives the int64 sort's order
-            order = np.argsort(ids.astype(np.min_scalar_type(n - 1)), kind="stable")
-            s, g = ids[order], g[order]
-        starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
-        out[s[starts]] = np.add.reduceat(g, starts, axis=0)
+    out[s[starts]] = sums
     return out
 
 

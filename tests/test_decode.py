@@ -333,8 +333,8 @@ class TestScorerReuse:
         old = getattr(reference_beam, type(sc).__name__)(model, X)
         width = model.vocab.size + 1
         ids = np.arange(width * width)[::-1]
-        rows = sc.rows(ids)
-        assert sc.size == ids.size and sorted(rows.tolist()) == list(range(ids.size))
+        rows = sc.rows(ids)  # one block of T frame rows per context
+        assert sc.size == ids.size * len(X) and sorted(rows.tolist()) == list(range(0, sc.size, len(X)))
         for prefix in ([], [2], [1, 3], [0, 4, 3], [4, 4]):
             row, ctx = sc.context(prefix), old.context(prefix)
             assert row == rows[ids.tolist().index(ctx[0] * width + ctx[1])]
@@ -343,7 +343,7 @@ class TestScorerReuse:
                 assert sc.log_keep(t, row) == old.log_keep(t, ctx)
                 assert sc.label_log_posteriors(t, row).tolist() == old.label_log_posteriors(t, ctx).tolist()
             assert sc.ilm_log_probs(row).tolist() == old.ilm_log_probs(ctx).tolist()
-        assert sc.size == ids.size
+        assert sc.size == ids.size * len(X)
 
 
 class TestResultValues:
@@ -371,17 +371,17 @@ class _TieScorer:
 
     def __init__(self, model):
         v = model.vocab.size
-        self.model, self.t_len = model, 2
-        self.frame_rows = np.zeros((1, 2, 2 + v))  # one row serves every context
-        self.frame_rows[0, :, 0] = (-0.5, -1.0)  # log b of frames 0 and 1
-        self.frame_rows[0, :, 1] = (-1.0, -2.0)  # log(1 - b)
-        self.frame_rows[0, :, 3:] = -10.0  # label 0 scores 0, every other label -10
-        self.ilm_rows = np.zeros((1, v))
+        self.model, self.t_len, self.t_lens = model, 2, [2]
+        self.frame_rows = np.zeros((2, 2 + v))  # one block of frame rows serves every context
+        self.frame_rows[:, 0] = (-0.5, -1.0)  # log b of frames 0 and 1
+        self.frame_rows[:, 1] = (-1.0, -2.0)  # log(1 - b)
+        self.frame_rows[:, 3:] = -10.0  # label 0 scores 0, every other label -10
+        self.ilm_rows = np.zeros(((v + 1) * (v + 1), v))
 
     def rows(self, ids):
         return np.zeros(len(ids), dtype=np.int64)
 
-    def label_rows(self, t, frame, ilm):
+    def label_rows(self, t, frame, ilm, utt=0):
         return frame[:, 2:]
 
     def check_finite(self):
@@ -479,3 +479,130 @@ class TestNonFiniteValues:
         ranked = beam_search(models["mhat"], utts[0], 4, FusionConfig("shallow", 0.3, lm=lm))
         assert ranked and math.isfinite(ranked[0].combined)
         assert all(3 not in r.tokens for r in ranked if math.isfinite(r.combined))
+
+
+@pytest.fixture(scope="module")
+def corpus_setup(real_setup):
+    """Mixed lengths: T=1 and the longest utterance both first and last."""
+    models, lm, utts = real_setup
+    longest = max(utts, key=len)
+    one = utts[0][:1]
+    return models, lm, [longest, one, *utts[1:4], utts[4][:2], one, longest]
+
+
+class TestCorpus:
+    """One search over every (utterance, config) group of a corpus: each
+    utterance ranks as its own search (tests/reference_beam.py, one utterance
+    and one config per oracle call)."""
+
+    @pytest.mark.parametrize("kind", ["mhat", "hat"])
+    @pytest.mark.parametrize("cap", [10, 1])
+    def test_each_group_matches_the_dict_oracle(self, corpus_setup, kind, cap):
+        models, lm, utts = corpus_setup
+        model = models[kind]
+        configs = mixed_configs(lm)
+        want = {}
+        for beam in (1, 4):
+            got = beam_search(model, utts, beam, configs, max_labels_per_frame=cap)
+            assert len(got) == len(utts)
+            for u, X in enumerate(utts):
+                key = (u if u < len(utts) - 1 else 0, beam)  # the last utterance repeats the first
+                if key not in want:
+                    want[key] = {f: ranked(reference_beam.beam_search(model, X, beam, f, max_labels_per_frame=cap))
+                                 for f in set(configs)}
+                assert [ranked(g) for g in got[u]] == [want[key][f] for f in configs]
+
+    def test_one_config_per_utterance(self, corpus_setup):
+        models, lm, utts = corpus_setup
+        fusion = FusionConfig(mode="ilme_subtract", lam_ext=0.4, lam_ilm=0.2, lm=lm)
+        got = beam_search(models["mhat"], utts, 4, fusion)
+        assert [ranked(r) for r in got] == [ranked(reference_beam.beam_search(models["mhat"], X, 4, fusion))
+                                           for X in utts]
+
+    def test_empty_corpus(self, real_setup):
+        models, lm, _ = real_setup
+        assert beam_search(models["mhat"], [], 4, mixed_configs(lm)) == []
+        assert beam_search(models["hat"], (), 4) == []
+
+    def test_one_utterance_corpus_equals_beam_search(self, real_setup):
+        models, lm, utts = real_setup
+        for model in models.values():
+            for fusion in (NO_FUSION, mixed_configs(lm)):
+                assert beam_search(model, [utts[2]], 4, fusion) == [beam_search(model, utts[2], 4, fusion)]
+
+    def test_reversed_corpus_reverses_the_results(self, corpus_setup):
+        # batch permutation is a bit-exact no-op
+        models, lm, utts = corpus_setup
+        for model in models.values():
+            forward = beam_search(model, utts, 4, mixed_configs(lm))
+            assert beam_search(model, utts[::-1], 4, mixed_configs(lm)) == forward[::-1]
+
+    @pytest.mark.parametrize("kind", ["mhat", "hat"])
+    def test_exact_ties_in_a_shared_call(self, real_setup, kind):
+        # the zeroed heads of TestDictOracle's tie test, every utterance in one call
+        models, _, utts = real_setup
+        model = copy.deepcopy(models[kind])
+        heads = ("am_proj", "ilm_proj") if kind == "mhat" else ("label_head",)
+        for name in heads:
+            for part in ("weight", "bias"):
+                model.params[f"{name}.{part}"].data[...] = 0.0
+        lm = ExternalLm(model.vocab, embed_dim=8, seed=1)
+        lm.params["out_proj.weight"].data[...] = 0.0
+        configs = mixed_configs(lm)
+        for beam in (1, 3, 8):
+            got = beam_search(model, utts[:3], beam, configs)
+            for X, lists in zip(utts[:3], got):
+                assert [ranked(g) for g in lists] == [ranked(reference_beam.beam_search(model, X, beam, f))
+                                                      for f in configs]
+
+    def test_advanced_before_fresh_in_a_shared_call(self, mhat_small, monkeypatch):
+        # TestLockstep's stub tables, served to three utterances at once
+        def corpus_stub(xs):
+            stub = _TieScorer(mhat_small)
+            stub.t_lens = [2] * len(xs)
+            return stub
+
+        monkeypatch.setattr(mhat_small, "scorer", corpus_stub)
+        for configs in (NO_FUSION, [NO_FUSION, NO_FUSION]):
+            got = beam_search(mhat_small, [np.zeros((2, 3))] * 3, 2, configs)
+            for lists in got:
+                for res in [lists] if configs is NO_FUSION else lists:
+                    assert [(r.tokens, r.model_lp) for r in res] == [((), -1.5), ((0,), -2.5)]
+
+    def test_one_table_per_model_and_lm_serves_every_utterance(self, corpus_setup, monkeypatch):
+        # each (decoder or LM, context) row is computed once per call, not once per utterance
+        models, lm, utts = corpus_setup
+        built, evals = [], []
+        scorer = lm.scorer
+        monkeypatch.setattr(lm, "scorer", lambda: built.append(scorer()) or built[-1])
+        output_np = type(lm.decoder).output_np
+        monkeypatch.setattr(type(lm.decoder), "output_np", lambda dec, ctx: evals.append((id(dec), ctx))
+                            or output_np(dec, ctx))
+        for model in models.values():
+            built.clear(), evals.clear()
+            beam_search(model, utts, 4, mixed_configs(lm))
+            assert len(built) == 1
+            assert evals and len(evals) == len(set(evals))
+            assert built[0].size == len({ctx for dec, ctx in evals if dec == id(lm.decoder)})
+
+    def test_a_shared_lm_scorer_gives_the_same_results(self, corpus_setup):
+        models, lm, utts = corpus_setup
+        lm_scorer = lm.scorer()
+        for model in models.values():
+            assert beam_search(model, utts, 4, mixed_configs(lm), lm_scorer=lm_scorer) == beam_search(
+                model, utts, 4, mixed_configs(lm))
+
+    def test_no_frames_is_a_structure_error_before_decoding(self, real_setup, monkeypatch):
+        models, lm, utts = real_setup
+        empty = np.zeros((0, utts[0].shape[1]))
+        for model in models.values():
+            monkeypatch.setattr(model, "scorer", lambda *a: pytest.fail("decoding started"))
+            with pytest.raises(StructureError, match="utterance 2"):
+                beam_search(model, [utts[0], utts[1], empty], 4, mixed_configs(lm))
+
+    def test_no_finite_hypothesis_names_the_utterance(self, corpus_setup):
+        models, lm, utts = corpus_setup
+        model = copy.deepcopy(models["mhat"])
+        model.params["joint.v_bias"].data = np.asarray(-np.inf)
+        with pytest.raises(EvaluationError, match="fusion config 0 of utterance 0"):
+            beam_search(model, utts, 4, mixed_configs(lm))

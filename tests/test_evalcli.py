@@ -29,7 +29,7 @@ from mhat.evalcli import (
     wer_counts,
 )
 from mhat.extlm import ExternalLm, LmTrainConfig, train_lm
-from mhat.model import Vocabulary
+from mhat.model import MhatModel, Vocabulary
 from mhat.training import TrainConfig
 
 
@@ -378,6 +378,25 @@ class TestCli:
                    "--out-dir", str(tmp_path / "dec")])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "dec" / "decodes.tsv").exists()
+
+    def test_decode_names_an_utterance_with_no_frames(self, tmp_path, capsys, monkeypatch):
+        # the corpus search raises StructureError before decoding anything,
+        # and the message names the utterance, not the search's empty prefix
+        vocab = Vocabulary.default(4)
+        rng = np.random.default_rng(0)
+        items = tuple(dat.Utterance(f"test-{i:05d}", rng.standard_normal((n, 8)), (1,))
+                      for i, n in enumerate((3, 0, 2), start=1))
+        dat.write_corpus(dat.Corpus("test", 0, vocab, items), str(tmp_path / "test"))
+        dat.save_checkpoint(build_mhat(ExperimentConfig(vocab_size=4, d_f=8, label_dim=8, blank_dim=4, joint_dim=4),
+                                       vocab), str(tmp_path / "mhat.ckpt"))
+        monkeypatch.setattr(MhatModel, "scorer", lambda *a: pytest.fail("decoding started"))
+        capsys.readouterr()
+        rc = main(["decode", "--ckpt", str(tmp_path / "mhat.ckpt"), "--data", str(tmp_path / "test"),
+                   "--out-dir", str(tmp_path / "dec")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "test-00002" in err and "T=0" in err and "U=0" not in err
         assert not (tmp_path / "dec" / "decodes.tsv").exists()
 
     @pytest.mark.parametrize("command", ["decode", "adapt"])

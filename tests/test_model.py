@@ -393,35 +393,36 @@ class TestStructuralInvariances:
 
 
 class TestScorerAgreesWithHeads:
-    # the search reads the tables: frame_rows columns 0 and 1, label_rows, ilm_rows
+    # the search reads the tables: frame_rows columns 0 and 1 (one row per frame), label_rows,
+    # ilm_rows (one row per context id)
     def test_mhat_scorer_matches_graph_path(self, mhat_small, rng):
         X = rng.standard_normal((4, 3))
         sc = mhat_small.scorer(X)
         F = mhat_small.encode(X).data
         prefix = [1, 3]
-        row = sc.context(prefix)
+        row, c = sc.context(prefix), 1 * sc.width + 3  # first frame row; context id
         ilm = mhat_small.ilm_log_probs(mhat_small.decode_label(prefix))
         for t in range(4):
             g = mhat_small.decode_blank(prefix)
             b = mhat_small.blank_posterior(F[t], g)
-            assert sc.frame_rows[row, t, 0] == pytest.approx(math.log(b), abs=1e-12)
-            assert sc.frame_rows[row, t, 1] == pytest.approx(math.log1p(-b), abs=1e-12)
+            assert sc.frame_rows[row + t, 0] == pytest.approx(math.log(b), abs=1e-12)
+            assert sc.frame_rows[row + t, 1] == pytest.approx(math.log1p(-b), abs=1e-12)
             lab = label_posterior(mhat_small.am_log_probs(F[t]), ilm).data
-            np.testing.assert_allclose(sc.label_rows(t, sc.frame_rows[[row], t], sc.ilm_rows[[row]])[0], lab, atol=1e-12)
-        np.testing.assert_allclose(sc.ilm_rows[row], ilm.data, atol=1e-12)
+            np.testing.assert_allclose(sc.label_rows(t, sc.frame_rows[[row + t]], sc.ilm_rows[[c]])[0], lab, atol=1e-12)
+        np.testing.assert_allclose(sc.ilm_rows[c], ilm.data, atol=1e-12)
 
     def test_hat_scorer_matches_graph_path(self, hat_small, rng):
         X = rng.standard_normal((3, 3))
         sc = hat_small.scorer(X)
         F = hat_small.encode(X).data
         prefix = [0]
-        row = sc.context(prefix)
+        row, c = sc.context(prefix), hat_small.vocab.sos_id * sc.width + 0  # first frame row; context id
         for t in range(3):
             b, labels = hat_small.hat_joint(F[t], hat_small.decode_state(prefix))
-            assert sc.frame_rows[row, t, 0] == pytest.approx(math.log(b), abs=1e-12)
-            np.testing.assert_allclose(sc.label_rows(t, sc.frame_rows[[row], t], sc.ilm_rows[[row]])[0], labels.data, atol=1e-12)
+            assert sc.frame_rows[row + t, 0] == pytest.approx(math.log(b), abs=1e-12)
+            np.testing.assert_allclose(sc.label_rows(t, sc.frame_rows[[row + t]], sc.ilm_rows[[c]])[0], labels.data, atol=1e-12)
         np.testing.assert_allclose(
-            sc.ilm_rows[row],
+            sc.ilm_rows[c],
             hat_small.hat_ilm_log_probs(hat_small.decode_state(prefix)).data,
             atol=1e-12,
         )

@@ -58,5 +58,5 @@ def test_traced_grid_counts_decode_ops_and_frames():
     out = subprocess.run([sys.executable, "-c", GRID_UNDER_TRACER, TRACER], env=env, capture_output=True,
                          text=True, check=True)
     seen = json.loads(out.stdout.splitlines()[-1])
-    assert seen["calls"] == seen["utterances"]  # one lockstep search per utterance
+    assert seen["calls"] == 1  # one corpus search per grid_search_lambdas call
     assert seen["ops"] > 0 and seen["frames"] > 0

@@ -119,6 +119,11 @@ class TestSegmentSumOracle:
             (np.random.default_rng(1).integers(0, 300, 2000), 300),  # uint16
             (np.random.default_rng(2).integers(0, 70_000, 100_000), 70_000),  # wider than 16 bits
             (np.sort(np.random.default_rng(3).integers(0, 70_000, 100_000)), 70_000),
+            # every id occurs: the run sums are returned with no zero fill
+            (np.array([0, 0, 1, 2, 2, 2, 3, 4], dtype=np.int64), 5),  # sorted
+            (np.array([4, 1, 0, 3, 2, 2, 0, 1], dtype=np.int64), 5),  # unsorted
+            (np.arange(6, dtype=np.int64), 6),  # one row per id
+            (np.random.default_rng(5).permutation(np.arange(2000) % 300), 300),  # uint16, unsorted
         ],
     )
     @pytest.mark.parametrize("tail", [(), (3,), (2, 3)])
