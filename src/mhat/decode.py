@@ -109,18 +109,17 @@ class _Trie:
         if min(found) < 0:
             new = nodes < 0 if existed else slice(None)
             parents, labels = parents[new], labels[new]
-            ids = np.arange(self.size, self.size + len(parents))
-            self.size += len(ids)
+            start, self.size = self.size, self.size + len(parents)
             if self.size > len(self.adv):
                 for name in ("child", "adv", "group", "ctx"):
                     old = getattr(self, name)
                     grown = np.full((self.size, *old.shape[1:]), 0 if name == "group" else -1, old.dtype)
                     setattr(self, name, np.concatenate((old, grown)))
+            nodes[new] = ids = np.arange(start, self.size)
             self.child[parents, labels] = ids
             if self.n_roots > 1:
-                self.group[ids] = self.group[parents]
-            self.ctx[ids] = self.next_ctx[self.ctx[parents], labels]
-            nodes[new] = ids
+                self.group[start : self.size] = self.group[parents]
+            self.ctx[start : self.size] = self.next_ctx[self.ctx[parents], labels]
         return nodes, existed
 
     def tokens(self, nodes: Sequence[int]) -> list[tuple[int, ...]]:
@@ -160,11 +159,13 @@ def beam_search(
     group as one block, and each group keeps its own beam_width best,
     exactly as if it were searched alone, with the same float operations in
     the same order.  One scorer serves the corpus, so the rows that depend
-    only on the model and the context are computed once.  `lm_scorer` (from
-    the LM's `scorer()`) may be passed in to reuse its table across calls.
+    only on the model and the context are computed once.  Only an `lm_scorer`
+    (from the LM's `scorer()`) passed in outlives the call: training and ILMA
+    change parameters in place.
 
-    Raises StructureError when an utterance has no frames (T=0), like the
-    lattice: no alignment exists.  Raises EvaluationError when a group is
+    Raises ConfigError when an utterance is not a 2-D array, and
+    StructureError when one has no frames (T=0), like the lattice: no
+    alignment exists.  Raises EvaluationError when a group is
     left with no hypothesis of finite combined score, or when a scorer row
     holds a NaN or +inf.
     """
@@ -184,7 +185,10 @@ def beam_search(
     for f in fusions:
         _check_lm_vocab(model, f)
     for u, x in enumerate(xs):
-        if np.asarray(x).shape[0] < 1:
+        shape = np.shape(x)
+        if len(shape) != 2:  # a list of T frames would otherwise read as T utterances
+            raise ConfigError(f"utterance {u} has shape {shape}: each utterance is a (T, d_x) array")
+        if shape[0] < 1:
             raise StructureError(f"no alignment exists for utterance {u}: it has no frames (T=0)")
     if lm is None:
         lm_scorer = None
@@ -203,11 +207,10 @@ def beam_search(
     uses_lm = np.array([f.lm is not None for f in fusions] * n_utt)  # per group
     no_lm = None if all(f.lm is not None for f in fusions) else ~uses_lm[:, None]  # groups whose ext rows stay zero
     no_ext = np.zeros(v)
-    lam_ext = np.array([f.lam_ext for f in fusions] * n_utt)
-    lam_ilm = np.array([f.effective_lam_ilm for f in fusions] * n_utt)
+    lams = np.array([(f.lam_ext, f.effective_lam_ilm) for f in fusions] * n_utt)  # per group
     t_end = np.repeat(scorer.t_lens, n_cfg) if corpus else None  # per group
     stops = set(scorer.t_lens) if corpus else ()
-    le1, li1 = fusions[0].lam_ext, fusions[0].effective_lam_ilm  # the weights of a one-group search
+    lam1 = lams[0, :, None, None]  # the weights of a one-group search, against columns 1 and 2 of its scores
     trie = _Trie(n_groups, v)
     # a hypothesis: a node and (model_lp, ext_lp, ilm_lp, lam_ext * ext_lp, lam_ilm * ilm_lp)
     pool, done = (np.arange(n_groups), np.zeros((n_groups, 5))), []
@@ -224,31 +227,30 @@ def beam_search(
             if not n_act:
                 break
             ctx = trie.ctx[act_n]
-            # one group takes scalar weights and a plain k-th cut (below), no
+            # one group takes its weights and a plain k-th cut (below), no
             # group arrays: through the group path a one-config decode took
             # about 1.2x as long (BENCH_lockstep.json, "one_config_fork")
             if n_groups == 1:
-                le, li, utt, rows = le1, li1, 0, scorer.rows(ctx)
+                lam, utt, rows = lam1, 0, scorer.rows(ctx)
             else:
                 act_g = trie.group[act_n]
-                le, li, utt = lam_ext[act_g][:, None], lam_ilm[act_g][:, None], act_g // n_cfg
+                lam, utt = lams.take(act_g, 0).T[:, :, None], act_g // n_cfg
                 rows = scorer.rows(utt * n_ctx + ctx)
-            frame = scorer.frame_rows[rows + t]  # log b, log(1 - b), ...
+            frame = scorer.frame_rows.take(rows + t, 0)  # log b, log(1 - b), ...; take: a third of indexing's cost
             fresh = None
             if round_no < max_labels_per_frame:
-                ilm = scorer.ilm_rows[ctx]
+                ilm = scorer.ilm_rows.take(ctx, 0)
                 ext_rows = no_ext
                 if lm_scorer is not None:
                     lm_rows = lm_scorer.rows(ctx)  # may grow the table
-                    ext_rows = lm_scorer.log_prob_rows[lm_rows, :v]
+                    ext_rows = lm_scorer.log_prob_rows.take(lm_rows, 0)[:, :v]
                     if no_lm is not None:
                         ext_rows = np.where(no_lm[act_g], 0.0, ext_rows)
                 scores = np.empty((5, n_act, v))  # the five columns of every extension
                 np.add((act_f[:, 0] + frame[:, 1])[:, None], scorer.label_rows(t, frame, ilm, utt), out=scores[0])
                 np.add(act_f[:, 1, None], ext_rows, out=scores[1])
                 np.add(act_f[:, 2, None], ilm, out=scores[2])
-                np.multiply(le, scores[1], out=scores[3])
-                np.multiply(li, scores[2], out=scores[4])
+                np.multiply(lam, scores[1:3], out=scores[3:])  # lam_ext * ext, lam_ilm * ilm
                 fresh = scores[4] - (scores[0] + scores[3])  # -combined, exactly
 
             act_f[:, 0] += frame[:, 0]  # the blank extensions, which consume frame t
@@ -260,8 +262,8 @@ def beam_search(
                 trie.adv[adv_n] = -1
                 if max(pos.tolist()) >= 0:
                     hit = pos >= 0
-                    p = pos[hit]
-                    adv_f[p, 0] = np.logaddexp(adv_f[p, 0], act_f[hit, 0])
+                    p, merged = pos[hit], adv_f[:, 0]  # a column view: 1-D indexing is cheaper
+                    merged[p] = np.logaddexp(merged[p], act_f[:, 0][hit])
                     new_n, new_f = act_n[~hit], act_f[~hit]
             if len(adv_n):
                 adv_n, adv_f = np.concatenate((adv_n, new_n)), np.concatenate((adv_f, new_f))
@@ -275,27 +277,28 @@ def beam_search(
             # tie at that score leaves more than k
             if n_groups == 1:
                 both = neg if fresh is None else np.concatenate((neg, fresh.reshape(-1)))
-                cut = np.partition(both, k - 1)[k - 1] if both.size > k else np.inf
+                cut = np.sort(both)[k - 1] if both.size > k else np.inf  # cheaper than np.partition here
                 keep = (both <= cut).nonzero()[0]
                 s = bisect.bisect_left(keep.tolist(), len(neg))
-                keep_adv, (j, label) = keep[:s], np.divmod(keep[s:] - len(neg), v)
+                keep_adv, at = keep[:s], keep[s:] - len(neg)  # fresh.flat positions: row at // v, label at % v
                 crowded = len(keep) > k
             else:
                 adv_g = trie.group[adv_n]
                 cut = _group_cuts(neg, fresh, adv_g, act_g, k, n_groups)
                 keep_adv = (neg <= cut[adv_g]).nonzero()[0]
-                j, label = (fresh <= cut[act_g][:, None]).nonzero() if fresh is not None else (act_g[:0], act_g[:0])
-                kept = np.bincount(adv_g[keep_adv], minlength=n_groups) + np.bincount(act_g[j], minlength=n_groups)
+                at = (fresh <= cut[act_g][:, None]).reshape(-1).nonzero()[0] if fresh is not None else act_g[:0]
+                kept = np.bincount(adv_g[keep_adv], minlength=n_groups) + np.bincount(act_g[at // v], minlength=n_groups)
                 crowded = kept.max() > k
             if crowded:
-                keep_adv, j, label = _break_ties(keep_adv, j, label, neg, fresh, k, adv_n, act_n, n_groups, trie)
+                keep_adv, at = _break_ties(keep_adv, at, neg, fresh, k, adv_n, act_n, n_groups, trie)
 
             if len(keep_adv) < len(adv_n):
-                adv_n, adv_f = adv_n[keep_adv], adv_f[keep_adv]
-            if not len(j):
+                adv_n, adv_f = adv_n[keep_adv], adv_f.take(keep_adv, 0)
+            if not len(at):
                 break
+            j, label = np.divmod(at, v)
             act_n, may_merge = trie.extend(act_n[j], label)
-            act_f = scores[:, j, label].T
+            act_f = scores.reshape(5, -1).take(at, 1).T
         pool = adv_n, adv_f
     done.append(pool)
 
@@ -307,7 +310,7 @@ def beam_search(
         e = np.where(uses_lm[g], e + lm_scorer.log_prob_rows[lm_rows, lm.eos_id], e)
         lm_scorer.check_finite()
     scorer.check_finite()
-    c = m + lam_ext[g] * e - lam_ilm[g] * i
+    c = m + lams[g, 0] * e - lams[g, 1] * i
     ranked: list[list] = [[] for _ in range(n_groups)]
     for gr, tok, *vals in zip(g.tolist(), trie.tokens(nodes.tolist()), m.tolist(), e.tolist(), i.tolist(), c.tolist()):
         ranked[gr].append((-vals[3], len(tok), tok, DecodeResult(tok, *vals)))
@@ -337,9 +340,10 @@ def _group_cuts(neg, fresh, adv_g, act_g, k, n_groups) -> np.ndarray:
     return neg[order[np.minimum(ends - sizes + k, ends) - 1]]
 
 
-def _break_ties(keep_adv, j, label, neg, fresh, k, adv_n, act_n, n_groups, trie):
-    """The kept advanced rows and (active row, label) extensions, cut to each
+def _break_ties(keep_adv, at, neg, fresh, k, adv_n, act_n, n_groups, trie):
+    """The kept advanced rows and extensions (`fresh.flat` positions), cut to each
     group's k best by (-combined, length, tokens), advanced first on a full tie."""
+    j, label = np.divmod(at, fresh.shape[1]) if fresh is not None else (at, at)
     n, nodes = len(keep_adv), np.concatenate((adv_n[keep_adv], act_n[j]))
     scores = np.concatenate((neg[keep_adv], fresh[j, label] if fresh is not None else neg[:0]))
     labels = [()] * n + [(k_,) for k_ in label.tolist()]  # the label a fresh candidate adds
@@ -351,7 +355,7 @@ def _break_ties(keep_adv, j, label, neg, fresh, k, adv_n, act_n, n_groups, trie)
             kept[gr] += 1
             out.append(q)
     out = np.array(sorted(out), dtype=np.intp)
-    return keep_adv[out[out < n]], j[out[out >= n] - n], label[out[out >= n] - n]
+    return keep_adv[out[out < n]], at[out[out >= n] - n]
 
 
 def greedy_decode(model: MhatModel | HatModel, X: np.ndarray) -> tuple[int, ...]:

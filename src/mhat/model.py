@@ -484,6 +484,29 @@ class MhatModel(_AsrModel):
         return MhatScorer(self, X)
 
 
+class _PlainOps:
+    """The engine ops `_zero_acoustics_ilm` takes, on plain arrays: each gives
+    the value the engine op stores, from the same float operations, with no
+    Tensor or graph around it."""
+
+    add, tanh, log_softmax = staticmethod(np.add), staticmethod(np.tanh), staticmethod(nm.log_softmax_rows)
+
+    @staticmethod
+    def affine(x: np.ndarray, W: Tensor, b: Tensor | None = None) -> np.ndarray:
+        out = nm._matmul_rows(x, W.data.T)
+        return out if b is None else out + b.data
+
+
+def _zero_acoustics_ilm(ops, model: "HatModel", g_u):
+    """HAT's internal-LM estimate, written once over the ops that compute it:
+    the engine's (`numerics`), for a graph, or `_PlainOps`, for the decoding
+    tables.  The joint sees a zero acoustic embedding."""
+    j = model.joint
+    f0 = np.zeros(model.enc_cfg.d_f)
+    h = ops.tanh(ops.add(ops.affine(f0, j.w1, j.hidden_bias), ops.affine(g_u, j.w2)))
+    return ops.log_softmax(ops.affine(h, model.label_w, model.label_b))
+
+
 class HatModel(_AsrModel):
     """Baseline HAT: one decoder feeding a shared joint network."""
 
@@ -530,9 +553,7 @@ class HatModel(_AsrModel):
 
     def hat_ilm_log_probs(self, g_u: Tensor | np.ndarray) -> Tensor:
         """Internal-LM estimate: the label head with the acoustic embedding zeroed."""
-        f0 = np.zeros(self.enc_cfg.d_f)
-        h = self.joint.hidden(f0, g_u)
-        return nm.log_softmax(nm.affine(h, self.label_w, self.label_b))
+        return _zero_acoustics_ilm(nm, self, g_u)
 
     def context_log_prob_rows(self, ctx: np.ndarray) -> Tensor:
         """Internal-LM estimate rows for (n, 2) decoder contexts: (n, |V|)."""
@@ -587,10 +608,10 @@ class ContextRows:
             r = self.slot[keys]
         return r
 
-    def _row(self, ctx: Sequence[int], utt: int = 0) -> int:
-        """The first row of the context of `ctx` (a prefix) in utterance
-        `utt`, computed and stored when first reached."""
-        p2, p1 = context_of(ctx, self.width - 1)
+    def _row(self, prefix: Sequence[int], utt: int = 0) -> int:
+        """The first row of the context of `prefix` in utterance `utt`,
+        computed and stored when first reached."""
+        p2, p1 = context_of(prefix, self.width - 1)
         key = (utt * self.width + p2) * self.width + p1
         row = int(self.slot[key])
         if row < 0:
@@ -639,11 +660,13 @@ class _UtteranceRows(ContextRows):
     """
 
     TABLES = ("frame_rows",)
+    _SIGNS = np.array([-1.0, 1.0])  # read only
 
     def __init__(self, model, Fs: Sequence[np.ndarray], label_cols: int):
         j = model.joint
         self.model = model
         self._w1f = [F @ j.w1.data.T + j.hidden_bias.data for F in Fs]  # (T_u, d_h) each
+        self._v, self._v_bias = j.v.data, float(j.v_bias.data)
         self.t_lens = [F.shape[0] for F in Fs]
         self.t_len = max(self.t_lens)
         v = model.vocab.size
@@ -670,12 +693,10 @@ class _UtteranceRows(ContextRows):
             self._shared[c] = True
         self._ctx_of[row] = c
         frame = self.frame_rows[row : row + self.t_lens[utt]]
-        j = self.model.joint
         h = np.tanh(self._w1f[utt] + self._w2g[c])  # (T, d_h)
-        s = h @ j.v.data + float(j.v_bias.data)
-        tail = np.log1p(np.exp(-np.abs(s)))  # softplus(-s) and softplus(s) share it
-        np.negative(np.maximum(-s, 0.0) + tail, out=frame[:, 0])
-        np.negative(np.maximum(s, 0.0) + tail, out=frame[:, 1])
+        ss = np.multiply.outer(h @ self._v + self._v_bias, self._SIGNS)  # (-s, s) of the blank logit s
+        tail = np.log1p(np.exp(-np.abs(ss[:, 1])))  # log b, log(1 - b) = -softplus(-s), -softplus(s)
+        np.negative(np.add(np.maximum(ss, 0.0, out=ss), tail[:, None], out=ss), out=frame[:, :2])
         self._label_cols(h, self.ilm_rows[c], utt, frame)
 
     # a subclass defines _context_rows(ctx) -> (w2 g, internal-LM row), and
@@ -690,9 +711,7 @@ class _UtteranceRows(ContextRows):
 
     # point lookups of one frame and table row; perfbench/tracer.py wraps
     # them by each scorer class's own __dict__, hence the aliases below
-    def context(self, prefix: Sequence[int], utt: int = 0) -> int:
-        """First frame row of the prefix's (prev2, prev1) context, filled when first reached."""
-        return self._row(prefix, utt)
+    context = ContextRows._row  # a prefix's first frame row: the lookup every fill takes
 
     def log_blank(self, t: int, row: int) -> float:
         return float(self.frame_rows[row + t, 0])
@@ -756,8 +775,7 @@ class HatScorer(_UtteranceRows):
     def _context_rows(self, ctx: tuple[int, int]):
         m = self.model
         g = m.decoder.output_np(ctx)
-        with nm.no_grad():
-            return m.joint.w2.data @ g, m.hat_ilm_log_probs(g).data
+        return m.joint.w2.data @ g, _zero_acoustics_ilm(_PlainOps, m, g)
 
     def _label_cols(self, h: np.ndarray, ilm: np.ndarray, utt: int, frame: np.ndarray) -> None:
         z = h @ self.model.label_w.data.T + self.model.label_b.data

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "log_sigmoid",
     "log_softmax",
     "log_softmax_at",
+    "log_softmax_rows",
     "log_sum_exp",
     "no_grad",
     "sigmoid",
@@ -456,10 +458,7 @@ def log_softmax(x) -> Tensor:
     x = _coerce(x)
     if x.data.ndim == 0 or x.data.shape[-1] == 0:
         raise ShapeError("log_softmax: empty input")
-    m = x.data.max(axis=-1, keepdims=True)
-    shifted = x.data - m
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    data = shifted - lse
+    data = log_softmax_rows(x.data)
 
     def vjp(g):
         if x.requires_grad:
@@ -467,6 +466,12 @@ def log_softmax(x) -> Tensor:
             x._hand_over(g - sm * g.sum(axis=-1, keepdims=True))
 
     return _op(data, (x,), vjp)
+
+
+def log_softmax_rows(x: np.ndarray) -> np.ndarray:
+    """The values of `log_softmax` on a plain array, with no graph."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def log_softmax_at(x, ids) -> Tensor:
@@ -498,14 +503,18 @@ def log_sum_exp(z, axis=None):
     z = np.asarray(z, dtype=np.float64)
     if z.size == 0:
         raise ShapeError("log_sum_exp: empty input")
-    m = z.max(axis=axis, keepdims=True)
-    m_safe = np.where(np.isfinite(m), m, 0.0)
-    # a sum is >= exp(0) = 1 unless its entries are all -inf, where
-    # log(tiny) + m is -inf as well: no log(0)
-    out = np.log(np.maximum(np.exp(z - m_safe).sum(axis=axis, keepdims=True), _TINY)) + m
-    if axis is None:
-        return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
+    keep = axis is not None
+    m = z.max(axis=axis, keepdims=keep)
+    # with finite maxima every sum holds exp(0) = 1, so the shift needs no
+    # guard and the sum no floor: this is the guarded form's float ops
+    if np.isfinite(m).all() if keep else math.isfinite(m):
+        out = np.log(np.exp(z - m).sum(axis=axis, keepdims=keep)) + m
+    else:
+        # a sum is >= exp(0) = 1 unless its entries are all -inf, where
+        # log(tiny) + m is -inf as well: no log(0)
+        m_safe = np.where(np.isfinite(m), m, 0.0)
+        out = np.log(np.maximum(np.exp(z - m_safe).sum(axis=axis, keepdims=keep), _TINY)) + m
+    return out.squeeze(axis) if keep else float(out)
 
 
 # -- parameters -----------------------------------------------------------

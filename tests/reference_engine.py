@@ -5,8 +5,9 @@ Kept verbatim as test oracles, each under its original name:
 takes the tensor as `self`); `numerics._segment_sum` with its int64
 sort; `numerics.gather_sum` with fancy-index gathers (it calls the
 `_segment_sum` below); `model.lattice_cells` with its argsort into final
-order; and the per-utterance `Encoder.windows` (a method of the
-encoder).  The new pieces must give byte-identical arrays, and a whole
+order; the per-utterance `Encoder.windows` (a method of the encoder); and
+`numerics.log_sum_exp` with its guarded shift and floored sum on every
+call.  The new pieces must give byte-identical arrays, and a whole
 training step with these patched back in must give byte-identical
 gradients.
 """
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from mhat.model import ConfigError, LatticeCells, _token_array
-from mhat.numerics import Tensor, _coerce, _op
+from mhat.numerics import ShapeError, Tensor, _coerce, _op
 
 
 def _accumulate(self, g: np.ndarray) -> None:
@@ -104,3 +105,21 @@ def windows(self, X: np.ndarray) -> np.ndarray:
     padded = np.vstack([np.zeros((c, self.cfg.d_x)), X, np.zeros((c, self.cfg.d_x))])
     idx = np.arange(t)[:, None] + np.arange(2 * c + 1)[None, :]
     return padded[idx].reshape(t, (2 * c + 1) * self.cfg.d_x)
+
+
+_TINY = np.finfo(np.float64).tiny
+
+
+def log_sum_exp(z, axis=None):
+    """Stable log-sum-exp; tolerates -inf entries (empty-path sentinel)."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.size == 0:
+        raise ShapeError("log_sum_exp: empty input")
+    m = z.max(axis=axis, keepdims=True)
+    m_safe = np.where(np.isfinite(m), m, 0.0)
+    # a sum is >= exp(0) = 1 unless its entries are all -inf, where
+    # log(tiny) + m is -inf as well: no log(0)
+    out = np.log(np.maximum(np.exp(z - m_safe).sum(axis=axis, keepdims=True), _TINY)) + m
+    if axis is None:
+        return float(out.reshape(()))
+    return np.squeeze(out, axis=axis)

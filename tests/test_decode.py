@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import reference_beam
+import reference_tables
 from conftest import small_hat, small_mhat
 from mhat.decode import (
     DecodeResult,
@@ -346,6 +347,57 @@ class TestScorerReuse:
         assert sc.size == ids.size * len(X)
 
 
+class TestNothingOutlivesACall:
+    """Training and ILMA change parameters in place, so no table may be kept
+    from one search to the next: after such a change a search equals one on
+    a copy made after it."""
+
+    @pytest.mark.parametrize("kind", ["mhat", "hat"])
+    def test_in_place_parameter_change(self, real_setup, kind):
+        models, lm, utts = real_setup
+        model, lm = copy.deepcopy(models[kind]), copy.deepcopy(lm)
+        fusion = FusionConfig("ilme_subtract", 0.4, 0.2, lm)
+        before = [ranked(beam_search(model, X, 4, fusion)) for X in utts[:3]]
+        rng = np.random.default_rng(3)
+        for name in model.params.group_names("ilm"):  # as run_ilma's SGD step: the same tensors, new values
+            tensor = model.params[name]
+            tensor.data = tensor.data - 0.5 * rng.standard_normal(tensor.data.shape)
+        lm.out_w.data *= 1.5  # and in place in the array
+        copied = FusionConfig("ilme_subtract", 0.4, 0.2, copy.deepcopy(lm))
+        model_copy = copy.deepcopy(model)
+        after = [ranked(beam_search(model, X, 4, fusion)) for X in utts[:3]]
+        assert after == [ranked(beam_search(model_copy, X, 4, copied)) for X in utts[:3]]
+        assert after != before
+
+
+class TestTablesEqualTheFrozenFills:
+    """Every context's rows against the fills they replaced
+    (tests/reference_tables.py), byte for byte, at the real dims:
+    `TestScorerAgreesWithHeads` checks the heads only to 1e-12."""
+
+    @pytest.mark.parametrize("kind", ["mhat", "hat"])
+    @pytest.mark.parametrize("n_utts", [1, 3])
+    def test_scorer_tables(self, real_setup, kind, n_utts):
+        models, _, utts = real_setup
+        model = models[kind]
+        xs = utts[:n_utts]
+        sc = model.scorer(xs[0] if n_utts == 1 else xs)
+        want = (reference_tables.MhatTables if kind == "mhat" else reference_tables.HatTables)(model, xs).fill_all()
+        keys = np.arange(n_utts * want.n_ctx)[::-1]  # every context of every utterance, in reverse
+        for key, row in zip(keys.tolist(), sc.rows(keys).tolist()):
+            u, c = divmod(key, want.n_ctx)
+            first, t_len = want.first_row(u, c), sc.t_lens[u]
+            assert sc.frame_rows[row : row + t_len].tobytes() == want.frame_rows[first : first + t_len].tobytes()
+        assert sc.ilm_rows.tobytes() == want.ilm_rows.tobytes()
+        assert sc._w2g.tobytes() == want._w2g.tobytes()
+
+    def test_lm_tables(self, real_setup):
+        _, lm, _ = real_setup
+        sc, want = lm.scorer(), reference_tables.LmTables(lm)
+        rows = sc.rows(np.arange(len(want.log_prob_rows))[::-1])[::-1]  # filled in reverse, read in id order
+        assert sc.log_prob_rows[rows].tobytes() == want.log_prob_rows.tobytes()
+
+
 class TestResultValues:
     def test_components_are_plain_floats(self, real_setup):
         # records print the components with repr(); a numpy scalar would print as np.float64(...)
@@ -518,6 +570,17 @@ class TestCorpus:
         got = beam_search(models["mhat"], utts, 4, fusion)
         assert [ranked(r) for r in got] == [ranked(reference_beam.beam_search(models["mhat"], X, 4, fusion))
                                            for X in utts]
+
+    def test_an_utterance_that_is_not_2d_is_named(self, real_setup):
+        # a list of frames would otherwise read as a corpus of 1-D utterances
+        models, _, utts = real_setup
+        d_x = utts[0].shape[1]
+        with pytest.raises(ConfigError, match=rf"utterance 0 has shape \({d_x},\)"):
+            beam_search(models["mhat"], utts[0].tolist(), 4)
+        with pytest.raises(ConfigError, match=rf"utterance 2 has shape \({d_x},\)"):
+            beam_search(models["hat"], [utts[0], utts[1], utts[2][0]], 4)
+        with pytest.raises(ConfigError, match=r"utterance 0 has shape \(1, 2, 3\)"):
+            beam_search(models["hat"], [np.zeros((1, 2, 3))], 4)
 
     def test_empty_corpus(self, real_setup):
         models, lm, _ = real_setup

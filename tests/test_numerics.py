@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import reference_engine
+
 from mhat import numerics as nm
 from mhat.numerics import (
     EvaluationError,
@@ -118,6 +120,33 @@ class TestLogSumExp:
             b = log_sum_exp(z[rng.permutation(7)])
             assert a == pytest.approx(b, abs=1e-12)
             assert a >= z.max()
+
+    def test_bytes_equal_the_guarded_form(self, rng):
+        # the finite-max short form against the version that guarded every
+        # call (tests/reference_engine.py): same bytes, same return type
+        for shape in ((7,), (1,), (4, 5), (3, 1), (2, 3, 4)):
+            for trial in range(40):
+                z = rng.standard_normal(shape) * (1.0, 30.0, 700.0)[trial % 3]
+                mask = rng.random(shape)
+                if trial % 2:
+                    z[mask < 0.3] = -np.inf
+                if trial % 5 == 1:
+                    z[..., 0] = -np.inf
+                    z[(0,) * (len(shape) - 1)] = -np.inf  # a row, or all of a 1-D input, of -inf
+                if trial % 7 == 3:
+                    z[mask > 0.9] = np.inf
+                if trial % 11 == 5:
+                    z[mask > 0.85] = np.nan
+                for axis in (None, *range(len(shape)), -1):
+                    with np.errstate(invalid="ignore", over="ignore"):  # +inf and NaN entries, on both sides
+                        want, got = reference_engine.log_sum_exp(z, axis), log_sum_exp(z, axis)
+                    assert type(got) is type(want)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (z, axis)
+
+    def test_empty_raises_under_every_axis(self):
+        for axis in (None, 0, -1):
+            with pytest.raises(ShapeError):
+                log_sum_exp(np.zeros((0, 3)), axis)
 
 
 class TestEngine:

@@ -60,3 +60,45 @@ def test_traced_grid_counts_decode_ops_and_frames():
     seen = json.loads(out.stdout.splitlines()[-1])
     assert seen["calls"] == 1  # one corpus search per grid_search_lambdas call
     assert seen["ops"] > 0 and seen["frames"] > 0
+
+
+# the matrix of perfbench's decode workload, decoded twice with the same
+# models: a table kept from one call to the next would make the second pass
+# do less work than the first
+MATRIX_TWICE_UNDER_TRACER = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import mhat
+from mhat import decode as dec, evalcli as ev
+from mhat.extlm import ExternalLm
+t = tracer.Tracer()
+t.install(mhat)
+cfg = ev.ExperimentConfig(n_train=0, n_dev=0, n_test=4, n_adapt_text=0)
+exp = ev.make_experiment_data(cfg)
+lm = ExternalLm(exp.vocab, embed_dim=cfg.label_dim, seed=7)
+mhat_model, hat_model = ev.build_mhat(cfg, exp.vocab), ev.build_hat(cfg, exp.vocab)
+fused = dec.FusionConfig("ilme_subtract", 0.4, 0.2, lm)
+configs = [(mhat_model, dec.NO_FUSION), (mhat_model, dec.FusionConfig("shallow", 0.4, 0.0, lm)), (mhat_model, fused),
+           (hat_model, dec.NO_FUSION), (hat_model, fused)]
+t.take()  # the set-up's spans
+passes = []
+for _ in range(2):
+    for it in exp.tgt_test.items:
+        for model, fusion in configs:
+            dec.beam_search(model, it.features, cfg.beam, fusion)
+    stats, counts = t.take()
+    passes.append({"counts": counts, "calls": {name: v[0] for name, v in stats.items()}})
+print(json.dumps(passes))
+"""
+
+
+def test_repeated_decodes_do_the_same_work():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (os.path.join(ROOT, "src"),
+                                                                  os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", MATRIX_TWICE_UNDER_TRACER, TRACER], env=env, capture_output=True,
+                         text=True, check=True)
+    first, second = json.loads(out.stdout.splitlines()[-1])
+    assert first["calls"]["model.decoder_eval"] > 0
+    assert first == second
