@@ -10,6 +10,7 @@ between domains, which only a better label prior can fix.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,13 +45,17 @@ class DomainSpec:
         v = self.vocab.size
         if self.bigram.shape != (v + 1, v + 1):
             raise ConfigError(f"bigram table must be ({v + 1}, {v + 1}), got {self.bigram.shape}")
+        if not np.isfinite(self.bigram).all():
+            raise ConfigError("bigram table must be finite")
         sums = self.bigram.sum(axis=1)
         if np.any(self.bigram < 0) or np.any(np.abs(sums - 1.0) > 1e-9):
             raise ConfigError("bigram rows must be non-negative and sum to 1 within 1e-9")
         if self.prototypes.shape[0] != v:
             raise ConfigError("one prototype row per token required")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise sigma must be >= 0")
+        if not np.isfinite(self.prototypes).all():
+            raise ConfigError("prototypes must be finite")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ConfigError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
         for i in range(v):
             for j in range(i + 1, v):
                 if np.array_equal(self.prototypes[i], self.prototypes[j]):
@@ -82,29 +87,32 @@ class Corpus:
         return [(it.features, it.tokens) for it in self.items if it.features is not None]
 
 
-def _sample_tokens(spec: DomainSpec, rng: np.random.Generator) -> tuple[int, ...]:
-    v = spec.vocab.size
+def _sample_tokens(cdf: list[list[float]], rng: np.random.Generator) -> tuple[int, ...]:
+    # the draw of `rng.choice(v + 1, p=row)`: one rng.random(), searched from the
+    # right in the row's cumulative sum over its last entry, which `cdf` holds
+    eos = len(cdf) - 1  # the EOS column and the start row share this index
     for _ in range(1000):
         out: list[int] = []
-        ctx = v  # start row
+        row = cdf[eos]
         while len(out) < MAX_SENTENCE_LEN:
-            nxt = int(rng.choice(v + 1, p=spec.bigram[ctx]))
-            if nxt == v:  # EOS column
+            nxt = bisect_right(row, rng.random())
+            if nxt == eos:
                 break
             out.append(nxt)
-            ctx = nxt
+            row = cdf[nxt]
         if out:
             return tuple(out)
     raise ConfigError("bigram table produced 1000 empty sentences in a row")
 
 
 def _emit_features(spec: DomainSpec, tokens: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    frames = []
+    d_x = spec.d_x
+    rows, noise = [], []
     for tok in tokens:
         k = int(rng.integers(1, 4))  # 1 to 3 frames
-        noise = rng.standard_normal((k, spec.d_x))
-        frames.append(spec.prototypes[tok] + spec.noise_sigma * noise)
-    return np.vstack(frames)
+        rows += [tok] * k
+        noise.append(rng.standard_normal((k, d_x)))
+    return spec.prototypes[rows] + spec.noise_sigma * np.concatenate(noise)
 
 
 def gen_corpus(
@@ -120,10 +128,14 @@ def gen_corpus(
     """
     if split not in _SPLIT_CODE:
         raise ConfigError(f"split must be one of {sorted(_SPLIT_CODE)}, got {split!r}")
+    if n_utts < 0:
+        raise ConfigError(f"n_utts must be >= 0, got {n_utts}")
+    cdf = np.cumsum(spec.bigram, axis=1, dtype=np.float64)  # per call: `spec.bigram` is mutable
+    cdf = (cdf / cdf[:, -1:]).tolist()
     items = []
     for i in range(n_utts):
         rng = np.random.default_rng((seed, _SPLIT_CODE[split], int(text_only), i))
-        tokens = _sample_tokens(spec, rng)
+        tokens = _sample_tokens(cdf, rng)
         feats = None if text_only else _emit_features(spec, tokens, rng)
         items.append(Utterance(uid=f"{split}-{i:05d}", features=feats, tokens=tokens))
     return Corpus(split=split, seed=seed, vocab=spec.vocab, items=tuple(items))

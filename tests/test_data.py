@@ -1,10 +1,13 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+import reference_data
 from conftest import small_hat, small_mhat
 from mhat.data import (
+    MAX_SENTENCE_LEN,
     CheckpointError,
     DomainSpec,
     chain_entropy_rate,
@@ -20,6 +23,7 @@ from mhat.data import (
     write_text_corpus,
     write_vocab,
 )
+from mhat.evalcli import ExperimentConfig, make_experiment_data
 from mhat.extlm import ExternalLm
 from mhat.model import ConfigError, VocabError, Vocabulary
 
@@ -64,6 +68,30 @@ class TestDomainSpec:
         bad = np.full((3, 3), 0.4)
         with pytest.raises(ConfigError, match="sum to 1"):
             DomainSpec(vocab, bad, np.eye(2), noise_sigma=0.1)
+
+    def test_nan_bigram_entry_rejected(self):
+        spec = point_mass_spec()
+        bigram = spec.bigram.copy()
+        bigram[0, 0] = np.nan
+        with pytest.raises(ConfigError, match="bigram table must be finite"):
+            dataclasses.replace(spec, bigram=bigram)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prototype_rejected(self, bad):
+        spec = point_mass_spec()
+        protos = spec.prototypes.copy()
+        protos[1, 0] = bad
+        with pytest.raises(ConfigError, match="prototypes must be finite"):
+            dataclasses.replace(spec, prototypes=protos)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+    def test_bad_noise_sigma_rejected(self, bad):
+        with pytest.raises(ConfigError, match="noise sigma"):
+            dataclasses.replace(point_mass_spec(), noise_sigma=bad)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ConfigError, match="n_utts must be >= 0, got -5"):
+            gen_corpus(point_mass_spec(), seed=1, n_utts=-5)
 
     def test_identical_prototypes_rejected(self):
         vocab = Vocabulary.default(2)
@@ -117,6 +145,114 @@ class TestDomainSpec:
         measured = corpus_log_loss(spec, corpus)
         expected = chain_entropy_rate(spec)
         assert abs(measured - expected) <= 0.03 * expected
+
+
+def assert_same_corpus(got, want):
+    assert (got.split, got.seed, got.vocab) == (want.split, want.seed, want.vocab)
+    assert [it.uid for it in got.items] == [it.uid for it in want.items]
+    for g, w in zip(got.items, want.items):
+        assert g.tokens == w.tokens
+        if w.features is None:
+            assert g.features is None
+        else:
+            assert (g.features.dtype, g.features.shape) == (w.features.dtype, w.features.shape)
+            assert g.features.tobytes() == w.features.tobytes()
+
+
+def crafted_spec(v, rows, noise_sigma=0.3, seed=0):
+    """A DomainSpec over `v` tokens with random prototypes and the given bigram rows."""
+    protos = np.random.default_rng(seed).standard_normal((v, 3))
+    return DomainSpec(Vocabulary.default(v), np.asarray(rows, dtype=float), protos, noise_sigma)
+
+
+def spread_rows(v, eos, start_eos, seed=0):
+    """Dirichlet bigram rows with EOS probability `eos` after a token and `start_eos` at the start."""
+    rows = np.random.default_rng(seed).dirichlet(np.ones(v), size=v + 1)
+    eos_col = np.full((v + 1, 1), eos)
+    eos_col[v] = start_eos
+    return np.hstack([rows * (1.0 - eos_col), eos_col])
+
+
+class TestGeneratorOracle:
+    """`gen_corpus` against the verbatim `rng.choice` generator in `reference_data`."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_confusable_pair_domains(self, seed):
+        for spec in confusable_pair_domains(Vocabulary.default(16), d_x=8, seed=seed):
+            for split in ("train", "dev", "test"):
+                for text_only in (False, True):
+                    assert_same_corpus(gen_corpus(spec, seed + 7, 40, split, text_only),
+                                       reference_data.gen_corpus(spec, seed + 7, 40, split, text_only))
+
+    def test_sentences_at_the_length_cap(self):
+        spec = crafted_spec(4, spread_rows(4, eos=0.0, start_eos=0.0))
+        corpus = gen_corpus(spec, 1, 30)
+        assert {len(it.tokens) for it in corpus.items} == {MAX_SENTENCE_LEN}
+        assert_same_corpus(corpus, reference_data.gen_corpus(spec, 1, 30))
+
+    def test_empty_sentences_redrawn(self):
+        # the start row ends 9 draws in 10 at once, so nearly every utterance redraws
+        spec = crafted_spec(4, spread_rows(4, eos=0.3, start_eos=0.9))
+        for text_only in (False, True):
+            assert_same_corpus(gen_corpus(spec, 2, 60, "dev", text_only),
+                               reference_data.gen_corpus(spec, 2, 60, "dev", text_only))
+
+    def test_zero_probability_column(self):
+        rows = spread_rows(5, eos=0.2, start_eos=0.0)
+        rows[:, 0] = rows[:, 4] = 0.0  # the first token and the last never occur
+        rows /= rows.sum(axis=1, keepdims=True)
+        spec = crafted_spec(5, rows)
+        corpus = gen_corpus(spec, 3, 60)
+        assert not {0, 4} & {tok for it in corpus.items for tok in it.tokens}
+        assert_same_corpus(corpus, reference_data.gen_corpus(spec, 3, 60))
+
+    def test_draws_on_cdf_boundaries(self, monkeypatch):
+        # eighths are exact, so every draw below lands on a cumulative sum or
+        # between two; only a right-side search agrees with rng.choice on both
+        class OnEighths(np.random.Generator):
+            def random(self, size=None, dtype=np.float64, out=None):
+                return int(super().random() * 8) / 8
+
+        monkeypatch.setattr(np.random, "default_rng", lambda key: OnEighths(np.random.PCG64(key)))
+        rows = np.array([[0, 3, 3, 2], [0, 1, 5, 2], [0, 4, 2, 2], [0, 4, 2, 2]]) / 8  # token 0 never occurs
+        spec = crafted_spec(3, rows)
+        for text_only in (False, True):
+            corpus = gen_corpus(spec, 7, 60, "train", text_only)
+            assert_same_corpus(corpus, reference_data.gen_corpus(spec, 7, 60, "train", text_only))
+        assert 0 not in {tok for it in corpus.items for tok in it.tokens}
+
+    def test_zero_noise(self):
+        spec = crafted_spec(4, spread_rows(4, eos=0.25, start_eos=0.0), noise_sigma=0.0)
+        assert_same_corpus(gen_corpus(spec, 4, 40, "test"), reference_data.gen_corpus(spec, 4, 40, "test"))
+
+    def test_two_token_vocabulary(self):
+        spec = crafted_spec(2, spread_rows(2, eos=0.3, start_eos=0.1))
+        for split in ("train", "dev", "test"):
+            assert_same_corpus(gen_corpus(spec, 5, 60, split), reference_data.gen_corpus(spec, 5, 60, split))
+
+    def test_always_empty_start_row_still_raises(self):
+        spec = crafted_spec(3, spread_rows(3, eos=0.3, start_eos=1.0))
+        for generate in (gen_corpus, reference_data.gen_corpus):
+            with pytest.raises(ConfigError, match="1000 empty sentences"):
+                generate(spec, 6, 1)
+
+
+def test_experiment_data_digest():
+    """The seed-0 experiment corpora, pinned by the digest the `rng.choice` generator gave.
+
+    The oracle above calls numpy too, so only this catches a numpy release that
+    changes how `Generator` draws.
+    """
+    exp = make_experiment_data(ExperimentConfig())
+    h = hashlib.sha256()
+    for corpus in (exp.src_train, exp.src_dev, exp.src_test, exp.tgt_text, exp.tgt_dev, exp.tgt_test):
+        for it in corpus.items:
+            h.update(it.uid.encode())
+            h.update(repr(it.tokens).encode())
+            if it.features is not None:
+                h.update(repr(it.features.shape).encode())
+                h.update(it.features.tobytes())
+    assert h.hexdigest() == "105cf56f580351743542e2cea1165fc43444cd0279cd27f5fca84c48dd09e43d"
 
 
 class TestTextCorpusIO:

@@ -450,6 +450,15 @@ class TestCli:
         assert "mode='none'" in capsys.readouterr().err
         assert not (tmp_path / "dec" / "decodes.tsv").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--sigma", "nan"), ("--sigma", "inf"), ("--n-train", "-5")])
+    def test_gen_data_rejects_bad_values(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "data"
+        rc = main(["gen-data", "--out-dir", str(out), "--n-train", "2", "--n-dev", "2", "--n-test", "2",
+                   "--n-adapt-text", "2", flag, value])
+        assert rc == 2
+        assert value in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["resolved-config.txt"]
+
     def test_config_file_overrides_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("# comment\nn_train=10\nn_dev=3\nn_test=3\nn_adapt_text=12\n")
