@@ -15,10 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .losses import context_table, ilm_loss, perplexity, table_nll
+from .losses import context_table, ilm_loss, perplexity
 from .model import ConfigError, MhatModel
 from .numerics import Tensor
-from .training import Sgd
+from .training import Sgd, check_schedule
 
 
 @dataclass
@@ -34,6 +34,7 @@ class IlmaConfig:
     def __post_init__(self):
         if not (0.0 <= self.rho <= 1.0):
             raise ConfigError(f"rho must lie in [0, 1], got {self.rho}")
+        check_schedule(self.batch_size, self.lr, steps=self.steps)
 
 
 @dataclass
@@ -98,7 +99,7 @@ def ilma_loss(
     with nm.no_grad():
         teacher_probs = np.exp(teacher.context_log_prob_rows(ctx).data)
     weights = (1.0 - rho) * counts + rho * counts.sum(axis=1, keepdims=True) * teacher_probs
-    return table_nll(model.context_log_prob_rows(ctx), weights)
+    return nm.log_softmax_nll(model.context_logits(ctx), weights)
 
 
 def run_ilma(

@@ -23,7 +23,7 @@ from .model import (
     context_of,
 )
 from .numerics import ParameterSet, Tensor
-from .training import Adam
+from .training import Adam, check_schedule
 
 
 class ExternalLm:
@@ -46,9 +46,13 @@ class ExternalLm:
         )
         self.out_b = p.add("out_proj.bias", np.zeros(vocab.size + 1), "ilm")
 
+    def context_logits(self, ctx: np.ndarray) -> Tensor:
+        """Logits over tokens+EOS for (n, 2) decoder contexts: (n, |V|+1)."""
+        return nm.affine(self.decoder.outputs(ctx), self.out_w, self.out_b)
+
     def context_log_prob_rows(self, ctx: np.ndarray) -> Tensor:
         """Log-prob rows over tokens+EOS for (n, 2) decoder contexts: (n, |V|+1)."""
-        return nm.log_softmax(nm.affine(self.decoder.outputs(ctx), self.out_w, self.out_b))
+        return nm.log_softmax(self.context_logits(ctx))
 
     def next_log_prob_rows(self, tokens: Sequence[int]) -> Tensor:
         """Log-prob rows over tokens+EOS for every step, incl. the EOS step: (U+1, |V|+1)."""
@@ -129,6 +133,11 @@ class LmTrainConfig:
     batch_size: int = 64
     lr: float = 5e-3
     seed: int = 0
+
+    def __post_init__(self):
+        if self.embed_dim < 1:
+            raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        check_schedule(self.batch_size, self.lr, epochs=self.epochs)
 
 
 def lm_loss(lm: ExternalLm, transcripts: Sequence[Sequence[int]]) -> Tensor:

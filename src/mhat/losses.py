@@ -31,15 +31,6 @@ class LossConfig:
             raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
 
 
-def table_nll(rows: Tensor, weights: np.ndarray) -> Tensor:
-    """-sum(weights * rows), gathered at the non-zero weights only.
-
-    A -inf log-prob that no event uses then cannot turn the sum into NaN.
-    """
-    r, c = np.nonzero(weights)
-    return nm.neg(nm.total(nm.mul(weights[r, c], rows[r, c])))
-
-
 def context_table(model_or_lm, transcripts: Sequence[Sequence[int]], eos_id: int | None = None):
     """`context_counts` over the model's tokens, plus `eos_id` when given."""
     vocab = model_or_lm.vocab
@@ -51,7 +42,7 @@ def text_nll(model_or_lm, transcripts: Sequence[Sequence[int]], eos_id: int | No
     if not transcripts:
         return Tensor(0.0)
     ctx, counts = context_table(model_or_lm, transcripts, eos_id)
-    return table_nll(model_or_lm.context_log_prob_rows(ctx), counts)
+    return nm.log_softmax_nll(model_or_lm.context_logits(ctx), counts)
 
 
 def text_perplexity(model_or_lm, transcripts: Sequence[Sequence[int]], eos_id: int | None = None) -> float:
@@ -61,7 +52,7 @@ def text_perplexity(model_or_lm, transcripts: Sequence[Sequence[int]], eos_id: i
     if events == 0:
         raise ConfigError("perplexity requires at least one scored event")
     with nm.no_grad():
-        nll = float(table_nll(model_or_lm.context_log_prob_rows(ctx), counts).data)
+        nll = float(nm.log_softmax_nll(model_or_lm.context_logits(ctx), counts).data)
     with np.errstate(over="ignore"):  # an untrained model may overflow to inf
         return float(np.exp(nll / events))
 

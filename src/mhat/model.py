@@ -16,6 +16,7 @@ Parameter groups:
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -119,8 +120,8 @@ def bigram_contexts(tokens: Sequence[int], sos_id: int) -> np.ndarray:
 
 def _token_array(transcripts: Sequence[Sequence[int]], sos_id: int) -> tuple[np.ndarray, np.ndarray]:
     """Sentence lengths and all tokens concatenated; ids must lie in [0, sos_id)."""
-    lengths = np.array([len(y) for y in transcripts], dtype=np.int64)
-    toks = np.array([t for y in transcripts for t in y], dtype=np.int64)
+    lengths = np.fromiter(map(len, transcripts), dtype=np.int64, count=len(transcripts))
+    toks = np.fromiter(itertools.chain.from_iterable(transcripts), dtype=np.int64, count=int(lengths.sum()))
     bad = (toks < 0) | (toks >= sos_id)
     if bad.any():
         raise VocabError(f"token id {toks[bad][0]} out of range for |V|={sos_id}")
@@ -137,6 +138,8 @@ def context_counts(
     follows context i, (k, n_out).  With `eos_id`, every sentence adds one
     event `eos_id` at its final context.  Token ids must lie in [0, sos_id).
     The table depends only on the multiset of sentences, not their order.
+    It is one `np.bincount` over (context, event) keys, so its dense form,
+    (sos_id + 1)^2 * n_out integers, must fit in memory.
     """
     lengths, toks = _token_array(transcripts, sos_id)
     # event i follows the first pos[i] labels of its sentence; the last two
@@ -150,10 +153,11 @@ def context_counts(
     padded = np.concatenate([[sos_id, sos_id], toks])
     prev1 = np.where(pos >= 1, padded[at + 1], sos_id)
     prev2 = np.where(pos >= 2, padded[at], sos_id)
-    keys, row = np.unique(prev2 * (sos_id + 1) + prev1, return_inverse=True)
-    counts = np.zeros((keys.size, n_out), dtype=np.int64)
-    np.add.at(counts, (row.reshape(-1), nxt), 1)
-    return np.stack([keys // (sos_id + 1), keys % (sos_id + 1)], axis=1), counts
+    width = sos_id + 1
+    counts = np.bincount((prev2 * width + prev1) * n_out + nxt, minlength=width * width * n_out)
+    counts = counts.reshape(width * width, n_out)
+    keys = np.flatnonzero(counts.any(axis=1))
+    return np.stack([keys // width, keys % width], axis=1), counts[keys]
 
 
 @dataclass(frozen=True)
@@ -263,8 +267,7 @@ class EmbeddingDecoder:
 
     def outputs(self, ctx: np.ndarray) -> Tensor:
         """Decoder outputs for a batch of (prev2, prev1) context rows."""
-        e = nm.concat(nm.gather_rows(self.table0, ctx[..., 0]), nm.gather_rows(self.table1, ctx[..., 1]))
-        return nm.affine(e, self.proj_w, self.proj_b)
+        return nm.embed_affine(self.table0, self.table1, ctx, self.proj_w, self.proj_b)
 
     def output_np(self, ctx: tuple[int, int]) -> np.ndarray:
         e = np.concatenate([self.table0.data[ctx[0]], self.table1.data[ctx[1]]])
@@ -372,6 +375,10 @@ class _AsrModel:
     each as an attribute of the same name.
     """
 
+    def context_log_prob_rows(self, ctx: np.ndarray) -> Tensor:
+        """Internal-LM log-prob rows for (n, 2) decoder contexts: (n, |V|)."""
+        return nm.log_softmax(self.context_logits(ctx))
+
     def param_counts(self) -> dict[str, int]:
         counts = self.params.group_sizes()
         counts["total"] = self.params.size()
@@ -453,9 +460,9 @@ class MhatModel(_AsrModel):
         return nm.log_softmax(nm.affine(g_l, self.ilm_w, self.ilm_b))
 
     # -- sequence-level helpers --------------------------------------------
-    def context_log_prob_rows(self, ctx: np.ndarray) -> Tensor:
-        """Internal-LM log-prob rows for (n, 2) decoder contexts: (n, |V|)."""
-        return nm.log_softmax(nm.affine(self.label_decoder.outputs(ctx), self.ilm_w, self.ilm_b))
+    def context_logits(self, ctx: np.ndarray) -> Tensor:
+        """Internal-LM logits for (n, 2) decoder contexts: (n, |V|)."""
+        return nm.affine(self.label_decoder.outputs(ctx), self.ilm_w, self.ilm_b)
 
     def ilm_log_prob_rows(self, tokens: Sequence[int]) -> Tensor:
         """Internal-LM log-prob vectors for every step of a transcript: (U+1, |V|)."""
@@ -485,11 +492,11 @@ class MhatModel(_AsrModel):
 
 
 class _PlainOps:
-    """The engine ops `_zero_acoustics_ilm` takes, on plain arrays: each gives
-    the value the engine op stores, from the same float operations, with no
-    Tensor or graph around it."""
+    """The engine ops `_zero_acoustics_logits` takes, on plain arrays: each
+    gives the value the engine op stores, from the same float operations,
+    with no Tensor or graph around it."""
 
-    add, tanh, log_softmax = staticmethod(np.add), staticmethod(np.tanh), staticmethod(nm.log_softmax_rows)
+    add, tanh = staticmethod(np.add), staticmethod(np.tanh)
 
     @staticmethod
     def affine(x: np.ndarray, W: Tensor, b: Tensor | None = None) -> np.ndarray:
@@ -497,14 +504,15 @@ class _PlainOps:
         return out if b is None else out + b.data
 
 
-def _zero_acoustics_ilm(ops, model: "HatModel", g_u):
-    """HAT's internal-LM estimate, written once over the ops that compute it:
-    the engine's (`numerics`), for a graph, or `_PlainOps`, for the decoding
-    tables.  The joint sees a zero acoustic embedding."""
+def _zero_acoustics_logits(ops, model: "HatModel", g_u):
+    """The logits of HAT's internal-LM estimate, written once over the ops
+    that compute them: the engine's (`numerics`), for a graph, or
+    `_PlainOps`, for the decoding tables.  The joint sees a zero acoustic
+    embedding."""
     j = model.joint
     f0 = np.zeros(model.enc_cfg.d_f)
     h = ops.tanh(ops.add(ops.affine(f0, j.w1, j.hidden_bias), ops.affine(g_u, j.w2)))
-    return ops.log_softmax(ops.affine(h, model.label_w, model.label_b))
+    return ops.affine(h, model.label_w, model.label_b)
 
 
 class HatModel(_AsrModel):
@@ -553,11 +561,11 @@ class HatModel(_AsrModel):
 
     def hat_ilm_log_probs(self, g_u: Tensor | np.ndarray) -> Tensor:
         """Internal-LM estimate: the label head with the acoustic embedding zeroed."""
-        return _zero_acoustics_ilm(nm, self, g_u)
+        return nm.log_softmax(_zero_acoustics_logits(nm, self, g_u))
 
-    def context_log_prob_rows(self, ctx: np.ndarray) -> Tensor:
-        """Internal-LM estimate rows for (n, 2) decoder contexts: (n, |V|)."""
-        return self.hat_ilm_log_probs(self.decoder.outputs(ctx))
+    def context_logits(self, ctx: np.ndarray) -> Tensor:
+        """Internal-LM estimate logits for (n, 2) decoder contexts: (n, |V|)."""
+        return _zero_acoustics_logits(nm, self, self.decoder.outputs(ctx))
 
     def arc_log_scores(self, batch: Sequence[tuple[np.ndarray, Sequence[int]]]) -> tuple[Tensor, Tensor, LatticeCells]:
         """As `MhatModel.arc_log_scores`, with labels from the shared joint."""
@@ -775,7 +783,7 @@ class HatScorer(_UtteranceRows):
     def _context_rows(self, ctx: tuple[int, int]):
         m = self.model
         g = m.decoder.output_np(ctx)
-        return m.joint.w2.data @ g, _zero_acoustics_ilm(_PlainOps, m, g)
+        return m.joint.w2.data @ g, nm.log_softmax_rows(_zero_acoustics_logits(_PlainOps, m, g))
 
     def _label_cols(self, h: np.ndarray, ilm: np.ndarray, utt: int, frame: np.ndarray) -> None:
         z = h @ self.model.label_w.data.T + self.model.label_b.data

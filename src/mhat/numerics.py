@@ -23,14 +23,14 @@ __all__ = [
     "Tensor",
     "affine",
     "check_finite",
-    "concat",
     "dot",
-    "gather_rows",
+    "embed_affine",
     "gather_sum",
     "gradient_check",
     "log_sigmoid",
     "log_softmax",
     "log_softmax_at",
+    "log_softmax_nll",
     "log_softmax_rows",
     "log_sum_exp",
     "no_grad",
@@ -216,21 +216,6 @@ def mul(a, b) -> Tensor:
     return _op(data, (a, b), vjp)
 
 
-def concat(a, b) -> Tensor:
-    """Concatenate along the trailing axis."""
-    a, b = _coerce(a), _coerce(b)
-    na = a.data.shape[-1]
-    data = np.concatenate([a.data, b.data], axis=-1)
-
-    def vjp(g):
-        if a.requires_grad:
-            a._accumulate(g[..., :na])
-        if b.requires_grad:
-            b._accumulate(g[..., na:])
-
-    return _op(data, (a, b), vjp)
-
-
 def take(a, idx) -> Tensor:
     """Indexing with gradient scatter.
 
@@ -291,23 +276,9 @@ def _segment_sum(g: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def gather_rows(table, ids) -> Tensor:
-    """Row lookup `table[ids]`; the gradient sums the rows of each id."""
-    table = _coerce(table)
-    ids = np.asarray(ids, dtype=np.int64)
-    data = table.data[ids]
-
-    def vjp(g):
-        if table.requires_grad:
-            rows = g.reshape(ids.size, *table.data.shape[1:])
-            table._hand_over(_segment_sum(rows, ids.reshape(-1), table.data.shape[0]))
-
-    return _op(data, (table,), vjp)
-
-
 def gather_sum(a, ia, b, ib) -> Tensor:
     """Rows a[ia] + b[ib]; only the sum is kept for the backward pass, whose
-    gradient sums into the rows of each index as in `gather_rows`."""
+    gradient sums the rows of each index into its table row."""
     a, b = _coerce(a), _coerce(b)
     ia, ib = np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
 
@@ -376,6 +347,39 @@ def affine(x, W, b=None) -> Tensor:
             b._hand_over(g2.sum(axis=0))
 
     return _op(data, parents, vjp)
+
+
+def embed_affine(t0, t1, ctx, W, b) -> Tensor:
+    """affine(concat(t0[ctx[..., 0]], t1[ctx[..., 1]]), W, b) as one op.
+
+    Both passes replay the float operations of the row gathers, the concat
+    and the affine map they stand for.  The backward pass makes the same
+    product and sum as `affine`, then one `_segment_sum` per table over its
+    half of the input gradient; tied tables (`t1 is t0`) take both, `t0`'s
+    first.  A 1-D `ctx` gives a 1-D output.
+    """
+    t0, t1, W, b = _coerce(t0), _coerce(t1), _coerce(W), _coerce(b)
+    ids0 = np.asarray(ctx[..., 0], dtype=np.int64)
+    ids1 = np.asarray(ctx[..., 1], dtype=np.int64)
+    m, n = W.data.shape
+    d = t0.data.shape[1]
+    e = np.concatenate([t0.data[ids0], t1.data[ids1]], axis=-1)
+    data = _matmul_rows(e, W.data.T) + b.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, m)
+        if t0.requires_grad or t1.requires_grad:
+            ge = _matmul_rows(g, W.data).reshape(-1, n)
+        if W.requires_grad:
+            W._hand_over(g2.T @ e.reshape(-1, n))
+        if b.requires_grad:
+            b._hand_over(g2.sum(axis=0))
+        if t0.requires_grad:
+            t0._hand_over(_segment_sum(ge[:, :d], ids0.reshape(-1), t0.data.shape[0]))
+        if t1.requires_grad:
+            t1._hand_over(_segment_sum(ge[:, d:], ids1.reshape(-1), t1.data.shape[0]))
+
+    return _op(data, (t0, t1, W, b), vjp)
 
 
 def dot(x, w, b=None) -> Tensor:
@@ -493,6 +497,35 @@ def log_softmax_at(x, ids) -> Tensor:
             x._hand_over(grad)
 
     return _op((x.data[rows, ids] - m[:, 0]) - lse[:, 0], (x,), vjp)
+
+
+def log_softmax_nll(logits, weights) -> Tensor:
+    """-sum(weights * log_softmax(logits)), over the non-zero weights only.
+
+    `weights` may leave trailing classes out (an LM scored without its end
+    event).  A -inf log-prob that no weight uses cannot turn the sum into NaN.
+    Both passes replay the float operations of `log_softmax`, a pick at the
+    non-zero weights, a product with them, a sum and a negation; the pick's
+    scatter writes 0.0 + g, as `np.add.at` into zeros did, so a -0.0 comes
+    back as +0.0.
+    """
+    x = _coerce(logits)
+    if x.data.ndim != 2 or x.data.shape[1] == 0:
+        raise ShapeError(f"log_softmax_nll: logits must be (rows, classes >= 1), got {x.data.shape}")
+    k, n = x.data.shape
+    if np.ndim(weights) != 2 or np.shape(weights)[0] != k or np.shape(weights)[1] > n:
+        raise ShapeError(f"log_softmax_nll: weights {np.shape(weights)} do not fit logits {x.data.shape}")
+    rows = log_softmax_rows(x.data)
+    r, c = np.nonzero(weights)
+    w = np.asarray(weights[r, c], dtype=np.float64)
+
+    def vjp(g):
+        if x.requires_grad:
+            gr = np.zeros_like(rows)
+            gr[r, c] = 0.0 + -g * w
+            x._hand_over(gr - np.exp(rows) * gr.sum(axis=-1, keepdims=True))
+
+    return _op(-(w * rows[r, c]).sum(), (x,), vjp)
 
 
 _TINY = np.finfo(np.float64).tiny

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -12,6 +13,19 @@ from .model import ConfigError, HatModel, MhatModel
 from .numerics import Tensor, check_finite
 
 
+def check_schedule(batch_size: int, lr: float, **passes: int) -> None:
+    """Raise ConfigError naming a training config's first bad field: a batch
+    size below 1, a negative step or epoch count (zero runs no step), or a
+    learning rate that is not finite and positive."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    for name, n in passes.items():
+        if n < 0:
+            raise ConfigError(f"{name} must be >= 0, got {n}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigError(f"lr must be finite and > 0, got {lr}")
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 8
@@ -20,6 +34,9 @@ class TrainConfig:
     optimizer: str = "adam"  # sgd | momentum | adam
     alpha: float = 0.0  # internal-LM loss weight (MHAT only)
     seed: int = 0
+
+    def __post_init__(self):
+        check_schedule(self.batch_size, self.lr, epochs=self.epochs)
 
 
 class Optimizer:

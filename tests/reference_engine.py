@@ -1,15 +1,20 @@
-"""The training-step pieces that the cheaper step replaced.
+"""The engine and text-path pieces that cheaper ones replaced.
 
 Kept verbatim as test oracles, each under its original name:
 `Tensor._accumulate`, which copies every first gradient (a method: it
 takes the tensor as `self`); `numerics._segment_sum` with its int64
 sort; `numerics.gather_sum` with fancy-index gathers (it calls the
 `_segment_sum` below); `model.lattice_cells` with its argsort into final
-order; the per-utterance `Encoder.windows` (a method of the encoder); and
+order; the per-utterance `Encoder.windows` (a method of the encoder);
 `numerics.log_sum_exp` with its guarded shift and floored sum on every
-call.  The new pieces must give byte-identical arrays, and a whole
-training step with these patched back in must give byte-identical
-gradients.
+call; `model._token_array` with its Python-level flatten and
+`model.context_counts` with `np.unique` and `np.add.at`; the engine ops
+`numerics.gather_rows` and `numerics.concat`; `EmbeddingDecoder.outputs`
+as the graph of two gathers, a concat and an affine map (a method of the
+decoder); and `losses.table_nll`, which `log_softmax_nll` below puts
+after `numerics.log_softmax`, as every text loss did.  The new pieces
+must give byte-identical arrays, and a whole training step with these
+patched back in must give byte-identical gradients.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from mhat.model import ConfigError, LatticeCells, _token_array
+from mhat import numerics as nm
+from mhat.model import ConfigError, LatticeCells, VocabError
 from mhat.numerics import ShapeError, Tensor, _coerce, _op
 
 
@@ -59,6 +65,93 @@ def gather_sum(a, ia, b, ib) -> Tensor:
     data = a.data[ia]
     data += b.data[ib]
     return _op(data, (a, b), vjp)
+
+
+def _token_array(transcripts: Sequence[Sequence[int]], sos_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sentence lengths and all tokens concatenated; ids must lie in [0, sos_id)."""
+    lengths = np.array([len(y) for y in transcripts], dtype=np.int64)
+    toks = np.array([t for y in transcripts for t in y], dtype=np.int64)
+    bad = (toks < 0) | (toks >= sos_id)
+    if bad.any():
+        raise VocabError(f"token id {toks[bad][0]} out of range for |V|={sos_id}")
+    return lengths, toks
+
+
+def context_counts(
+    transcripts: Sequence[Sequence[int]], sos_id: int, n_out: int, eos_id: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Next-event counts of a batch, one row per distinct decoder context.
+
+    Returns (contexts, counts): `contexts` holds the distinct (prev2, prev1)
+    pairs in ascending order, (k, 2); `counts[i, y]` is how often event y
+    follows context i, (k, n_out).  With `eos_id`, every sentence adds one
+    event `eos_id` at its final context.  Token ids must lie in [0, sos_id).
+    The table depends only on the multiset of sentences, not their order.
+    """
+    lengths, toks = _token_array(transcripts, sos_id)
+    # event i follows the first pos[i] labels of its sentence; the last two
+    # of them are padded[at[i] + 1] and padded[at[i]]
+    ends = np.cumsum(lengths)
+    pos = np.arange(toks.size) - np.repeat(ends - lengths, lengths)
+    at, nxt = np.arange(toks.size), toks
+    if eos_id is not None:  # one end event after each sentence's last label
+        pos, at = np.concatenate([pos, lengths]), np.concatenate([at, ends])
+        nxt = np.concatenate([nxt, np.full(lengths.size, eos_id, dtype=np.int64)])
+    padded = np.concatenate([[sos_id, sos_id], toks])
+    prev1 = np.where(pos >= 1, padded[at + 1], sos_id)
+    prev2 = np.where(pos >= 2, padded[at], sos_id)
+    keys, row = np.unique(prev2 * (sos_id + 1) + prev1, return_inverse=True)
+    counts = np.zeros((keys.size, n_out), dtype=np.int64)
+    np.add.at(counts, (row.reshape(-1), nxt), 1)
+    return np.stack([keys // (sos_id + 1), keys % (sos_id + 1)], axis=1), counts
+
+
+def concat(a, b) -> Tensor:
+    """Concatenate along the trailing axis."""
+    a, b = _coerce(a), _coerce(b)
+    na = a.data.shape[-1]
+    data = np.concatenate([a.data, b.data], axis=-1)
+
+    def vjp(g):
+        if a.requires_grad:
+            a._accumulate(g[..., :na])
+        if b.requires_grad:
+            b._accumulate(g[..., na:])
+
+    return _op(data, (a, b), vjp)
+
+
+def gather_rows(table, ids) -> Tensor:
+    """Row lookup `table[ids]`; the gradient sums the rows of each id."""
+    table = _coerce(table)
+    ids = np.asarray(ids, dtype=np.int64)
+    data = table.data[ids]
+
+    def vjp(g):
+        if table.requires_grad:
+            rows = g.reshape(ids.size, *table.data.shape[1:])
+            table._hand_over(nm._segment_sum(rows, ids.reshape(-1), table.data.shape[0]))
+
+    return _op(data, (table,), vjp)
+
+
+def outputs(self, ctx: np.ndarray) -> Tensor:
+    """Decoder outputs for a batch of (prev2, prev1) context rows."""
+    e = concat(gather_rows(self.table0, ctx[..., 0]), gather_rows(self.table1, ctx[..., 1]))
+    return nm.affine(e, self.proj_w, self.proj_b)
+
+
+def table_nll(rows: Tensor, weights: np.ndarray) -> Tensor:
+    """-sum(weights * rows), gathered at the non-zero weights only.
+
+    A -inf log-prob that no event uses then cannot turn the sum into NaN.
+    """
+    r, c = np.nonzero(weights)
+    return nm.neg(nm.total(nm.mul(weights[r, c], rows[r, c])))
+
+
+def log_softmax_nll(logits, weights) -> Tensor:
+    return table_nll(nm.log_softmax(logits), weights)
 
 
 def lattice_cells(t_lens: Sequence[int], transcripts: Sequence[Sequence[int]], sos_id: int) -> LatticeCells:

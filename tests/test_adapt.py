@@ -87,6 +87,21 @@ class TestRunIlma:
         seqs = [[int(i) for i in rng.integers(0, vocab.size, size=rng.integers(1, 6))] for _ in range(40)]
         return text_corpus(vocab, seqs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("batch_size", 0), ("steps", -1), ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf"))],
+    )
+    def test_bad_config_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must"):
+            IlmaConfig(**{field: value})
+
+    def test_batch_size_zero_is_rejected_not_a_no_op(self, mhat_small):
+        # batch_size=0 used to run every step on an empty batch: a zero loss
+        # curve and no parameter changed
+        mhat_small.trained_alpha = 0.1
+        with pytest.raises(ConfigError, match="batch_size"):
+            run_ilma(mhat_small, self._corpus(mhat_small.vocab), IlmaConfig(steps=3, batch_size=0))
+
     def test_zero_steps_bit_exact(self, mhat_small):
         mhat_small.trained_alpha = 0.1
         before = mhat_small.params.checksum()

@@ -459,6 +459,26 @@ class TestCli:
         assert value in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["resolved-config.txt"]
 
+    @pytest.mark.parametrize(
+        "flag, value, why",
+        [
+            ("--batch-size", "0", "batch_size must be >= 1, got 0"),  # was range()'s own error
+            ("--epochs", "-3", "epochs must be >= 0, got -3"),  # was an untrained checkpoint
+            ("--lr", "-1", "lr must be finite and > 0, got -1.0"),  # was a model of perplexity inf
+        ],
+    )
+    def test_train_lm_rejects_bad_schedules(self, tmp_path, capsys, flag, value, why):
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--out-dir", str(data_dir), "--n-train", "2", "--n-dev", "2",
+                     "--n-test", "2", "--n-adapt-text", "8"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "lm"
+        rc = main(["train-lm", "--text", str(data_dir / "target.train.txt"), "--vocab", str(data_dir / "vocab.txt"),
+                   "--embed-dim", "4", flag, value, "--out-dir", str(out)])
+        assert rc == 2
+        assert f"error: {why}" in capsys.readouterr().err
+        assert not (out / "extlm.ckpt").exists()
+
     def test_config_file_overrides_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("# comment\nn_train=10\nn_dev=3\nn_test=3\nn_adapt_text=12\n")

@@ -106,10 +106,20 @@ class TestTraining:
         with pytest.raises(ConfigError):
             train_lm(text_corpus(Vocabulary.default(4), []), LmTrainConfig(epochs=1))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("batch_size", 0), ("epochs", -3), ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")),
+         ("embed_dim", 0)],
+    )
+    def test_bad_config_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must"):
+            LmTrainConfig(**{field: value})
+
     def test_non_finite_loss_names_epoch_and_batch(self, rng):
-        # an infinite step leaves inf/NaN weights, so the second batch's loss is NaN
+        # an Adam step of size 1e300 leaves overflowing weights, so the second
+        # batch's loss is NaN (an infinite lr is rejected by the config)
         corpus = text_corpus(Vocabulary.default(4), random_sentences(rng, 8, 4))
-        cfg = LmTrainConfig(embed_dim=4, epochs=2, batch_size=4, lr=float("inf"))
+        cfg = LmTrainConfig(embed_dim=4, epochs=2, batch_size=4, lr=1e300)
         with np.errstate(all="ignore"), pytest.raises(EvaluationError, match="epoch 1, batch 2"):
             train_lm(corpus, cfg)
 

@@ -192,7 +192,7 @@ class TestGathers:
         table = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
         ids = np.array([4, 0, 4, 2, 4, 0])
         g = rng.standard_normal((6, 3))
-        nm.total(nm.mul(nm.gather_rows(table, ids), g)).backward()
+        nm.total(nm.mul(reference_engine.gather_rows(table, ids), g)).backward()
         expected = np.zeros((5, 3))
         np.add.at(expected, ids, g)
         np.testing.assert_allclose(table.grad, expected, rtol=0, atol=1e-15)
@@ -210,9 +210,45 @@ class TestGathers:
 
     def test_empty_ids(self):
         table = Tensor(np.ones((3, 2)), requires_grad=True)
-        out = nm.gather_rows(table, np.zeros(0, dtype=np.int64))
+        out = reference_engine.gather_rows(table, np.zeros(0, dtype=np.int64))
         nm.total(out).backward()
         assert out.shape == (0, 2) and not table.grad.any()
+
+
+class TestTextOpsGradients:
+    """Finite differences against the two ops every text loss runs on."""
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("ctx", [np.array([[3, 0], [0, 2], [3, 0], [1, 1]]), np.array([2, 3])])
+    def test_embed_affine(self, rng, tied, ctx):
+        params = ParameterSet()
+        t0 = params.add("t0", rng.standard_normal((4, 3)), "ilm")
+        t1 = t0 if tied else params.add("t1", rng.standard_normal((4, 3)), "ilm")
+        W = params.add("W", rng.standard_normal((2, 6)), "ilm")
+        b = params.add("b", rng.standard_normal(2), "ilm")
+        g = rng.standard_normal((*ctx.shape[:-1], 2))
+        out = nm.embed_affine(t0, t1, ctx, W, b)
+        want = np.concatenate([t0.data[ctx[..., 0]], t1.data[ctx[..., 1]]], axis=-1) @ W.data.T + b.data
+        np.testing.assert_allclose(out.data, want, rtol=1e-14)
+        err = gradient_check(lambda p: nm.total(nm.mul(nm.tanh(nm.embed_affine(t0, t1, ctx, W, b)), g)), params, rng=rng)
+        assert err < 1e-7
+
+    @pytest.mark.parametrize("cols", [4, 3])  # weights may leave the last class out
+    def test_log_softmax_nll(self, rng, cols):
+        params = ParameterSet()
+        x = params.add("x", rng.standard_normal((3, 4)), "ilm")
+        w = rng.integers(0, 3, size=(3, cols)).astype(float)
+        w[0] = 0.0
+        w[1, 1] = 0.25
+        want = -(w * log_softmax(np.tanh(x.data)).data[:, :cols]).sum()
+        assert nm.log_softmax_nll(nm.tanh(x), w).item() == pytest.approx(want, rel=1e-14)
+        err = gradient_check(lambda p: nm.log_softmax_nll(nm.tanh(x), w), params, rng=rng)
+        assert err < 1e-7
+
+    @pytest.mark.parametrize("weights", [np.ones((2, 4)), np.ones(3), np.ones((3, 2, 1))])
+    def test_log_softmax_nll_rejects_weights_that_do_not_fit(self, weights):
+        with pytest.raises(ShapeError):
+            nm.log_softmax_nll(np.zeros((3, 3)), weights)
 
 
 class TestLogSoftmaxAt:

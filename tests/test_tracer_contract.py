@@ -102,3 +102,42 @@ def test_repeated_decodes_do_the_same_work():
     first, second = json.loads(out.stdout.splitlines()[-1])
     assert first["calls"]["model.decoder_eval"] > 0
     assert first == second
+
+
+# the text path of perfbench's adapt workload, tiny: ILMA with held-out
+# perplexities, then an LM epoch; its per-layer metrics read these counts
+TEXT_UNDER_TRACER = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import mhat
+from mhat import adapt as ad, evalcli as ev, extlm as xl
+t = tracer.Tracer()
+t.install(mhat)
+cfg = ev.ExperimentConfig(n_train=0, n_dev=0, n_test=0, n_adapt_text=40, d_f=8, label_dim=8, blank_dim=4,
+                          joint_dim=6)
+exp = ev.make_experiment_data(cfg)
+text = exp.tgt_text.transcripts()
+model = ev.build_mhat(cfg, exp.vocab)
+model.trained_alpha = 0.1
+ad.run_ilma(model, exp.tgt_text, ad.IlmaConfig(steps=3, batch_size=8), heldout_source=text[:5],
+            heldout_target=text[5:10])
+xl.train_lm(exp.tgt_text, xl.LmTrainConfig(epochs=1, batch_size=16, embed_dim=8))
+stats, counts = t.take()
+print(json.dumps({"calls": {name: v[0] for name, v in stats.items()}, "counts": counts}))
+"""
+
+
+def test_traced_text_path_counts_its_layers():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (os.path.join(ROOT, "src"),
+                                                                  os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", TEXT_UNDER_TRACER, TRACER], env=env, capture_output=True,
+                         text=True, check=True)
+    seen = json.loads(out.stdout.splitlines()[-1])
+    calls = seen["calls"]
+    assert calls["adapt.ilma_loss"] == 3
+    assert calls["extlm.lm_loss"] == 3  # 40 sentences in batches of 16
+    assert calls["losses.perplexity"] == 4  # source and target, before and after
+    assert calls["model.decoder_outputs"] > 0
+    assert seen["counts"]["ops"] == 6 and seen["counts"]["numerics.tensors"] > 0

@@ -62,3 +62,26 @@ def test_non_finite_loss_names_epoch_and_batch(rng):
     cfg = TrainConfig(epochs=3, batch_size=32, lr=1e6, optimizer="sgd", alpha=0.1)
     with np.errstate(all="ignore"), pytest.raises(EvaluationError, match=r"epoch \d+, batch \d+"):
         train_asr(small_mhat(), batch(rng, n=64), cfg)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("batch_size", 0), ("batch_size", -2), ("epochs", -1), ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
+     ("lr", float("inf"))],
+)
+def test_bad_config_rejected_naming_the_field(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must"):
+        TrainConfig(**{field: value})
+
+
+def test_zero_epochs_is_legal(rng):
+    model = small_mhat()
+    before = model.params.checksum()
+    assert train_asr(model, batch(rng, n=4), TrainConfig(epochs=0)) == []
+    assert model.params.checksum() == before
+
+
+def test_train_asr_batch_size_zero_is_a_config_error(rng):
+    # used to reach range() and raise its own "arg 3 must not be zero"
+    with pytest.raises(ConfigError, match="batch_size must be >= 1, got 0"):
+        train_asr(small_mhat(), batch(rng, n=4), TrainConfig(epochs=1, batch_size=0))
