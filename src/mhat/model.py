@@ -138,8 +138,6 @@ def context_counts(
     follows context i, (k, n_out).  With `eos_id`, every sentence adds one
     event `eos_id` at its final context.  Token ids must lie in [0, sos_id).
     The table depends only on the multiset of sentences, not their order.
-    It is one `np.bincount` over (context, event) keys, so its dense form,
-    (sos_id + 1)^2 * n_out integers, must fit in memory.
     """
     lengths, toks = _token_array(transcripts, sos_id)
     # event i follows the first pos[i] labels of its sentence; the last two
@@ -154,10 +152,14 @@ def context_counts(
     prev1 = np.where(pos >= 1, padded[at + 1], sos_id)
     prev2 = np.where(pos >= 2, padded[at], sos_id)
     width = sos_id + 1
-    counts = np.bincount((prev2 * width + prev1) * n_out + nxt, minlength=width * width * n_out)
-    counts = counts.reshape(width * width, n_out)
-    keys = np.flatnonzero(counts.any(axis=1))
-    return np.stack([keys // width, keys % width], axis=1), counts[keys]
+    # sorting the (context, event) codes ranks the contexts in ascending
+    # order; the cost is O(events log events + contexts * n_out) at any |V|
+    ctx_key, event = np.divmod(np.sort((prev2 * width + prev1) * n_out + nxt), n_out)
+    new_ctx = np.ones(ctx_key.size, dtype=bool)
+    new_ctx[1:] = ctx_key[1:] != ctx_key[:-1]
+    keys = ctx_key[new_ctx]
+    counts = np.bincount((np.cumsum(new_ctx) - 1) * n_out + event, minlength=keys.size * n_out)
+    return np.stack([keys // width, keys % width], axis=1), counts.reshape(keys.size, n_out)
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,13 @@ class TestContextCountsOracle:
         seqs = [[t % v for t in y] for y in seqs]
         assert_same_counts(seqs, v, v + eos, v if eos else None)
 
+    @pytest.mark.parametrize("v", [300, 1000])
+    @pytest.mark.parametrize("eos", [False, True])
+    def test_large_vocab(self, v, eos):
+        rng = np.random.default_rng(v)
+        seqs = [rng.integers(0, v, rng.integers(0, 12)).tolist() for _ in range(64)]
+        assert_same_counts(seqs, v, v + eos, v if eos else None)
+
     @pytest.mark.parametrize("seqs", [[[0, 4]], [[-1]], [[1], [2, 7, 9]], [[], [3, 4, 0]]])
     def test_bad_ids(self, seqs):
         with pytest.raises(VocabError) as got:

@@ -218,10 +218,15 @@ class TestHandover:
             assert not np.shares_memory(g1, g2), (n1, n2)
 
     def test_one_tensor_on_many_paths(self, old_step):
-        def grads():
+        ctx = np.array([[2, 0], [0, 0], [1, 2], [2, 2]])  # repeated ids in both columns
+        weights = np.array([[0.0, 1.5, 0.0, 2.0], [1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 3.0, 0.0]])
+
+        def grads(embed_affine, log_softmax_nll):
             rng = np.random.default_rng(9)
             x, u, v = (Tensor(rng.standard_normal((3, 4)), requires_grad=True) for _ in range(3))
             w = Tensor(rng.standard_normal(8), requires_grad=True)
+            W = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
+            b = Tensor(rng.standard_normal(5), requires_grad=True)
             h = nm.tanh(x)
             parts = [
                 nm.add(x, x),
@@ -235,16 +240,24 @@ class TestHandover:
                 x[np.array([0, 2, 0])],
                 ref.gather_rows(h, np.array([2, 2, 1])),
                 nm.log_softmax(ref.concat(h, x)),
+                embed_affine(x, x, ctx, W, b),  # a tied leaf table
+                embed_affine(h, h, ctx, W, b),
+                embed_affine(h, x, ctx[1], W, b),
+                log_softmax_nll(h, weights),
+                log_softmax_nll(x, weights[:, :3]),
             ]
             loss = nm.total(parts[0])
             for p in parts[1:]:
                 loss = nm.add(loss, nm.total(nm.mul(p, p)))
             loss.backward()
-            leaves = (x.grad, u.grad, v.grad, w.grad)
+            leaves = (x.grad, u.grad, v.grad, w.grad, W.grad, b.grad)
             assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(leaves, 2))
             return leaves
 
-        new = grads()
+        def old_embed_affine(t0, t1, ids, W, b):
+            return nm.affine(ref.concat(ref.gather_rows(t0, ids[..., 0]), ref.gather_rows(t1, ids[..., 1])), W, b)
+
+        new = grads(nm.embed_affine, nm.log_softmax_nll)
         old_step()
-        for got, want in zip(new, grads()):
+        for got, want in zip(new, grads(old_embed_affine, ref.log_softmax_nll)):
             assert same_bytes(got, want)
