@@ -34,7 +34,7 @@ class IlmaConfig:
     def __post_init__(self):
         if not (0.0 <= self.rho <= 1.0):
             raise ConfigError(f"rho must lie in [0, 1], got {self.rho}")
-        check_schedule(self.batch_size, self.lr, steps=self.steps)
+        check_schedule(self.batch_size, self.lr, ("steps", self.steps))
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -115,6 +115,66 @@ def _emit_features(spec: DomainSpec, tokens: Sequence[int], rng: np.random.Gener
     return spec.prototypes[rows] + spec.noise_sigma * np.concatenate(noise)
 
 
+# numpy's SeedSequence (pool size 4) and PCG64 seeding constants
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_states(key: tuple[int, ...], n: int) -> Iterator[tuple[int, int]]:
+    """(state, inc) of `np.random.default_rng((*key, i)).bit_generator` for i < n.
+
+    Replays `SeedSequence` and `PCG64` seeding for all n at once: every
+    entry becomes its little-endian uint32 words (zero is one word), and
+    uint32 arithmetic runs on uint64 arrays masked to 32 bits.  Only the
+    last word, i, varies, so the hash constants are plain ints.  `key`
+    gives at least three words, so the pool of four needs no padding.
+    The 128-bit states are made as Python ints one i at a time.
+    """
+    words = []
+    for k in key:
+        words.append(k & _M32)
+        while k := k >> 32:
+            words.append(k & _M32)
+    entropy = np.empty((len(words) + 1, n), dtype=np.uint64)
+    entropy[:-1] = np.array(words, dtype=np.uint64)[:, None]
+    entropy[-1] = np.arange(n)
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ h
+        h = h * _MULT_A & _M32
+        v = v * h & _M32
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(entropy[j]) for j in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for extra in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(extra))
+    # generate_state(4, np.uint64): 8 words from the cycled pool, paired little-endian
+    h = _INIT_B
+    out = []
+    for j in range(8):
+        v = pool[j % 4] ^ h
+        h = h * _MULT_B & _M32
+        v = v * h & _M32
+        out.append(v ^ (v >> 16))
+    seeds = [map(int, out[2 * j] | out[2 * j + 1] << 32) for j in range(4)]
+    for s0, s1, q0, q1 in zip(*seeds):
+        inc = ((q0 << 64 | q1) << 1 | 1) & _M128
+        yield ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _M128, inc
+
+
 def gen_corpus(
     spec: DomainSpec,
     seed: int,
@@ -124,17 +184,23 @@ def gen_corpus(
 ) -> Corpus:
     """Sample a corpus; each utterance is deterministic in (seed, split, index).
 
+    Utterance i draws from `np.random.default_rng((seed, split code,
+    text_only, i))`: one generator is set to each of those states in turn.
     Empty bigram draws are redrawn, so every sequence is non-empty.
     """
     if split not in _SPLIT_CODE:
         raise ConfigError(f"split must be one of {sorted(_SPLIT_CODE)}, got {split!r}")
     if n_utts < 0:
         raise ConfigError(f"n_utts must be >= 0, got {n_utts}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     cdf = np.cumsum(spec.bigram, axis=1, dtype=np.float64)  # per call: `spec.bigram` is mutable
     cdf = (cdf / cdf[:, -1:]).tolist()
+    bg = np.random.PCG64(0)
+    rng = np.random.Generator(bg)
     items = []
-    for i in range(n_utts):
-        rng = np.random.default_rng((seed, _SPLIT_CODE[split], int(text_only), i))
+    for i, (state, inc) in enumerate(_pcg64_states((seed, _SPLIT_CODE[split], int(text_only)), n_utts)):
+        bg.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
         tokens = _sample_tokens(cdf, rng)
         feats = None if text_only else _emit_features(spec, tokens, rng)
         items.append(Utterance(uid=f"{split}-{i:05d}", features=feats, tokens=tokens))

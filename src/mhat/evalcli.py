@@ -30,7 +30,7 @@ from .extlm import LmTrainConfig, train_lm
 from .lattice import StructureError
 from .losses import perplexity
 from .model import ConfigError, EncoderConfig, HatModel, MhatModel, VocabError, Vocabulary
-from .training import TrainConfig, train_asr
+from .training import TrainConfig, check_schedule, train_asr
 
 
 def _log(msg: str) -> None:
@@ -182,6 +182,13 @@ class ExperimentConfig:
     lam_ext_grid: tuple[float, ...] = (0.0, 0.2, 0.4, 0.8)
     lam_ilm_grid: tuple[float, ...] = (0.0, 0.2, 0.4)
     seed: int = 0
+
+    def __post_init__(self):
+        # every training schedule, before any stage runs
+        check_schedule(self.batch_size, self.lr, ("epochs", self.epochs), ("batch_size", "epochs", "lr"))
+        check_schedule(self.lm_batch, self.lm_lr, ("epochs", self.lm_epochs), ("lm_batch", "lm_epochs", "lm_lr"))
+        check_schedule(self.ilma_batch, self.ilma_lr, ("steps", self.ilma_steps),
+                       ("ilma_batch", "ilma_steps", "ilma_lr"))
 
 
 @dataclass

@@ -137,7 +137,7 @@ class LmTrainConfig:
     def __post_init__(self):
         if self.embed_dim < 1:
             raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        check_schedule(self.batch_size, self.lr, epochs=self.epochs)
+        check_schedule(self.batch_size, self.lr, ("epochs", self.epochs))
 
 
 def lm_loss(lm: ExternalLm, transcripts: Sequence[Sequence[int]]) -> Tensor:

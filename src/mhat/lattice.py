@@ -8,11 +8,13 @@ final blank at (T, U) that consumes the last frame.
 
 A batch is one dynamic program: the model scores arcs only at the packed
 valid cells of every utterance, those scores are scattered into -inf-padded
-(B, T_max, U_max + 1) grids, and alpha and beta run once over their
-anti-diagonals in plain numpy.  The gradient of each utterance's marginal
-log-probability with respect to each arc log-score is its posterior
-occupancy, wired into the engine as a custom backward rule.  A single
-utterance is a batch of one.
+grids laid out by anti-diagonal, and alpha and beta run once over the
+diagonals in plain numpy.  The grid rows are the utterances in descending
+order of T + U, so each diagonal fills only the box of rows that reach it
+and of columns their nodes can occupy; every node outside stays -inf.
+The gradient of each utterance's marginal log-probability with respect to
+each arc log-score is its posterior occupancy, wired into the engine as a
+custom backward rule.  A single utterance is a batch of one.
 """
 
 from __future__ import annotations
@@ -55,79 +57,102 @@ class AlignmentLattice:
     log_prob: float
 
 
+def _row_order(t_lens: np.ndarray, u_lens: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lattice rows: the batch in stable descending order of T_b + U_b.
+
+    Returns the row of each batch position and T and U in row order."""
+    order = np.argsort(-(t_lens + u_lens), kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank, t_lens[order], u_lens[order]
+
+
 def _diagonal_arcs(
-    t_lens: np.ndarray, u_lens: np.ndarray, blank_at: tuple, log_blank: np.ndarray, label_at: tuple, log_label: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    t_lens: np.ndarray, u_lens: np.ndarray, rows: np.ndarray, t: np.ndarray, u: np.ndarray,
+    log_blank: np.ndarray, log_label: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Scatter arc scores into -inf-padded arrays laid out by anti-diagonal.
 
-    `blank_at` and `label_at` hold the (b, t, u) cell of each score, t
-    0-based.  The arc out of node (t + 1, u) of utterance b lands at
-    [t + 1 + u, b, u + 1] of a (T_max + U_max + 2, B, U_max + 3) array;
-    the outer rows and columns stay -inf.  Returns (blank, label, final):
-    blank arcs out of an utterance's last frame are left out, and its
-    final blank, the mandatory terminal arc out of (T_b, U_b), is
-    returned per utterance instead.
+    Cell i sits in lattice row rows[i] at frame t[i] (0-based) and label
+    count u[i]; `t_lens` and `u_lens` are in row order, and the first
+    `log_label.size` cells carry label arcs.  The arc out of node
+    (t + 1, u) of row r lands at [t + 1 + u, r, u + 1] of a
+    (max T+U + 2, B, U_max + 3) array, flat index
+    ((t + 1 + u) * B + r) * (U_max + 3) + u + 1; the outer rows and columns
+    stay -inf.  Returns (blank, label, final, flat index of each cell):
+    blank arcs out of a row's last frame are left out, and its final blank,
+    the mandatory terminal arc out of (T_b, U_b), is returned per row
+    instead.
     """
-    shape = (t_lens.max() + u_lens.max() + 2, t_lens.size, u_lens.max() + 3)
-    b, t, u = blank_at
-    last = t == t_lens[b] - 1
-    final = np.empty(t_lens.size)
-    end = last & (u == u_lens[b])
-    final[b[end]] = log_blank[end]
+    n_rows, width = t_lens.size, u_lens.max() + 3
+    at = ((t + 1 + u) * n_rows + rows) * width + u + 1
+    last = t == t_lens[rows] - 1
+    final = np.empty(n_rows)
+    end = last & (u == u_lens[rows])
+    final[rows[end]] = log_blank[end]
+    shape = ((t_lens + u_lens).max() + 2, n_rows, width)
     blank = np.full(shape, -np.inf)
-    blank[t[~last] + 1 + u[~last], b[~last], u[~last] + 1] = log_blank[~last]
+    blank.reshape(-1)[at[~last]] = log_blank[~last]
     label = np.full(shape, -np.inf)
-    b, t, u = label_at
-    label[t + 1 + u, b, u + 1] = log_label
-    return blank, label, final
+    label.reshape(-1)[at[: log_label.size]] = log_label
+    return blank, label, final, at
 
 
-def _span(k: int, shape: tuple[int, ...]) -> tuple[int, int]:
-    """The columns u + 1 of the nodes (k - u, u) on diagonal k inside the grid."""
-    u_max = shape[2] - 3
-    t_max = shape[0] - u_max - 2
-    return max(0, k - t_max) + 1, min(u_max, k - 1) + 2
+def _bounds(t_lens: np.ndarray, u_lens: np.ndarray) -> list[tuple[int, int, int]]:
+    """(m, lo, hi) of each diagonal k = t + u up to max T+U, for T and U in
+    row order: rows [:m] reach diagonal k, and their nodes on it lie in
+    columns u + 1 of [lo, hi).  Every other node of the diagonal is -inf."""
+    ends = t_lens + u_lens
+    k = np.arange(ends[0] + 1)
+    m = np.searchsorted(-ends, -k, side="right")  # rows with T + U >= k
+    t_max = np.maximum.accumulate(t_lens)[m - 1]
+    u_max = np.maximum.accumulate(u_lens)[m - 1]
+    lo = np.maximum(0, k - t_max) + 1
+    hi = np.minimum(u_max, k - 1) + 2
+    return list(zip(m.tolist(), lo.tolist(), hi.tolist()))
 
 
-def _alphas(blank: np.ndarray, label: np.ndarray) -> np.ndarray:
-    """Forward log-masses by anti-diagonal: alpha[t + u, b, u + 1] is node (t, u).
+def _alphas(blank: np.ndarray, label: np.ndarray, bounds: list[tuple[int, int, int]]) -> np.ndarray:
+    """Forward log-masses by anti-diagonal: alpha[t + u, r, u + 1] is node (t, u).
 
     Both predecessors of a node lie on the previous diagonal, so each
-    diagonal is one slice operation.  A node without a blank (t = 1) or
-    label (u = 0) predecessor reads a -inf cell, which leaves `logaddexp`
-    of the other term exact.
+    diagonal is one slice operation over its box of `bounds`.  A node
+    without a blank (t = 1) or label (u = 0) predecessor reads a -inf cell,
+    which leaves `logaddexp` of the other term exact.
     """
     alpha = np.full(blank.shape, -np.inf)
     alpha[1, :, 1] = 0.0
-    for k in range(2, blank.shape[0] - 1):
-        lo, hi = _span(k, blank.shape)
-        prev = alpha[k - 1]
-        alpha[k, :, lo:hi] = np.logaddexp(
-            prev[:, lo:hi] + blank[k - 1, :, lo:hi], prev[:, lo - 1 : hi - 1] + label[k - 1, :, lo - 1 : hi - 1]
+    for k in range(2, len(bounds)):
+        m, lo, hi = bounds[k]
+        prev = alpha[k - 1, :m]
+        alpha[k, :m, lo:hi] = np.logaddexp(
+            prev[:, lo:hi] + blank[k - 1, :m, lo:hi], prev[:, lo - 1 : hi - 1] + label[k - 1, :m, lo - 1 : hi - 1]
         )
     return alpha
 
 
-def _betas(blank: np.ndarray, label: np.ndarray, final: np.ndarray, t_lens: np.ndarray, u_lens: np.ndarray) -> np.ndarray:
-    """Backward log-masses, laid out as `_alphas`.  Each utterance starts
-    at its own final node (T_b, U_b), whose mass is its final blank."""
+def _betas(
+    blank: np.ndarray, label: np.ndarray, final: np.ndarray, u_lens: np.ndarray, bounds: list[tuple[int, int, int]]
+) -> np.ndarray:
+    """Backward log-masses, laid out as `_alphas`.  Each row starts at its
+    own final node (T_b, U_b), whose mass is its final blank."""
     beta = np.full(blank.shape, -np.inf)
-    ends = t_lens + u_lens
-    ending = {int(k): np.flatnonzero(ends == k) for k in np.unique(ends)}
-    for k in range(blank.shape[0] - 2, 0, -1):
-        lo, hi = _span(k, blank.shape)
-        nxt = beta[k + 1]
-        beta[k, :, lo:hi] = np.logaddexp(
-            nxt[:, lo:hi] + blank[k, :, lo:hi], nxt[:, lo + 1 : hi + 1] + label[k, :, lo:hi]
+    m_next = 0
+    for k in range(len(bounds) - 1, 0, -1):
+        m, lo, hi = bounds[k]
+        nxt = beta[k + 1, :m]
+        beta[k, :m, lo:hi] = np.logaddexp(
+            nxt[:, lo:hi] + blank[k, :m, lo:hi], nxt[:, lo + 1 : hi + 1] + label[k, :m, lo:hi]
         )
-        if k in ending:
-            done = ending[k]
+        if m > m_next:  # rows [m_next, m) end on diagonal k
+            done = np.arange(m_next, m)
             beta[k, done, u_lens[done] + 1] = final[done]
+            m_next = m
     return beta
 
 
 def _node_grid(by_diagonal: np.ndarray, t_len: int, u_len: int) -> np.ndarray:
-    """Nodes (t, u) of the first utterance as a (T + 1, U + 1) grid; row 0 is -inf."""
+    """Nodes (t, u) of the first row as a (T + 1, U + 1) grid; row 0 is -inf."""
     t, u = np.ogrid[: t_len + 1, : u_len + 1]
     return by_diagonal[t + u, 0, u + 1]
 
@@ -140,25 +165,24 @@ def lattice_log_prob(log_blank: Tensor, log_label: Tensor, cells: LatticeCells) 
     its target, times the upstream gradient of its utterance; the
     mandatory final blank has occupancy one.
     """
-    t_lens, u_lens, n = cells.t_lens, cells.u_lens, cells.n_label
-    b, t, u = cells.b, cells.t, cells.u
-    blank, label, final = _diagonal_arcs(
-        t_lens, u_lens, (b, t, u), log_blank.data, (b[:n], t[:n], u[:n]), log_label.data
-    )
-    alpha = _alphas(blank, label)
-    tot = alpha[t_lens + u_lens, np.arange(t_lens.size), u_lens + 1] + final
+    b, t, u, n = cells.b, cells.t, cells.u, cells.n_label
+    rank, t_lens, u_lens = _row_order(cells.t_lens, cells.u_lens)
+    blank, label, final, at = _diagonal_arcs(t_lens, u_lens, rank[b], t, u, log_blank.data, log_label.data)
+    bounds = _bounds(t_lens, u_lens)
+    alpha = _alphas(blank, label, bounds)
+    tot = (alpha[t_lens + u_lens, np.arange(t_lens.size), u_lens + 1] + final)[rank]
 
     def vjp(g):
-        beta = _betas(blank, label, final, t_lens, u_lens)
-        k, c = t + 1 + u, u + 1  # each cell's source node (t + 1, u) sits at [k, b, c]
-        src = alpha[k, b, c]
+        beta = _betas(blank, label, final, u_lens, bounds).reshape(-1)
+        step = blank.shape[1] * blank.shape[2]  # one diagonal: at + step is the blank target
+        src = alpha.reshape(-1)[at]
         if log_blank.requires_grad:
             # a blank out of the last frame reaches a -inf beta cell
-            gb = np.exp(src + log_blank.data + beta[k + 1, b, c] - tot[b])
-            gb[(t == t_lens[b] - 1) & (u == u_lens[b])] += 1.0
+            gb = np.exp(src + log_blank.data + beta[at + step] - tot[b])
+            gb[(t == cells.t_lens[b] - 1) & (u == cells.u_lens[b])] += 1.0
             log_blank._hand_over(g[b] * gb)
         if log_label.requires_grad and n:
-            gl = np.exp(src[:n] + log_label.data + beta[k[:n] + 1, b[:n], c[:n] + 1] - tot[b[:n]])
+            gl = np.exp(src[:n] + log_label.data + beta[at[:n] + step + 1] - tot[b[:n]])
             log_label._hand_over(g[b[:n]] * gl)
 
     return nm._op(tot, (log_blank, log_label), vjp)
@@ -191,24 +215,23 @@ def build_lattice(model: MhatModel | HatModel, X: np.ndarray, tokens: Sequence[i
     check_structure(X, tokens)
     with nm.no_grad():
         log_blank, log_label, cells = model.arc_log_scores([(X, tokens)])
-    t_lens, u_lens, n = cells.t_lens, cells.u_lens, cells.n_label
+    n, t, u = cells.n_label, cells.t, cells.u
+    rank, t_lens, u_lens = _row_order(cells.t_lens, cells.u_lens)
+    blank, label, final, _ = _diagonal_arcs(t_lens, u_lens, rank[cells.b], t, u, log_blank.data, log_label.data)
+    bounds = _bounds(t_lens, u_lens)
     t_len, u_len = int(t_lens[0]), int(u_lens[0])
-    b, t, u = cells.b, cells.t, cells.u
-    blank, label, final = _diagonal_arcs(
-        t_lens, u_lens, (b, t, u), log_blank.data, (b[:n], t[:n], u[:n]), log_label.data
-    )
     lb = np.empty((t_len, u_len + 1))
     lb[t, u] = log_blank.data
     ll = np.empty((t_len, u_len))
     ll[t[:n], u[:n]] = log_label.data
-    alpha = _node_grid(_alphas(blank, label), t_len, u_len)
+    alpha = _node_grid(_alphas(blank, label, bounds), t_len, u_len)
     return AlignmentLattice(
         t_len=t_len,
         u_len=u_len,
         log_blank=lb,
         log_label=ll,
         log_alpha=alpha,
-        log_beta=_node_grid(_betas(blank, label, final, t_lens, u_lens), t_len, u_len),
+        log_beta=_node_grid(_betas(blank, label, final, u_lens, bounds), t_len, u_len),
         log_prob=float(alpha[t_len, u_len] + final[0]),
     )
 

@@ -251,24 +251,48 @@ def total(a) -> Tensor:
     return _op(a.data.sum(), (a,), vjp)
 
 
+# Segment sums over more bytes than this run in row blocks: `np.add.reduceat`
+# over a gathered block that stays in cache is faster than over the whole
+# array at once (about 1.6 -> 1.1 ms for the ~10k x 32 gradient rows of a
+# training step).
+SEGMENT_BLOCK_BYTES = 1 << 18
+
+
 def _segment_sum(g: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
     """Row i of `g` added into row ids[i] of an (n, ...) zero array.
 
     A stable sort by id (none when `ids` is already non-decreasing), then
-    one `np.add.reduceat` over the runs of equal ids: each row sum keeps the
-    order of `ids`, with no per-element scatter.  When every id occurs, the
-    run sums are already the n rows in order, and no zero array is filled.
+    `np.add.reduceat` over the runs of equal ids: each row sum keeps the
+    order of `ids`, with no per-element scatter.  Over more than
+    SEGMENT_BLOCK_BYTES, the runs are summed in row blocks of about that
+    size, each gathered in sorted order on its own; a block ends only where
+    a run starts, so each run is the same reduction over the same rows.
+    When every id occurs, the run sums are already the n rows in order,
+    and no zero array is filled.
     """
     if not ids.size:
         return np.zeros((n, *g.shape[1:]))
-    s = ids
+    s, order = ids, None
     if (s[1:] < s[:-1]).any():
         # a stable sort's permutation is unique, so the narrowest id type
         # (a radix sort up to 16 bits) gives the int64 sort's order
         order = np.argsort(ids.astype(np.min_scalar_type(n - 1)), kind="stable")
-        s, g = ids[order], g[order]
+        s = ids[order]
     starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
-    sums = np.add.reduceat(g, starts, axis=0)
+    step = SEGMENT_BLOCK_BYTES // (g[:1].nbytes or 1)  # rows per block
+    if ids.size <= step:
+        sums = np.add.reduceat(g if order is None else g[order], starts, axis=0)
+    else:
+        sums = np.empty((starts.size, *g.shape[1:]))
+        bounds = np.append(starts, ids.size)
+        lo = 0  # the block's first run
+        while lo < starts.size:
+            # the last run start within `step` rows, or the next one if the run is longer
+            hi = max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + step, side="right")) - 1)
+            a, b = bounds[lo], bounds[hi]
+            block = g[a:b] if order is None else g[order[a:b]]
+            np.add.reduceat(block, starts[lo:hi] - a, axis=0, out=sums[lo:hi])
+            lo = hi
     if starts.size == n:
         return sums
     out = np.zeros((n, *g.shape[1:]))
@@ -310,7 +334,9 @@ def _matmul_rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     if rows.shape[0] <= MATMUL_BLOCK_ROWS:
         return a @ m
     step = MATMUL_BLOCK_ROWS
-    out = np.concatenate([rows[i : i + step] @ m for i in range(0, rows.shape[0], step)])
+    out = np.empty((rows.shape[0], m.shape[1]), dtype=np.result_type(a, m))
+    for i in range(0, rows.shape[0], step):
+        np.matmul(rows[i : i + step], m, out=out[i : i + step])
     return out.reshape(*a.shape[:-1], m.shape[1])
 
 
@@ -478,25 +504,39 @@ def log_softmax_rows(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+# Rows up to this wide take their max as a fold of `np.maximum` over columns:
+# at 16 columns and 10^4 rows that is about 0.2 ms against 0.9 ms for
+# `max(axis=-1)`, which pays per row.  Wider rows pay per column instead.
+# The max of a row is the same whatever the order.
+ROW_MAX_FOLD_COLUMNS = 24
+
+
 def log_softmax_at(x, ids) -> Tensor:
     """log_softmax(x)[i, ids[i]] for each row i of a 2-D `x`.
 
-    Only the picked entries are stored; the backward pass recomputes the
-    softmax from `x`.
+    Only the picked entries and the shifted rows are stored; the backward
+    pass recomputes the softmax from the shifted rows.
     """
     x = _coerce(x)
     ids = np.asarray(ids, dtype=np.int64)
     rows = np.arange(ids.size)
-    m = x.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(x.data - m).sum(axis=-1, keepdims=True))
+    if x.data.shape[1] <= ROW_MAX_FOLD_COLUMNS:
+        m = x.data[:, 0].copy()
+        for j in range(1, x.data.shape[1]):
+            np.maximum(m, x.data[:, j], out=m)
+        m = m[:, None]
+    else:
+        m = x.data.max(axis=-1, keepdims=True)
+    shifted = x.data - m
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
     def vjp(g):
         if x.requires_grad:
-            grad = np.exp((x.data - m) - lse) * -g[:, None]
+            grad = np.exp(shifted - lse) * -g[:, None]
             grad[rows, ids] += g
             x._hand_over(grad)
 
-    return _op((x.data[rows, ids] - m[:, 0]) - lse[:, 0], (x,), vjp)
+    return _op(shifted[rows, ids] - lse[:, 0], (x,), vjp)
 
 
 def log_softmax_nll(logits, weights) -> Tensor:

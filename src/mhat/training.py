@@ -13,17 +13,24 @@ from .model import ConfigError, HatModel, MhatModel
 from .numerics import Tensor, check_finite
 
 
-def check_schedule(batch_size: int, lr: float, **passes: int) -> None:
-    """Raise ConfigError naming a training config's first bad field: a batch
-    size below 1, a negative step or epoch count (zero runs no step), or a
-    learning rate that is not finite and positive."""
+def check_schedule(
+    batch_size: int, lr: float, passes: tuple[str, int], fields: tuple[str, str, str] | None = None
+) -> None:
+    """Raise ConfigError naming a training schedule's first bad setting: a
+    batch size below 1, a negative count of `passes` (steps or epochs; zero
+    runs no step), or a learning rate that is not finite and positive.
+    `fields`, when given, are the `ExperimentConfig` fields that set the
+    batch size, the pass count and the rate, and the message names the bad one."""
+    name, n = passes
     if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    for name, n in passes.items():
-        if n < 0:
-            raise ConfigError(f"{name} must be >= 0, got {n}")
-    if not (math.isfinite(lr) and lr > 0):
-        raise ConfigError(f"lr must be finite and > 0, got {lr}")
+        at, msg = 0, f"batch_size must be >= 1, got {batch_size}"
+    elif n < 0:
+        at, msg = 1, f"{name} must be >= 0, got {n}"
+    elif not (math.isfinite(lr) and lr > 0):
+        at, msg = 2, f"lr must be finite and > 0, got {lr}"
+    else:
+        return
+    raise ConfigError(msg if fields is None else f"{msg} (ExperimentConfig.{fields[at]})")
 
 
 @dataclass
@@ -36,7 +43,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_schedule(self.batch_size, self.lr, epochs=self.epochs)
+        check_schedule(self.batch_size, self.lr, ("epochs", self.epochs))
 
 
 class Optimizer:

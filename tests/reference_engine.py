@@ -12,7 +12,12 @@ call; `model._token_array` with its Python-level flatten and
 `numerics.gather_rows` and `numerics.concat`; `EmbeddingDecoder.outputs`
 as the graph of two gathers, a concat and an affine map (a method of the
 decoder); and `losses.table_nll`, which `log_softmax_nll` below puts
-after `numerics.log_softmax`, as every text loss did.  The new pieces
+after `numerics.log_softmax`, as every text loss did; `numerics._matmul_rows`
+with its concatenated row blocks and `numerics.log_softmax_at` with its
+`max` reduction and a second `x - m` in the backward pass; and the
+lattice over batch rows in input order, each diagonal over every row and
+the whole span of the padded grid (`lattice._diagonal_arcs`, `_span`,
+`_alphas`, `_betas` and `lattice_log_prob`).  The new pieces
 must give byte-identical arrays, and a whole training step with these
 patched back in must give byte-identical gradients.
 """
@@ -25,7 +30,7 @@ import numpy as np
 
 from mhat import numerics as nm
 from mhat.model import ConfigError, LatticeCells, VocabError
-from mhat.numerics import ShapeError, Tensor, _coerce, _op
+from mhat.numerics import MATMUL_BLOCK_ROWS, ShapeError, Tensor, _coerce, _op
 
 
 def _accumulate(self, g: np.ndarray) -> None:
@@ -216,3 +221,137 @@ def log_sum_exp(z, axis=None):
     if axis is None:
         return float(out.reshape(()))
     return np.squeeze(out, axis=axis)
+
+
+def _matmul_rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a @ m over the trailing axis of `a`, at most MATMUL_BLOCK_ROWS rows per call."""
+    rows = a.reshape(-1, a.shape[-1])
+    if rows.shape[0] <= MATMUL_BLOCK_ROWS:
+        return a @ m
+    step = MATMUL_BLOCK_ROWS
+    out = np.concatenate([rows[i : i + step] @ m for i in range(0, rows.shape[0], step)])
+    return out.reshape(*a.shape[:-1], m.shape[1])
+
+
+def log_softmax_at(x, ids) -> Tensor:
+    """log_softmax(x)[i, ids[i]] for each row i of a 2-D `x`.
+
+    Only the picked entries are stored; the backward pass recomputes the
+    softmax from `x`.
+    """
+    x = _coerce(x)
+    ids = np.asarray(ids, dtype=np.int64)
+    rows = np.arange(ids.size)
+    m = x.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(x.data - m).sum(axis=-1, keepdims=True))
+
+    def vjp(g):
+        if x.requires_grad:
+            grad = np.exp((x.data - m) - lse) * -g[:, None]
+            grad[rows, ids] += g
+            x._hand_over(grad)
+
+    return _op((x.data[rows, ids] - m[:, 0]) - lse[:, 0], (x,), vjp)
+
+
+def _diagonal_arcs(
+    t_lens: np.ndarray, u_lens: np.ndarray, blank_at: tuple, log_blank: np.ndarray, label_at: tuple, log_label: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scatter arc scores into -inf-padded arrays laid out by anti-diagonal.
+
+    `blank_at` and `label_at` hold the (b, t, u) cell of each score, t
+    0-based.  The arc out of node (t + 1, u) of utterance b lands at
+    [t + 1 + u, b, u + 1] of a (T_max + U_max + 2, B, U_max + 3) array;
+    the outer rows and columns stay -inf.  Returns (blank, label, final):
+    blank arcs out of an utterance's last frame are left out, and its
+    final blank, the mandatory terminal arc out of (T_b, U_b), is
+    returned per utterance instead.
+    """
+    shape = (t_lens.max() + u_lens.max() + 2, t_lens.size, u_lens.max() + 3)
+    b, t, u = blank_at
+    last = t == t_lens[b] - 1
+    final = np.empty(t_lens.size)
+    end = last & (u == u_lens[b])
+    final[b[end]] = log_blank[end]
+    blank = np.full(shape, -np.inf)
+    blank[t[~last] + 1 + u[~last], b[~last], u[~last] + 1] = log_blank[~last]
+    label = np.full(shape, -np.inf)
+    b, t, u = label_at
+    label[t + 1 + u, b, u + 1] = log_label
+    return blank, label, final
+
+
+def _span(k: int, shape: tuple[int, ...]) -> tuple[int, int]:
+    """The columns u + 1 of the nodes (k - u, u) on diagonal k inside the grid."""
+    u_max = shape[2] - 3
+    t_max = shape[0] - u_max - 2
+    return max(0, k - t_max) + 1, min(u_max, k - 1) + 2
+
+
+def _alphas(blank: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """Forward log-masses by anti-diagonal: alpha[t + u, b, u + 1] is node (t, u).
+
+    Both predecessors of a node lie on the previous diagonal, so each
+    diagonal is one slice operation.  A node without a blank (t = 1) or
+    label (u = 0) predecessor reads a -inf cell, which leaves `logaddexp`
+    of the other term exact.
+    """
+    alpha = np.full(blank.shape, -np.inf)
+    alpha[1, :, 1] = 0.0
+    for k in range(2, blank.shape[0] - 1):
+        lo, hi = _span(k, blank.shape)
+        prev = alpha[k - 1]
+        alpha[k, :, lo:hi] = np.logaddexp(
+            prev[:, lo:hi] + blank[k - 1, :, lo:hi], prev[:, lo - 1 : hi - 1] + label[k - 1, :, lo - 1 : hi - 1]
+        )
+    return alpha
+
+
+def _betas(blank: np.ndarray, label: np.ndarray, final: np.ndarray, t_lens: np.ndarray, u_lens: np.ndarray) -> np.ndarray:
+    """Backward log-masses, laid out as `_alphas`.  Each utterance starts
+    at its own final node (T_b, U_b), whose mass is its final blank."""
+    beta = np.full(blank.shape, -np.inf)
+    ends = t_lens + u_lens
+    ending = {int(k): np.flatnonzero(ends == k) for k in np.unique(ends)}
+    for k in range(blank.shape[0] - 2, 0, -1):
+        lo, hi = _span(k, blank.shape)
+        nxt = beta[k + 1]
+        beta[k, :, lo:hi] = np.logaddexp(
+            nxt[:, lo:hi] + blank[k, :, lo:hi], nxt[:, lo + 1 : hi + 1] + label[k, :, lo:hi]
+        )
+        if k in ending:
+            done = ending[k]
+            beta[k, done, u_lens[done] + 1] = final[done]
+    return beta
+
+
+def lattice_log_prob(log_blank: Tensor, log_label: Tensor, cells: LatticeCells) -> Tensor:
+    """Marginal log-probability of every utterance of a batch, (B,), differentiable.
+
+    One padded forward pass covers the batch.  The backward rule weights
+    each arc by its posterior occupancy, alpha at its source plus beta at
+    its target, times the upstream gradient of its utterance; the
+    mandatory final blank has occupancy one.
+    """
+    t_lens, u_lens, n = cells.t_lens, cells.u_lens, cells.n_label
+    b, t, u = cells.b, cells.t, cells.u
+    blank, label, final = _diagonal_arcs(
+        t_lens, u_lens, (b, t, u), log_blank.data, (b[:n], t[:n], u[:n]), log_label.data
+    )
+    alpha = _alphas(blank, label)
+    tot = alpha[t_lens + u_lens, np.arange(t_lens.size), u_lens + 1] + final
+
+    def vjp(g):
+        beta = _betas(blank, label, final, t_lens, u_lens)
+        k, c = t + 1 + u, u + 1  # each cell's source node (t + 1, u) sits at [k, b, c]
+        src = alpha[k, b, c]
+        if log_blank.requires_grad:
+            # a blank out of the last frame reaches a -inf beta cell
+            gb = np.exp(src + log_blank.data + beta[k + 1, b, c] - tot[b])
+            gb[(t == t_lens[b] - 1) & (u == u_lens[b])] += 1.0
+            log_blank._hand_over(g[b] * gb)
+        if log_label.requires_grad and n:
+            gl = np.exp(src[:n] + log_label.data + beta[k[:n] + 1, b[:n], c[:n] + 1] - tot[b[:n]])
+            log_label._hand_over(g[b[:n]] * gl)
+
+    return nm._op(tot, (log_blank, log_label), vjp)

@@ -8,6 +8,7 @@ import reference_data
 from conftest import small_hat, small_mhat
 from mhat.data import (
     MAX_SENTENCE_LEN,
+    _pcg64_states,
     CheckpointError,
     DomainSpec,
     chain_entropy_rate,
@@ -213,7 +214,8 @@ class TestGeneratorOracle:
             def random(self, size=None, dtype=np.float64, out=None):
                 return int(super().random() * 8) / 8
 
-        monkeypatch.setattr(np.random, "default_rng", lambda key: OnEighths(np.random.PCG64(key)))
+        monkeypatch.setattr(np.random, "default_rng", lambda key: OnEighths(np.random.PCG64(key)))  # the oracle's
+        monkeypatch.setattr(np.random, "Generator", OnEighths)  # the one generator of `gen_corpus`
         rows = np.array([[0, 3, 3, 2], [0, 1, 5, 2], [0, 4, 2, 2], [0, 4, 2, 2]]) / 8  # token 0 never occurs
         spec = crafted_spec(3, rows)
         for text_only in (False, True):
@@ -235,6 +237,34 @@ class TestGeneratorOracle:
         for generate in (gen_corpus, reference_data.gen_corpus):
             with pytest.raises(ConfigError, match="1000 empty sentences"):
                 generate(spec, 6, 1)
+
+
+class TestSeeding:
+    """The per-utterance states against `np.random.default_rng((seed, split, text_only, i))`."""
+
+    @pytest.mark.parametrize("seed", [0, 2**31, 2**32, 2**63 + 5, 2**80])
+    def test_states_equal_default_rng(self, seed):
+        # a seed of 2**32 or more takes two or more entropy words
+        for split in (0, 2):
+            for text_only in (0, 1):
+                states = _pcg64_states((seed, split, text_only), 2001)
+                for i, (state, inc) in enumerate(states):
+                    want = np.random.default_rng((seed, split, text_only, i)).bit_generator.state["state"]
+                    assert (state, inc) == (want["state"], want["inc"]), (split, text_only, i)
+
+    def test_no_utterances(self):
+        assert list(_pcg64_states((3, 1, 0), 0)) == []
+
+    def test_large_seed_corpus(self):
+        spec = confusable_pair_domains(Vocabulary.default(16), d_x=8, seed=0)[1]
+        for text_only in (False, True):
+            assert_same_corpus(gen_corpus(spec, 2**40, 30, "test", text_only),
+                               reference_data.gen_corpus(spec, 2**40, 30, "test", text_only))
+
+    def test_negative_seed_rejected(self):
+        spec = confusable_pair_domains(Vocabulary.default(4), d_x=2, seed=0)[0]
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            gen_corpus(spec, -1, 3)
 
 
 def test_experiment_data_digest():

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from mhat.evalcli import (
     wer_counts,
 )
 from mhat.extlm import ExternalLm, LmTrainConfig, train_lm
-from mhat.model import MhatModel, Vocabulary
+from mhat.model import ConfigError, MhatModel, Vocabulary
 from mhat.training import TrainConfig
 
 
@@ -95,6 +96,34 @@ def test_library_defaults_match_experiment_config():
     assert TrainConfig().epochs == cfg.epochs
     assert LmTrainConfig().epochs == cfg.lm_epochs
     assert inspect.signature(decode_corpus).parameters["beam"].default == cfg.beam
+
+
+@pytest.mark.parametrize(
+    "field, value, why",
+    [
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("epochs", -1, "epochs must be >= 0, got -1"),
+        ("lr", 0.0, "lr must be finite and > 0, got 0.0"),
+        ("lm_batch", 0, "batch_size must be >= 1, got 0"),
+        ("lm_epochs", -3, "epochs must be >= 0, got -3"),
+        ("lm_lr", float("inf"), "lr must be finite and > 0, got inf"),
+        ("ilma_batch", -1, "batch_size must be >= 1, got -1"),
+        ("ilma_steps", -2, "steps must be >= 0, got -2"),
+        ("ilma_lr", float("nan"), "lr must be finite and > 0, got nan"),
+    ],
+)
+def test_experiment_config_rejects_bad_schedules(field, value, why):
+    # before any stage runs: a bad LM or ILMA schedule used to fail only after
+    # data generation and both ASR trainings, naming the stage's own config
+    with pytest.raises(ConfigError, match=re.escape(f"{why} (ExperimentConfig.{field})") + "$"):
+        ExperimentConfig(**{field: value})
+    with pytest.raises(ConfigError, match=re.escape(f"ExperimentConfig.{field}")):
+        dataclasses.replace(tiny_config(), **{field: value})
+
+
+def test_experiment_config_zero_passes_are_legal():
+    cfg = ExperimentConfig(epochs=0, lm_epochs=0, ilma_steps=0)
+    assert (cfg.epochs, cfg.lm_epochs, cfg.ilma_steps) == (0, 0, 0)
 
 
 def tiny_config(seed=0):

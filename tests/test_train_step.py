@@ -1,10 +1,10 @@
 """The training step against the pieces it replaced (tests/reference_engine.py).
 
-The cell list, the segment sums and the encoder windows must give
-byte-identical arrays, and a whole step must give byte-identical losses
-and gradients.  Both sides run in one process, so they share one BLAS
-thread count.  Gradient handover must never let two tensors share one
-gradient array.
+The cell list, the segment sums, the encoder windows, the lattice, the
+label log-softmax and the blocked products must give byte-identical
+arrays, and a whole step must give byte-identical losses and gradients.
+Both sides run in one process, so they share one BLAS thread count.
+Gradient handover must never let two tensors share one gradient array.
 """
 
 import itertools
@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 import reference_engine as ref
+from mhat import lattice as lattice_mod
 from mhat import model as model_mod
 from mhat import numerics as nm
 from mhat.evalcli import ExperimentConfig, build_hat, build_mhat, make_experiment_data
 from mhat.lattice import canonical_order, hat_loss
 from mhat.losses import LossConfig, mhat_loss
 from mhat.model import ConfigError, Encoder, EncoderConfig, lattice_cells
-from mhat.numerics import ParameterSet, Tensor
+from mhat.numerics import EvaluationError, ParameterSet, Tensor
 from mhat.training import TrainConfig, train_asr
 
 CFG = ExperimentConfig(n_dev=0, n_test=0, n_adapt_text=0)
@@ -65,6 +66,9 @@ def old_step(monkeypatch):
         monkeypatch.setattr(nm, "gather_sum", ref.gather_sum)
         monkeypatch.setattr(model_mod, "lattice_cells", ref.lattice_cells)
         monkeypatch.setattr(Encoder, "windows", batch_windows)
+        monkeypatch.setattr(nm, "_matmul_rows", ref._matmul_rows)
+        monkeypatch.setattr(nm, "log_softmax_at", ref.log_softmax_at)
+        monkeypatch.setattr(lattice_mod, "lattice_log_prob", ref.lattice_log_prob)
 
     return install
 
@@ -130,6 +134,135 @@ class TestSegmentSumOracle:
     def test_edge_cases(self, ids, n, tail):
         g = np.random.default_rng(4).standard_normal((ids.size, *tail))
         assert same_bytes(nm._segment_sum(g, ids, n), ref._segment_sum(g, ids, n))
+
+
+class TestSegmentSumBlocks:
+    """Sums over more than SEGMENT_BLOCK_BYTES, which run in row blocks."""
+
+    @staticmethod
+    def check(ids, n, tail=(32,)):
+        g = np.random.default_rng(6).standard_normal((ids.size, *tail))
+        assert g.nbytes > 2 * nm.SEGMENT_BLOCK_BYTES
+        assert same_bytes(nm._segment_sum(g, ids, n), ref._segment_sum(g, ids, n))
+
+    def test_segment_longer_than_a_block(self):
+        rows = nm.SEGMENT_BLOCK_BYTES // 256  # rows of a block at 32 columns
+        ids = np.repeat(np.arange(4), [100, 3 * rows + 5, rows - 1, 900])
+        self.check(ids, 4)
+        self.check(np.random.default_rng(7).permutation(ids), 6)
+
+    @pytest.mark.parametrize("run", [1, 2, 512, 1024])  # blocks end exactly where a run starts
+    def test_block_cut_at_a_run_start(self, run):
+        self.check(np.arange(8192) // run, 8192 // run)
+
+    def test_one_dimensional_rows(self):
+        rng = np.random.default_rng(8)
+        self.check(rng.integers(0, 300, 200_000), 300, tail=())
+        self.check(np.sort(rng.integers(0, 70_000, 200_000)), 70_000, tail=())
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_all_ids_equal(self, n):
+        self.check(np.zeros(9000, dtype=np.int64), n)
+        self.check(np.zeros(70_000, dtype=np.int64), n, tail=())
+
+    def test_unsorted_with_missing_rows(self):
+        rng = np.random.default_rng(9)
+        self.check(2 * rng.integers(0, 1000, 20_000), 2001)
+        self.check(rng.integers(0, 50, 20_000), 300, tail=(2, 3))
+
+
+def lattice_outputs(fn, log_blank, log_label, cells, g):
+    a, c = Tensor(log_blank.copy(), requires_grad=True), Tensor(log_label.copy(), requires_grad=True)
+    tot = fn(a, c, cells)
+    nm.total(nm.mul(tot, g)).backward()
+    return tot.data, a.grad, c.grad
+
+
+def assert_same_lattice(log_blank, log_label, cells, seed=0):
+    g = np.random.default_rng(seed).standard_normal(cells.t_lens.size)
+    got = lattice_outputs(lattice_mod.lattice_log_prob, log_blank, log_label, cells, g)
+    want = lattice_outputs(ref.lattice_log_prob, log_blank, log_label, cells, g)
+    for x, y in zip(got, want):
+        assert (x is None and y is None) or same_bytes(x, y)
+
+
+class TestLatticeOracle:
+    @pytest.mark.parametrize("kind", ["mhat", "hat"])
+    def test_real_batches(self, real, kind):
+        vocab, _, batches = real
+        model = (build_mhat if kind == "mhat" else build_hat)(CFG, vocab)
+        for i, batch in enumerate(batches[:20]):
+            with nm.no_grad():
+                log_blank, log_label, cells = model.arc_log_scores(batch)
+            assert_same_lattice(log_blank.data, log_label.data, cells, seed=i)
+
+    @pytest.mark.parametrize(
+        "t_lens, seqs",
+        [
+            ([3], [[2, 0, 1]]),  # a batch of one
+            ([1], [[]]),  # T = 1, U = 0
+            ([1, 4, 1, 2], [[], [1, 2], [3], []]),
+            ([4, 1, 2], [[], [], []]),  # no label arcs
+            ([9, 2, 3], [[1], [0, 1, 2, 3, 2, 1], []]),  # the longest T and the longest U apart
+            ([2, 3, 1, 3, 1], [[1, 1], [2], [0, 1, 2], [3], [0, 0, 0]]),  # equal T + U
+        ],
+    )
+    def test_edge_cases(self, t_lens, seqs):
+        cells = lattice_cells(t_lens, seqs, 4)
+        rng = np.random.default_rng(len(t_lens))
+        assert_same_lattice(-rng.exponential(size=cells.b.size), -rng.exponential(size=cells.n_label), cells)
+
+
+class TestLogSoftmaxAtOracle:
+    @pytest.mark.parametrize("width", [1, 2, 16, nm.ROW_MAX_FOLD_COLUMNS, nm.ROW_MAX_FOLD_COLUMNS + 1, 40])
+    def test_rows(self, width):
+        rng = np.random.default_rng(width)
+        x = rng.standard_normal((3000, width))
+        x[::7, 0] = 0.0  # signed zeros and ties at the row max
+        x[::5] = np.where(rng.random((600, width)) < 0.5, -0.0, 0.0)
+        x[3::11, -1] = -np.inf
+        g = rng.standard_normal(3000)
+        ids = rng.integers(0, width, 3000)
+        out = []
+        for fn in (nm.log_softmax_at, ref.log_softmax_at):
+            t = Tensor(x.copy(), requires_grad=True)
+            with np.errstate(invalid="ignore"):  # a picked -inf, and a width-1 row of -inf
+                picked = fn(t, ids)
+                nm.total(nm.mul(picked, g)).backward()
+            out.append((picked.data, t.grad))
+        for got, want in zip(*out):
+            assert same_bytes(got, want)
+
+    def test_nan_row(self):
+        x = np.random.default_rng(3).standard_normal((6, 16))
+        x[2, 9] = np.nan
+        picked = nm.log_softmax_at(Tensor(x), np.arange(6))
+        assert same_bytes(picked.data, ref.log_softmax_at(Tensor(x), np.arange(6)).data)
+        assert np.isnan(picked.data).tolist() == [False, False, True, False, False, False]
+
+    @pytest.mark.parametrize("kind", ["mhat", "hat"])
+    def test_nan_logit_row_stops_training(self, real, monkeypatch, kind):
+        vocab, items, _ = real
+        picked_at = nm.log_softmax_at
+
+        def poisoned(x, ids):
+            x.data[1, -1] = np.nan  # one logit of one row, in the last column
+            return picked_at(x, ids)
+
+        monkeypatch.setattr(nm, "log_softmax_at", poisoned)
+        model = (build_mhat if kind == "mhat" else build_hat)(CFG, vocab)
+        with np.errstate(invalid="ignore"), pytest.raises(EvaluationError, match="epoch 1, batch 1"):
+            train_asr(model, items[:64], TrainConfig(epochs=1, alpha=0.1 if kind == "mhat" else 0.0))
+
+
+class TestMatmulRowsOracle:
+    @pytest.mark.parametrize("rows", [1, nm.MATMUL_BLOCK_ROWS, nm.MATMUL_BLOCK_ROWS + 1, 3 * nm.MATMUL_BLOCK_ROWS + 17])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_blocks(self, rows, lead):
+        rng = np.random.default_rng(rows)
+        a = rng.standard_normal((rows, *lead, 40))
+        w = rng.standard_normal((32, 40))
+        assert same_bytes(nm._matmul_rows(a, w.T), ref._matmul_rows(a, w.T))
 
 
 class TestWindowsOracle:
