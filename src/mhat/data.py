@@ -9,6 +9,7 @@ between domains, which only a better label prior can fix.
 
 from __future__ import annotations
 
+import operator
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -133,7 +134,7 @@ def _pcg64_states(key: tuple[int, ...], n: int) -> Iterator[tuple[int, int]]:
     The 128-bit states are made as Python ints one i at a time.
     """
     words = []
-    for k in key:
+    for k in map(operator.index, key):  # numpy integers too, as `SeedSequence` takes them
         words.append(k & _M32)
         while k := k >> 32:
             words.append(k & _M32)

@@ -252,6 +252,11 @@ class TestSeeding:
                     want = np.random.default_rng((seed, split, text_only, i)).bit_generator.state["state"]
                     assert (state, inc) == (want["state"], want["inc"]), (split, text_only, i)
 
+    @pytest.mark.parametrize("seed", [np.int32(5), np.int64(7), np.uint64(2**40 + 3), True])
+    def test_numpy_integer_seeds(self, seed):
+        want = np.random.default_rng((seed, 1, 0, 4)).bit_generator.state["state"]
+        assert list(_pcg64_states((seed, 1, 0), 5))[4] == (want["state"], want["inc"])
+
     def test_no_utterances(self):
         assert list(_pcg64_states((3, 1, 0), 0)) == []
 
