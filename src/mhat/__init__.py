@@ -1,5 +1,11 @@
 """Desk-scale hybrid autoregressive transducers with adaptable internal LMs."""
 
+import ctypes
+import glob
+import os
+
+import numpy as np
+
 from .adapt import AdaptReport, IlmaConfig, ilm_snapshot, ilma_loss, run_ilma
 from .data import (
     CheckpointError,
@@ -60,3 +66,25 @@ from .numerics import (
 from .training import TrainConfig, train_asr
 
 __version__ = "0.1.0"
+
+
+def _one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, for the whole process.
+
+    A threaded product sums in an order that depends on the thread count (the
+    weight gradients of `numerics.affine` do), so trained models and decodes
+    would depend on `OPENBLAS_NUM_THREADS`.  Raises ImportError when numpy
+    carries no such OpenBLAS, rather than run unpinned.
+    """
+    setter = "scipy_openblas_set_num_threads64_"
+    pattern = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "libscipy_openblas64_-*.so")
+    for path in glob.glob(pattern):
+        fn = getattr(ctypes.CDLL(path), setter, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [ctypes.c_int], None
+            fn(1)
+            return
+    raise ImportError(f"mhat pins numpy's OpenBLAS to one thread, but found no {setter} in {pattern}")
+
+
+_one_blas_thread()

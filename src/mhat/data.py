@@ -107,13 +107,31 @@ def _sample_tokens(cdf: list[list[float]], rng: np.random.Generator) -> tuple[in
 
 
 def _emit_features(spec: DomainSpec, tokens: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    d_x = spec.d_x
-    rows, noise = [], []
-    for tok in tokens:
-        k = int(rng.integers(1, 4))  # 1 to 3 frames
-        rows += [tok] * k
-        noise.append(rng.standard_normal((k, d_x)))
-    return spec.prototypes[rows] + spec.noise_sigma * np.concatenate(noise)
+    # the draws of `k = rng.integers(1, 4)` frames, then `rng.standard_normal((k,
+    # d_x))`, per token.  numpy makes k = 1 + (3x >> 32) from a 32-bit half x of
+    # a PCG64 word, rejecting only x = 0, and keeps the high half for the next
+    # 32-bit draw; normals read whole words and leave that half alone.  So
+    # tokens 2j and 2j+1 take the low and the high half of one word, and their
+    # noise is one run of the stream.  Each utterance starts with no half kept
+    # (`gen_corpus` sets the state, `_sample_tokens` reads whole words).  On a
+    # zero half the word is given back and numpy draws the rest per token.
+    n, d_x = len(tokens), spec.d_x
+    bg = rng.bit_generator
+    counts, noise = [], []
+    for i in range(0, n, 2):
+        word = bg.random_raw()
+        lo, hi = word & _M32, word >> 32
+        if not lo or not hi and i + 1 < n:
+            bg.advance(-1)
+            for _ in range(i, n):
+                k = int(rng.integers(1, 4))
+                counts.append(k)
+                noise.append(rng.standard_normal((k, d_x)))
+            break
+        pair = (1 + (3 * lo >> 32), 1 + (3 * hi >> 32))[: n - i]
+        counts += pair
+        noise.append(rng.standard_normal((sum(pair), d_x)))
+    return spec.prototypes[np.array(tokens).repeat(counts)] + spec.noise_sigma * np.concatenate(noise)
 
 
 # numpy's SeedSequence (pool size 4) and PCG64 seeding constants

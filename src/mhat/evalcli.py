@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import math
 import os
 import sys
 import time
@@ -189,6 +190,24 @@ class ExperimentConfig:
         check_schedule(self.lm_batch, self.lm_lr, ("epochs", self.lm_epochs), ("lm_batch", "lm_epochs", "lm_lr"))
         check_schedule(self.ilma_batch, self.ilma_lr, ("steps", self.ilma_steps),
                        ("ilma_batch", "ilma_steps", "ilma_lr"))
+        # and the weights and the search that only later stages would reject
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            _bad_field("alpha", f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0.0 <= self.rho <= 1.0:
+            _bad_field("rho", f"rho must lie in [0, 1], got {self.rho}")
+        if self.beam < 1:
+            _bad_field("beam", f"beam must be >= 1, got {self.beam}")
+        for name in ("lam_ext_grid", "lam_ilm_grid"):
+            grid = getattr(self, name)
+            if not grid or not all(math.isfinite(lam) and lam >= 0 for lam in grid):
+                _bad_field(name, f"{name} must be non-empty, finite and >= 0, got {grid!r}")
+        if 0.0 not in self.lam_ilm_grid and not any(self.lam_ext_grid):
+            # `lambda_grid_wers` skips lam_ext = 0 with lam_ilm > 0: no pair is left
+            _bad_field("lam_ilm_grid", "lam_ilm_grid must hold 0.0 when lam_ext_grid holds only zeros")
+
+
+def _bad_field(name: str, msg: str):
+    raise ConfigError(f"{msg} (ExperimentConfig.{name})")
 
 
 @dataclass
@@ -376,6 +395,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, log=_log) 
     Any stage failure aborts with the stage name; artifacts written by
     completed stages stay on disk.
     """
+    for name in ("n_train", "n_dev", "n_test", "n_adapt_text"):  # every corpus, before any stage runs
+        if getattr(cfg, name) < 1:
+            _bad_field(name, f"run_experiment needs {name} >= 1, got {getattr(cfg, name)}")
     durations: dict[str, float] = {}
 
     @contextlib.contextmanager

@@ -8,6 +8,8 @@ import reference_data
 from conftest import small_hat, small_mhat
 from mhat.data import (
     MAX_SENTENCE_LEN,
+    _PCG64_MULT,
+    _emit_features,
     _pcg64_states,
     CheckpointError,
     DomainSpec,
@@ -237,6 +239,115 @@ class TestGeneratorOracle:
         for generate in (gen_corpus, reference_data.gen_corpus):
             with pytest.raises(ConfigError, match="1000 empty sentences"):
                 generate(spec, 6, 1)
+
+
+_M64, _M128 = (1 << 64) - 1, (1 << 128) - 1
+
+
+def state_giving(word, inc):
+    """A PCG64 generator with increment `inc` whose next 64-bit output is `word`.
+
+    PCG64 steps its 128-bit LCG state, then outputs rotr64(high ^ low, high >> 58)
+    of the new state.  Pick the high half, solve for the low one, then step the
+    LCG back with the multiplier's inverse mod 2**128.
+    """
+    high = 0x9E3779B97F4A7C15
+    rot = high >> 58
+    low = ((word << rot | word >> (64 - rot)) & _M64) ^ high
+    state = ((high << 64 | low) - inc) * pow(_PCG64_MULT, -1, 1 << 128) & _M128
+    bg = np.random.PCG64()
+    bg.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bg)
+
+
+def place_word(word, pairs, d_x):
+    """A generator that draws `word` for the frame counts of tokens 2 * pairs and up.
+
+    Steps back from `state_giving(word, inc)` until numpy's own per-token draws
+    for the first 2 * pairs tokens end right before the word; the normals take
+    a varying number of words, so some increments have no such step.
+    """
+    for inc in range(1, 1000, 2):
+        target = state_giving(word, inc).bit_generator.state["state"]
+        for back in range(40 * pairs + 1):
+            rng = state_giving(word, inc)
+            rng.bit_generator.advance(-back)
+            start = rng.bit_generator.state
+            for _ in range(2 * pairs):
+                rng.standard_normal((int(rng.integers(1, 4)), d_x))
+            now = rng.bit_generator.state
+            if (now["state"], now["has_uint32"]) == (target, 0):
+                rng.bit_generator.state = start
+                return rng
+    raise AssertionError("no state found")
+
+
+def assert_same_frames(spec, tokens, make_rng):
+    got = _emit_features(spec, tokens, make_rng())
+    want = reference_data._emit_features(spec, tokens, make_rng())
+    assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+
+ZERO_LOW, ZERO_HIGH = 0xDEADBEEF00000000, 0x00000000CAFEF00D
+
+
+class TestFrameDraws:
+    """Frame counts from the two halves of one PCG64 word per token pair, against `rng.integers`."""
+
+    spec = crafted_spec(4, spread_rows(4, eos=0.3, start_eos=0.0))
+
+    def test_numpy_rejects_zero_halves(self):
+        # the facts the pair rule's fallback rests on
+        rng = state_giving(ZERO_LOW, 1)
+        assert int(rng.integers(1, 4)) == 3  # the high half, after the low one is rejected
+        assert rng.bit_generator.state["has_uint32"] == 0
+        rng = state_giving(ZERO_HIGH, 1)
+        after = state_giving(ZERO_HIGH, 1)
+        after.bit_generator.random_raw(2)
+        assert int(rng.integers(1, 4)) == 3  # the low half
+        rng.integers(1, 4)  # rejects the kept zero half and starts a fresh word
+        assert rng.bit_generator.state["state"] == after.bit_generator.state["state"]
+
+    def test_pair_rule_equals_integers(self):
+        # numpy's Lemire draw for [1, 4): 1 + (3x >> 32) from the low half x, then
+        # the high half; a numpy release that changes either fails here
+        states = np.random.default_rng(11)
+        for _ in range(2000):
+            seed = int(states.integers(1 << 62))
+            word = np.random.PCG64(seed).random_raw()
+            rng = np.random.Generator(np.random.PCG64(seed))
+            pair = [int(rng.integers(1, 4)), int(rng.integers(1, 4))]
+            assert pair == [1 + (3 * (word & 0xFFFFFFFF) >> 32), 1 + (3 * (word >> 32) >> 32)]
+            assert rng.bit_generator.state["has_uint32"] == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, MAX_SENTENCE_LEN - 1, MAX_SENTENCE_LEN])
+    def test_token_counts(self, n):
+        tokens = tuple(np.random.default_rng(n).integers(0, 4, size=n).tolist())
+        for seed in range(5):
+            assert_same_frames(self.spec, tokens, lambda: np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("word", [ZERO_LOW, ZERO_HIGH, 0, 1 << 32, 1])
+    @pytest.mark.parametrize("n, pairs", [(2, 0), (5, 1), (6, 1), (3, 1), (4, 1), (1, 0), (9, 3)])
+    def test_zero_halves(self, word, n, pairs):
+        # the word serves tokens 2 * pairs and 2 * pairs + 1: in the middle of
+        # the utterance, on its lone last token (n odd) or its last pair
+        tokens = tuple(range(4)) * 3
+        assert_same_frames(self.spec, tokens[:n], lambda: place_word(word, pairs, self.spec.d_x))
+
+    def test_one_token_utterances(self):
+        spec = crafted_spec(4, spread_rows(4, eos=1.0, start_eos=0.0))
+        corpus = gen_corpus(spec, 8, 40)
+        assert {len(it.tokens) for it in corpus.items} == {1}
+        assert_same_corpus(corpus, reference_data.gen_corpus(spec, 8, 40))
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**63 + 5])
+    def test_odd_and_even_lengths_every_split(self, seed):
+        spec = confusable_pair_domains(Vocabulary.default(16), d_x=8, seed=1)[0]
+        for split in ("train", "dev", "test"):
+            for text_only in (False, True):
+                corpus = gen_corpus(spec, seed, 30, split, text_only)
+                assert {len(it.tokens) % 2 for it in corpus.items} == {0, 1}
+                assert_same_corpus(corpus, reference_data.gen_corpus(spec, seed, 30, split, text_only))
 
 
 class TestSeeding:

@@ -121,6 +121,52 @@ def test_experiment_config_rejects_bad_schedules(field, value, why):
         dataclasses.replace(tiny_config(), **{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value, why",
+    [
+        ("beam", 0, "beam must be >= 1, got 0"),
+        ("rho", 1.5, "rho must lie in [0, 1], got 1.5"),
+        ("rho", float("nan"), "rho must lie in [0, 1], got nan"),
+        ("alpha", -0.5, "alpha must be finite and >= 0, got -0.5"),
+        ("alpha", float("inf"), "alpha must be finite and >= 0, got inf"),
+        ("lam_ext_grid", (), "lam_ext_grid must be non-empty, finite and >= 0, got ()"),
+        ("lam_ext_grid", (0.0, float("nan")), "lam_ext_grid must be non-empty, finite and >= 0, got (0.0, nan)"),
+        ("lam_ilm_grid", (), "lam_ilm_grid must be non-empty, finite and >= 0, got ()"),
+        ("lam_ilm_grid", (-0.2,), "lam_ilm_grid must be non-empty, finite and >= 0, got (-0.2,)"),
+        ("lam_ilm_grid", (0.0, float("inf")), "lam_ilm_grid must be non-empty, finite and >= 0, got (0.0, inf)"),
+    ],
+)
+def test_experiment_config_rejects_bad_search_settings(field, value, why):
+    # each failed only in a late stage: beam and the grids in grid-search,
+    # after both ASR trainings; rho in ilma; alpha in train-mhat
+    with pytest.raises(ConfigError, match=re.escape(f"{why} (ExperimentConfig.{field})") + "$"):
+        ExperimentConfig(**{field: value})
+
+
+def test_experiment_config_rejects_a_grid_with_no_pair():
+    # lam_ext = 0 with lam_ilm > 0 is skipped, so ilme_subtract would search no config
+    with pytest.raises(ConfigError, match=r"lam_ilm_grid must hold 0\.0 .*\(ExperimentConfig\.lam_ilm_grid\)$"):
+        ExperimentConfig(lam_ext_grid=(0.0,), lam_ilm_grid=(0.2,))
+    assert ExperimentConfig(lam_ext_grid=(0.0,), lam_ilm_grid=(0.0, 0.2)).lam_ext_grid == (0.0,)
+    assert ExperimentConfig(lam_ext_grid=(0.0, 0.3), lam_ilm_grid=(0.2,)).lam_ilm_grid == (0.2,)
+
+
+@pytest.mark.parametrize("field", ["n_train", "n_dev", "n_test", "n_adapt_text"])
+def test_run_experiment_needs_every_corpus(field, tmp_path):
+    # n_dev = 0 failed in the last stage, n_adapt_text = 0 in train-lm, and
+    # n_test = 0 reported a WER of 0.0 for every method
+    cfg = dataclasses.replace(tiny_config(), **{field: 0})  # legal for make_experiment_data alone
+    with pytest.raises(ConfigError, match=re.escape(f"run_experiment needs {field} >= 1, got 0 (ExperimentConfig.{field})")):
+        run_experiment(cfg, out_dir=str(tmp_path), log=lambda m: None)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_bad_beam_fails_before_any_stage(tmp_path, capsys):
+    assert main(["experiment", "--out-dir", str(tmp_path), "--beam", "0"]) == 2
+    assert "beam must be >= 1, got 0 (ExperimentConfig.beam)" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["resolved-config.txt"]
+
+
 def test_experiment_config_zero_passes_are_legal():
     cfg = ExperimentConfig(epochs=0, lm_epochs=0, ilma_steps=0)
     assert (cfg.epochs, cfg.lm_epochs, cfg.ilma_steps) == (0, 0, 0)
@@ -165,8 +211,12 @@ class TestExperiment:
         assert lines[0] == "method\tsource_wer\ttarget_wer"
         assert [l.split("\t")[0] for l in lines[1:]] == list(METHODS)
 
-    def test_stage_failure_names_the_stage_and_keeps_earlier_files(self, tmp_path):
-        cfg = dataclasses.replace(tiny_config(), n_adapt_text=0)  # no LM training text
+    def test_stage_failure_names_the_stage_and_keeps_earlier_files(self, tmp_path, monkeypatch):
+        def no_lm(*args, **kwargs):
+            raise ConfigError("LM training corpus is empty")
+
+        monkeypatch.setattr(evalcli, "train_lm_model", no_lm)
+        cfg = tiny_config()
         with pytest.raises(RuntimeError, match="experiment stage 'train-lm' failed"):
             run_experiment(cfg, out_dir=str(tmp_path), log=lambda m: None)
         assert (tmp_path / "models" / "hat.ckpt").exists()

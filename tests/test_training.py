@@ -1,3 +1,9 @@
+import ctypes
+import glob
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -85,3 +91,50 @@ def test_train_asr_batch_size_zero_is_a_config_error(rng):
     # used to reach range() and raise its own "arg 3 must not be zero"
     with pytest.raises(ConfigError, match="batch_size must be >= 1, got 0"):
         train_asr(small_mhat(), batch(rng, n=4), TrainConfig(epochs=1, batch_size=0))
+
+
+# Trains the default MHAT dims for four 32-utterance steps and decodes 20
+# utterances; with a free OpenBLAS thread count the weight gradients of
+# `numerics.affine` and so every line below would depend on it.
+TRAIN_AND_DECODE = """
+import hashlib
+from mhat.decode import format_record
+from mhat.evalcli import ExperimentConfig, decode_corpus, make_experiment_data, train_asr_model
+cfg = ExperimentConfig(n_train=128, n_dev=0, n_test=20, n_adapt_text=0, epochs=1)
+exp = make_experiment_data(cfg)
+model, curve = train_asr_model("mhat", cfg, exp.vocab, exp.src_train.paired(), log=lambda msg: None)
+h = hashlib.sha256()
+for name in sorted(model.params.entries):
+    h.update(model.params[name].data.tobytes())
+print(h.hexdigest(), repr(curve))
+for uid, best in decode_corpus(model, exp.src_test):
+    print(format_record(uid, best, exp.vocab))
+"""
+
+
+def test_outputs_independent_of_blas_threads():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p))
+        outs.append(subprocess.run([sys.executable, "-c", TRAIN_AND_DECODE], env=env, capture_output=True,
+                                   text=True, check=True).stdout)
+    assert len(outs[0].splitlines()) == 21
+    assert outs[0] == outs[1]
+
+
+def test_one_blas_thread_at_import():
+    import mhat
+    pattern = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "libscipy_openblas64_-*.so")
+    get = ctypes.CDLL(glob.glob(pattern)[0]).scipy_openblas_get_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    assert get() == 1
+    mhat._one_blas_thread()  # idempotent
+
+
+def test_missing_blas_setter_raises(monkeypatch):
+    import mhat
+    monkeypatch.setattr(mhat.glob, "glob", lambda pattern: [])
+    with pytest.raises(ImportError, match="found no scipy_openblas_set_num_threads64_ in .*numpy.libs"):
+        mhat._one_blas_thread()
