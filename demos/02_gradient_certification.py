@@ -10,7 +10,6 @@ import numpy as np
 
 from mhat import EncoderConfig, MhatModel, Vocabulary, gradient_check, hat_loss, ilm_loss, mhat_loss
 from mhat.adapt import ilma_loss
-from mhat.losses import LossConfig
 
 rng = np.random.default_rng(7)
 vocab = Vocabulary.default(4)
@@ -25,7 +24,7 @@ transcripts = [[1, 2, 0], [3, 1]]
 
 losses = {
     "transducer loss": lambda p: hat_loss(model, batch),
-    "combined loss (alpha=0.1)": lambda p: mhat_loss(model, batch, LossConfig(alpha=0.1)),
+    "combined loss (alpha=0.1)": lambda p: mhat_loss(model, batch, 0.1),
     "internal-LM loss": lambda p: ilm_loss(model, transcripts),
     "adaptation loss (rho=0.5)": lambda p: ilma_loss(model, teacher, transcripts, 0.5),
 }

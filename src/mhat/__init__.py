@@ -40,7 +40,7 @@ from .lattice import (
     forward_log_prob,
     hat_loss,
 )
-from .losses import LossConfig, ilm_loss, mhat_loss, perplexity
+from .losses import ilm_loss, mhat_loss, perplexity
 from .model import (
     ConfigError,
     EncoderConfig,
@@ -48,7 +48,6 @@ from .model import (
     MhatModel,
     VocabError,
     Vocabulary,
-    alignment_arc_log_probs,
     label_posterior,
 )
 from .numerics import (

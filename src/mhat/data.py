@@ -362,15 +362,12 @@ def read_text_corpus(path: str, vocab: Vocabulary) -> Corpus:
 def write_corpus(corpus: Corpus, path: str) -> None:
     """Paired corpora: text manifest at `path` plus binary features at `path.feats`.
 
-    A corpus with no features at all is written as text; one where only
-    some utterances have features raises ConfigError and writes nothing.
+    An utterance without features raises ConfigError before any file is
+    created; an empty corpus writes a manifest of `count 0`.
     """
     bare = [it.uid for it in corpus.items if it.features is None]
-    if len(bare) == len(corpus.items):
-        write_text_corpus(corpus, path)
-        return
     if bare:
-        raise ConfigError(f"{path}: utterance {bare[0]} has no features, but others do")
+        raise ConfigError(f"{path}: utterance {bare[0]} has no features")
     with open(path, "w") as mf, open(path + ".feats", "wb") as bf:
         mf.write("format mhat-corpus-v1\n")
         mf.write(f"split {corpus.split}\n")

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .extlm import ExternalLm, LmScorer
+from .extlm import ExternalLm
 from .lattice import StructureError, forward_log_prob
 from .model import ConfigError, HatModel, MhatModel, bigram_contexts
 
@@ -144,8 +144,6 @@ def beam_search(
     beam_width: int = 8,
     fusion: FusionConfig | Sequence[FusionConfig] = NO_FUSION,
     max_labels_per_frame: int = MAX_LABELS_PER_FRAME,
-    *,
-    lm_scorer: LmScorer | None = None,
 ):
     """Ranked hypotheses with separately tracked score components.
 
@@ -159,9 +157,9 @@ def beam_search(
     group as one block, and each group keeps its own beam_width best,
     exactly as if it were searched alone, with the same float operations in
     the same order.  One scorer serves the corpus, so the rows that depend
-    only on the model and the context are computed once.  Only an `lm_scorer`
-    (from the LM's `scorer()`) passed in outlives the call: training and ILMA
-    change parameters in place.
+    only on the model and the context are computed once, and so does one LM
+    scorer.  Neither outlives the call: training and ILMA change parameters
+    in place.
 
     Raises ConfigError when an utterance is not a 2-D array, and
     StructureError when one has no frames (T=0), like the lattice: no
@@ -190,12 +188,7 @@ def beam_search(
             raise ConfigError(f"utterance {u} has shape {shape}: each utterance is a (T, d_x) array")
         if shape[0] < 1:
             raise StructureError(f"no alignment exists for utterance {u}: it has no frames (T=0)")
-    if lm is None:
-        lm_scorer = None
-    elif lm_scorer is None:
-        lm_scorer = lm.scorer()
-    elif lm_scorer.lm is not lm:
-        raise ConfigError("LM scorer was built for another LM")
+    lm_scorer = lm.scorer() if lm is not None else None
     if not xs:
         return []
     scorer = model.scorer(xs if corpus else X)

@@ -88,7 +88,7 @@ class EvalReport:
     @property
     def wer(self) -> float:
         if self.ref_tokens == 0:
-            return 0.0
+            raise ConfigError("WER requires at least one reference token")
         return 100.0 * (self.subs + self.ins + self.dels) / self.ref_tokens
 
     def kv_lines(self) -> list[str]:
@@ -704,9 +704,9 @@ def cmd_eval(args) -> None:
     if unknown:
         raise ConfigError(f"{args.hyp}: utterance {min(unknown)} is not in {args.ref}")
     report = evaluate_decodes(refs, hyps)
-    out = os.path.join(args.out_dir, "eval.kv")
-    with open(out, "w") as f:
-        f.write("\n".join(report.kv_lines()) + "\n")
+    lines = report.kv_lines()  # raises before eval.kv exists when nothing was scored
+    with open(os.path.join(args.out_dir, "eval.kv"), "w") as f:
+        f.write("\n".join(lines) + "\n")
     _log(f"WER {report.wer:.3f}% "
          f"(S={report.subs} I={report.ins} D={report.dels} over {report.ref_tokens} ref tokens)")
 

@@ -67,12 +67,6 @@ class ExternalLm:
         z = self.out_w.data @ g + self.out_b.data
         return z - nm.log_sum_exp(z)
 
-    def lm_log_prob(self, prefix: Sequence[int], next_id: int) -> float:
-        """log P(next | prefix); `next_id` may be a token or the EOS id."""
-        if not 0 <= int(next_id) <= self.vocab.size:
-            raise ConfigError(f"next id {next_id} outside tokens+EOS range")
-        return float(self.next_log_probs(prefix)[int(next_id)])
-
     def sentence_log_prob(self, tokens: Sequence[int]) -> float:
         """Full sentence log-prob including the terminating EOS event."""
         with nm.no_grad():

@@ -10,7 +10,6 @@ bit-exact under batch permutation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,14 +20,10 @@ from .model import ConfigError, HatModel, MhatModel, context_counts
 from .numerics import Tensor
 
 
-@dataclass(frozen=True)
-class LossConfig:
-    alpha: float = 0.1
-    # reduction is fixed to sum
-
-    def __post_init__(self):
-        if not math.isfinite(self.alpha) or self.alpha < 0:
-            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
+def check_alpha(alpha: float) -> None:
+    """Raise ConfigError unless the internal-LM loss weight is finite and >= 0."""
+    if not math.isfinite(alpha) or alpha < 0:
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
 
 
 def context_table(model_or_lm, transcripts: Sequence[Sequence[int]], eos_id: int | None = None):
@@ -73,21 +68,23 @@ def ilm_loss(model: MhatModel, transcripts: Sequence[Sequence[int]]) -> Tensor:
 def mhat_loss(
     model: MhatModel | HatModel,
     batch: Sequence[tuple[np.ndarray, Sequence[int]]],
-    cfg: LossConfig = LossConfig(),
+    alpha: float = 0.1,
 ) -> Tensor:
     """Transducer loss plus alpha times the internal-LM loss on the transcripts.
 
     With alpha = 0 this returns the transducer loss itself (bit-exact),
     which is also the whole HAT objective: a HatModel takes alpha = 0.
-    Empty transcripts contribute nothing to the internal-LM term.
+    Empty transcripts contribute nothing to the internal-LM term.  Raises
+    ConfigError when alpha is not finite or is negative.
     """
+    check_alpha(alpha)
     base = hat_loss(model, batch)
-    if cfg.alpha == 0.0:
+    if alpha == 0.0:
         return base
     transcripts = [y for _, y in batch if len(y) > 0]
     if not transcripts:
         return base
-    return nm.add(base, nm.mul(cfg.alpha, ilm_loss(model, transcripts)))
+    return nm.add(base, nm.mul(alpha, ilm_loss(model, transcripts)))
 
 
 def perplexity(model_or_lm, transcripts: Sequence[Sequence[int]]) -> float:

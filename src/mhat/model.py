@@ -353,29 +353,22 @@ def label_posterior(a: Tensor | np.ndarray, l: Tensor | np.ndarray) -> Tensor:
     return nm.log_softmax(nm.add(a, l))
 
 
-def alignment_arc_log_probs(b: float, label_log_posteriors: np.ndarray) -> np.ndarray:
-    """Per-arc log probabilities at one lattice node: blank first, then labels.
-
-    The blank arc carries probability b; each label arc carries
-    (1 - b) times its label posterior, so the arcs sum to one.
-    """
-    lab = np.asarray(label_log_posteriors, dtype=np.float64)
-    out = np.empty(lab.shape[0] + 1)
-    with np.errstate(divide="ignore"):
-        out[0] = np.log(b)
-        out[1:] = np.log1p(-b) + lab
-    return out
-
-
 _ENCODER_KEYS = ("d_x", "context", "layers", "d_f")
 
 
 class _AsrModel:
-    """Checkpoint bookkeeping shared by MhatModel and HatModel.
+    """The encoder and checkpoint bookkeeping shared by MhatModel and HatModel.
 
     A subclass names its integer size arguments in `dim_keys` and keeps
     each as an attribute of the same name.
     """
+
+    def __init__(self, vocab: Vocabulary, encoder: EncoderConfig, rng: np.random.Generator):
+        self.vocab = vocab
+        self.enc_cfg = encoder
+        self.trained_alpha: float | None = None
+        self.params = ParameterSet()
+        self.encoder = Encoder(self.params, encoder, rng)
 
     def context_log_prob_rows(self, ctx: np.ndarray) -> Tensor:
         """Internal-LM log-prob rows for (n, 2) decoder contexts: (n, |V|)."""
@@ -417,14 +410,9 @@ class MhatModel(_AsrModel):
         seed: int = 0,
     ):
         rng = np.random.default_rng(seed)
-        self.vocab = vocab
-        self.enc_cfg = encoder
+        super().__init__(vocab, encoder, rng)
         self.label_dim, self.blank_dim, self.joint_dim = label_dim, blank_dim, joint_dim
-        self.trained_alpha: float | None = None
-
-        p = ParameterSet()
-        self.params = p
-        self.encoder = Encoder(p, encoder, rng)
+        p = self.params
         self.am_w = p.add(
             "am_proj.weight", rng.standard_normal((vocab.size, encoder.d_f)) / np.sqrt(encoder.d_f), "encoder"
         )
@@ -532,14 +520,9 @@ class HatModel(_AsrModel):
         seed: int = 0,
     ):
         rng = np.random.default_rng(seed)
-        self.vocab = vocab
-        self.enc_cfg = encoder
+        super().__init__(vocab, encoder, rng)
         self.decoder_dim, self.joint_dim = decoder_dim, joint_dim
-        self.trained_alpha: float | None = None
-
-        p = ParameterSet()
-        self.params = p
-        self.encoder = Encoder(p, encoder, rng)
+        p = self.params
         self.decoder = EmbeddingDecoder(p, "decoder", vocab, decoder_dim, "ilm", rng, tied_tables=False)
         self.joint = _JointCombiner(p, encoder.d_f, decoder_dim, joint_dim, rng)
         self.label_w = p.add(

@@ -622,9 +622,6 @@ class ParameterSet:
     def __contains__(self, name: str) -> bool:
         return name in self.entries
 
-    def names(self) -> list[str]:
-        return list(self.entries)
-
     def group_names(self, group: str) -> list[str]:
         return [n for n, g in self.group.items() if g == group]
 
@@ -640,17 +637,6 @@ class ParameterSet:
         for n, t in self.entries.items():
             out[self.group[n]] += t.size
         return out
-
-    def snapshot(self, groups: Sequence[str] | None = None) -> dict[str, np.ndarray]:
-        gs = set(groups) if groups is not None else set(GROUPS)
-        return {n: t.data.copy() for n, t in self.entries.items() if self.group[n] in gs}
-
-    def load_snapshot(self, values: dict[str, np.ndarray]) -> None:
-        for n, v in values.items():
-            t = self.entries[n]
-            if t.data.shape != v.shape:
-                raise ShapeError(f"snapshot shape mismatch for {n}")
-            t.data = np.array(v, dtype=np.float64)
 
     def checksum(self, groups: Sequence[str] | None = None) -> str:
         gs = set(groups) if groups is not None else set(GROUPS)

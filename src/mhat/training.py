@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .losses import LossConfig, mhat_loss
+from .losses import check_alpha, mhat_loss
 from .model import ConfigError, HatModel, MhatModel
 from .numerics import Tensor, check_finite
 
@@ -44,6 +44,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_schedule(self.batch_size, self.lr, ("epochs", self.epochs))
+        check_alpha(self.alpha)
 
 
 class Optimizer:
@@ -136,14 +137,13 @@ def train_asr(
         raise ConfigError("training corpus is empty")
     rng = np.random.default_rng(cfg.seed)
     opt = make_optimizer(list(model.params.entries.items()), cfg)
-    loss_cfg = LossConfig(alpha=cfg.alpha)
     curve: list[float] = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(items))
         epoch_loss = 0.0
         for start in range(0, len(items), cfg.batch_size):
             chunk = [items[i] for i in order[start : start + cfg.batch_size]]
-            loss = mhat_loss(model, chunk, loss_cfg)
+            loss = mhat_loss(model, chunk, cfg.alpha)
             check_finite(loss, f"epoch {epoch + 1}, batch {start // cfg.batch_size + 1}")
             model.params.zero_grads()
             loss.backward()

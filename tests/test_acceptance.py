@@ -7,6 +7,8 @@ stage logs and the per-criterion lines stream.
 
 import copy
 import itertools
+import json
+import os
 import sys
 import time
 
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import small_hat, small_mhat
+from digests import blas_key, pipeline_digests
 from mhat.adapt import IlmaConfig, ilma_loss, run_ilma
 from mhat.data import Corpus, Utterance
 from mhat.decode import FusionConfig, NO_FUSION, beam_search, score_sequence
@@ -27,7 +30,7 @@ from mhat.evalcli import (
 )
 from mhat.extlm import ExternalLm, LmTrainConfig, lm_perplexity, train_lm
 from mhat.lattice import brute_force_log_prob, forward_log_prob, hat_loss
-from mhat.losses import LossConfig, ilm_loss, mhat_loss, perplexity
+from mhat.losses import ilm_loss, mhat_loss, perplexity
 from mhat.model import Vocabulary
 from mhat.numerics import gradient_check
 from mhat.training import TrainConfig, train_asr
@@ -97,7 +100,7 @@ def test_criterion_2_gradient_certification():
         lambda p: hat_loss(hat, batch), hat.params, h=1e-4, num_coords=200, rng=rng
     )
     results["mhat_loss(a=0.1)"] = gradient_check(
-        lambda p: mhat_loss(model, batch, LossConfig(alpha=0.1)),
+        lambda p: mhat_loss(model, batch, 0.1),
         model.params, h=1e-4, num_coords=200, rng=rng,
     )
     results["ilm_loss"] = gradient_check(
@@ -168,7 +171,7 @@ def test_criterion_4_degenerate_equivalences():
     batch = [(rng.standard_normal((3, 3)), [1, 0]), (rng.standard_normal((2, 3)), [2])]
     transcripts = [y for _, y in batch]
 
-    a = float(mhat_loss(model, batch, LossConfig(alpha=0.0)).data)
+    a = float(mhat_loss(model, batch, 0.0).data)
     b = float(hat_loss(model, batch).data)
     alpha_ok = a == b
 
@@ -257,11 +260,28 @@ def test_criterion_5_beam_vs_exhaustive():
 
 
 @pytest.fixture(scope="session")
-def pipeline(tmp_path_factory):
+def pipeline_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("acceptance_run")
+
+
+@pytest.fixture(scope="session")
+def pipeline(pipeline_dir):
     cfg = ExperimentConfig()  # the standard acceptance configuration
-    out = tmp_path_factory.mktemp("acceptance_run")
-    result = run_experiment(cfg, out_dir=str(out), log=lambda m: print("  " + m, file=sys.stderr))
+    result = run_experiment(cfg, out_dir=str(pipeline_dir), log=lambda m: print("  " + m, file=sys.stderr))
     return cfg, result
+
+
+def test_pipeline_outputs_unchanged(pipeline, pipeline_dir):
+    """Every file of the standard run against `pipeline_digests.json`, recorded from an earlier commit's run:
+    the kernel-independent parts on every machine, all bytes only under the recorded BLAS key."""
+    with open(os.path.join(os.path.dirname(__file__), "pipeline_digests.json")) as f:
+        want = json.load(f)
+    got = pipeline_digests(str(pipeline_dir))
+    assert got["every_machine"] == want["every_machine"]
+    key = blas_key()
+    if key not in want["full"]:
+        pytest.skip(f"kernel-independent outputs match; full bytes not compared: no digests recorded for {key}")
+    assert got["full"] == want["full"][key]
 
 
 @pytest.fixture(scope="session")

@@ -135,7 +135,7 @@ class TestRunIlma:
 
     def test_rho_one_step_is_below_numerical_floor(self, mhat_small):
         mhat_small.trained_alpha = 0.1
-        before = mhat_small.params.snapshot()
+        before = {name: t.data.copy() for name, t in mhat_small.params.entries.items()}
         run_ilma(mhat_small, self._corpus(mhat_small.vocab), IlmaConfig(rho=1.0, steps=1, lr=1e-2))
         # the only motion is float round-off of sum(teacher probs) != 1
         for name, t in mhat_small.params.entries.items():

@@ -464,6 +464,21 @@ class TestPairedCorpusIO:
             write_corpus(dataclasses.replace(corpus, items=tuple(items)), str(tmp_path / "c"))
         assert list(tmp_path.iterdir()) == []
 
+    def test_featureless_corpus_rejected_before_writing(self, tmp_path):
+        # used to be written as a text corpus that `read_corpus` then refused
+        corpus = gen_corpus(point_mass_spec(), seed=6, n_utts=3, text_only=True)
+        with pytest.raises(ConfigError, match=f"{corpus.items[0].uid} has no features"):
+            write_corpus(corpus, str(tmp_path / "c"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_corpus_roundtrip(self, tmp_path):
+        corpus = gen_corpus(point_mass_spec(), seed=6, n_utts=0)
+        path = str(tmp_path / "c")
+        write_corpus(corpus, path)
+        assert "count 0" in (tmp_path / "c").read_text().splitlines()
+        back = read_corpus(path, corpus.vocab)
+        assert (back.split, back.seed, back.items) == (corpus.split, corpus.seed, ())
+
 
     def three_utterances(self, tmp_path):
         spec = point_mass_spec()

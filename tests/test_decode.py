@@ -310,21 +310,6 @@ class TestDictOracle:
 
 
 class TestScorerReuse:
-    def test_reused_tables_give_identical_results(self, real_setup):
-        models, lm, utts = real_setup
-        lm_scorer = lm.scorer()
-        for model in models.values():
-            for X in utts[:3]:
-                for fusion in fusion_cases(lm):
-                    got = beam_search(model, X, 4, fusion, lm_scorer=lm_scorer)
-                    assert ranked(got) == ranked(beam_search(model, X, 4, fusion))
-
-    def test_foreign_tables_rejected(self, real_setup):
-        models, lm, utts = real_setup
-        other = ExternalLm(lm.vocab, embed_dim=8)
-        with pytest.raises(ConfigError, match="LM scorer"):
-            beam_search(models["mhat"], utts[0], 4, FusionConfig("shallow", 0.3, lm=lm), lm_scorer=other.scorer())
-
     @pytest.mark.parametrize("kind", ["mhat", "hat"])
     def test_tables_grow_one_slot_per_context(self, kind, rng):
         # every context filled, in reverse id order, through several doublings
@@ -472,14 +457,6 @@ class TestLockstep:
             assert beam_search(models["mhat"], utts[0], 4, [f]) == [beam_search(models["mhat"], utts[0], 4, f)]
             assert beam_search(models["mhat"], utts[0], 4, (f,)) == [beam_search(models["mhat"], utts[0], 4, f)]
 
-    def test_shared_lm_scorer(self, real_setup):
-        models, lm, utts = real_setup
-        lm_scorer = lm.scorer()
-        configs = mixed_configs(lm)
-        for X in utts[:3]:
-            assert beam_search(models["hat"], X, 4, configs, lm_scorer=lm_scorer) == beam_search(
-                models["hat"], X, 4, configs)
-
     def test_rejected_inputs(self, real_setup, mhat_small):
         models, lm, utts = real_setup
         mhat = models["mhat"]
@@ -488,8 +465,6 @@ class TestLockstep:
         other = ExternalLm(lm.vocab, embed_dim=8)
         with pytest.raises(ConfigError, match="one external LM"):
             beam_search(mhat, utts[0], 4, [FusionConfig("shallow", 0.3, lm=lm), FusionConfig("shallow", 0.3, lm=other)])
-        with pytest.raises(ConfigError, match="LM scorer"):
-            beam_search(mhat, utts[0], 4, mixed_configs(lm), lm_scorer=other.scorer())
         with pytest.raises(ConfigError, match="vocabulary"):
             beam_search(mhat, utts[0], 4, [NO_FUSION, FusionConfig("shallow", 0.3, lm=ExternalLm(Vocabulary.default(6)))])
         for model in (mhat, models["hat"]):
@@ -647,13 +622,6 @@ class TestCorpus:
             assert len(built) == 1
             assert evals and len(evals) == len(set(evals))
             assert built[0].size == len({ctx for dec, ctx in evals if dec == id(lm.decoder)})
-
-    def test_a_shared_lm_scorer_gives_the_same_results(self, corpus_setup):
-        models, lm, utts = corpus_setup
-        lm_scorer = lm.scorer()
-        for model in models.values():
-            assert beam_search(model, utts, 4, mixed_configs(lm), lm_scorer=lm_scorer) == beam_search(
-                model, utts, 4, mixed_configs(lm))
 
     def test_no_frames_is_a_structure_error_before_decoding(self, real_setup, monkeypatch):
         models, lm, utts = real_setup

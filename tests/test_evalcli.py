@@ -51,6 +51,14 @@ class TestWer:
     def test_empty_reference(self):
         assert wer_counts([], [4, 5]) == (0, 2, 0)
 
+    @pytest.mark.parametrize("pairs", [[], [((), (1,))], [((), ())]])
+    def test_nothing_scored_is_an_error(self, pairs):
+        # an insertion-only result used to read as WER 0.0, a perfect score
+        rep = evaluate_pairs(pairs)
+        assert rep.ref_tokens == 0
+        with pytest.raises(ConfigError, match="at least one reference token"):
+            rep.wer
+
     def test_substitution_preferred_over_ins_del(self):
         s, i, d = wer_counts([1], [2])
         assert (s, i, d) == (1, 0, 0)
@@ -651,6 +659,18 @@ class TestCli:
         capsys.readouterr()
         assert run(last) == 2
         assert why in capsys.readouterr().err
+        assert not (out / "eval.kv").exists()
+
+    def test_eval_with_no_reference_token_writes_no_report(self, tmp_path, capsys):
+        vocab = Vocabulary.default(4)
+        dat.write_vocab(vocab, str(tmp_path / "vocab.txt"))
+        items = tuple(dat.Utterance(f"train-0000{i}", np.zeros((2, 3)), ()) for i in (1, 2))
+        dat.write_corpus(dat.Corpus("train", 0, vocab, items), str(tmp_path / "ref"))
+        hyp, out = tmp_path / "hyp.tsv", tmp_path / "out"
+        hyp.write_text("train-00001\t\t\t0.0\t0.0\t0.0\ntrain-00002\t1\tw1\t0.0\t0.0\t0.0\n")
+        assert main(["eval", "--ref", str(tmp_path / "ref"), "--vocab", str(tmp_path / "vocab.txt"),
+                     "--hyp", str(hyp), "--out-dir", str(out)]) == 2
+        assert "at least one reference token" in capsys.readouterr().err
         assert not (out / "eval.kv").exists()
 
     def test_jobs_is_not_an_option(self, tmp_path):

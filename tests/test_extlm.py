@@ -22,10 +22,10 @@ class TestScoring:
     def test_zeroed_params_uniform_over_tokens_and_eos(self):
         vocab = Vocabulary.default(5)
         lm = ExternalLm(vocab, embed_dim=8)
-        for name in lm.params.names():
+        for name in lm.params.entries:
             lm.params[name].data[...] = 0.0
         for next_id in range(6):
-            assert lm.lm_log_prob([1, 2], next_id) == pytest.approx(-math.log(6), abs=1e-12)
+            assert lm.next_log_probs([1, 2])[next_id] == pytest.approx(-math.log(6), abs=1e-12)
 
     def test_distribution_sums_to_one(self, rng):
         lm = ExternalLm(Vocabulary.default(4), embed_dim=8, seed=3)
@@ -33,16 +33,11 @@ class TestScoring:
             prefix = [int(i) for i in rng.integers(0, 4, size=rng.integers(0, 4))]
             assert abs(np.exp(lm.next_log_probs(prefix)).sum() - 1.0) <= 1e-12
 
-    def test_next_id_range(self):
-        lm = ExternalLm(Vocabulary.default(4))
-        with pytest.raises(ConfigError):
-            lm.lm_log_prob([], 5)
-
     def test_sentence_log_prob_includes_eos(self):
         lm = ExternalLm(Vocabulary.default(3), embed_dim=4, seed=0)
         y = [0, 2]
         manual = (
-            lm.lm_log_prob([], 0) + lm.lm_log_prob([0], 2) + lm.lm_log_prob([0, 2], lm.eos_id)
+            lm.next_log_probs([])[0] + lm.next_log_probs([0])[2] + lm.next_log_probs([0, 2])[lm.eos_id]
         )
         assert lm.sentence_log_prob(y) == pytest.approx(manual, abs=1e-12)
 
@@ -93,7 +88,7 @@ class TestTraining:
             seqs.append(s)
         lm, _ = train_lm(text_corpus(vocab, seqs), LmTrainConfig(embed_dim=16, epochs=60, lr=5e-3, seed=0))
         for prev2 in range(5):
-            p = math.exp(lm.lm_log_prob([prev2, 0], 1))
+            p = math.exp(lm.next_log_probs([prev2, 0])[1])
             assert p > 0.9
 
     def test_repeated_sentence_memorization(self):
@@ -166,7 +161,7 @@ class TestPerplexity:
     def test_uniform_lm_value(self):
         vocab = Vocabulary.default(7)
         lm = ExternalLm(vocab, embed_dim=4)
-        for name in lm.params.names():
+        for name in lm.params.entries:
             lm.params[name].data[...] = 0.0
         assert lm_perplexity(lm, [[0, 1, 2]]) == pytest.approx(8.0, rel=1e-12)
 

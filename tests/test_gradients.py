@@ -6,7 +6,7 @@ from conftest import random_utterance, small_hat, small_mhat
 from mhat import numerics as nm
 from mhat.adapt import ilma_loss
 from mhat.lattice import hat_loss
-from mhat.losses import LossConfig, ilm_loss, mhat_loss
+from mhat.losses import ilm_loss, mhat_loss
 from mhat.numerics import Tensor, gradient_check
 
 
@@ -33,7 +33,7 @@ def test_mhat_loss_small_instance(rng):
         (rng.standard_normal((3, 3)), [int(i) for i in rng.integers(0, 4, size=2)]),
     ]
     err = gradient_check(
-        lambda p: mhat_loss(model, batch, LossConfig(alpha=0.1)),
+        lambda p: mhat_loss(model, batch, 0.1),
         model.params,
         h=1e-4,
         num_coords=250,

@@ -14,7 +14,7 @@ from mhat.lattice import (
     forward_log_prob,
     hat_loss,
 )
-from mhat.losses import LossConfig, mhat_loss
+from mhat.losses import mhat_loss
 from mhat.model import Vocabulary, label_posterior
 
 
@@ -220,7 +220,7 @@ MIXED = [(7, 3), (1, 0), (23, 4), (1, 2), (5, 0), (9, 11), (12, 6), (2, 1), (23,
 
 
 def loss_and_grads(model, batch, kind):
-    loss = mhat_loss(model, batch, LossConfig(alpha=0.1)) if kind == "mhat" else hat_loss(model, batch)
+    loss = mhat_loss(model, batch, 0.1) if kind == "mhat" else hat_loss(model, batch)
     model.params.zero_grads()
     loss.backward()
     return float(loss.data), {n: t.grad.copy() for n, t in model.params.entries.items()}
@@ -256,7 +256,7 @@ class TestBatchedLattice:
         rng = np.random.default_rng(7)
         batch = mixed_batch(rng, [(4, 2), (1, 0), (3, 0), (6, 4), (2, 3)])
         err = nm.gradient_check(
-            lambda p: mhat_loss(model, batch, LossConfig(alpha=0.1)) if kind == "mhat" else hat_loss(model, batch),
+            lambda p: mhat_loss(model, batch, 0.1) if kind == "mhat" else hat_loss(model, batch),
             model.params, h=1e-4, num_coords=200, rng=rng,
         )
         assert err <= 1e-4

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from conftest import random_utterance, small_mhat
 from mhat.lattice import hat_loss
-from mhat.losses import LossConfig, ilm_loss, mhat_loss, perplexity
+from mhat.losses import ilm_loss, mhat_loss, perplexity
 from mhat.extlm import ExternalLm
 from mhat.model import ConfigError, VocabError, Vocabulary
 
@@ -56,26 +57,27 @@ class TestIlmLoss:
 class TestMhatLoss:
     def test_alpha_zero_is_hat_loss_bit_exact(self, mhat_small, rng):
         batch = [random_utterance(rng, t_len=3), random_utterance(rng, t_len=2)]
-        a = float(mhat_loss(mhat_small, batch, LossConfig(alpha=0.0)).data)
+        a = float(mhat_loss(mhat_small, batch, 0.0).data)
         b = float(hat_loss(mhat_small, batch).data)
         assert a == b
 
     def test_alpha_combination(self, mhat_small, rng):
         batch = [random_utterance(rng, t_len=3)]
-        cfg = LossConfig(alpha=0.1)
         expected = float(hat_loss(mhat_small, batch).data) + 0.1 * float(
             ilm_loss(mhat_small, [batch[0][1]]).data
         )
-        assert float(mhat_loss(mhat_small, batch, cfg).data) == pytest.approx(expected, abs=1e-12)
+        assert float(mhat_loss(mhat_small, batch, 0.1).data) == pytest.approx(expected, abs=1e-12)
 
-    def test_default_alpha(self):
-        assert LossConfig().alpha == 0.1
+    def test_default_alpha(self, mhat_small, rng):
+        batch = [random_utterance(rng, t_len=3), random_utterance(rng, t_len=2)]
+        assert inspect.signature(mhat_loss).parameters["alpha"].default == 0.1
+        assert float(mhat_loss(mhat_small, batch).data) == float(mhat_loss(mhat_small, batch, 0.1).data)
 
-    def test_alpha_validation(self):
-        with pytest.raises(ConfigError):
-            LossConfig(alpha=-1.0)
-        with pytest.raises(ConfigError):
-            LossConfig(alpha=float("nan"))
+    def test_alpha_validation(self, mhat_small, rng):
+        batch = [random_utterance(rng, t_len=3)]
+        for alpha in (-1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match="alpha must be finite and >= 0"):
+                mhat_loss(mhat_small, batch, alpha)
 
     def test_encoder_grads_unchanged_by_ilm_term(self, mhat_small, rng):
         batch = [random_utterance(rng, t_len=3)]
@@ -86,7 +88,7 @@ class TestMhatLoss:
             for n in mhat_small.params.group_names("encoder")
         }
         mhat_small.params.zero_grads()
-        mhat_loss(mhat_small, batch, LossConfig(alpha=0.1)).backward()
+        mhat_loss(mhat_small, batch, 0.1).backward()
         for n, g in hat_grads.items():
             np.testing.assert_array_equal(mhat_small.params[n].grad, g)
 

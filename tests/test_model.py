@@ -11,7 +11,6 @@ from mhat.model import (
     MhatModel,
     VocabError,
     Vocabulary,
-    alignment_arc_log_probs,
     bigram_contexts,
     context_counts,
     context_of,
@@ -238,21 +237,6 @@ class TestHeads:
         l = np.log([0.5, 0.5])
         np.testing.assert_allclose(label_posterior(a, l).data, np.log([0.8, 0.2]), atol=1e-12)
 
-    def test_arc_log_probs_expansion(self):
-        arcs = alignment_arc_log_probs(0.25, np.log([0.6, 0.4]))
-        np.testing.assert_allclose(np.exp(arcs), [0.25, 0.45, 0.30], atol=1e-12)
-
-    def test_arc_log_probs_degenerate_blank(self):
-        arcs = alignment_arc_log_probs(1.0, np.log([0.6, 0.4]))
-        assert arcs[0] == 0.0
-        assert np.all(arcs[1:] == -np.inf)
-
-    def test_arc_log_probs_normalized(self, rng):
-        for _ in range(100):
-            b = float(rng.uniform(0.01, 0.99))
-            lab = nm.log_softmax(rng.standard_normal(5)).data
-            assert abs(np.exp(alignment_arc_log_probs(b, lab)).sum() - 1.0) <= 1e-12
-
 
 class TestHatHeads:
     def test_zeroed_heads(self, hat_small, rng):
@@ -323,7 +307,7 @@ class TestStructuralInvariances:
 
     def test_zero_bias_golden_formulas(self, rng):
         m = small_mhat(seed=7)
-        for name in m.params.names():
+        for name in m.params.entries:
             if name.endswith("bias"):
                 m.params[name].data[...] = 0.0
         f = rng.standard_normal(8)
@@ -350,7 +334,7 @@ class TestStructuralInvariances:
         )
 
         h = small_hat(seed=7)
-        for name in h.params.names():
+        for name in h.params.entries:
             if name.endswith("bias"):
                 h.params[name].data[...] = 0.0
         g = h.decode_state(prefix).data
@@ -371,11 +355,11 @@ class TestStructuralInvariances:
         counts = m.param_counts()
         assert counts["total"] == sum(counts[g] for g in ("encoder", "blank_branch", "ilm"))
         blank_dec = sum(
-            m.params[n].size for n in m.params.names() if n.startswith("blank_decoder")
+            m.params[n].size for n in m.params.entries if n.startswith("blank_decoder")
         )
         label_dec = sum(
             m.params[n].size
-            for n in m.params.names()
+            for n in m.params.entries
             if n.startswith(("label_decoder", "ilm_proj"))
         )
         assert blank_dec < 0.15 * label_dec

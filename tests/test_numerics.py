@@ -313,14 +313,6 @@ class TestParameterSet:
         assert p.checksum() != c0
         assert p.checksum(["encoder"]) == p.checksum(["encoder"])
 
-    def test_snapshot_roundtrip(self):
-        p = ParameterSet()
-        p.add("a", np.arange(4.0), "ilm")
-        snap = p.snapshot(["ilm"])
-        p["a"].data[:] = 0
-        p.load_snapshot(snap)
-        np.testing.assert_array_equal(p["a"].data, np.arange(4.0))
-
 
 class TestGradientCheck:
     def test_quadratic(self, rng):

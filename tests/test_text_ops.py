@@ -19,7 +19,7 @@ from mhat.adapt import IlmaConfig, ilm_snapshot, ilma_loss, run_ilma
 from mhat.evalcli import ExperimentConfig, build_hat, build_mhat, make_experiment_data
 from mhat.extlm import ExternalLm, LmTrainConfig, lm_loss, lm_perplexity, train_lm
 from mhat.lattice import canonical_order
-from mhat.losses import LossConfig, ilm_loss, mhat_loss, perplexity, text_nll
+from mhat.losses import ilm_loss, mhat_loss, perplexity, text_nll
 from mhat.model import EmbeddingDecoder, VocabError, context_counts
 from mhat.numerics import ParameterSet, Tensor
 from mhat.training import TrainConfig, train_asr
@@ -205,7 +205,7 @@ class TestLossesOracle:
         def case(batch):
             def build():
                 m = build_mhat(CFG, exp.vocab)
-                return m.params, mhat_loss(m, batch, LossConfig(alpha=0.1))
+                return m.params, mhat_loss(m, batch, 0.1)
 
             return build
 

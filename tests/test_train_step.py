@@ -18,7 +18,7 @@ from mhat import model as model_mod
 from mhat import numerics as nm
 from mhat.evalcli import ExperimentConfig, build_hat, build_mhat, make_experiment_data
 from mhat.lattice import canonical_order, hat_loss
-from mhat.losses import LossConfig, mhat_loss
+from mhat.losses import mhat_loss
 from mhat.model import ConfigError, Encoder, EncoderConfig, lattice_cells
 from mhat.numerics import EvaluationError, ParameterSet, Tensor
 from mhat.training import TrainConfig, train_asr
@@ -297,7 +297,7 @@ class TestWindowsOracle:
 
 def loss_fn(kind):
     if kind == "mhat":
-        return lambda m, batch: mhat_loss(m, batch, LossConfig(alpha=0.1))
+        return lambda m, batch: mhat_loss(m, batch, 0.1)
     return hat_loss
 
 

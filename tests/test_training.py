@@ -73,7 +73,7 @@ def test_non_finite_loss_names_epoch_and_batch(rng):
 @pytest.mark.parametrize(
     "field, value",
     [("batch_size", 0), ("batch_size", -2), ("epochs", -1), ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
-     ("lr", float("inf"))],
+     ("lr", float("inf")), ("alpha", -1.0), ("alpha", float("nan")), ("alpha", float("inf"))],
 )
 def test_bad_config_rejected_naming_the_field(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must"):
