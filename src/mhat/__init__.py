@@ -67,6 +67,19 @@ from .training import TrainConfig, train_asr
 __version__ = "0.1.0"
 
 
+def _numpy_openblas() -> ctypes.CDLL:
+    """numpy's bundled OpenBLAS, loaded: the wheel's `numpy.libs` library that
+    carries `scipy_openblas_set_num_threads64_`.  Raises ImportError when
+    numpy carries no such OpenBLAS."""
+    setter = "scipy_openblas_set_num_threads64_"
+    pattern = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "libscipy_openblas64_-*.so")
+    for path in glob.glob(pattern):
+        lib = ctypes.CDLL(path)
+        if getattr(lib, setter, None) is not None:
+            return lib
+    raise ImportError(f"mhat pins numpy's OpenBLAS to one thread, but found no {setter} in {pattern}")
+
+
 def _one_blas_thread() -> None:
     """Run numpy's bundled OpenBLAS on one thread, for the whole process.
 
@@ -75,15 +88,9 @@ def _one_blas_thread() -> None:
     would depend on `OPENBLAS_NUM_THREADS`.  Raises ImportError when numpy
     carries no such OpenBLAS, rather than run unpinned.
     """
-    setter = "scipy_openblas_set_num_threads64_"
-    pattern = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "libscipy_openblas64_-*.so")
-    for path in glob.glob(pattern):
-        fn = getattr(ctypes.CDLL(path), setter, None)
-        if fn is not None:
-            fn.argtypes, fn.restype = [ctypes.c_int], None
-            fn(1)
-            return
-    raise ImportError(f"mhat pins numpy's OpenBLAS to one thread, but found no {setter} in {pattern}")
+    fn = _numpy_openblas().scipy_openblas_set_num_threads64_
+    fn.argtypes, fn.restype = [ctypes.c_int], None
+    fn(1)
 
 
 _one_blas_thread()

@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .losses import context_table, ilm_loss, perplexity
-from .model import ConfigError, MhatModel
+from .losses import batch_table, context_table, event_codes, ilm_loss, perplexity
+from .model import ConfigError, ContextTable, MhatModel
 from .numerics import Tensor
 from .training import Sgd, check_schedule
 
@@ -86,16 +86,17 @@ def ilma_loss(
     each context's token count times the teacher's full distribution (an
     exact expectation, not samples), which makes rho=1 exactly stationary
     at the snapshot parameters.  rho=0 returns `ilm_loss` itself.
+    `transcripts` may also be the batch's `ContextTable`.
     """
     if not (0.0 <= rho <= 1.0):
         raise ConfigError(f"rho must lie in [0, 1], got {rho}")
     if rho == 0.0:
         return ilm_loss(model, transcripts)
-    if any(len(y) == 0 for y in transcripts):
+    if not isinstance(transcripts, ContextTable) and any(len(y) == 0 for y in transcripts):
         raise ConfigError("ilma_loss requires non-empty transcripts")
-    if not transcripts:
+    ctx, counts = batch_table(model, transcripts)
+    if not len(ctx):
         return Tensor(0.0)
-    ctx, counts = context_table(model, transcripts)
     with nm.no_grad():
         teacher_probs = np.exp(teacher.context_log_prob_rows(ctx).data)
     weights = (1.0 - rho) * counts + rho * counts.sum(axis=1, keepdims=True) * teacher_probs
@@ -111,8 +112,11 @@ def run_ilma(
 ) -> AdaptReport:
     """Adapt the internal LM on text; mutates only group-"ilm" tensors.
 
-    `corpus` may be a data.Corpus or a plain list of token sequences.  A
-    NaN or infinite step loss raises EvaluationError naming the step.
+    `corpus` may be a data.Corpus or a plain list of token sequences.  All
+    steps' picks are drawn first and their context tables built in one pass,
+    so a token id outside the vocabulary raises VocabError before any
+    parameter moves.  A NaN or infinite step loss raises EvaluationError
+    naming the step.
     """
     transcripts = [it.tokens for it in corpus.items] if hasattr(corpus, "items") else list(corpus)
     transcripts = [y for y in transcripts if len(y) > 0]
@@ -125,28 +129,32 @@ def run_ilma(
             stacklevel=2,
         )
 
+    rng = np.random.default_rng(cfg.seed)
+    size = min(cfg.batch_size, len(transcripts))
+    picks = [rng.choice(len(transcripts), size=size, replace=False) for _ in range(cfg.steps)]
+    tables = event_codes(model, transcripts).tables(picks)
+    source = context_table(model, heldout_source) if heldout_source else None
+    target = context_table(model, heldout_target) if heldout_target else None
+
     report = AdaptReport(rho=cfg.rho, steps=cfg.steps)
-    if heldout_source:
-        report.source_ppl_before = perplexity(model, heldout_source)
-    if heldout_target:
-        report.target_ppl_before = perplexity(model, heldout_target)
+    if source is not None:
+        report.source_ppl_before = perplexity(model, source)
+    if target is not None:
+        report.target_ppl_before = perplexity(model, target)
 
     teacher = ilm_snapshot(model)
     ilm_tensors = [(n, model.params[n]) for n in model.params.group_names("ilm")]
     opt = Sgd(ilm_tensors, cfg.lr)
-    rng = np.random.default_rng(cfg.seed)
-    for step in range(cfg.steps):
-        picks = rng.choice(len(transcripts), size=min(cfg.batch_size, len(transcripts)), replace=False)
-        batch = [transcripts[i] for i in picks]
-        loss = ilma_loss(model, teacher, batch, cfg.rho)
+    for step, table in enumerate(tables):
+        loss = ilma_loss(model, teacher, table, cfg.rho)
         nm.check_finite(loss, f"step {step + 1}")
         model.params.zero_grads()
         loss.backward()
         opt.step()
         report.loss_curve.append(float(loss.data))
 
-    if heldout_source:
-        report.source_ppl_after = perplexity(model, heldout_source)
-    if heldout_target:
-        report.target_ppl_after = perplexity(model, heldout_target)
+    if source is not None:
+        report.source_ppl_after = perplexity(model, source)
+    if target is not None:
+        report.target_ppl_after = perplexity(model, target)
     return report

@@ -13,14 +13,14 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .losses import text_nll, text_perplexity
+from .losses import batch_table, event_codes, text_nll, text_perplexity
 from .model import (
     ConfigError,
     ContextRows,
+    ContextTable,
     EmbeddingDecoder,
     Vocabulary,
     bigram_contexts,
-    context_of,
 )
 from .numerics import ParameterSet, Tensor
 from .training import Adam, check_schedule
@@ -58,14 +58,6 @@ class ExternalLm:
         """Log-prob rows over tokens+EOS for every step, incl. the EOS step: (U+1, |V|+1)."""
         self.vocab.check_ids(tokens)
         return self.context_log_prob_rows(bigram_contexts(tokens, self.vocab.sos_id))
-
-    def next_log_probs(self, prefix: Sequence[int]) -> np.ndarray:
-        """Distribution over the next event (tokens + EOS) after a prefix."""
-        self.vocab.check_ids(prefix)
-        ctx = context_of(prefix, self.vocab.sos_id)
-        g = self.decoder.output_np(ctx)
-        z = self.out_w.data @ g + self.out_b.data
-        return z - nm.log_sum_exp(z)
 
     def sentence_log_prob(self, tokens: Sequence[int]) -> float:
         """Full sentence log-prob including the terminating EOS event."""
@@ -134,19 +126,24 @@ class LmTrainConfig:
         check_schedule(self.batch_size, self.lr, ("epochs", self.epochs))
 
 
-def lm_loss(lm: ExternalLm, transcripts: Sequence[Sequence[int]]) -> Tensor:
-    """Summed sentence NLL with EOS appended, over the batch's context table."""
-    return text_nll(lm, transcripts, lm.eos_id)
+def lm_loss(lm: ExternalLm, transcripts: Sequence[Sequence[int]] | ContextTable) -> Tensor:
+    """Summed sentence NLL with EOS appended, over the batch's context table
+    (`transcripts` may be that table)."""
+    return text_nll(lm, batch_table(lm, transcripts, lm.eos_id))
 
 
-def lm_perplexity(lm: ExternalLm, transcripts: Sequence[Sequence[int]]) -> float:
-    """exp(mean NLL per event), the EOS event included."""
-    return text_perplexity(lm, transcripts, lm.eos_id)
+def lm_perplexity(lm: ExternalLm, transcripts: Sequence[Sequence[int]] | ContextTable) -> float:
+    """exp(mean NLL per event), the EOS event included (`transcripts` may be
+    their context table)."""
+    return text_perplexity(lm, batch_table(lm, transcripts, lm.eos_id))
 
 
 def train_lm(corpus, cfg: LmTrainConfig = LmTrainConfig()) -> tuple[ExternalLm, float]:
     """Train an untied external LM with Adam; returns (lm, final perplexity).
 
+    Every sentence's context codes are encoded once, before the first step,
+    so a token id outside the vocabulary raises VocabError before any
+    parameter moves; each epoch's batch tables come from one sort of them.
     A NaN or infinite batch loss raises EvaluationError naming the epoch
     and batch.
     """
@@ -154,15 +151,16 @@ def train_lm(corpus, cfg: LmTrainConfig = LmTrainConfig()) -> tuple[ExternalLm, 
     if not transcripts:
         raise ConfigError("LM training corpus is empty")
     lm = ExternalLm(corpus.vocab, embed_dim=cfg.embed_dim, seed=cfg.seed)
+    codes = event_codes(lm, transcripts, lm.eos_id)
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(list(lm.params.entries.items()), cfg.lr)
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(transcripts))
-        for start in range(0, len(transcripts), cfg.batch_size):
-            chunk = [transcripts[i] for i in order[start : start + cfg.batch_size]]
-            loss = lm_loss(lm, chunk)
-            nm.check_finite(loss, f"epoch {epoch + 1}, batch {start // cfg.batch_size + 1}")
+        batches = [order[start : start + cfg.batch_size] for start in range(0, len(transcripts), cfg.batch_size)]
+        for batch, table in enumerate(codes.tables(batches)):
+            loss = lm_loss(lm, table)
+            nm.check_finite(loss, f"epoch {epoch + 1}, batch {batch + 1}")
             lm.params.zero_grads()
             loss.backward()
             opt.step()
-    return lm, lm_perplexity(lm, transcripts)
+    return lm, lm_perplexity(lm, next(codes.tables([np.arange(len(transcripts))])))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numerics as nm
 from .lattice import hat_loss
-from .model import ConfigError, HatModel, MhatModel, context_counts
+from .model import ConfigError, ContextTable, EventCodes, HatModel, MhatModel, context_counts
 from .numerics import Tensor
 
 
@@ -26,23 +26,35 @@ def check_alpha(alpha: float) -> None:
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
 
 
-def context_table(model_or_lm, transcripts: Sequence[Sequence[int]], eos_id: int | None = None):
+def context_table(model_or_lm, transcripts: Sequence[Sequence[int]], eos_id: int | None = None) -> ContextTable:
     """`context_counts` over the model's tokens, plus `eos_id` when given."""
     vocab = model_or_lm.vocab
     return context_counts(transcripts, vocab.sos_id, vocab.size + (eos_id is not None), eos_id)
 
 
-def text_nll(model_or_lm, transcripts: Sequence[Sequence[int]], eos_id: int | None = None) -> Tensor:
-    """Summed next-event NLL of a batch, scored once per distinct context."""
-    if not transcripts:
+def event_codes(model_or_lm, transcripts: Sequence[Sequence[int]], eos_id: int | None = None) -> EventCodes:
+    """`EventCodes` over the model's tokens, plus `eos_id` when given."""
+    vocab = model_or_lm.vocab
+    return EventCodes(transcripts, vocab.sos_id, vocab.size + (eos_id is not None), eos_id)
+
+
+def batch_table(model_or_lm, batch, eos_id: int | None = None) -> ContextTable:
+    """`batch` itself when it is a ContextTable, else the `context_table` of its sentences."""
+    return batch if isinstance(batch, ContextTable) else context_table(model_or_lm, batch, eos_id)
+
+
+def text_nll(model_or_lm, table: ContextTable) -> Tensor:
+    """Summed next-event NLL of a batch's context table, scored once per
+    distinct context; a table with no events sums to a plain 0."""
+    ctx, counts = table
+    if not len(ctx):
         return Tensor(0.0)
-    ctx, counts = context_table(model_or_lm, transcripts, eos_id)
     return nm.log_softmax_nll(model_or_lm.context_logits(ctx), counts)
 
 
-def text_perplexity(model_or_lm, transcripts: Sequence[Sequence[int]], eos_id: int | None = None) -> float:
-    """exp(mean per-event NLL) over the batch's context table; no graph."""
-    ctx, counts = context_table(model_or_lm, transcripts, eos_id)
+def text_perplexity(model_or_lm, table: ContextTable) -> float:
+    """exp(mean per-event NLL) over a batch's context table; no graph."""
+    ctx, counts = table
     events = int(counts.sum())
     if events == 0:
         raise ConfigError("perplexity requires at least one scored event")
@@ -58,11 +70,12 @@ def ilm_loss(model: MhatModel, transcripts: Sequence[Sequence[int]]) -> Tensor:
     Takes no acoustic input and touches only group-"ilm" parameters.
     There is no end-of-sentence event: the transducer's blank head owns
     termination.  The sum runs over the batch's context-count table, so
-    it is bit-exact under batch permutation.
+    it is bit-exact under batch permutation.  `transcripts` may also be
+    that `ContextTable`.
     """
-    if any(len(y) == 0 for y in transcripts):
+    if not isinstance(transcripts, ContextTable) and any(len(y) == 0 for y in transcripts):
         raise ConfigError("ilm_loss requires non-empty transcripts")
-    return text_nll(model, transcripts)
+    return text_nll(model, batch_table(model, transcripts))
 
 
 def mhat_loss(
@@ -93,6 +106,7 @@ def perplexity(model_or_lm, transcripts: Sequence[Sequence[int]]) -> float:
     For an MHAT model this scores the internal LM; for an external LM it
     scores token events under the full token+EOS distribution without
     counting EOS events, keeping the two comparable.  Empty transcripts
-    hold no events and count for nothing.
+    hold no events and count for nothing.  `transcripts` may also be their
+    `ContextTable` (without EOS).
     """
-    return text_perplexity(model_or_lm, transcripts)
+    return text_perplexity(model_or_lm, batch_table(model_or_lm, transcripts))

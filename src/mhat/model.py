@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,38 +128,89 @@ def _token_array(transcripts: Sequence[Sequence[int]], sos_id: int) -> tuple[np.
     return lengths, toks
 
 
+class ContextTable(NamedTuple):
+    """One batch's next-event counts, one row per distinct decoder context.
+
+    `contexts` holds the distinct (prev2, prev1) pairs in ascending order,
+    (k, 2); `counts[i, y]` is how often event y follows context i, (k, n_out).
+    """
+
+    contexts: np.ndarray
+    counts: np.ndarray
+
+
+class EventCodes:
+    """Every sentence's (context, event) codes, encoded once per call.
+
+    A sentence's events are its labels in order, plus one event `eos_id`
+    after its last label when `eos_id` is given; each follows the
+    SOS-padded last two labels before it, (prev2, prev1), and its code is
+    (prev2 * width + prev1) * n_out + event, width = sos_id + 1.  Every token
+    id of `transcripts` must lie in [0, sos_id); all are checked here.
+    """
+
+    def __init__(
+        self, transcripts: Sequence[Sequence[int]], sos_id: int, n_out: int, eos_id: int | None = None
+    ):
+        lengths, toks = _token_array(transcripts, sos_id)
+        if eos_id is not None:  # one end event after each sentence's last label
+            toks = np.insert(toks, np.cumsum(lengths), eos_id)
+            lengths = lengths + 1
+        # event i follows the first pos[i] labels of its sentence, whose
+        # last two are padded[i + 1] and padded[i]
+        self.starts = np.cumsum(lengths) - lengths
+        pos = np.arange(toks.size) - np.repeat(self.starts, lengths)
+        padded = np.concatenate([[sos_id, sos_id], toks])
+        prev1 = np.where(pos >= 1, padded[1:-1], sos_id)
+        prev2 = np.where(pos >= 2, padded[:-2], sos_id)
+        self.width, self.n_out, self.lengths = sos_id + 1, n_out, lengths
+        self.code = (prev2 * self.width + prev1) * n_out + toks
+
+    def tables(self, batches: Sequence[np.ndarray]) -> Iterator[ContextTable]:
+        """The `ContextTable` of each batch in turn, from one sort.
+
+        `batches[b]` holds the indices of batch b's sentences, and a sentence
+        may sit in many batches.  The codes of all batches are sorted in one
+        pass keyed by (batch, code); each table is then sliced out and counted,
+        and depends only on its batch's multiset of sentences.
+        """
+        span = self.width * self.width * self.n_out
+        if len(batches) * span > 2**63:
+            raise ConfigError(f"{len(batches)} batches at |V|={self.width - 1} overflow the int64 sort keys")
+        # every batch's events, batch by batch: slot j holds sentence sent[j]
+        sent = np.concatenate([np.zeros(0, dtype=np.int64), *batches])
+        slot_events = self.lengths[sent]
+        slot_end = np.concatenate([[0], np.cumsum(slot_events)])
+        event_off = slot_end[np.concatenate([[0], np.cumsum([len(b) for b in batches], dtype=np.int64)])]
+        batch = np.repeat(np.arange(len(batches)), np.diff(event_off))
+        key = self.code[np.repeat(self.starts[sent] - slot_end[:-1], slot_events) + np.arange(slot_end[-1])]
+        key += batch * span
+        # sorting ranks each batch's contexts in ascending order, and batch
+        # b's events keep their place [event_off[b], event_off[b + 1])
+        key.sort()
+        row_key, event = np.divmod(key, self.n_out)
+        new_row = np.ones(row_key.size, dtype=bool)
+        new_row[1:] = row_key[1:] != row_key[:-1]
+        rows = np.cumsum(new_row)
+        row_off = np.concatenate([[0], rows])[event_off]
+        ctx = row_key[new_row] % (self.width * self.width)
+        contexts = np.stack([ctx // self.width, ctx % self.width], axis=1)
+        cell = (rows - 1 - row_off[batch]) * self.n_out + event  # each event's cell in its batch's table
+        for b in range(len(batches)):
+            k = row_off[b + 1] - row_off[b]
+            counts = np.bincount(cell[event_off[b] : event_off[b + 1]], minlength=k * self.n_out)
+            yield ContextTable(contexts[row_off[b] : row_off[b + 1]], counts.reshape(k, self.n_out))
+
+
 def context_counts(
     transcripts: Sequence[Sequence[int]], sos_id: int, n_out: int, eos_id: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Next-event counts of a batch, one row per distinct decoder context.
+) -> ContextTable:
+    """The `ContextTable` of one batch: `EventCodes.tables` of that one batch.
 
-    Returns (contexts, counts): `contexts` holds the distinct (prev2, prev1)
-    pairs in ascending order, (k, 2); `counts[i, y]` is how often event y
-    follows context i, (k, n_out).  With `eos_id`, every sentence adds one
-    event `eos_id` at its final context.  Token ids must lie in [0, sos_id).
-    The table depends only on the multiset of sentences, not their order.
+    Token ids must lie in [0, sos_id); with `eos_id`, every sentence adds
+    one event `eos_id` at its final context.
     """
-    lengths, toks = _token_array(transcripts, sos_id)
-    # event i follows the first pos[i] labels of its sentence; the last two
-    # of them are padded[at[i] + 1] and padded[at[i]]
-    ends = np.cumsum(lengths)
-    pos = np.arange(toks.size) - np.repeat(ends - lengths, lengths)
-    at, nxt = np.arange(toks.size), toks
-    if eos_id is not None:  # one end event after each sentence's last label
-        pos, at = np.concatenate([pos, lengths]), np.concatenate([at, ends])
-        nxt = np.concatenate([nxt, np.full(lengths.size, eos_id, dtype=np.int64)])
-    padded = np.concatenate([[sos_id, sos_id], toks])
-    prev1 = np.where(pos >= 1, padded[at + 1], sos_id)
-    prev2 = np.where(pos >= 2, padded[at], sos_id)
-    width = sos_id + 1
-    # sorting the (context, event) codes ranks the contexts in ascending
-    # order; the cost is O(events log events + contexts * n_out) at any |V|
-    ctx_key, event = np.divmod(np.sort((prev2 * width + prev1) * n_out + nxt), n_out)
-    new_ctx = np.ones(ctx_key.size, dtype=bool)
-    new_ctx[1:] = ctx_key[1:] != ctx_key[:-1]
-    keys = ctx_key[new_ctx]
-    counts = np.bincount((np.cumsum(new_ctx) - 1) * n_out + event, minlength=keys.size * n_out)
-    return np.stack([keys // width, keys % width], axis=1), counts.reshape(keys.size, n_out)
+    return next(EventCodes(transcripts, sos_id, n_out, eos_id).tables([np.arange(len(transcripts))]))
 
 
 @dataclass(frozen=True)
@@ -295,9 +346,10 @@ class Encoder:
             self.weights.append((w, b))
             d_in = cfg.d_f
 
-    def windows(self, xs: list[np.ndarray]) -> np.ndarray:
-        """The zero-padded (2c+1)-frame windows of every frame of a list of
-        (T, d_x) utterances, stacked, from one gather."""
+    def frames(self, xs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """The frames of a list of (T, d_x) utterances, stacked, and their
+        lengths.  Raises ConfigError on a wrong shape or a non-finite feature,
+        naming the frame within its utterance."""
         xs = [np.asarray(x, dtype=np.float64) for x in xs]
         for x in xs:
             if x.ndim != 2 or x.shape[1] != self.cfg.d_x:
@@ -306,11 +358,17 @@ class Encoder:
                 )
         X = np.concatenate(xs)
         t_lens = np.array([len(x) for x in xs])
-        b = np.repeat(np.arange(len(xs)), t_lens)
         if not np.isfinite(X).all():
             i, d = np.argwhere(~np.isfinite(X))[0]
-            t = i - (np.cumsum(t_lens) - t_lens)[b[i]]
-            raise ConfigError(f"non-finite feature {X[i, d]!r} at frame {t}")
+            t = i - (np.cumsum(t_lens) - t_lens)[np.repeat(np.arange(len(xs)), t_lens)[i]]
+            raise ConfigError(f"non-finite feature {float(X[i, d])!r} at frame {t}")
+        return X, t_lens
+
+    def windows(self, xs: list[np.ndarray]) -> np.ndarray:
+        """The zero-padded (2c+1)-frame windows of every frame of a list of
+        (T, d_x) utterances, stacked, from one gather."""
+        X, t_lens = self.frames(xs)
+        b = np.repeat(np.arange(len(xs)), t_lens)
         # utterance b's frames sit between c zero rows of their own on each side
         c = self.cfg.context
         rows = np.arange(len(X)) + c * (2 * b + 1)

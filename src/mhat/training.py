@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -127,14 +128,19 @@ def train_asr(
 
     Returns the per-epoch mean loss per utterance.  Deterministic under a
     fixed seed: shuffling, batching, and reductions are all seeded or
-    order-canonical.  A NaN or infinite batch loss raises EvaluationError
-    naming the epoch and batch, before any parameter moves on it.
+    order-canonical.  Every feature array and transcript is checked before
+    the first step: a wrong shape or non-finite feature raises ConfigError,
+    a token id outside the vocabulary VocabError.  A NaN or infinite batch
+    loss raises EvaluationError naming the epoch and batch, before any
+    parameter moves on it.
     """
     if isinstance(model, HatModel) and cfg.alpha != 0.0:
         raise ConfigError("internal-LM loss weight applies to MHAT only")
     items = list(batch_items)
     if not items:
         raise ConfigError("training corpus is empty")
+    model.encoder.frames([x for x, _ in items])
+    model.vocab.check_ids(itertools.chain.from_iterable(y for _, y in items))
     rng = np.random.default_rng(cfg.seed)
     opt = make_optimizer(list(model.params.entries.items()), cfg)
     curve: list[float] = []

@@ -17,7 +17,6 @@ Print the digests of a run's output directory as JSON:
 """
 
 import ctypes
-import glob
 import hashlib
 import json
 import os
@@ -25,14 +24,15 @@ import sys
 
 import numpy as np
 
+import mhat
+
 EVERY_MACHINE = ("data/", "decodes/", "reports/ilma_report.txt", "reports/wer_matrix.tsv")
 DECODE_COLUMNS = 3  # uid, token ids and text of a decode record
 
 
 def blas_key() -> str:
     """'numpy <version> | OpenBLAS <version> | <kernel>' of numpy's bundled OpenBLAS."""
-    pattern = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "libscipy_openblas64_-*.so")
-    lib = ctypes.CDLL(glob.glob(pattern)[0])
+    lib = mhat._numpy_openblas()
     config, core = lib.scipy_openblas_get_config64_, lib.scipy_openblas_get_corename64_
     for fn in (config, core):
         fn.argtypes, fn.restype = [], ctypes.c_char_p

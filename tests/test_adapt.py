@@ -9,7 +9,7 @@ from conftest import small_mhat
 from mhat.adapt import IlmaConfig, ilm_snapshot, ilma_loss, run_ilma
 from mhat.data import Corpus, Utterance, Vocabulary, confusable_pair_domains, gen_corpus
 from mhat.losses import ilm_loss, perplexity
-from mhat.model import ConfigError, EncoderConfig, MhatModel
+from mhat.model import ConfigError, EncoderConfig, MhatModel, VocabError
 from mhat.numerics import EvaluationError
 
 
@@ -155,6 +155,18 @@ class TestRunIlma:
         mhat_small.trained_alpha = 0.1
         with pytest.raises(ConfigError):
             run_ilma(mhat_small, text_corpus(mhat_small.vocab, []), IlmaConfig(steps=1))
+
+    @pytest.mark.parametrize("steps", [3, 200])
+    def test_bad_token_rejected_before_any_step(self, steps):
+        # at 3 steps no batch picks the bad sentence; at 200 a later one does
+        m = small_mhat(vocab_size=16)
+        m.trained_alpha = 0.1
+        seqs = [list(y) for y in self._corpus(m.vocab).transcripts()]
+        seqs[7] = [3, 99, 1]
+        before = m.params.checksum()
+        with pytest.raises(VocabError, match=r"^token id 99 out of range for \|V\|=16$"):
+            run_ilma(m, seqs, IlmaConfig(steps=steps, batch_size=2))
+        assert m.params.checksum() == before
 
     def test_report_perplexities(self, mhat_small):
         mhat_small.trained_alpha = 0.1

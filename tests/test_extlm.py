@@ -5,13 +5,19 @@ import pytest
 
 from mhat.data import Corpus, Utterance, save_checkpoint
 from mhat.extlm import ExternalLm, LmTrainConfig, lm_loss, lm_perplexity, train_lm
-from mhat.model import ConfigError, EncoderConfig, MhatModel, VocabError, Vocabulary
+from mhat.model import ConfigError, EncoderConfig, MhatModel, VocabError, Vocabulary, context_of
 from mhat.numerics import EvaluationError, log_sum_exp
+from mhat.training import Adam
 
 
 def text_corpus(vocab, seqs):
     items = tuple(Utterance(uid=f"u{i}", features=None, tokens=tuple(s)) for i, s in enumerate(seqs))
     return Corpus(split="train", seed=0, vocab=vocab, items=items)
+
+
+def next_log_probs(lm, prefix):
+    """The LM's next-event row (tokens + EOS) after a prefix, from its scorer."""
+    return lm.scorer().next_log_probs(context_of(prefix, lm.vocab.sos_id))
 
 
 def random_sentences(rng, n, vocab_size, max_len=8):
@@ -25,27 +31,21 @@ class TestScoring:
         for name in lm.params.entries:
             lm.params[name].data[...] = 0.0
         for next_id in range(6):
-            assert lm.next_log_probs([1, 2])[next_id] == pytest.approx(-math.log(6), abs=1e-12)
+            assert next_log_probs(lm, [1, 2])[next_id] == pytest.approx(-math.log(6), abs=1e-12)
 
     def test_distribution_sums_to_one(self, rng):
         lm = ExternalLm(Vocabulary.default(4), embed_dim=8, seed=3)
         for _ in range(20):
             prefix = [int(i) for i in rng.integers(0, 4, size=rng.integers(0, 4))]
-            assert abs(np.exp(lm.next_log_probs(prefix)).sum() - 1.0) <= 1e-12
+            assert abs(np.exp(next_log_probs(lm, prefix)).sum() - 1.0) <= 1e-12
 
     def test_sentence_log_prob_includes_eos(self):
         lm = ExternalLm(Vocabulary.default(3), embed_dim=4, seed=0)
         y = [0, 2]
         manual = (
-            lm.next_log_probs([])[0] + lm.next_log_probs([0])[2] + lm.next_log_probs([0, 2])[lm.eos_id]
+            next_log_probs(lm, [])[0] + next_log_probs(lm, [0])[2] + next_log_probs(lm, [0, 2])[lm.eos_id]
         )
         assert lm.sentence_log_prob(y) == pytest.approx(manual, abs=1e-12)
-
-    def test_scorer_cache_matches_direct_scoring(self):
-        lm = ExternalLm(Vocabulary.default(4), embed_dim=8, seed=1)
-        sc = lm.scorer()
-        np.testing.assert_array_equal(sc.next_log_probs((4, 2)), lm.next_log_probs([2]))
-        np.testing.assert_array_equal(sc.next_log_probs((1, 3)), lm.next_log_probs([0, 1, 3]))
 
 
 class TestSharedCodePath:
@@ -88,7 +88,7 @@ class TestTraining:
             seqs.append(s)
         lm, _ = train_lm(text_corpus(vocab, seqs), LmTrainConfig(embed_dim=16, epochs=60, lr=5e-3, seed=0))
         for prev2 in range(5):
-            p = math.exp(lm.next_log_probs([prev2, 0])[1])
+            p = math.exp(next_log_probs(lm, [prev2, 0])[1])
             assert p > 0.9
 
     def test_repeated_sentence_memorization(self):
@@ -100,6 +100,16 @@ class TestTraining:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
             train_lm(text_corpus(Vocabulary.default(4), []), LmTrainConfig(epochs=1))
+
+    def test_bad_token_rejected_before_any_step(self, rng, monkeypatch):
+        # the bad sentence sits in a later batch of the first epoch
+        steps = []
+        monkeypatch.setattr(Adam, "step", lambda opt: steps.append(opt.t))
+        seqs = random_sentences(rng, 40, 4)
+        seqs[-1] = [0, 4, 1]
+        with pytest.raises(VocabError, match=r"^token id 4 out of range for \|V\|=4$"):
+            train_lm(text_corpus(Vocabulary.default(4), seqs), LmTrainConfig(embed_dim=4, epochs=2, batch_size=4))
+        assert steps == []
 
     @pytest.mark.parametrize(
         "field, value",

@@ -1,6 +1,9 @@
 """The text path against the pieces it replaced (tests/reference_engine.py).
 
-`context_counts` must give byte-identical tables, and every text loss,
+`context_counts` must give byte-identical tables, and so must every table
+of one call's pass (`EventCodes.tables`); `train_lm` and `run_ilma` built
+on those tables must end byte-identical to their per-step loops
+(tests/reference_text.py).  Every text loss,
 now `embed_affine` into `log_softmax_nll`, must give byte-identical values
 and gradients to the graph of row gathers, concat, affine map,
 `log_softmax` and `table_nll` it replaced.  Whole training runs with the
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 
 import reference_engine as ref
+import reference_text
 from mhat import losses as losses_mod
 from mhat import model as model_mod
 from mhat import numerics as nm
@@ -19,8 +23,9 @@ from mhat.adapt import IlmaConfig, ilm_snapshot, ilma_loss, run_ilma
 from mhat.evalcli import ExperimentConfig, build_hat, build_mhat, make_experiment_data
 from mhat.extlm import ExternalLm, LmTrainConfig, lm_loss, lm_perplexity, train_lm
 from mhat.lattice import canonical_order
-from mhat.losses import ilm_loss, mhat_loss, perplexity, text_nll
-from mhat.model import EmbeddingDecoder, VocabError, context_counts
+from mhat.losses import context_table, ilm_loss, mhat_loss, perplexity, text_nll
+from mhat.data import Corpus, Utterance
+from mhat.model import ContextTable, EmbeddingDecoder, EventCodes, VocabError, context_counts
 from mhat.numerics import ParameterSet, Tensor
 from mhat.training import TrainConfig, train_asr
 
@@ -46,7 +51,7 @@ def old_text(monkeypatch):
     def install():
         monkeypatch.setattr(EmbeddingDecoder, "outputs", ref.outputs)
         monkeypatch.setattr(nm, "log_softmax_nll", ref.log_softmax_nll)
-        monkeypatch.setattr(losses_mod, "context_counts", ref.context_counts)
+        monkeypatch.setattr(losses_mod, "context_counts", lambda *args: ContextTable(*ref.context_counts(*args)))
         monkeypatch.setattr(model_mod, "_token_array", ref._token_array)
 
     return install
@@ -217,7 +222,7 @@ class TestLossesOracle:
         def case(batch):
             def build():
                 m = build_hat(CFG, exp.vocab)
-                return m.params, text_nll(m, batch)
+                return m.params, text_nll(m, context_table(m, batch))
 
             return build
 
@@ -335,3 +340,101 @@ class TestTrainingOracle:
         old = build_mhat(CFG, exp.vocab)
         assert train_asr(old, items, cfg) == curve
         assert new.params.checksum() == old.params.checksum()
+
+
+class TestPerCallTablesOracle:
+    """Each table of one call's pass equals its batch's own table."""
+
+    def assert_tables(self, seqs, batches, v, eos):
+        tables = list(EventCodes(seqs, v, v + eos, v if eos else None).tables(batches))
+        assert len(tables) == len(batches)
+        for batch, table in zip(batches, tables):
+            assert isinstance(table, ContextTable)
+            chosen = [seqs[i] for i in batch]
+            for want in (context_counts(chosen, v, v + eos, v if eos else None),
+                         ref.context_counts(chosen, v, v + eos, v if eos else None)):
+                for a, b in zip(table, want):
+                    assert same_bytes(a, b)
+
+    @pytest.mark.parametrize(
+        "seqs",
+        [[[0]], [[1], [0], [2], [1]], [[0, 1, 2], [], [2], [], [1, 1, 0, 2]], [[], []], [[2, 2, 2, 2, 2], [0, 1]]],
+    )
+    @pytest.mark.parametrize("eos", [False, True])
+    def test_edge_cases(self, seqs, eos):
+        rng = np.random.default_rng(len(seqs))
+        n = len(seqs)
+        batches = [np.zeros(0, dtype=np.int64), np.array([n - 1]), rng.integers(0, n, 7), np.arange(n),
+                   rng.permutation(n), np.array([0, 0, 0])]
+        self.assert_tables(seqs, batches, 3, eos)
+
+    @pytest.mark.parametrize("eos", [False, True])
+    def test_real_epoch(self, real, eos):
+        exp, _, _ = real
+        text = exp.tgt_text.transcripts()
+        order = np.random.default_rng(1).permutation(len(text))
+        self.assert_tables(text, [order[s : s + 64] for s in range(0, len(text), 64)], exp.vocab.size, eos)
+
+    def test_no_batches(self):
+        assert list(EventCodes([[0, 1]], 2, 3, 2).tables([])) == []
+
+    def test_bad_id_rejected_before_any_table(self):
+        with pytest.raises(VocabError, match="token id 5 out of range"):
+            EventCodes([[0, 1], [2, 5]], 4, 5, 4)
+
+
+def text_corpus(vocab, seqs):
+    return Corpus("train", 0, vocab, tuple(Utterance(f"u{i}", None, tuple(y)) for i, y in enumerate(seqs)))
+
+
+class TestTextLoopsOracle:
+    """`train_lm` and `run_ilma` against their per-step loops."""
+
+    def adapt_both(self, exp, corpus, cfg):
+        text = exp.tgt_text.transcripts()
+        out = []
+        for adapt in (run_ilma, reference_text.run_ilma):
+            m = build_mhat(CFG, exp.vocab)
+            m.trained_alpha = 0.1
+            report = adapt(m, corpus, cfg, heldout_source=text[:50], heldout_target=text[50:120])
+            out.append((m.params.checksum(), report.kv_lines(), [repr(x) for x in report.loss_curve]))
+        assert out[0] == out[1]
+        return out[0]
+
+    def train_both(self, corpus, cfg):
+        (lm, ppl), (lm0, ppl0) = train_lm(corpus, cfg), reference_text.train_lm(corpus, cfg)
+        assert repr(ppl) == repr(ppl0)
+        assert lm.params.checksum() == lm0.params.checksum()
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    def test_run_ilma_rho(self, real, rho):
+        exp, _, _ = real
+        _, _, curve = self.adapt_both(exp, exp.tgt_text, IlmaConfig(rho=rho, steps=12))
+        assert len(curve) == 12
+
+    def test_run_ilma_zero_steps(self, real):
+        exp, _, _ = real
+        assert self.adapt_both(exp, exp.tgt_text, IlmaConfig(steps=0))[2] == []
+
+    def test_run_ilma_batch_larger_than_corpus(self, real):
+        exp, _, _ = real
+        self.adapt_both(exp, exp.tgt_text.transcripts()[:20], IlmaConfig(steps=5, batch_size=32))
+
+    def test_run_ilma_length_one_sentences(self, real):
+        exp, _, _ = real
+        rng = np.random.default_rng(2)
+        seqs = [[int(t)] for t in rng.integers(0, exp.vocab.size, 60)] + [[]]
+        self.adapt_both(exp, seqs, IlmaConfig(steps=8, batch_size=16))
+
+    @pytest.mark.parametrize("epochs, batch_size", [(2, 64), (0, 64), (1, 5000)])
+    def test_train_lm(self, real, epochs, batch_size):
+        # 300 sentences: batches of 64 leave a short last one of 44
+        exp, _, _ = real
+        corpus = Corpus("train", 0, exp.vocab, exp.tgt_text.items[:300])
+        self.train_both(corpus, LmTrainConfig(epochs=epochs, batch_size=batch_size, embed_dim=CFG.label_dim))
+
+    def test_train_lm_length_one_sentences(self, real):
+        exp, _, _ = real
+        rng = np.random.default_rng(3)
+        seqs = [[int(t)] for t in rng.integers(0, exp.vocab.size, 50)] + [[]]
+        self.train_both(text_corpus(exp.vocab, seqs), LmTrainConfig(epochs=2, batch_size=16, embed_dim=8))

@@ -286,7 +286,7 @@ class TestWindowsOracle:
         xs = [np.zeros((4, 3)), np.zeros((5, 3)), np.zeros((3, 3))]
         xs[1][2, 1] = np.nan
         xs[2][0, 0] = np.inf
-        with pytest.raises(ConfigError, match=r"non-finite feature np\.float64\(nan\) at frame 2$"):
+        with pytest.raises(ConfigError, match=r"non-finite feature nan at frame 2$"):
             enc.windows(xs)
 
     def test_feature_dim_mismatch(self):

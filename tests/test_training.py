@@ -1,5 +1,4 @@
 import ctypes
-import glob
 import os
 import subprocess
 import sys
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_utterance, small_hat, small_mhat
-from mhat.model import ConfigError
+from mhat.model import ConfigError, VocabError
 from mhat.numerics import EvaluationError
 from mhat.training import TrainConfig, train_asr
 
@@ -87,6 +86,32 @@ def test_zero_epochs_is_legal(rng):
     assert model.params.checksum() == before
 
 
+@pytest.mark.parametrize(
+    "kind, error, message",
+    [("token", VocabError, r"^token id 99 out of range for \|V\|=4$"),
+     ("nan", ConfigError, r"^non-finite feature nan at frame 2$"),
+     ("inf", ConfigError, r"^non-finite feature -inf at frame 2$"),
+     ("shape", ConfigError, r"^feature dim mismatch: got \(4, 2\)")],
+)
+def test_bad_item_rejected_before_any_step(rng, kind, error, message):
+    items = batch(rng)
+    at = np.random.default_rng(0).permutation(len(items))[-1]  # in the last batch of epoch 1
+    X, y = items[at]
+    if kind == "token":
+        y = [1, 99]
+    elif kind == "shape":
+        X = X[:4, :2]
+    else:
+        X = X.copy()
+        X[2, 1] = np.nan if kind == "nan" else -np.inf
+    items[at] = (X, y)
+    model = small_mhat()
+    before = model.params.checksum()
+    with pytest.raises(error, match=message):
+        train_asr(model, items, TrainConfig(epochs=1, batch_size=2, alpha=0.1))
+    assert model.params.checksum() == before
+
+
 def test_train_asr_batch_size_zero_is_a_config_error(rng):
     # used to reach range() and raise its own "arg 3 must not be zero"
     with pytest.raises(ConfigError, match="batch_size must be >= 1, got 0"):
@@ -126,15 +151,16 @@ def test_outputs_independent_of_blas_threads():
 
 def test_one_blas_thread_at_import():
     import mhat
-    pattern = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "libscipy_openblas64_-*.so")
-    get = ctypes.CDLL(glob.glob(pattern)[0]).scipy_openblas_get_num_threads64_
+    get = mhat._numpy_openblas().scipy_openblas_get_num_threads64_
     get.argtypes, get.restype = [], ctypes.c_int
     assert get() == 1
     mhat._one_blas_thread()  # idempotent
+    assert get() == 1
 
 
 def test_missing_blas_setter_raises(monkeypatch):
     import mhat
     monkeypatch.setattr(mhat.glob, "glob", lambda pattern: [])
-    with pytest.raises(ImportError, match="found no scipy_openblas_set_num_threads64_ in .*numpy.libs"):
-        mhat._one_blas_thread()
+    for fn in (mhat._numpy_openblas, mhat._one_blas_thread):
+        with pytest.raises(ImportError, match="found no scipy_openblas_set_num_threads64_ in .*numpy.libs"):
+            fn()
