@@ -16,7 +16,6 @@ on an adapted model realizes adapted-LM fusion (no subtraction).
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,7 +25,7 @@ import numpy as np
 from . import numerics as nm
 from .extlm import ExternalLm
 from .lattice import StructureError, forward_log_prob
-from .model import ConfigError, HatModel, MhatModel, bigram_contexts
+from .model import ConfigError, HatModel, MhatModel, bigram_contexts, next_context_codes
 
 FUSION_MODES = ("none", "shallow", "ilme_subtract")
 MAX_LABELS_PER_FRAME = 10  # guards against degenerate non-blank loops
@@ -78,18 +77,11 @@ class DecodeResult:
     combined: float
 
 
-@functools.cache
-def _next_contexts(v: int) -> np.ndarray:
-    """Context id of (prev2, prev1) extended by label k: (prev1, k).  Read only."""
-    w = v + 1
-    return (np.arange(w * w) % w * w)[:, None] + np.arange(v)
-
-
 class _Trie:
     """Prefix nodes, one tree per group (roots 0 .. n_roots-1), so a node
     names one (group, prefix): child[n, k] is node n extended by label k, or
-    -1.  A node keeps its group and its context id; `adv` is scratch space
-    for the merge, -1 outside it."""
+    -1.  A node keeps its group and its context code (`context_codes`);
+    `adv` is scratch space for the merge, -1 outside it."""
 
     def __init__(self, n_roots: int, v: int):
         cap = max(64, 4 * n_roots)
@@ -98,7 +90,7 @@ class _Trie:
         self.group = np.zeros(cap, dtype=np.intp)  # stays 0 under one root
         self.group[:n_roots] = np.arange(n_roots)
         self.ctx[:n_roots] = (v + 1) * (v + 1) - 1  # (SOS, SOS)
-        self.size, self.n_roots, self.next_ctx = n_roots, n_roots, _next_contexts(v)
+        self.size, self.n_roots, self.next_ctx = n_roots, n_roots, next_context_codes(v)
 
     def extend(self, parents: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, bool]:
         """Nodes of `parents` extended by `labels` (distinct pairs), made
@@ -191,18 +183,18 @@ def beam_search(
     lm_scorer = lm.scorer() if lm is not None else None
     if not xs:
         return []
-    scorer = model.scorer(xs if corpus else X)
+    scorer = model.scorer(xs)
     k = beam_width
     v = model.vocab.size
-    n_ctx = (v + 1) * (v + 1)  # context id = prev2 * (v + 1) + prev1; utterance u's keys add u * n_ctx
+    n_ctx = (v + 1) * (v + 1)  # context codes; utterance u's scorer keys add u * n_ctx
     n_cfg, n_utt = len(fusions), len(xs)
     n_groups = n_utt * n_cfg  # group = utterance * n_cfg + config
     uses_lm = np.array([f.lm is not None for f in fusions] * n_utt)  # per group
     no_lm = None if all(f.lm is not None for f in fusions) else ~uses_lm[:, None]  # groups whose ext rows stay zero
     no_ext = np.zeros(v)
     lams = np.array([(f.lam_ext, f.effective_lam_ilm) for f in fusions] * n_utt)  # per group
-    t_end = np.repeat(scorer.t_lens, n_cfg) if corpus else None  # per group
-    stops = set(scorer.t_lens) if corpus else ()
+    t_end = np.repeat(scorer.t_lens, n_cfg)  # per group
+    stops = set(scorer.t_lens)  # the frames at which an utterance ends
     lam1 = lams[0, :, None, None]  # the weights of a one-group search, against columns 1 and 2 of its scores
     trie = _Trie(n_groups, v)
     # a hypothesis: a node and (model_lp, ext_lp, ilm_lp, lam_ext * ext_lp, lam_ilm * ilm_lp)
@@ -235,8 +227,7 @@ def beam_search(
                 ilm = scorer.ilm_rows.take(ctx, 0)
                 ext_rows = no_ext
                 if lm_scorer is not None:
-                    lm_rows = lm_scorer.rows(ctx)  # may grow the table
-                    ext_rows = lm_scorer.log_prob_rows.take(lm_rows, 0)[:, :v]
+                    ext_rows = lm_scorer.log_prob_rows.take(lm_scorer.rows(ctx), 0)[:, :v]
                     if no_lm is not None:
                         ext_rows = np.where(no_lm[act_g], 0.0, ext_rows)
                 scores = np.empty((5, n_act, v))  # the five columns of every extension
@@ -299,8 +290,7 @@ def beam_search(
     m, e, i = hyps[:, :3].T
     g = trie.group[nodes]
     if lm_scorer is not None:
-        lm_rows = lm_scorer.rows(trie.ctx[nodes])
-        e = np.where(uses_lm[g], e + lm_scorer.log_prob_rows[lm_rows, lm.eos_id], e)
+        e = np.where(uses_lm[g], e + lm_scorer.log_prob_rows[lm_scorer.rows(trie.ctx[nodes]), lm.eos_id], e)
         lm_scorer.check_finite()
     scorer.check_finite()
     c = m + lams[g, 0] * e - lams[g, 1] * i

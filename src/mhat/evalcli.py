@@ -190,7 +190,17 @@ class ExperimentConfig:
         check_schedule(self.lm_batch, self.lm_lr, ("epochs", self.lm_epochs), ("lm_batch", "lm_epochs", "lm_lr"))
         check_schedule(self.ilma_batch, self.ilma_lr, ("steps", self.ilma_steps),
                        ("ilma_batch", "ilma_steps", "ilma_lr"))
-        # and the weights and the search that only later stages would reject
+        # and the sizes, data settings, weights and search that only later stages would reject
+        for name in ("d_x", "d_f", "enc_layers", "joint_dim", "label_dim", "blank_dim", "hat_decoder_dim"):
+            if getattr(self, name) < 1:
+                _bad_field(name, f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("enc_context", "n_train", "n_dev", "n_test", "n_adapt_text", "seed"):
+            if getattr(self, name) < 0:
+                _bad_field(name, f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.vocab_size < 2 or self.vocab_size % 2:  # the confusable pairs need an even vocabulary
+            _bad_field("vocab_size", f"vocab_size must be even and >= 2, got {self.vocab_size}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            _bad_field("sigma", f"sigma must be finite and >= 0, got {self.sigma}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             _bad_field("alpha", f"alpha must be finite and >= 0, got {self.alpha}")
         if not 0.0 <= self.rho <= 1.0:

@@ -16,11 +16,11 @@ from . import numerics as nm
 from .losses import batch_table, event_codes, text_nll, text_perplexity
 from .model import (
     ConfigError,
-    ContextRows,
     ContextTable,
     EmbeddingDecoder,
     Vocabulary,
     bigram_contexts,
+    check_rows_finite,
 )
 from .numerics import ParameterSet, Tensor
 from .training import Adam, check_schedule
@@ -85,31 +85,41 @@ class ExternalLm:
         )
 
 
-class LmScorer(ContextRows):
+class LmScorer:
     """Next-event log-prob rows (tokens + EOS) per context, for beam search.
 
-    One scorer serves every utterance decoded with the LM; each context's
-    row is computed the first time a search reaches it.  Keys are context ids.
+    One scorer serves every utterance of a search.  Row c of
+    `log_prob_rows` belongs to context code c (`context_codes`) and is
+    computed the first time a search reaches it, when `filled[c]` turns on.
     """
-
-    TABLES = ("log_prob_rows",)
 
     def __init__(self, lm: ExternalLm):
         self.lm = lm
-        super().__init__(lm.vocab.sos_id, [(lm.vocab.size + 1,)])
+        self.width = lm.vocab.sos_id + 1
+        self.filled = np.zeros(self.width * self.width, dtype=bool)
+        self.log_prob_rows = np.empty((self.filled.size, lm.vocab.size + 1))
 
-    def _reach(self, key: int) -> None:
-        self.next_log_probs(divmod(key, self.width))
-
-    def _fill(self, ctx: tuple[int, int], utt: int, row: int) -> None:
-        g = self.lm.decoder.output_np(ctx)
-        z = self.lm.out_w.data @ g + self.lm.out_b.data
-        self.log_prob_rows[row] = z - nm.log_sum_exp(z)
+    def rows(self, keys: np.ndarray) -> np.ndarray:
+        """The rows of an array of context codes, which are the codes
+        themselves, filling codes not yet reached through `next_log_probs`,
+        so that instrumentation on that lookup sees every fill."""
+        if not all(self.filled[keys].tolist()):  # Python's all: ndarray.all costs more on a beam's few keys
+            for key in keys[~self.filled[keys]].tolist():
+                if not self.filled[key]:
+                    self.next_log_probs(divmod(key, self.width))
+        return keys
 
     def next_log_probs(self, ctx: tuple[int, int]) -> np.ndarray:
         """Distribution over the next event after the (prev2, prev1) context."""
-        row = self._row(ctx)  # may grow the table
-        return self.log_prob_rows[row]
+        c = ctx[0] * self.width + ctx[1]
+        if not self.filled[c]:
+            z = self.lm.out_w.data @ self.lm.decoder.output_np(ctx) + self.lm.out_b.data
+            self.log_prob_rows[c] = z - nm.log_sum_exp(z)
+            self.filled[c] = True
+        return self.log_prob_rows[c]
+
+    def check_finite(self) -> None:
+        check_rows_finite(self, log_prob_rows=self.log_prob_rows[self.filled])
 
 
 @dataclass

@@ -15,6 +15,7 @@ Parameter groups:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -102,20 +103,37 @@ class EncoderConfig:
     # activation is fixed to tanh
 
 
+def context_codes(lengths: np.ndarray, toks: np.ndarray, sos_id: int) -> np.ndarray:
+    """The context code of every label of `toks`, sentences of `lengths`
+    labels each laid end to end: its SOS-padded last two labels before it,
+    (prev2, prev1), as prev2 * (sos_id + 1) + prev1."""
+    pos = np.arange(toks.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)  # its place in its sentence
+    padded = np.concatenate([[sos_id, sos_id], toks])  # label i follows padded[i] and padded[i + 1]
+    prev1 = np.where(pos >= 1, padded[1:-1], sos_id)
+    prev2 = np.where(pos >= 2, padded[:-2], sos_id)
+    return prev2 * (sos_id + 1) + prev1
+
+
+def context_pairs(codes: np.ndarray, sos_id: int) -> np.ndarray:
+    """The (prev2, prev1) pair of each context code: (n, 2)."""
+    return np.stack(np.divmod(codes, sos_id + 1), axis=1)
+
+
+@functools.cache
+def next_context_codes(sos_id: int) -> np.ndarray:
+    """Row c, column k: the code of context c extended by label k, (prev1, k).  Read only."""
+    w = sos_id + 1
+    return (np.arange(w * w) % w * w)[:, None] + np.arange(sos_id)
+
+
 def bigram_contexts(tokens: Sequence[int], sos_id: int) -> np.ndarray:
-    """Decoder context ids for every step of a label sequence.
+    """Decoder context pairs for every step of a label sequence.
 
     Row j holds the last two labels after j emissions, with missing
     history filled by the start-of-sentence id; row 0 is (sos, sos).
     """
-    toks = np.asarray(tokens, dtype=np.int64)
-    u = len(toks)
-    ctx = np.full((u + 1, 2), sos_id, dtype=np.int64)
-    if u >= 1:
-        ctx[1:, 1] = toks
-    if u >= 2:
-        ctx[2:, 0] = toks[:-1]
-    return ctx
+    toks = np.append(np.asarray(tokens, dtype=np.int64), sos_id)  # a stand-in label for the step after the last
+    return context_pairs(context_codes(np.array([toks.size]), toks, sos_id), sos_id)
 
 
 def _token_array(transcripts: Sequence[Sequence[int]], sos_id: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,15 +174,9 @@ class EventCodes:
         if eos_id is not None:  # one end event after each sentence's last label
             toks = np.insert(toks, np.cumsum(lengths), eos_id)
             lengths = lengths + 1
-        # event i follows the first pos[i] labels of its sentence, whose
-        # last two are padded[i + 1] and padded[i]
         self.starts = np.cumsum(lengths) - lengths
-        pos = np.arange(toks.size) - np.repeat(self.starts, lengths)
-        padded = np.concatenate([[sos_id, sos_id], toks])
-        prev1 = np.where(pos >= 1, padded[1:-1], sos_id)
-        prev2 = np.where(pos >= 2, padded[:-2], sos_id)
         self.width, self.n_out, self.lengths = sos_id + 1, n_out, lengths
-        self.code = (prev2 * self.width + prev1) * n_out + toks
+        self.code = context_codes(lengths, toks, sos_id) * n_out + toks
 
     def tables(self, batches: Sequence[np.ndarray]) -> Iterator[ContextTable]:
         """The `ContextTable` of each batch in turn, from one sort.
@@ -193,8 +205,7 @@ class EventCodes:
         new_row[1:] = row_key[1:] != row_key[:-1]
         rows = np.cumsum(new_row)
         row_off = np.concatenate([[0], rows])[event_off]
-        ctx = row_key[new_row] % (self.width * self.width)
-        contexts = np.stack([ctx // self.width, ctx % self.width], axis=1)
+        contexts = context_pairs(row_key[new_row] % (self.width * self.width), self.width - 1)
         cell = (rows - 1 - row_off[batch]) * self.n_out + event  # each event's cell in its batch's table
         for b in range(len(batches)):
             k = row_off[b + 1] - row_off[b]
@@ -255,16 +266,11 @@ def lattice_cells(t_lens: Sequence[int], transcripts: Sequence[Sequence[int]], s
     t = np.concatenate([t, np.arange(t_lens.sum()) - np.repeat(np.cumsum(t_lens) - t_lens, t_lens)])
     u = np.concatenate([u, u_lens[b_last]])
     # the context after u emissions, for every (b, u) of an utterance with
-    # frames, is the u-th pair of bigram_contexts: padded[at + 1], padded[at]
+    # frames: that of label u once a stand-in label ends each sentence
+    codes = context_codes(u_lens + 1, np.insert(toks, tok0 + u_lens, sos_id), sos_id)
+    keys, ctx = np.unique(codes[np.repeat(t_lens > 0, u_lens + 1)], return_inverse=True)
     steps = (u_lens + 1) * (t_lens > 0)
     first = np.cumsum(steps) - steps
-    sb = np.repeat(np.arange(t_lens.size), steps)
-    su = np.arange(steps.sum()) - first[sb]
-    at = tok0[sb] + su
-    padded = np.concatenate([[sos_id, sos_id], toks])
-    prev1 = np.where(su >= 1, padded[at + 1], sos_id)
-    prev2 = np.where(su >= 2, padded[at], sos_id)
-    keys, ctx = np.unique(prev2 * (sos_id + 1) + prev1, return_inverse=True)
     n_label = sizes.sum()
     return LatticeCells(
         t_lens=t_lens,
@@ -274,7 +280,7 @@ def lattice_cells(t_lens: Sequence[int], transcripts: Sequence[Sequence[int]], s
         u=u,
         frame=(np.cumsum(t_lens) - t_lens)[b] + t,
         ctx=ctx.reshape(-1)[first[b] + u],
-        contexts=np.stack([keys // (sos_id + 1), keys % (sos_id + 1)], axis=1),
+        contexts=context_pairs(keys, sos_id),
         labels=toks[tok0[b[:n_label]] + u[:n_label]],
     )
 
@@ -417,11 +423,15 @@ _ENCODER_KEYS = ("d_x", "context", "layers", "d_f")
 class _AsrModel:
     """The encoder and checkpoint bookkeeping shared by MhatModel and HatModel.
 
-    A subclass names its integer size arguments in `dim_keys` and keeps
-    each as an attribute of the same name.
+    A subclass names its integer size arguments in `dim_keys` and passes
+    them here, which checks each and keeps it as an attribute of its name.
     """
 
-    def __init__(self, vocab: Vocabulary, encoder: EncoderConfig, rng: np.random.Generator):
+    def __init__(self, vocab: Vocabulary, encoder: EncoderConfig, rng: np.random.Generator, **dims: int):
+        for name, dim in dims.items():  # a zero width builds, then fails in the first backward pass
+            if dim < 1:
+                raise ConfigError(f"{name} must be >= 1, got {dim}")
+            setattr(self, name, dim)
         self.vocab = vocab
         self.enc_cfg = encoder
         self.trained_alpha: float | None = None
@@ -468,8 +478,7 @@ class MhatModel(_AsrModel):
         seed: int = 0,
     ):
         rng = np.random.default_rng(seed)
-        super().__init__(vocab, encoder, rng)
-        self.label_dim, self.blank_dim, self.joint_dim = label_dim, blank_dim, joint_dim
+        super().__init__(vocab, encoder, rng, label_dim=label_dim, blank_dim=blank_dim, joint_dim=joint_dim)
         p = self.params
         self.am_w = p.add(
             "am_proj.weight", rng.standard_normal((vocab.size, encoder.d_f)) / np.sqrt(encoder.d_f), "encoder"
@@ -578,8 +587,7 @@ class HatModel(_AsrModel):
         seed: int = 0,
     ):
         rng = np.random.default_rng(seed)
-        super().__init__(vocab, encoder, rng)
-        self.decoder_dim, self.joint_dim = decoder_dim, joint_dim
+        super().__init__(vocab, encoder, rng, decoder_dim=decoder_dim, joint_dim=joint_dim)
         p = self.params
         self.decoder = EmbeddingDecoder(p, "decoder", vocab, decoder_dim, "ilm", rng, tied_tables=False)
         self.joint = _JointCombiner(p, encoder.d_f, decoder_dim, joint_dim, rng)
@@ -627,128 +635,65 @@ class HatModel(_AsrModel):
         return HatScorer(self, X)
 
 
-class ContextRows:
-    """Per-context rows for decoding, computed when a search first reaches them.
+def check_rows_finite(owner, **tables: np.ndarray) -> None:
+    """Raise EvaluationError if a filled row holds a NaN or +inf; a -inf
+    log-probability from underflow is legal.  One pass over the tables:
+    checking each fill as it lands cost 2.5 % of a decode."""
+    for name, rows in tables.items():
+        if rows.size and not rows.max() < np.inf:  # NaN or +inf; NaN makes the max NaN
+            raise nm.EvaluationError(f"non-finite {name} entry in a {type(owner).__name__} table")
 
-    Key c = prev2 * (|V|+1) + prev1 names a (prev2, prev1) decoder context,
-    and u * (|V|+1)^2 + c the context of utterance u in tables over several
-    utterances.  A key owns `_span(utt)` consecutive rows of every table in
-    `TABLES`; `slot[key]` is the first, or -1 until the key is reached.
-    `_row` has a subclass's `_fill` write a new key's rows, and `rows` fills
-    keys through the subclass's public lookup (`_reach`), so that
-    instrumentation on that lookup sees every fill.  Tables double in length
-    when full: they hold only the rows of the keys reached.
+
+class _UtteranceRows:
+    """Decoding tables of one utterance or of a corpus (no gradient graphs).
+
+    What depends only on the model and the context is computed once for
+    every utterance, when a search first reaches the context: w2 g, and
+    `ilm_rows[c]`, the internal-LM row of context code c (`context_codes`).
+    Key u * (|V|+1)^2 + c names context c of utterance u, which owns one
+    `frame_rows` row per frame: log b, log(1 - b), then the columns
+    `label_rows` reads.  `slot[key]` is its first frame row, or -1 until
+    the key is reached; `frame_rows` doubles in length when full, so it
+    holds only the rows of the keys reached.  `context` returns a prefix's
+    first frame row, filling it when new, and the point lookups take it.
     """
 
-    TABLES: tuple[str, ...] = ()
+    _SIGNS = np.array([-1.0, 1.0])  # read only
 
-    def __init__(self, sos_id: int, shapes: Sequence[tuple[int, ...]], n_utts: int = 1, capacity: int = 4):
-        self.width = sos_id + 1
-        self.slot = np.full(n_utts * self.width * self.width, -1, dtype=np.int64)
-        self.size = 0  # rows in use
-        for name, shape in zip(self.TABLES, shapes):
-            setattr(self, name, np.zeros((capacity, *shape)))
+    def __init__(self, model, X: np.ndarray | Sequence[np.ndarray], label_cols: int):
+        j = model.joint
+        with nm.no_grad():
+            self.Fs = [model.encode(x).data for x in ([X] if isinstance(X, np.ndarray) else X)]
+        self.model = model
+        self._w1f = [F @ j.w1.data.T + j.hidden_bias.data for F in self.Fs]  # (T_u, d_h) each
+        self._v, self._v_bias = j.v.data, float(j.v_bias.data)
+        self.t_lens = [F.shape[0] for F in self.Fs]
+        self.t_len = max(self.t_lens)
+        v = model.vocab.size
+        self.width = v + 1
+        n_ctx = self.width * self.width
+        self._shared = np.zeros(n_ctx, dtype=bool)
+        self._w2g, self.ilm_rows = np.empty((n_ctx, j.w2.data.shape[0])), np.empty((n_ctx, v))
+        self._ctx_of: dict[int, int] = {}  # first frame row -> context code
+        self.slot = np.full(len(self.Fs) * n_ctx, -1, dtype=np.int64)
+        self.size = 0  # frame rows in use
+        self.frame_rows = np.zeros((4 * self.t_len, 2 + label_cols))
 
     def rows(self, keys: np.ndarray) -> np.ndarray:
-        """First table rows of an array of keys, filling keys not yet reached."""
+        """First frame rows of an array of keys, filling keys not yet
+        reached through `context`, so that instrumentation on that lookup
+        sees every fill."""
         r = self.slot[keys]
         if r.size and min(r.tolist()) < 0:  # a Python min: ndarray.min costs more on a beam's few keys
             for key in keys[r < 0].tolist():
                 if self.slot[key] < 0:
-                    self._reach(key)
+                    utt, c = divmod(key, self.width * self.width)
+                    self.context(divmod(c, self.width), utt)
             r = self.slot[keys]
         return r
 
-    def _row(self, prefix: Sequence[int], utt: int = 0) -> int:
-        """The first row of the context of `prefix` in utterance `utt`,
-        computed and stored when first reached."""
-        p2, p1 = context_of(prefix, self.width - 1)
-        key = (utt * self.width + p2) * self.width + p1
-        row = int(self.slot[key])
-        if row < 0:
-            row, end = self.size, self.size + self._span(utt)
-            if end > len(getattr(self, self.TABLES[0])):
-                for name in self.TABLES:
-                    table = getattr(self, name)
-                    grown = np.zeros((2 * end, *table.shape[1:]))
-                    grown[:row] = table[:row]  # the rest stays untouched (not resident) until rows fill
-                    setattr(self, name, grown)
-            self._fill((p2, p1), utt, row)
-            self.slot[key] = row
-            self.size = end
-        return row
-
-    def _filled(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, getattr(self, name)[: self.size]) for name in self.TABLES]
-
     def check_finite(self) -> None:
-        """Raise EvaluationError if a filled row holds a NaN or +inf; a -inf
-        log-probability from underflow is legal.  One pass over the tables:
-        checking each fill as it lands cost 2.5 % of a decode."""
-        for name, rows in self._filled():
-            if rows.size and not rows.max() < np.inf:  # NaN or +inf; NaN makes the max NaN
-                raise nm.EvaluationError(f"non-finite {name} entry in a {type(self).__name__} table")
-
-    def _span(self, utt: int) -> int:
-        return 1
-
-    def _reach(self, key: int) -> None:
-        raise NotImplementedError
-
-    def _fill(self, ctx: tuple[int, int], utt: int, row: int) -> None:
-        """Write the rows of a context of utterance `utt` from `row` on in every table."""
-        raise NotImplementedError
-
-
-class _UtteranceRows(ContextRows):
-    """Decoding tables of one utterance or of a corpus (no gradient graphs).
-
-    An (utterance, context) owns one `frame_rows` row per frame: log b,
-    log(1 - b), then the columns `label_rows` reads.  What depends only on
-    the model and the context is computed once for every utterance: w2 g,
-    and `ilm_rows[c]`, the internal-LM row of context id c.  `context`
-    returns a prefix's first frame row; the point lookups take it.
-    """
-
-    TABLES = ("frame_rows",)
-    _SIGNS = np.array([-1.0, 1.0])  # read only
-
-    def __init__(self, model, Fs: Sequence[np.ndarray], label_cols: int):
-        j = model.joint
-        self.model = model
-        self._w1f = [F @ j.w1.data.T + j.hidden_bias.data for F in Fs]  # (T_u, d_h) each
-        self._v, self._v_bias = j.v.data, float(j.v_bias.data)
-        self.t_lens = [F.shape[0] for F in Fs]
-        self.t_len = max(self.t_lens)
-        v = model.vocab.size
-        n_ctx = (v + 1) * (v + 1)
-        self._shared = np.zeros(n_ctx, dtype=bool)
-        self._w2g, self.ilm_rows = np.empty((n_ctx, j.w2.data.shape[0])), np.empty((n_ctx, v))
-        self._ctx_of: dict[int, int] = {}  # first frame row -> context id
-        super().__init__(model.vocab.sos_id, [(2 + label_cols,)], len(Fs), capacity=4 * self.t_len)
-
-    def _span(self, utt: int) -> int:
-        return self.t_lens[utt]
-
-    def _reach(self, key: int) -> None:
-        utt, c = divmod(key, self.width * self.width)
-        self.context(divmod(c, self.width), utt)
-
-    def _filled(self) -> list[tuple[str, np.ndarray]]:
-        return [*super()._filled(), ("ilm_rows", self.ilm_rows[self._shared])]
-
-    def _fill(self, ctx: tuple[int, int], utt: int, row: int) -> None:
-        c = ctx[0] * self.width + ctx[1]
-        if not self._shared[c]:
-            self._w2g[c], self.ilm_rows[c] = self._context_rows(ctx)
-            self._shared[c] = True
-        self._ctx_of[row] = c
-        frame = self.frame_rows[row : row + self.t_lens[utt]]
-        h = np.tanh(self._w1f[utt] + self._w2g[c])  # (T, d_h)
-        ss = np.multiply.outer(h @ self._v + self._v_bias, self._SIGNS)  # (-s, s) of the blank logit s
-        tail = np.log1p(np.exp(-np.abs(ss[:, 1])))  # log b, log(1 - b) = -softplus(-s), -softplus(s)
-        np.negative(np.add(np.maximum(ss, 0.0, out=ss), tail[:, None], out=ss), out=frame[:, :2])
-        self._label_cols(h, self.ilm_rows[c], utt, frame)
+        check_rows_finite(self, frame_rows=self.frame_rows[: self.size], ilm_rows=self.ilm_rows[self._shared])
 
     # a subclass defines _context_rows(ctx) -> (w2 g, internal-LM row), and
     # _label_cols(h, ilm, utt, frame), which writes the label columns of a
@@ -762,7 +707,32 @@ class _UtteranceRows(ContextRows):
 
     # point lookups of one frame and table row; perfbench/tracer.py wraps
     # them by each scorer class's own __dict__, hence the aliases below
-    context = ContextRows._row  # a prefix's first frame row: the lookup every fill takes
+    def context(self, prefix: Sequence[int], utt: int = 0) -> int:
+        """The first frame row of the context of `prefix` in utterance
+        `utt`, filled when first reached: the lookup every fill takes."""
+        p2, p1 = context_of(prefix, self.width - 1)
+        c = p2 * self.width + p1
+        key = utt * self.width * self.width + c
+        row = int(self.slot[key])
+        if row >= 0:
+            return row
+        row, end = self.size, self.size + self.t_lens[utt]
+        if end > len(self.frame_rows):
+            grown = np.zeros((2 * end, self.frame_rows.shape[1]))
+            grown[:row] = self.frame_rows[:row]  # the rest stays untouched (not resident) until rows fill
+            self.frame_rows = grown
+        if not self._shared[c]:
+            self._w2g[c], self.ilm_rows[c] = self._context_rows((p2, p1))
+            self._shared[c] = True
+        self._ctx_of[row] = c
+        frame = self.frame_rows[row:end]
+        h = np.tanh(self._w1f[utt] + self._w2g[c])  # (T, d_h)
+        ss = np.multiply.outer(h @ self._v + self._v_bias, self._SIGNS)  # (-s, s) of the blank logit s
+        tail = np.log1p(np.exp(-np.abs(ss[:, 1])))  # log b, log(1 - b) = -softplus(-s), -softplus(s)
+        np.negative(np.add(np.maximum(ss, 0.0, out=ss), tail[:, None], out=ss), out=frame[:, :2])
+        self._label_cols(h, self.ilm_rows[c], utt, frame)
+        self.slot[key], self.size = row, end
+        return row
 
     def log_blank(self, t: int, row: int) -> float:
         return float(self.frame_rows[row + t, 0])
@@ -786,11 +756,9 @@ class MhatScorer(_UtteranceRows):
     """
 
     def __init__(self, model: MhatModel, X: np.ndarray | Sequence[np.ndarray]):
-        xs = [X] if isinstance(X, np.ndarray) else list(X)
+        super().__init__(model, X, 1)
         with nm.no_grad():
-            Fs = [model.encode(x).data for x in xs]
-            As = [model.am_log_probs(F).data for F in Fs]  # (T_u, |V|) each
-        super().__init__(model, Fs, 1)
+            As = [model.am_log_probs(F).data for F in self.Fs]  # (T_u, |V|) each
         self.A = np.zeros((len(As), self.t_len, model.vocab.size))  # zero past each utterance's end
         for u, a in enumerate(As):
             self.A[u, : len(a)] = a
@@ -818,10 +786,7 @@ class HatScorer(_UtteranceRows):
     columns 2: of a context's frame rows are its label log-posteriors."""
 
     def __init__(self, model: HatModel, X: np.ndarray | Sequence[np.ndarray]):
-        xs = [X] if isinstance(X, np.ndarray) else list(X)
-        with nm.no_grad():
-            Fs = [model.encode(x).data for x in xs]
-        super().__init__(model, Fs, model.vocab.size)
+        super().__init__(model, X, model.vocab.size)
 
     def _context_rows(self, ctx: tuple[int, int]):
         m = self.model

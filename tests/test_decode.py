@@ -621,7 +621,7 @@ class TestCorpus:
             beam_search(model, utts, 4, mixed_configs(lm))
             assert len(built) == 1
             assert evals and len(evals) == len(set(evals))
-            assert built[0].size == len({ctx for dec, ctx in evals if dec == id(lm.decoder)})
+            assert np.count_nonzero(built[0].filled) == len({ctx for dec, ctx in evals if dec == id(lm.decoder)})
 
     def test_no_frames_is_a_structure_error_before_decoding(self, real_setup, monkeypatch):
         models, lm, utts = real_setup

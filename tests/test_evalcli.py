@@ -151,6 +151,44 @@ def test_experiment_config_rejects_bad_search_settings(field, value, why):
         ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value, why",
+    [
+        *((name, 0, f"{name} must be >= 1, got 0")
+          for name in ("d_x", "d_f", "enc_layers", "joint_dim", "label_dim", "blank_dim", "hat_decoder_dim")),
+        *((name, -1, f"{name} must be >= 0, got -1")
+          for name in ("enc_context", "n_train", "n_dev", "n_test", "n_adapt_text", "seed")),
+        ("vocab_size", 5, "vocab_size must be even and >= 2, got 5"),
+        ("vocab_size", 1, "vocab_size must be even and >= 2, got 1"),
+        ("vocab_size", 0, "vocab_size must be even and >= 2, got 0"),
+        ("sigma", -0.1, "sigma must be finite and >= 0, got -0.1"),
+        ("sigma", float("inf"), "sigma must be finite and >= 0, got inf"),
+        ("sigma", float("nan"), "sigma must be finite and >= 0, got nan"),
+    ],
+)
+def test_experiment_config_rejects_bad_sizes_and_data_settings(field, value, why):
+    # each failed only inside a stage: the data fields in gen-data (d_x = 0 as
+    # "prototypes 0 and 1 are identical", a negative seed with numpy's
+    # "expected non-negative integer"), a zero model width in the first
+    # backward pass of training, with numpy's "cannot reshape array of size 0"
+    with pytest.raises(ConfigError, match=re.escape(f"{why} (ExperimentConfig.{field})") + "$"):
+        ExperimentConfig(**{field: value})
+
+
+def test_cli_bad_width_and_seed_fail_before_any_work(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--out-dir", str(data_dir), "--n-train", "4", "--n-dev", "0", "--n-test", "0",
+                 "--n-adapt-text", "0"]) == 0
+    assert main(["train", "--data", str(data_dir / "source.train"), "--vocab", str(data_dir / "vocab.txt"),
+                 "--joint-dim", "0", "--out-dir", str(tmp_path / "train")]) == 2
+    assert main(["gen-data", "--seed", "-1", "--out-dir", str(tmp_path / "neg")]) == 2
+    err = capsys.readouterr().err
+    assert "joint_dim must be >= 1, got 0 (ExperimentConfig.joint_dim)" in err
+    assert "seed must be >= 0, got -1 (ExperimentConfig.seed)" in err
+    assert not (tmp_path / "train" / "mhat.ckpt").exists()
+    assert sorted(p.name for p in (tmp_path / "neg").iterdir()) == ["resolved-config.txt"]
+
+
 def test_experiment_config_rejects_a_grid_with_no_pair():
     # lam_ext = 0 with lam_ilm > 0 is skipped, so ilme_subtract would search no config
     with pytest.raises(ConfigError, match=r"lam_ilm_grid must hold 0\.0 .*\(ExperimentConfig\.lam_ilm_grid\)$"):

@@ -12,10 +12,13 @@ from mhat.model import (
     VocabError,
     Vocabulary,
     bigram_contexts,
+    context_codes,
     context_counts,
     context_of,
+    context_pairs,
     label_posterior,
     lattice_cells,
+    next_context_codes,
 )
 
 
@@ -55,6 +58,30 @@ class TestContexts:
     def test_first_step_all_sos(self):
         assert context_of([], 9) == (9, 9)
         assert context_of([3], 9) == (9, 3)
+
+    @pytest.mark.parametrize("sos", [1, 4, 9])
+    def test_context_codes_name_the_context_of_every_prefix(self, rng, sos):
+        seqs = [[int(i) for i in rng.integers(0, sos, size=rng.integers(0, 8))] for _ in range(40)]
+        seqs = [[], [0], *seqs, [sos - 1], [], [0, 0], []]  # empty sentences and ones of length 1 at both ends
+        lengths = np.array([len(y) for y in seqs])
+        toks = np.array([k for y in seqs for k in y], dtype=np.int64)
+        codes = context_codes(lengths, toks, sos)
+        assert codes.shape == toks.shape and codes.min(initial=0) >= 0 and codes.max() < (sos + 1) ** 2
+        got = [tuple(p) for p in context_pairs(codes, sos).tolist()]
+        assert got == [context_of(y[:i], sos) for y in seqs for i in range(len(y))]
+
+    @pytest.mark.parametrize("sos", [1, 4, 9])
+    def test_next_context_codes_extend_every_context_by_every_label(self, sos):
+        def code_after(prefix):  # the code of the context after `prefix`: that of a stand-in label ending it
+            return int(context_codes(np.array([len(prefix) + 1]), np.array([*prefix, 0]), sos)[-1])
+
+        table = next_context_codes(sos)
+        assert table.shape == ((sos + 1) ** 2, sos)
+        for code, (p2, p1) in enumerate(context_pairs(np.arange((sos + 1) ** 2), sos).tolist()):
+            assert code_after([p2, p1]) == code
+            for k in range(sos):
+                assert context_of([p2, p1, k], sos) == (p1, k)
+                assert table[code, k] == code_after([p2, p1, k])
 
     def test_context_counts_hand_case(self):
         # events: (s,s)->0, (s,0)->1, (0,1)->eos and (s,s)->1, (s,1)->eos
@@ -102,6 +129,29 @@ class TestContexts:
                 assert cells.labels[c] == y[cells.u[c]]
         with pytest.raises(VocabError):
             lattice_cells([2], [[4]], sos_id=4)
+
+
+class TestModelSizes:
+    """A zero width used to build and then fail in the first backward pass,
+    with numpy's "cannot reshape array of size 0"."""
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("name", ["label_dim", "blank_dim", "joint_dim"])
+    def test_mhat_bad_width_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be >= 1, got {value}$"):
+            small_mhat(**{name: value})
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("name", ["decoder_dim", "joint_dim"])
+    def test_hat_bad_width_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be >= 1, got {value}$"):
+            small_hat(**{name: value})
+
+    def test_smallest_widths_train(self):
+        for model in (small_mhat(label_dim=1, blank_dim=1, joint_dim=1), small_hat(decoder_dim=1, joint_dim=1)):
+            loss = nm.total(model.arc_log_scores([(np.zeros((3, 3)), [1, 2])])[0])
+            model.params.zero_grads()
+            loss.backward()
 
 
 class TestEncoder:

@@ -1,5 +1,6 @@
 """perfbench/tracer.py wraps `mhat` by name from outside; these tests keep
-its targets resolvable and its decode op count non-zero, without editing it."""
+its targets resolvable, its decode op count non-zero and its scorer lookup
+counts equal to the table rows filled, without editing it."""
 
 import importlib
 import importlib.util
@@ -141,3 +142,56 @@ def test_traced_text_path_counts_its_layers():
     assert calls["losses.perplexity"] == 4  # source and target, before and after
     assert calls["model.decoder_outputs"] > 0
     assert seen["counts"]["ops"] == 6 and seen["counts"]["numerics.tensors"] > 0
+
+
+# one fused corpus decode per model, its scorers captured as they are built:
+# perfbench's `extlm.lm_scorer_calls.*` and `decode.scorer_lookups.*` read
+# these call counts as the number of table rows filled
+FILLS_UNDER_TRACER = """
+import importlib.util, json, sys
+import numpy as np
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import mhat
+from mhat import decode as dec, evalcli as ev
+from mhat.extlm import ExternalLm
+t = tracer.Tracer()
+t.install(mhat)
+cfg = ev.ExperimentConfig(n_train=0, n_dev=0, n_test=4, n_adapt_text=0, d_f=8, label_dim=8, blank_dim=4,
+                          joint_dim=6, hat_decoder_dim=8)
+exp = ev.make_experiment_data(cfg)
+lm = ExternalLm(exp.vocab, embed_dim=8, seed=7)
+fusion = dec.FusionConfig("ilme_subtract", 0.4, 0.2, lm)
+seen, built = [], []
+
+
+def capture(owner):
+    make = owner.scorer
+    owner.scorer = lambda *a: built.append(make(*a)) or built[-1]
+
+
+capture(lm)
+for model in (ev.build_mhat(cfg, exp.vocab), ev.build_hat(cfg, exp.vocab)):
+    capture(model)
+    built.clear()
+    t.take()
+    dec.beam_search(model, [it.features for it in exp.tgt_test.items], cfg.beam, fusion)
+    stats, _ = t.take()
+    lm_scorer, scorer = sorted(built, key=lambda s: type(s).__name__ != "LmScorer")
+    seen.append({"lm_calls": stats.get("extlm.lm_scorer", [0])[0], "lm_rows": int(np.count_nonzero(lm_scorer.filled)),
+                 "lookups": stats.get("decode.scorer", [0])[0], "keys": int(np.count_nonzero(scorer.slot >= 0)),
+                 "scorers": len(built)})
+print(json.dumps(seen))
+"""
+
+
+def test_traced_lookups_count_the_rows_filled():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (os.path.join(ROOT, "src"),
+                                                                  os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", FILLS_UNDER_TRACER, TRACER], env=env, capture_output=True,
+                         text=True, check=True)
+    for seen in json.loads(out.stdout.splitlines()[-1]):
+        assert seen["scorers"] == 2  # one model scorer and one LM scorer serve the corpus
+        assert seen["lm_calls"] == seen["lm_rows"] > 0
+        assert seen["lookups"] == seen["keys"] > 0
