@@ -36,6 +36,7 @@ __all__ = [
     "no_grad",
     "sigmoid",
     "tanh",
+    "tanh_gather_sum",
 ]
 
 
@@ -317,6 +318,38 @@ def gather_sum(a, ia, b, ib) -> Tensor:
     return _op(data, (a, b), vjp)
 
 
+def tanh_gather_sum(a, ia, b, ib) -> Tensor:
+    """tanh(a[ia] + b[ib]) as one op, keeping only its output h.
+
+    The pre-activation rows are built and squashed in one buffer, so the
+    graph holds one rows x width array where `tanh(gather_sum(...))` held
+    two.  The backward pass scales the upstream gradient, which the node
+    owns, in place by 1 - h^2, in row blocks of about SEGMENT_BLOCK_BYTES,
+    then sums it into both tables as `gather_sum` does.  Both passes run
+    the float operations of `tanh(gather_sum(...))`.  At the largest
+    seed-0 training batch of the standard config (15,071 cells x 32) the
+    graph holds 3.9 MB less.
+    """
+    a, b = _coerce(a), _coerce(b)
+    ia, ib = np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
+    h = np.take(a.data, ia, axis=0)
+    h += np.take(b.data, ib, axis=0)
+    np.tanh(h, out=h)
+
+    def vjp(g):
+        step = max(1, SEGMENT_BLOCK_BYTES // (h[:1].nbytes or 1))  # rows per block
+        for i in range(0, len(h), step):
+            d = h[i : i + step] * h[i : i + step]
+            np.subtract(1.0, d, out=d)
+            g[i : i + step] *= d
+        if a.requires_grad:
+            a._hand_over(_segment_sum(g, ia, a.data.shape[0]))
+        if b.requires_grad:
+            b._hand_over(_segment_sum(g, ib, b.data.shape[0]))
+
+    return _op(h, (a, b), vjp)
+
+
 # -- linear maps ---------------------------------------------------------
 
 
@@ -514,8 +547,12 @@ ROW_MAX_FOLD_COLUMNS = 24
 def log_softmax_at(x, ids) -> Tensor:
     """log_softmax(x)[i, ids[i]] for each row i of a 2-D `x`.
 
-    Only the picked entries and the shifted rows are stored; the backward
-    pass recomputes the softmax from the shifted rows.
+    Only the picked entries, the row maxima m and the row log-sum-exps are
+    stored, not the shifted rows x - m, which would duplicate `x`.  The
+    backward pass rebuilds x - m in one buffer and turns it into the
+    gradient in place, with the float operations of the stored-rows form.
+    At the largest seed-0 training batch of the standard config (14,345
+    label cells x 16) the graph holds 1.8 MB less.
     """
     x = _coerce(x)
     ids = np.asarray(ids, dtype=np.int64)
@@ -527,16 +564,19 @@ def log_softmax_at(x, ids) -> Tensor:
         m = m[:, None]
     else:
         m = x.data.max(axis=-1, keepdims=True)
-    shifted = x.data - m
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    e = x.data - m
+    lse = np.log(np.exp(e, out=e).sum(axis=-1, keepdims=True))
 
     def vjp(g):
         if x.requires_grad:
-            grad = np.exp(shifted - lse) * -g[:, None]
+            grad = x.data - m
+            grad -= lse
+            np.exp(grad, out=grad)
+            grad *= -g[:, None]
             grad[rows, ids] += g
             x._hand_over(grad)
 
-    return _op(shifted[rows, ids] - lse[:, 0], (x,), vjp)
+    return _op((x.data[rows, ids] - m[:, 0]) - lse[:, 0], (x,), vjp)
 
 
 def log_softmax_nll(logits, weights) -> Tensor:

@@ -4,8 +4,10 @@ Kept verbatim as test oracles, each under its original name:
 `Tensor._accumulate`, which copies every first gradient (a method: it
 takes the tensor as `self`); `numerics._segment_sum` with its int64
 sort; `numerics.gather_sum` with fancy-index gathers (it calls the
-`_segment_sum` below); `model.lattice_cells` with its argsort into final
-order; the per-utterance `Encoder.windows` (a method of the encoder);
+`_segment_sum` below); `numerics.tanh_gather_sum` as `numerics.tanh`
+over that `gather_sum`, a graph that keeps the pre-activation rows too;
+`model.lattice_cells` with its argsort into final order; the
+per-utterance `Encoder.windows` (a method of the encoder);
 `numerics.log_sum_exp` with its guarded shift and floored sum on every
 call; `model._token_array` with its Python-level flatten and
 `model.context_counts` with `np.unique` and `np.add.at`; the engine ops
@@ -70,6 +72,11 @@ def gather_sum(a, ia, b, ib) -> Tensor:
     data = a.data[ia]
     data += b.data[ib]
     return _op(data, (a, b), vjp)
+
+
+def tanh_gather_sum(a, ia, b, ib) -> Tensor:
+    """tanh(a[ia] + b[ib]) as two ops: the graph holds both the sums and their tanh."""
+    return nm.tanh(gather_sum(a, ia, b, ib))
 
 
 def _token_array(transcripts: Sequence[Sequence[int]], sos_id: int) -> tuple[np.ndarray, np.ndarray]:
