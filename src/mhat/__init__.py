@@ -34,7 +34,6 @@ from .decode import (
 from .extlm import ExternalLm, LmTrainConfig, lm_perplexity, train_lm
 from .lattice import (
     AlignmentLattice,
-    StructureError,
     brute_force_log_prob,
     build_lattice,
     forward_log_prob,
@@ -46,6 +45,7 @@ from .model import (
     EncoderConfig,
     HatModel,
     MhatModel,
+    StructureError,
     VocabError,
     Vocabulary,
     label_posterior,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import numerics as nm
 from .extlm import ExternalLm
-from .lattice import StructureError, forward_log_prob
+from .lattice import forward_log_prob
 from .model import ConfigError, HatModel, MhatModel, bigram_contexts, next_context_codes
 
 FUSION_MODES = ("none", "shallow", "ilme_subtract")
@@ -153,11 +153,11 @@ def beam_search(
     scorer.  Neither outlives the call: training and ILMA change parameters
     in place.
 
-    Raises ConfigError when an utterance is not a 2-D array, and
-    StructureError when one has no frames (T=0), like the lattice: no
-    alignment exists.  Raises EvaluationError when a group is
-    left with no hypothesis of finite combined score, or when a scorer row
-    holds a NaN or +inf.
+    `Encoder.frames` checks every utterance before any scorer is built, as
+    in the lattice and the trainers: a bad one raises ConfigError or
+    StructureError.  Raises EvaluationError when a group is left with no
+    hypothesis of finite combined score, or when a scorer row holds a NaN
+    or +inf.
     """
     corpus = not isinstance(X, np.ndarray)
     xs = list(X) if corpus else [X]
@@ -174,15 +174,10 @@ def beam_search(
     lm = next(iter(lms.values()), None)
     for f in fusions:
         _check_lm_vocab(model, f)
-    for u, x in enumerate(xs):
-        shape = np.shape(x)
-        if len(shape) != 2:  # a list of T frames would otherwise read as T utterances
-            raise ConfigError(f"utterance {u} has shape {shape}: each utterance is a (T, d_x) array")
-        if shape[0] < 1:
-            raise StructureError(f"no alignment exists for utterance {u}: it has no frames (T=0)")
-    lm_scorer = lm.scorer() if lm is not None else None
     if not xs:
         return []
+    model.encoder.frames(xs)  # a list of T frames would otherwise read as T utterances
+    lm_scorer = lm.scorer() if lm is not None else None
     scorer = model.scorer(xs)
     k = beam_width
     v = model.vocab.size

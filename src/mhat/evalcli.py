@@ -28,9 +28,7 @@ from .decode import (
     parse_record,
 )
 from .extlm import LmTrainConfig, train_lm
-from .lattice import StructureError
-from .losses import perplexity
-from .model import ConfigError, EncoderConfig, HatModel, MhatModel, VocabError, Vocabulary
+from .model import ConfigError, EncoderConfig, HatModel, MhatModel, StructureError, VocabError, Vocabulary
 from .training import TrainConfig, check_schedule, train_asr
 
 
@@ -471,8 +469,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, log=_log) 
             best_lambdas=lams,
             ilma_report=ilma_report,
             lm_train_ppl=lm_ppl,
-            ilm_source_ppl=perplexity(models["mhat"], exp.src_dev.transcripts()),
-            ilm_target_ppl=perplexity(models["mhat"], exp.tgt_dev.transcripts()),
+            ilm_source_ppl=ilma_report.source_ppl_before,  # ILMA measured its unadapted copy
+            ilm_target_ppl=ilma_report.target_ppl_before,
             models={**models, "lm": lm},
             data=exp,
             durations=dict(durations),

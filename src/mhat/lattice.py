@@ -27,12 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .model import HatModel, LatticeCells, MhatModel, label_posterior
+from .model import HatModel, LatticeCells, MhatModel, StructureError, label_posterior
 from .numerics import Tensor
-
-
-class StructureError(ValueError):
-    """No alignment exists for the requested (T, U) pair."""
 
 
 BRUTE_FORCE_LIMIT = 12  # max T+U accepted by the enumeration oracle
@@ -188,20 +184,10 @@ def lattice_log_prob(log_blank: Tensor, log_label: Tensor, cells: LatticeCells) 
     return nm._op(tot, (log_blank, log_label), vjp)
 
 
-def check_structure(X: np.ndarray, tokens: Sequence[int]) -> None:
-    """Raise StructureError when no alignment exists: every path needs a frame."""
-    if np.asarray(X).shape[0] < 1:
-        raise StructureError(
-            f"no alignment exists for T={np.asarray(X).shape[0]}, U={len(tokens)}"
-        )
-
-
 def batch_log_probs(model: MhatModel | HatModel, batch: Sequence[tuple[np.ndarray, Sequence[int]]]) -> Tensor:
     """log P(tokens | X) of every item, (B,), graph-attached."""
     if not batch:
         return Tensor(np.zeros(0))
-    for x, y in batch:
-        check_structure(x, y)
     return lattice_log_prob(*model.arc_log_scores(batch))
 
 
@@ -212,7 +198,6 @@ def forward_log_prob(model: MhatModel | HatModel, X: np.ndarray, tokens: Sequenc
 
 def build_lattice(model: MhatModel | HatModel, X: np.ndarray, tokens: Sequence[int]) -> AlignmentLattice:
     """Materialize arc scores and both recursions for inspection and tests."""
-    check_structure(X, tokens)
     with nm.no_grad():
         log_blank, log_label, cells = model.arc_log_scores([(X, tokens)])
     n, t, u = cells.n_label, cells.t, cells.u
@@ -243,8 +228,8 @@ def brute_force_log_prob(model: MhatModel | HatModel, X: np.ndarray, tokens: Seq
     grid builder), so the oracle also cross-checks grid assembly.  Refuses
     instances beyond T+U <= 12.
     """
-    check_structure(X, tokens)
-    X = np.asarray(X, dtype=np.float64)
+    X, _ = model.encoder.frames([X])
+    model.vocab.check_ids(tokens)
     t_len, u_len = X.shape[0], len(tokens)
     if t_len + u_len > BRUTE_FORCE_LIMIT:
         raise ValueError(
@@ -322,4 +307,5 @@ def hat_loss(model: MhatModel | HatModel, batch: Sequence[tuple[np.ndarray, Sequ
     """
     if not batch:
         return Tensor(0.0)
+    model.encoder.frames([x for x, _ in batch])  # before reordering: an error names the caller's position
     return nm.neg(nm.total(batch_log_probs(model, [batch[i] for i in canonical_order(batch)])))

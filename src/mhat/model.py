@@ -35,6 +35,10 @@ class ConfigError(ValueError):
     """Inconsistent model or run configuration."""
 
 
+class StructureError(ValueError):
+    """No alignment exists for an utterance: it has no frames."""
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Fixed label inventory; blank is not an entry (it has its own head).
@@ -352,16 +356,21 @@ class Encoder:
             self.weights.append((w, b))
             d_in = cfg.d_f
 
-    def frames(self, xs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """The frames of a list of (T, d_x) utterances, stacked, and their
-        lengths.  Raises ConfigError on a wrong shape or a non-finite feature,
-        naming the frame within its utterance."""
+    def frames(self, xs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """The frames of a sequence of (T, d_x) utterances, stacked, and their
+        lengths: the one check that utterances can be scored.  Per utterance,
+        in turn: not 2-D raises ConfigError, a wrong width ConfigError, no
+        frames StructureError (no alignment exists); the first and the last
+        name its position in `xs`.  Then a non-finite feature raises
+        ConfigError naming its frame."""
         xs = [np.asarray(x, dtype=np.float64) for x in xs]
-        for x in xs:
-            if x.ndim != 2 or x.shape[1] != self.cfg.d_x:
-                raise ConfigError(
-                    f"feature dim mismatch: got {x.shape}, encoder expects (T, {self.cfg.d_x})"
-                )
+        for u, x in enumerate(xs):
+            if x.ndim != 2:
+                raise ConfigError(f"utterance {u} has shape {x.shape}: each utterance is a (T, d_x) array")
+            if x.shape[1] != self.cfg.d_x:
+                raise ConfigError(f"feature dim mismatch: got {x.shape}, encoder expects (T, {self.cfg.d_x})")
+            if not len(x):
+                raise StructureError(f"no alignment exists for utterance {u}: it has no frames (T=0)")
         X = np.concatenate(xs)
         t_lens = np.array([len(x) for x in xs])
         if not np.isfinite(X).all():

@@ -129,10 +129,10 @@ def train_asr(
     Returns the per-epoch mean loss per utterance.  Deterministic under a
     fixed seed: shuffling, batching, and reductions are all seeded or
     order-canonical.  Every feature array and transcript is checked before
-    the first step: a wrong shape or non-finite feature raises ConfigError,
-    a token id outside the vocabulary VocabError.  A NaN or infinite batch
-    loss raises EvaluationError naming the epoch and batch, before any
-    parameter moves on it.
+    the first step: `Encoder.frames` raises ConfigError or StructureError
+    naming the utterance, a token id outside the vocabulary VocabError.  A
+    NaN or infinite batch loss raises EvaluationError naming the epoch and
+    batch, before any parameter moves on it.
     """
     if isinstance(model, HatModel) and cfg.alpha != 0.0:
         raise ConfigError("internal-LM loss weight applies to MHAT only")

@@ -19,7 +19,6 @@ import numpy as np
 from mhat import numerics as nm
 from mhat.decode import MAX_LABELS_PER_FRAME, NO_FUSION, DecodeResult, FusionConfig, _check_lm_vocab
 from mhat.extlm import ExternalLm
-from mhat.lattice import check_structure
 from mhat.model import HatModel, MhatModel, context_of
 
 
@@ -203,12 +202,13 @@ def beam_search(
 ) -> list[DecodeResult]:
     """Ranked hypotheses with separately tracked score components.
 
-    Raises StructureError on T=0, like the lattice: no alignment exists.
+    Checks X as the array search does, with `Encoder.frames`: T=0 raises
+    StructureError, like the lattice: no alignment exists.
     """
     if beam_width < 1:
         raise ConfigError("beam width must be >= 1")
     _check_lm_vocab(model, fusion)
-    check_structure(X, ())
+    model.encoder.frames([X])
     scorer = (MhatScorer if isinstance(model, MhatModel) else HatScorer)(model, X)
     lm_scorer = LmScorer(fusion.lm) if fusion.lm is not None else None
     v = model.vocab.size

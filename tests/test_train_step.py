@@ -333,7 +333,8 @@ class TestWindowsOracle:
             assert same_bytes(enc.windows(xs), batch_windows(enc, xs))
 
     @pytest.mark.parametrize("context", [0, 1, 3])
-    @pytest.mark.parametrize("t_lens", [[1], [5], [1, 4, 1], [3, 0, 2], [2, 7, 1, 1]])
+    # a batch with T=0 is a StructureError, in tests/test_edge_table.py
+    @pytest.mark.parametrize("t_lens", [[1], [5], [1, 4, 1], pytest.param([2, 7, 1, 1], id="t_lens4")])
     def test_edge_cases(self, context, t_lens):
         enc = Encoder(ParameterSet(), EncoderConfig(d_x=3, context=context, d_f=4), np.random.default_rng(0))
         rng = np.random.default_rng(5)
