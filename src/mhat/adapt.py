@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .losses import batch_table, context_table, event_codes, ilm_loss, perplexity
-from .model import ConfigError, ContextTable, MhatModel
+from .losses import batch_table, ilm_loss, perplexity
+from .model import ConfigError, ContextTable, EventCodes, MhatModel
 from .numerics import Tensor
 from .training import Sgd, check_schedule
 
@@ -132,9 +132,9 @@ def run_ilma(
     rng = np.random.default_rng(cfg.seed)
     size = min(cfg.batch_size, len(transcripts))
     picks = [rng.choice(len(transcripts), size=size, replace=False) for _ in range(cfg.steps)]
-    tables = event_codes(model, transcripts).tables(picks)
-    source = context_table(model, heldout_source) if heldout_source else None
-    target = context_table(model, heldout_target) if heldout_target else None
+    tables = EventCodes(transcripts, model.vocab.size).tables(picks)
+    source = batch_table(model, heldout_source) if heldout_source else None
+    target = batch_table(model, heldout_target) if heldout_target else None
 
     report = AdaptReport(rho=cfg.rho, steps=cfg.steps)
     if source is not None:

@@ -362,21 +362,26 @@ def read_text_corpus(path: str, vocab: Vocabulary) -> Corpus:
 def write_corpus(corpus: Corpus, path: str) -> None:
     """Paired corpora: text manifest at `path` plus binary features at `path.feats`.
 
-    An utterance without features raises ConfigError before any file is
+    An utterance without features, or with a feature that is NaN or
+    infinite in float32, raises ConfigError naming it before any file is
     created; an empty corpus writes a manifest of `count 0`.
     """
     bare = [it.uid for it in corpus.items if it.features is None]
     if bare:
         raise ConfigError(f"{path}: utterance {bare[0]} has no features")
+    with np.errstate(over="ignore"):  # a value beyond float32's range turns inf, refused below
+        blobs = [np.ascontiguousarray(it.features, dtype="<f4") for it in corpus.items]
+    for it, feats in zip(corpus.items, blobs):
+        if not np.isfinite(feats).all():
+            raise ConfigError(f"{path}: utterance {it.uid} holds a non-finite feature")
     with open(path, "w") as mf, open(path + ".feats", "wb") as bf:
         mf.write("format mhat-corpus-v1\n")
         mf.write(f"split {corpus.split}\n")
         mf.write(f"seed {corpus.seed}\n")
         mf.write(f"vocab.hash {corpus.vocab.digest()}\n")
         mf.write(f"count {len(corpus.items)}\n")
-        for it in corpus.items:
-            mf.write(f"utt {it.uid} {it.features.shape[0]} {corpus.vocab.text(it.tokens)}\n")
-            feats = np.ascontiguousarray(it.features, dtype="<f4")
+        for it, feats in zip(corpus.items, blobs):
+            mf.write(f"utt {it.uid} {feats.shape[0]} {corpus.vocab.text(it.tokens)}\n")
             header = np.array(feats.shape, dtype="<u4")
             bf.write(header.tobytes())
             bf.write(feats.tobytes())

@@ -13,11 +13,12 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .losses import batch_table, event_codes, text_nll, text_perplexity
+from .losses import batch_table, text_nll, text_perplexity
 from .model import (
     ConfigError,
     ContextTable,
     EmbeddingDecoder,
+    EventCodes,
     Vocabulary,
     bigram_contexts,
     check_rows_finite,
@@ -31,14 +32,13 @@ class ExternalLm:
 
     kind = "lm"
 
-    def __init__(self, vocab: Vocabulary, embed_dim: int = 64, tied_tables: bool = False, seed: int = 0):
+    def __init__(self, vocab: Vocabulary, embed_dim: int = 64, seed: int = 0):
         rng = np.random.default_rng(seed)
-        self.vocab = vocab
-        self.embed_dim, self.tied_tables = embed_dim, tied_tables
+        self.vocab, self.embed_dim = vocab, embed_dim
         self.eos_id = vocab.size  # output index; contexts use sos_id = vocab.size
         p = ParameterSet()
         self.params = p
-        self.decoder = EmbeddingDecoder(p, "decoder", vocab, embed_dim, "ilm", rng, tied_tables=tied_tables)
+        self.decoder = EmbeddingDecoder(p, "decoder", vocab, embed_dim, "ilm", rng, tied_tables=False)
         self.out_w = p.add(
             "out_proj.weight",
             rng.standard_normal((vocab.size + 1, embed_dim)) / np.sqrt(embed_dim),
@@ -71,18 +71,14 @@ class ExternalLm:
         return LmScorer(self)
 
     def config_items(self) -> dict[str, str]:
-        return {
-            "embed_dim": str(self.embed_dim),
-            "tied_tables": str(int(self.tied_tables)),
-        }
+        # the LM is untied; the manifest keeps its `tied_tables` key, which `from_config` checks
+        return {"embed_dim": str(self.embed_dim), "tied_tables": "0"}
 
     @staticmethod
     def from_config(vocab: Vocabulary, cfg: dict[str, str]) -> "ExternalLm":
-        return ExternalLm(
-            vocab,
-            embed_dim=int(cfg["embed_dim"]),
-            tied_tables=bool(int(cfg["tied_tables"])),
-        )
+        if cfg["tied_tables"] != "0":
+            raise ValueError(f"config.tied_tables must be 0, got {cfg['tied_tables']!r}")
+        return ExternalLm(vocab, embed_dim=int(cfg["embed_dim"]))
 
 
 class LmScorer:
@@ -139,13 +135,13 @@ class LmTrainConfig:
 def lm_loss(lm: ExternalLm, transcripts: Sequence[Sequence[int]] | ContextTable) -> Tensor:
     """Summed sentence NLL with EOS appended, over the batch's context table
     (`transcripts` may be that table)."""
-    return text_nll(lm, batch_table(lm, transcripts, lm.eos_id))
+    return text_nll(lm, batch_table(lm, transcripts, eos=True))
 
 
 def lm_perplexity(lm: ExternalLm, transcripts: Sequence[Sequence[int]] | ContextTable) -> float:
     """exp(mean NLL per event), the EOS event included (`transcripts` may be
     their context table)."""
-    return text_perplexity(lm, batch_table(lm, transcripts, lm.eos_id))
+    return text_perplexity(lm, batch_table(lm, transcripts, eos=True))
 
 
 def train_lm(corpus, cfg: LmTrainConfig = LmTrainConfig()) -> tuple[ExternalLm, float]:
@@ -161,7 +157,7 @@ def train_lm(corpus, cfg: LmTrainConfig = LmTrainConfig()) -> tuple[ExternalLm, 
     if not transcripts:
         raise ConfigError("LM training corpus is empty")
     lm = ExternalLm(corpus.vocab, embed_dim=cfg.embed_dim, seed=cfg.seed)
-    codes = event_codes(lm, transcripts, lm.eos_id)
+    codes = EventCodes(transcripts, lm.vocab.size, eos=True)
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(list(lm.params.entries.items()), cfg.lr)
     for epoch in range(cfg.epochs):

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .model import HatModel, LatticeCells, MhatModel, StructureError, label_posterior
+from .model import HatModel, LatticeCells, MhatModel, label_posterior
 from .numerics import Tensor
 
 

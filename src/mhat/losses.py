@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numerics as nm
 from .lattice import hat_loss
-from .model import ConfigError, ContextTable, EventCodes, HatModel, MhatModel, context_counts
+from .model import ConfigError, ContextTable, HatModel, MhatModel, context_counts
 from .numerics import Tensor
 
 
@@ -26,21 +26,10 @@ def check_alpha(alpha: float) -> None:
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
 
 
-def context_table(model_or_lm, transcripts: Sequence[Sequence[int]], eos_id: int | None = None) -> ContextTable:
-    """`context_counts` over the model's tokens, plus `eos_id` when given."""
-    vocab = model_or_lm.vocab
-    return context_counts(transcripts, vocab.sos_id, vocab.size + (eos_id is not None), eos_id)
-
-
-def event_codes(model_or_lm, transcripts: Sequence[Sequence[int]], eos_id: int | None = None) -> EventCodes:
-    """`EventCodes` over the model's tokens, plus `eos_id` when given."""
-    vocab = model_or_lm.vocab
-    return EventCodes(transcripts, vocab.sos_id, vocab.size + (eos_id is not None), eos_id)
-
-
-def batch_table(model_or_lm, batch, eos_id: int | None = None) -> ContextTable:
-    """`batch` itself when it is a ContextTable, else the `context_table` of its sentences."""
-    return batch if isinstance(batch, ContextTable) else context_table(model_or_lm, batch, eos_id)
+def batch_table(model_or_lm, batch, eos: bool = False) -> ContextTable:
+    """`batch` itself when it is a ContextTable, else the `context_counts`
+    of its sentences over the model's vocabulary, with EOS events when `eos`."""
+    return batch if isinstance(batch, ContextTable) else context_counts(batch, model_or_lm.vocab.size, eos)
 
 
 def text_nll(model_or_lm, table: ContextTable) -> Tensor:

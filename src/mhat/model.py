@@ -164,23 +164,22 @@ class ContextTable(NamedTuple):
 class EventCodes:
     """Every sentence's (context, event) codes, encoded once per call.
 
-    A sentence's events are its labels in order, plus one event `eos_id`
-    after its last label when `eos_id` is given; each follows the
-    SOS-padded last two labels before it, (prev2, prev1), and its code is
-    (prev2 * width + prev1) * n_out + event, width = sos_id + 1.  Every token
-    id of `transcripts` must lie in [0, sos_id); all are checked here.
+    Token ids lie in [0, size), and SOS and EOS are both `size`.  A
+    sentence's events are its labels in order, plus one EOS event after its
+    last label when `eos`; each follows the SOS-padded last two labels
+    before it, (prev2, prev1), and its code is c * n_out + event, with
+    context code c = prev2 * (size + 1) + prev1 and n_out = size + eos.
+    Every token id of `transcripts` is checked here.
     """
 
-    def __init__(
-        self, transcripts: Sequence[Sequence[int]], sos_id: int, n_out: int, eos_id: int | None = None
-    ):
-        lengths, toks = _token_array(transcripts, sos_id)
-        if eos_id is not None:  # one end event after each sentence's last label
-            toks = np.insert(toks, np.cumsum(lengths), eos_id)
+    def __init__(self, transcripts: Sequence[Sequence[int]], size: int, eos: bool = False):
+        lengths, toks = _token_array(transcripts, size)
+        if eos:  # one end event after each sentence's last label
+            toks = np.insert(toks, np.cumsum(lengths), size)
             lengths = lengths + 1
         self.starts = np.cumsum(lengths) - lengths
-        self.width, self.n_out, self.lengths = sos_id + 1, n_out, lengths
-        self.code = context_codes(lengths, toks, sos_id) * n_out + toks
+        self.width, self.n_out, self.lengths = size + 1, size + eos, lengths
+        self.code = context_codes(lengths, toks, size) * self.n_out + toks
 
     def tables(self, batches: Sequence[np.ndarray]) -> Iterator[ContextTable]:
         """The `ContextTable` of each batch in turn, from one sort.
@@ -217,15 +216,9 @@ class EventCodes:
             yield ContextTable(contexts[row_off[b] : row_off[b + 1]], counts.reshape(k, self.n_out))
 
 
-def context_counts(
-    transcripts: Sequence[Sequence[int]], sos_id: int, n_out: int, eos_id: int | None = None
-) -> ContextTable:
-    """The `ContextTable` of one batch: `EventCodes.tables` of that one batch.
-
-    Token ids must lie in [0, sos_id); with `eos_id`, every sentence adds
-    one event `eos_id` at its final context.
-    """
-    return next(EventCodes(transcripts, sos_id, n_out, eos_id).tables([np.arange(len(transcripts))]))
+def context_counts(transcripts: Sequence[Sequence[int]], size: int, eos: bool = False) -> ContextTable:
+    """The `ContextTable` of one batch: `EventCodes.tables` of that one batch."""
+    return next(EventCodes(transcripts, size, eos).tables([np.arange(len(transcripts))]))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 from mhat import numerics as nm
 from mhat.decode import MAX_LABELS_PER_FRAME, NO_FUSION, DecodeResult, FusionConfig, _check_lm_vocab
 from mhat.extlm import ExternalLm
-from mhat.model import HatModel, MhatModel, context_of
+from mhat.model import ConfigError, HatModel, MhatModel, context_of
 
 
 def _log_sum_exp(z, axis=None):

@@ -471,6 +471,19 @@ class TestPairedCorpusIO:
             write_corpus(corpus, str(tmp_path / "c"))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])  # 1e39 is infinite in float32
+    def test_non_finite_feature_not_written(self, tmp_path, bad):
+        # used to be written, and only the decoder refused it, naming no file
+        corpus = gen_corpus(point_mass_spec(), seed=6, n_utts=3)
+        items = list(corpus.items)
+        features = items[2].features.copy()
+        features[0, 1] = bad
+        items[2] = dataclasses.replace(items[2], features=features)
+        path = str(tmp_path / "c")
+        with pytest.raises(ConfigError, match=f"^{path}: utterance {items[2].uid} holds a non-finite feature$"):
+            write_corpus(dataclasses.replace(corpus, items=tuple(items)), path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_corpus_roundtrip(self, tmp_path):
         corpus = gen_corpus(point_mass_spec(), seed=6, n_utts=0)
         path = str(tmp_path / "c")
@@ -554,6 +567,17 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="kind mismatch"):
             load_checkpoint(str(tmp_path / "lm.ckpt"), expect="asr")
         assert load_checkpoint(str(tmp_path / "lm.ckpt"), expect="lm").kind == "lm"
+
+    @pytest.mark.parametrize("value", ["1", "00"])
+    def test_lm_tied_tables_other_than_0_rejected(self, tmp_path, value):
+        # the external LM is always untied, and writes `config.tied_tables 0`
+        path = tmp_path / "lm.ckpt"
+        save_checkpoint(ExternalLm(Vocabulary.default(4), embed_dim=8), str(path))
+        text = path.read_text()
+        assert "config.tied_tables 0\n" in text
+        path.write_text(text.replace("config.tied_tables 0\n", f"config.tied_tables {value}\n"))
+        with pytest.raises(CheckpointError, match=f"bad model config: config.tied_tables must be 0, got '{value}'"):
+            load_checkpoint(str(path))
 
     def test_shape_mismatch_names_tensor(self, tmp_path):
         m = small_mhat()

@@ -20,8 +20,8 @@ from mhat.decode import (
 )
 from mhat.evalcli import ExperimentConfig, build_hat, build_mhat, make_experiment_data
 from mhat.extlm import ExternalLm
-from mhat.lattice import StructureError, forward_log_prob
-from mhat.model import ConfigError, Vocabulary
+from mhat.lattice import forward_log_prob
+from mhat.model import ConfigError, StructureError, Vocabulary
 from mhat.numerics import EvaluationError
 
 
@@ -281,6 +281,11 @@ class TestDictOracle:
                     want = reference_beam.beam_search(model, X, beam, fusion, max_labels_per_frame=cap)
                     got = beam_search(model, X, beam, fusion, max_labels_per_frame=cap)
                     assert ranked(got) == ranked(want)
+
+    @pytest.mark.parametrize("search", [beam_search, reference_beam.beam_search], ids=["array", "oracle"])
+    def test_width_below_one_rejected_alike(self, search, rng):
+        with pytest.raises(ConfigError, match="^beam width must be >= 1$"):
+            search(small_mhat(), rng.standard_normal((2, 3)), 0)
 
     @pytest.mark.parametrize("kind", ["mhat", "hat"])
     def test_exact_ties_break_like_the_stable_sort(self, real_setup, kind):

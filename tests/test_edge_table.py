@@ -17,7 +17,7 @@ import pytest
 
 from conftest import small_hat, small_mhat
 from mhat import data as dat
-from mhat.decode import beam_search, score_sequence
+from mhat.decode import FusionConfig, beam_search, score_sequence
 from mhat.evalcli import evaluate_pairs, main
 from mhat.extlm import ExternalLm, lm_perplexity
 from mhat.lattice import brute_force_log_prob, build_lattice, forward_log_prob, hat_loss
@@ -109,14 +109,22 @@ UIDS = [f"test-{i:05d}" for i in range(1, 4)]
 
 
 def write_inputs(tmp_path, edge: str) -> tuple[str, str]:
-    """A three-utterance corpus with the edge in its third utterance, and its vocabulary file."""
+    """A three-utterance corpus with the edge in its third utterance, and its vocabulary file.
+
+    `write_corpus` refuses a NaN feature, so that edge is written as a
+    finite corpus whose feature file then gets the NaN.
+    """
     vocab = Vocabulary.default(V)
     x, y, _, _ = EDGES[edge]
-    items = batch_with(x, Y if edge == "token" else y)
+    items = batch_with(X if edge == "NaN" else x, Y if edge == "token" else y)
     corpus = dat.Corpus("test", 0, vocab, tuple(dat.Utterance(uid, f, tuple(t)) for uid, (f, t) in zip(UIDS, items)))
     data, vocab_path = str(tmp_path / "test"), str(tmp_path / "vocab.txt")
     dat.write_corpus(corpus, data)
     dat.write_vocab(vocab, vocab_path)
+    if edge == "NaN":  # each record is a (T, d_x) header of two values, then the features; `with_nan` sets [2, 1]
+        values = np.fromfile(data + ".feats", dtype="<f4")
+        values[sum(2 + f.size for f, _ in items[:2]) + 2 + 2 * D_X + 1] = np.nan
+        values.tofile(data + ".feats")
     if edge == "token":
         with open(data) as f:
             lines = f.read().splitlines()
@@ -156,6 +164,64 @@ def test_cli_decode(tmp_path, capsys, edge):
     text = cli_text(edge, data)
     if edge == "T=0":  # `mhat decode` names the uid
         text = f"utterance {UIDS[2]} has no frames: no alignment exists for T=0"
+    assert_cli_error(rc, capsys.readouterr().err, text)
+    assert not (tmp_path / "dec" / "decodes.tsv").exists()
+
+
+# The edges that are not a bad utterance: an utterance with no labels
+# (U=0), a reached label cap, and an LM or a corpus under another
+# vocabulary than the model's.  `mhat eval`'s bad hypothesis files are
+# tests/test_evalcli.py's `test_eval_rejects_a_bad_hypothesis_file`.
+OTHER_VOCAB = Vocabulary(tuple(f"x{i}" for i in range(V)))  # as many names as the models', other ones
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_no_labels_scores_as_the_enumeration(kind):
+    model = MODELS[kind]()
+    want = brute_force_log_prob(model, X, [])
+    got = [float(forward_log_prob(model, X, []).data), -float(hat_loss(model, [(X, [])]).data),
+           build_lattice(model, X, []).log_prob, score_sequence(model, X, []).model_lp]
+    assert np.isfinite(want) and np.isfinite(got).all()
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_reached_label_cap(kind):
+    model = MODELS[kind]()
+    assert [r.tokens for r in beam_search(model, X, 4, max_labels_per_frame=0)] == [()]
+    # one frame at a cap of one label per frame: two labels score finite, but no beam finds them
+    one_frame = X[:1]
+    assert np.isfinite(score_sequence(model, one_frame, [1, 2]).model_lp)
+    for beam in (1, 4, 16):
+        assert all(len(r.tokens) <= 1 for r in beam_search(model, one_frame, beam, max_labels_per_frame=1))
+    assert any(len(r.tokens) == 2 for r in beam_search(model, one_frame, 16, max_labels_per_frame=2))
+
+
+@pytest.mark.parametrize("kind", MODELS)
+@pytest.mark.parametrize(
+    "call",
+    [lambda m, f: beam_search(m, X, 2, f), lambda m, f: score_sequence(m, X, Y, f)],
+    ids=["beam_search", "score_sequence"],
+)
+def test_lm_of_another_vocabulary(kind, call):
+    fusion = FusionConfig(mode="shallow", lam_ext=0.3, lm=ExternalLm(OTHER_VOCAB, embed_dim=4))
+    with raises_exactly(ConfigError, "external LM vocabulary differs from the model's"):
+        call(MODELS[kind](), fusion)
+
+
+@pytest.mark.parametrize("foreign", ["lm", "corpus"])
+def test_cli_decode_under_another_vocabulary(tmp_path, capsys, foreign):
+    data = str(tmp_path / "test")
+    corpus_vocab = OTHER_VOCAB if foreign == "corpus" else Vocabulary.default(V)
+    items = tuple(dat.Utterance(uid, x, tuple(y)) for uid, (x, y) in zip(UIDS, batch_with(X, Y)))
+    dat.write_corpus(dat.Corpus("test", 0, corpus_vocab, items), data)
+    dat.save_checkpoint(small_mhat(), str(tmp_path / "mhat.ckpt"))
+    lm_vocab = OTHER_VOCAB if foreign == "lm" else Vocabulary.default(V)
+    dat.save_checkpoint(ExternalLm(lm_vocab, embed_dim=4), str(tmp_path / "lm.ckpt"))
+    capsys.readouterr()
+    rc = main(["decode", "--ckpt", str(tmp_path / "mhat.ckpt"), "--data", data, "--fusion", "shallow",
+               "--lam-ext", "0.3", "--lm", str(tmp_path / "lm.ckpt"), "--out-dir", str(tmp_path / "dec")])
+    text = "external LM vocabulary differs from the model's" if foreign == "lm" else f"{data}: vocabulary hash mismatch"
     assert_cli_error(rc, capsys.readouterr().err, text)
     assert not (tmp_path / "dec" / "decodes.tsv").exists()
 

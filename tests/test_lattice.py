@@ -7,7 +7,6 @@ from conftest import random_utterance, small_hat, small_mhat
 from mhat import numerics as nm
 from mhat.evalcli import ExperimentConfig, build_hat, build_mhat
 from mhat.lattice import (
-    StructureError,
     batch_log_probs,
     brute_force_log_prob,
     build_lattice,
@@ -15,7 +14,7 @@ from mhat.lattice import (
     hat_loss,
 )
 from mhat.losses import mhat_loss
-from mhat.model import Vocabulary, label_posterior
+from mhat.model import StructureError, Vocabulary, label_posterior
 
 
 def node_scores(model, F, t, u, tokens):

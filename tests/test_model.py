@@ -85,16 +85,16 @@ class TestContexts:
 
     def test_context_counts_hand_case(self):
         # events: (s,s)->0, (s,0)->1, (0,1)->eos and (s,s)->1, (s,1)->eos
-        ctx, counts = context_counts([[0, 1], [1]], sos_id=2, n_out=3, eos_id=2)
+        ctx, counts = context_counts([[0, 1], [1]], 2, eos=True)
         np.testing.assert_array_equal(ctx, [[0, 1], [2, 0], [2, 1], [2, 2]])
         np.testing.assert_array_equal(counts, [[0, 0, 1], [0, 1, 0], [0, 0, 1], [1, 1, 0]])
-        ctx, counts = context_counts([[0, 1], [1]], sos_id=2, n_out=2)
+        ctx, counts = context_counts([[0, 1], [1]], 2)
         np.testing.assert_array_equal(ctx, [[2, 0], [2, 2]])
         np.testing.assert_array_equal(counts, [[0, 1], [1, 1]])
 
     def test_context_counts_match_bigram_contexts(self, rng):
         seqs = [[int(i) for i in rng.integers(0, 5, size=rng.integers(0, 9))] for _ in range(30)]
-        ctx, counts = context_counts(seqs, sos_id=5, n_out=6, eos_id=5)
+        ctx, counts = context_counts(seqs, 5, eos=True)
         dense = np.zeros((36, 6), dtype=np.int64)
         for y in seqs:
             for (p2, p1), nxt in zip(bigram_contexts(y, 5), [*y, 5]):
@@ -104,12 +104,12 @@ class TestContexts:
         np.testing.assert_array_equal(counts, dense[seen])
 
     def test_context_counts_empty_batch_and_range(self):
-        ctx, counts = context_counts([], sos_id=4, n_out=4)
+        ctx, counts = context_counts([], 4)
         assert ctx.shape == (0, 2) and counts.shape == (0, 4)
         with pytest.raises(VocabError):
-            context_counts([[0, 4]], sos_id=4, n_out=4)
+            context_counts([[0, 4]], 4)
         with pytest.raises(VocabError):
-            context_counts([[-1]], sos_id=4, n_out=4)
+            context_counts([[-1]], 4)
 
     def test_lattice_cells_cover_every_node_once(self):
         t_lens, seqs = [3, 1, 2], [[2, 0], [], [1, 1, 3]]

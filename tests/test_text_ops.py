@@ -23,7 +23,7 @@ from mhat.adapt import IlmaConfig, ilm_snapshot, ilma_loss, run_ilma
 from mhat.evalcli import ExperimentConfig, build_hat, build_mhat, make_experiment_data
 from mhat.extlm import ExternalLm, LmTrainConfig, lm_loss, lm_perplexity, train_lm
 from mhat.lattice import canonical_order
-from mhat.losses import context_table, ilm_loss, mhat_loss, perplexity, text_nll
+from mhat.losses import batch_table, ilm_loss, mhat_loss, perplexity, text_nll
 from mhat.data import Corpus, Utterance
 from mhat.model import ContextTable, EmbeddingDecoder, EventCodes, VocabError, context_counts
 from mhat.numerics import ParameterSet, Tensor
@@ -51,7 +51,7 @@ def old_text(monkeypatch):
     def install():
         monkeypatch.setattr(EmbeddingDecoder, "outputs", ref.outputs)
         monkeypatch.setattr(nm, "log_softmax_nll", ref.log_softmax_nll)
-        monkeypatch.setattr(losses_mod, "context_counts", lambda *args: ContextTable(*ref.context_counts(*args)))
+        monkeypatch.setattr(losses_mod, "context_counts", lambda seqs, v, eos: ContextTable(*ref_counts(seqs, v, eos)))
         monkeypatch.setattr(model_mod, "_token_array", ref._token_array)
 
     return install
@@ -90,9 +90,14 @@ def run_both(old_text, cases):
     assert_same_runs(new, old)
 
 
-def assert_same_counts(seqs, sos_id, n_out, eos_id=None):
-    got = context_counts(seqs, sos_id, n_out, eos_id)
-    want = ref.context_counts(seqs, sos_id, n_out, eos_id)
+def ref_counts(seqs, v, eos=False):
+    """The oracle's table for vocabulary size `v`, with EOS events when `eos`."""
+    return ref.context_counts(seqs, v, v + eos, v if eos else None)
+
+
+def assert_same_counts(seqs, v, eos=False):
+    got = context_counts(seqs, v, eos)
+    want = ref_counts(seqs, v, eos)
     for a, b in zip(got, want):
         assert same_bytes(a, b)
 
@@ -102,10 +107,10 @@ class TestContextCountsOracle:
         exp, batches32, batches64 = real
         v = exp.vocab.size
         for batch in batches32:
-            assert_same_counts(batch, v, v)
+            assert_same_counts(batch, v)
         for batch in batches64:
-            assert_same_counts(batch, v, v + 1, v)
-        assert_same_counts(exp.tgt_text.transcripts(), v, v + 1, v)
+            assert_same_counts(batch, v, eos=True)
+        assert_same_counts(exp.tgt_text.transcripts(), v, eos=True)
 
     @pytest.mark.parametrize(
         "seqs",
@@ -123,21 +128,21 @@ class TestContextCountsOracle:
     @pytest.mark.parametrize("eos", [False, True])
     def test_edge_cases(self, seqs, v, eos):
         seqs = [[t % v for t in y] for y in seqs]
-        assert_same_counts(seqs, v, v + eos, v if eos else None)
+        assert_same_counts(seqs, v, eos)
 
     @pytest.mark.parametrize("v", [300, 1000])
     @pytest.mark.parametrize("eos", [False, True])
     def test_large_vocab(self, v, eos):
         rng = np.random.default_rng(v)
         seqs = [rng.integers(0, v, rng.integers(0, 12)).tolist() for _ in range(64)]
-        assert_same_counts(seqs, v, v + eos, v if eos else None)
+        assert_same_counts(seqs, v, eos)
 
     @pytest.mark.parametrize("seqs", [[[0, 4]], [[-1]], [[1], [2, 7, 9]], [[], [3, 4, 0]]])
     def test_bad_ids(self, seqs):
         with pytest.raises(VocabError) as got:
-            context_counts(seqs, 4, 5, 4)
+            context_counts(seqs, 4, eos=True)
         with pytest.raises(VocabError) as want:
-            ref.context_counts(seqs, 4, 5, 4)
+            ref_counts(seqs, 4, eos=True)
         assert str(got.value) == str(want.value)
 
 
@@ -222,7 +227,7 @@ class TestLossesOracle:
         def case(batch):
             def build():
                 m = build_hat(CFG, exp.vocab)
-                return m.params, text_nll(m, context_table(m, batch))
+                return m.params, text_nll(m, batch_table(m, batch))
 
             return build
 
@@ -346,13 +351,12 @@ class TestPerCallTablesOracle:
     """Each table of one call's pass equals its batch's own table."""
 
     def assert_tables(self, seqs, batches, v, eos):
-        tables = list(EventCodes(seqs, v, v + eos, v if eos else None).tables(batches))
+        tables = list(EventCodes(seqs, v, eos).tables(batches))
         assert len(tables) == len(batches)
         for batch, table in zip(batches, tables):
             assert isinstance(table, ContextTable)
             chosen = [seqs[i] for i in batch]
-            for want in (context_counts(chosen, v, v + eos, v if eos else None),
-                         ref.context_counts(chosen, v, v + eos, v if eos else None)):
+            for want in (context_counts(chosen, v, eos), ref_counts(chosen, v, eos)):
                 for a, b in zip(table, want):
                     assert same_bytes(a, b)
 
@@ -376,11 +380,11 @@ class TestPerCallTablesOracle:
         self.assert_tables(text, [order[s : s + 64] for s in range(0, len(text), 64)], exp.vocab.size, eos)
 
     def test_no_batches(self):
-        assert list(EventCodes([[0, 1]], 2, 3, 2).tables([])) == []
+        assert list(EventCodes([[0, 1]], 2, eos=True).tables([])) == []
 
     def test_bad_id_rejected_before_any_table(self):
         with pytest.raises(VocabError, match="token id 5 out of range"):
-            EventCodes([[0, 1], [2, 5]], 4, 5, 4)
+            EventCodes([[0, 1], [2, 5]], 4, eos=True)
 
 
 def text_corpus(vocab, seqs):
