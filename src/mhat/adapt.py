@@ -69,8 +69,11 @@ class AdaptReport:
 
 
 def ilm_snapshot(model: MhatModel) -> MhatModel:
-    """Frozen copy of the model to serve as the pre-adaptation teacher."""
-    return copy.deepcopy(model)
+    """The pre-adaptation teacher: a copy of the model whose group-"ilm"
+    tensors are new and frozen, and whose other tensors are the model's
+    own, which adaptation never moves."""
+    p = model.params
+    return copy.deepcopy(model, {id(t): t for n, t in p.entries.items() if p.group[n] != "ilm"})
 
 
 def ilma_loss(
@@ -97,10 +100,9 @@ def ilma_loss(
     ctx, counts = batch_table(model, transcripts)
     if not len(ctx):
         return Tensor(0.0)
-    with nm.no_grad():
-        teacher_probs = np.exp(teacher.context_log_prob_rows(ctx).data)
+    teacher_probs = np.exp(teacher.context_log_prob_np(ctx))
     weights = (1.0 - rho) * counts + rho * counts.sum(axis=1, keepdims=True) * teacher_probs
-    return nm.log_softmax_nll(model.context_logits(ctx), weights)
+    return model.context_nll(ctx, weights)
 
 
 def run_ilma(
@@ -118,8 +120,10 @@ def run_ilma(
     parameter moves.  A NaN or infinite step loss raises EvaluationError
     naming the step.
     """
-    transcripts = [it.tokens for it in corpus.items] if hasattr(corpus, "items") else list(corpus)
-    transcripts = [y for y in transcripts if len(y) > 0]
+    if hasattr(corpus, "items"):
+        transcripts = [it.tokens for it in corpus.items if len(it.tokens) > 0]
+    else:
+        transcripts = [y for y in corpus if len(y) > 0]
     if not transcripts:
         raise ConfigError("adaptation corpus is empty")
     if model.trained_alpha is None or model.trained_alpha == 0.0:

@@ -390,10 +390,11 @@ def write_corpus(corpus: Corpus, path: str) -> None:
 def read_corpus(path: str, vocab: Vocabulary) -> Corpus:
     """Read a paired corpus written by `write_corpus`.
 
-    A malformed manifest or feature file raises ConfigError, as does a
-    `count` line that differs from the number of `utt` lines or a feature
-    file with bytes after the last record; an unknown token raises
-    VocabError naming its line.
+    A malformed manifest or feature file raises ConfigError, as do a
+    `count` line that differs from the number of `utt` lines, a feature
+    file with bytes after the last record and a NaN or infinite feature,
+    which `write_corpus` refuses too; an unknown token raises VocabError
+    naming its line.
     """
     try:
         with open(path, encoding="utf-8") as mf:
@@ -442,6 +443,8 @@ def read_corpus(path: str, vocab: Vocabulary) -> Corpus:
             if remaining < 0:
                 raise ConfigError(f"{path}: feature file truncated at {uid}")
             feats = np.frombuffer(bf.read(size), dtype="<f4").astype(np.float64).reshape(t_len, int(shape[1]))
+            if not np.isfinite(feats).all():
+                raise ConfigError(f"{path}: utterance {uid} holds a non-finite feature")
             items.append(Utterance(uid=uid, features=feats, tokens=tokens))
     if remaining:
         raise ConfigError(f"{path}: feature file has {remaining} bytes after the last record")

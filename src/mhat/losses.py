@@ -34,21 +34,26 @@ def batch_table(model_or_lm, batch, eos: bool = False) -> ContextTable:
 
 def text_nll(model_or_lm, table: ContextTable) -> Tensor:
     """Summed next-event NLL of a batch's context table, scored once per
-    distinct context; a table with no events sums to a plain 0."""
+    distinct context by the model's `context_nll`; a table with no events
+    sums to a plain 0."""
     ctx, counts = table
     if not len(ctx):
         return Tensor(0.0)
-    return nm.log_softmax_nll(model_or_lm.context_logits(ctx), counts)
+    return model_or_lm.context_nll(ctx, counts)
 
 
-def text_perplexity(model_or_lm, table: ContextTable) -> float:
-    """exp(mean per-event NLL) over a batch's context table; no graph."""
+def text_perplexity(model_or_lm, table: ContextTable, where: str) -> float:
+    """exp(mean per-event NLL) over a batch's context table; no graph.  A
+    NaN mean, which a non-finite parameter gives, raises EvaluationError
+    naming `where`, the calling function."""
     ctx, counts = table
     events = int(counts.sum())
     if events == 0:
         raise ConfigError("perplexity requires at least one scored event")
     with nm.no_grad():
-        nll = float(nm.log_softmax_nll(model_or_lm.context_logits(ctx), counts).data)
+        nll = float(model_or_lm.context_nll(ctx, counts).data)
+    if math.isnan(nll):
+        raise nm.EvaluationError(f"{where}: the mean NLL is NaN")
     with np.errstate(over="ignore"):  # an untrained model may overflow to inf
         return float(np.exp(nll / events))
 
@@ -98,4 +103,4 @@ def perplexity(model_or_lm, transcripts: Sequence[Sequence[int]]) -> float:
     hold no events and count for nothing.  `transcripts` may also be their
     `ContextTable` (without EOS).
     """
-    return text_perplexity(model_or_lm, batch_table(model_or_lm, transcripts))
+    return text_perplexity(model_or_lm, batch_table(model_or_lm, transcripts), "perplexity")

@@ -5,7 +5,9 @@ context table from its sentences at every step and the final perplexity's
 from the whole corpus again, and `adapt.run_ilma`, which drew each step's
 picks inside the loop, built its table there, and built each held-out
 table twice, for the perplexities before and after.  The per-call tables
-must give byte-identical parameters, loss curves and perplexities.
+must give byte-identical parameters, loss curves and perplexities.  Also
+kept: `model.context_codes` as it was, with every label's place in its
+sentence from a start offset repeated per label.
 """
 
 from __future__ import annotations
@@ -21,6 +23,14 @@ from mhat.extlm import ExternalLm, LmTrainConfig, lm_loss, lm_perplexity
 from mhat.losses import perplexity
 from mhat.model import ConfigError, MhatModel
 from mhat.training import Adam, Sgd
+
+
+def context_codes(lengths: np.ndarray, toks: np.ndarray, sos_id: int) -> np.ndarray:
+    pos = np.arange(toks.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)  # its place in its sentence
+    padded = np.concatenate([[sos_id, sos_id], toks])  # label i follows padded[i] and padded[i + 1]
+    prev1 = np.where(pos >= 1, padded[1:-1], sos_id)
+    prev2 = np.where(pos >= 2, padded[:-2], sos_id)
+    return prev2 * (sos_id + 1) + prev1
 
 
 def train_lm(corpus, cfg: LmTrainConfig = LmTrainConfig()) -> tuple[ExternalLm, float]:

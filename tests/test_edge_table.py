@@ -6,7 +6,8 @@ for one bad utterance.  The features are checked in one place,
 search and the trainers; a token id is checked by the vocabulary.  A
 position in a message is the caller's: a batch or a corpus holds the bad
 utterance third, and `train_asr` gets it in its last batch.  `mhat decode`
-names the utterance's uid instead, and the CLI exits 2.  The trainers move
+names the utterance's uid instead, the CLI's corpus reader names the file
+and the uid of a non-finite feature, and the CLI exits 2.  The trainers move
 no parameter and write no checkpoint.
 """
 
@@ -23,6 +24,7 @@ from mhat.extlm import ExternalLm, lm_perplexity
 from mhat.lattice import brute_force_log_prob, build_lattice, forward_log_prob, hat_loss
 from mhat.losses import perplexity
 from mhat.model import ConfigError, StructureError, VocabError, Vocabulary
+from mhat.numerics import EvaluationError
 from mhat.training import TrainConfig, train_asr
 
 D_X, V = 3, 4  # the conftest models' feature width and vocabulary size
@@ -137,6 +139,8 @@ def write_inputs(tmp_path, edge: str) -> tuple[str, str]:
 def cli_text(edge: str, data: str) -> str:
     if edge == "token":  # the manifest's header takes five lines, so the third utterance is line 8
         return f"{data}:8: unknown token name: 'zzz'"
+    if edge == "NaN":  # `read_corpus` refuses it, naming the file and the uid
+        return f"{data}: utterance {UIDS[2]} holds a non-finite feature"
     return EDGES[edge][3].format(u=2)
 
 
@@ -246,3 +250,34 @@ def test_empty_loss_and_search():
 def test_empty_mean_is_an_error(call, text):
     with raises_exactly(ConfigError, text):
         call()
+
+
+# Item 14's text column: a NaN or infinite parameter makes the mean NLL
+# NaN, which the perplexities refuse, naming themselves.  An NLL that only
+# overflows exp() gives a perplexity of inf, which stays legal.
+TEXT = [[0, 1, 2], [3, 3], [1]]
+PERPLEXITIES = {
+    "perplexity-mhat": (small_mhat, "ilm_proj.bias", perplexity),
+    "perplexity-hat": (small_hat, "label_head.bias", perplexity),
+    "perplexity-lm": (lambda: ExternalLm(Vocabulary.default(V), embed_dim=4), "out_proj.bias", perplexity),
+    "lm_perplexity": (lambda: ExternalLm(Vocabulary.default(V), embed_dim=4), "out_proj.bias", lm_perplexity),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf in the shift
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cell", PERPLEXITIES)
+def test_perplexity_of_a_non_finite_parameter(cell, value):
+    build, name, call = PERPLEXITIES[cell]
+    model = build()
+    model.params[name].data[...] = value
+    with raises_exactly(EvaluationError, f"{call.__name__}: the mean NLL is NaN"):
+        call(model, TEXT)
+
+
+@pytest.mark.parametrize("cell", PERPLEXITIES)
+def test_perplexity_that_overflows_is_inf(cell):
+    build, name, call = PERPLEXITIES[cell]
+    model = build()
+    model.params[name].data[1] = -1e6  # token 1 is an event of TEXT
+    assert call(model, TEXT) == np.inf

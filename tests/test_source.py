@@ -3,7 +3,8 @@
 Every name a module imports is used in that module, and every module-level
 private name (`_x`) is referenced somewhere in `src/mhat` besides its own
 definition, so a deletion that leaves an import or a helper behind fails
-here.  `from __future__` imports and the package's re-exports in
+here.  `numerics.__all__` lists exactly that module's public functions and
+classes.  `from __future__` imports and the package's re-exports in
 `__init__.py` are not checked for use.
 """
 
@@ -86,3 +87,12 @@ def test_every_private_name_is_referenced(module):
         if not any(used == name and id(node) not in own for found in USES.values() for used, node in found):
             unreferenced.append((name, definition.lineno))
     assert unreferenced == [], f"{module}: private names referenced nowhere else: {unreferenced}"
+
+
+def test_numerics_all_lists_exactly_its_public_functions_and_classes():
+    body = TREES["numerics.py"].body
+    public = {n.name for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")}
+    (listed,) = [ast.literal_eval(n.value) for n in body
+                 if isinstance(n, ast.Assign) and [getattr(t, "id", None) for t in n.targets] == ["__all__"]]
+    assert len(listed) == len(set(listed)), "numerics.__all__ repeats a name"
+    assert set(listed) == public
