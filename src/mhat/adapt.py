@@ -70,8 +70,10 @@ class AdaptReport:
 
 def ilm_snapshot(model: MhatModel) -> MhatModel:
     """The pre-adaptation teacher: a copy of the model whose group-"ilm"
-    tensors are new and frozen, and whose other tensors are the model's
-    own, which adaptation never moves."""
+    tensors are new and frozen.  Its other tensors (encoder, blank branch,
+    joint) are the model's own, not copies, so the snapshot stays the
+    pre-adaptation model only while they do not move, as during ILMA,
+    which moves only the "ilm" group."""
     p = model.params
     return copy.deepcopy(model, {id(t): t for n, t in p.entries.items() if p.group[n] != "ilm"})
 
@@ -102,7 +104,7 @@ def ilma_loss(
         return Tensor(0.0)
     teacher_probs = np.exp(teacher.context_log_prob_np(ctx))
     weights = (1.0 - rho) * counts + rho * counts.sum(axis=1, keepdims=True) * teacher_probs
-    return model.context_nll(ctx, weights)
+    return nm.log_softmax_nll(model.context_logits(ctx), weights)
 
 
 def run_ilma(
@@ -120,10 +122,8 @@ def run_ilma(
     parameter moves.  A NaN or infinite step loss raises EvaluationError
     naming the step.
     """
-    if hasattr(corpus, "items"):
-        transcripts = [it.tokens for it in corpus.items if len(it.tokens) > 0]
-    else:
-        transcripts = [y for y in corpus if len(y) > 0]
+    transcripts = [it.tokens for it in corpus.items] if hasattr(corpus, "items") else list(corpus)
+    transcripts = [y for y in transcripts if len(y) > 0]
     if not transcripts:
         raise ConfigError("adaptation corpus is empty")
     if model.trained_alpha is None or model.trained_alpha == 0.0:

@@ -50,10 +50,6 @@ class ExternalLm:
         """Logits over tokens+EOS for (n, 2) decoder contexts: (n, |V|+1)."""
         return nm.affine(self.decoder.outputs(ctx), self.out_w, self.out_b)
 
-    def context_nll(self, ctx: np.ndarray, weights: np.ndarray) -> Tensor:
-        """log_softmax_nll(context_logits(ctx), weights) as one engine op."""
-        return self.decoder.head_nll(ctx, self.out_w, self.out_b, weights)
-
     def context_log_prob_rows(self, ctx: np.ndarray) -> Tensor:
         """Log-prob rows over tokens+EOS for (n, 2) decoder contexts: (n, |V|+1)."""
         return nm.log_softmax(self.context_logits(ctx))

@@ -34,12 +34,11 @@ def batch_table(model_or_lm, batch, eos: bool = False) -> ContextTable:
 
 def text_nll(model_or_lm, table: ContextTable) -> Tensor:
     """Summed next-event NLL of a batch's context table, scored once per
-    distinct context by the model's `context_nll`; a table with no events
-    sums to a plain 0."""
+    distinct context; a table with no events sums to a plain 0."""
     ctx, counts = table
     if not len(ctx):
         return Tensor(0.0)
-    return model_or_lm.context_nll(ctx, counts)
+    return nm.log_softmax_nll(model_or_lm.context_logits(ctx), counts)
 
 
 def text_perplexity(model_or_lm, table: ContextTable, where: str) -> float:
@@ -51,7 +50,7 @@ def text_perplexity(model_or_lm, table: ContextTable, where: str) -> float:
     if events == 0:
         raise ConfigError("perplexity requires at least one scored event")
     with nm.no_grad():
-        nll = float(model_or_lm.context_nll(ctx, counts).data)
+        nll = float(nm.log_softmax_nll(model_or_lm.context_logits(ctx), counts).data)
     if math.isnan(nll):
         raise nm.EvaluationError(f"{where}: the mean NLL is NaN")
     with np.errstate(over="ignore"):  # an untrained model may overflow to inf

@@ -327,13 +327,9 @@ class EmbeddingDecoder:
         )
         self.proj_b = params.add(f"{name}.proj.bias", np.zeros(d), group)
 
-    def outputs(self, ctx: np.ndarray, ops=nm):
-        """Decoder outputs for (prev2, prev1) context rows; under `_PlainOps`, as a plain array."""
-        return ops.embed_affine(self.table0, self.table1, ctx, self.proj_w, self.proj_b)
-
-    def head_nll(self, ctx: np.ndarray, W: Tensor, b: Tensor, weights: np.ndarray) -> Tensor:
-        """`log_softmax_nll` of the head (W, b) on these contexts' outputs, as one engine op."""
-        return nm.context_nll(self.table0, self.table1, ctx, self.proj_w, self.proj_b, W, b, weights)
+    def outputs(self, ctx: np.ndarray) -> Tensor:
+        """Decoder outputs for a batch of (prev2, prev1) context rows."""
+        return nm.embed_affine(self.table0, self.table1, ctx, self.proj_w, self.proj_b)
 
     def output_np(self, ctx: tuple[int, int]) -> np.ndarray:
         e = np.concatenate([self.table0.data[ctx[0]], self.table1.data[ctx[1]]])
@@ -534,17 +530,16 @@ class MhatModel(_AsrModel):
         return nm.log_softmax(nm.affine(g_l, self.ilm_w, self.ilm_b))
 
     # -- sequence-level helpers --------------------------------------------
-    def context_logits(self, ctx: np.ndarray, ops=nm):
-        """Internal-LM logits for (n, 2) decoder contexts: (n, |V|); under `_PlainOps`, a plain array."""
-        return ops.affine(self.label_decoder.outputs(ctx, ops), self.ilm_w, self.ilm_b)
-
-    def context_nll(self, ctx: np.ndarray, weights: np.ndarray) -> Tensor:
-        """log_softmax_nll(context_logits(ctx), weights) as one engine op."""
-        return self.label_decoder.head_nll(ctx, self.ilm_w, self.ilm_b, weights)
+    def context_logits(self, ctx: np.ndarray) -> Tensor:
+        """Internal-LM logits for (n, 2) decoder contexts: (n, |V|)."""
+        return nm.affine(self.label_decoder.outputs(ctx), self.ilm_w, self.ilm_b)
 
     def context_log_prob_np(self, ctx: np.ndarray) -> np.ndarray:
         """`context_log_prob_rows(ctx)` from the same float operations on plain arrays, with no graph."""
-        return nm.log_softmax_rows(self.context_logits(ctx, _PlainOps))
+        d = self.label_decoder
+        e = np.concatenate([d.table0.data[ctx[:, 0]], d.table1.data[ctx[:, 1]]], axis=-1)
+        h = _PlainOps.affine(e, d.proj_w, d.proj_b)  # `embed_affine`'s rows
+        return nm.log_softmax_rows(_PlainOps.affine(h, self.ilm_w, self.ilm_b))
 
     def ilm_log_prob_rows(self, tokens: Sequence[int]) -> Tensor:
         """Internal-LM log-prob vectors for every step of a transcript: (U+1, |V|)."""
@@ -574,9 +569,9 @@ class MhatModel(_AsrModel):
 
 
 class _PlainOps:
-    """The engine ops `_zero_acoustics_logits` and `MhatModel.context_logits`
-    take, on plain arrays: each gives the value the engine op stores, from
-    the same float operations, with no Tensor or graph around it."""
+    """The engine ops `_zero_acoustics_logits` takes, on plain arrays: each
+    gives the value the engine op stores, from the same float operations,
+    with no Tensor or graph around it."""
 
     add, tanh = staticmethod(np.add), staticmethod(np.tanh)
 
@@ -584,10 +579,6 @@ class _PlainOps:
     def affine(x: np.ndarray, W: Tensor, b: Tensor | None = None) -> np.ndarray:
         out = nm._matmul_rows(x, W.data.T)
         return out if b is None else out + b.data
-
-    @staticmethod
-    def embed_affine(t0: Tensor, t1: Tensor, ctx: np.ndarray, W: Tensor, b: Tensor) -> np.ndarray:
-        return nm._embed_affine_rows(t0, t1, ctx, W, b)[0]
 
 
 def _zero_acoustics_logits(ops, model: "HatModel", g_u):
@@ -646,10 +637,6 @@ class HatModel(_AsrModel):
     def context_logits(self, ctx: np.ndarray) -> Tensor:
         """Internal-LM estimate logits for (n, 2) decoder contexts: (n, |V|)."""
         return _zero_acoustics_logits(nm, self, self.decoder.outputs(ctx))
-
-    def context_nll(self, ctx: np.ndarray, weights: np.ndarray) -> Tensor:
-        """log_softmax_nll(context_logits(ctx), weights): the zero-acoustics graph."""
-        return nm.log_softmax_nll(self.context_logits(ctx), weights)
 
     def arc_log_scores(self, batch: Sequence[tuple[np.ndarray, Sequence[int]]]) -> tuple[Tensor, Tensor, LatticeCells]:
         """As `MhatModel.arc_log_scores`, with labels from the shared joint."""

@@ -24,7 +24,6 @@ __all__ = [
     "add",
     "affine",
     "check_finite",
-    "context_nll",
     "dot",
     "embed_affine",
     "gather_sum",
@@ -417,15 +416,24 @@ def affine(x, W, b=None) -> Tensor:
     return _op(data, parents, vjp)
 
 
-def _embed_affine_rows(t0: Tensor, t1: Tensor, ctx, W: Tensor, b: Tensor):
-    """The rows of `embed_affine` and, with no node, the function that hands their gradient on."""
+def embed_affine(t0, t1, ctx, W, b) -> Tensor:
+    """affine(concat(t0[ctx[..., 0]], t1[ctx[..., 1]]), W, b) as one op.
+
+    Both passes replay the float operations of the row gathers, the concat
+    and the affine map they stand for.  The backward pass makes the same
+    product and sum as `affine`, then one `_segment_sum` per table over its
+    half of the input gradient; tied tables (`t1 is t0`) take both, `t0`'s
+    first.  A 1-D `ctx` gives a 1-D output.
+    """
+    t0, t1, W, b = _coerce(t0), _coerce(t1), _coerce(W), _coerce(b)
     ids0 = np.asarray(ctx[..., 0], dtype=np.int64)
     ids1 = np.asarray(ctx[..., 1], dtype=np.int64)
     m, n = W.data.shape
     d = t0.data.shape[1]
     e = np.concatenate([t0.data[ids0], t1.data[ids1]], axis=-1)
+    data = _matmul_rows(e, W.data.T) + b.data
 
-    def backward(g):
+    def vjp(g):
         g2 = g.reshape(-1, m)
         if t0.requires_grad or t1.requires_grad:
             ge = _matmul_rows(g, W.data).reshape(-1, n)
@@ -438,42 +446,7 @@ def _embed_affine_rows(t0: Tensor, t1: Tensor, ctx, W: Tensor, b: Tensor):
         if t1.requires_grad:
             t1._hand_over(_segment_sum(ge[:, d:], ids1.reshape(-1), t1.data.shape[0]))
 
-    return _matmul_rows(e, W.data.T) + b.data, backward
-
-
-def embed_affine(t0, t1, ctx, W, b) -> Tensor:
-    """affine(concat(t0[ctx[..., 0]], t1[ctx[..., 1]]), W, b) as one op.
-
-    Both passes replay the float operations of the row gathers, the concat
-    and the affine map they stand for.  The backward pass makes the same
-    product and sum as `affine`, then one `_segment_sum` per table over its
-    half of the input gradient; tied tables (`t1 is t0`) take both, `t0`'s
-    first.  A 1-D `ctx` gives a 1-D output.
-    """
-    t0, t1, W, b = _coerce(t0), _coerce(t1), _coerce(W), _coerce(b)
-    data, backward = _embed_affine_rows(t0, t1, ctx, W, b)
-    return _op(data, (t0, t1, W, b), backward)
-
-
-def context_nll(t0, t1, ctx, W1, b1, W2, b2, weights) -> Tensor:
-    """log_softmax_nll(affine(embed_affine(t0, t1, ctx, W1, b1), W2, b2), weights)
-    as one op, the text loss of an embedding decoder and its output head.
-    Both passes run that graph's float operations in its order, so the value
-    and all six gradients are its bits; tied tables take `t0`'s first."""
-    t0, t1, W1, b1, W2, b2 = map(_coerce, (t0, t1, W1, b1, W2, b2))
-    h, embed_backward = _embed_affine_rows(t0, t1, ctx, W1, b1)
-    value, logits_grad = _nll_rows(_matmul_rows(h, W2.data.T) + b2.data, weights)
-
-    def vjp(g):
-        gz = logits_grad(g)
-        if t0.requires_grad or t1.requires_grad or W1.requires_grad or b1.requires_grad:
-            embed_backward(_matmul_rows(gz, W2.data))
-        if W2.requires_grad:
-            W2._hand_over(gz.T @ h)
-        if b2.requires_grad:
-            b2._hand_over(gz.sum(axis=0))
-
-    return _op(value, (t0, t1, W1, b1, W2, b2), vjp)
+    return _op(data, (t0, t1, W, b), vjp)
 
 
 def dot(x, w, b=None) -> Tensor:
@@ -614,25 +587,6 @@ def log_softmax_at(x, ids) -> Tensor:
     return _op((x.data[rows, ids] - m[:, 0]) - lse[:, 0], (x,), vjp)
 
 
-def _nll_rows(z: np.ndarray, weights):
-    """The value of `log_softmax_nll` on plain logits and the function from its gradient to theirs."""
-    if z.ndim != 2 or z.shape[1] == 0:
-        raise ShapeError(f"log_softmax_nll: logits must be (rows, classes >= 1), got {z.shape}")
-    k, n = z.shape
-    if np.ndim(weights) != 2 or np.shape(weights)[0] != k or np.shape(weights)[1] > n:
-        raise ShapeError(f"log_softmax_nll: weights {np.shape(weights)} do not fit logits {z.shape}")
-    rows = log_softmax_rows(z)
-    r, c = np.nonzero(weights)
-    w = np.asarray(weights[r, c], dtype=np.float64)
-
-    def logits_grad(g):
-        gr = np.zeros_like(rows)
-        gr[r, c] = 0.0 + -g * w
-        return gr - np.exp(rows) * gr.sum(axis=-1, keepdims=True)
-
-    return -(w * rows[r, c]).sum(), logits_grad
-
-
 def log_softmax_nll(logits, weights) -> Tensor:
     """-sum(weights * log_softmax(logits)), over the non-zero weights only.
 
@@ -644,13 +598,22 @@ def log_softmax_nll(logits, weights) -> Tensor:
     back as +0.0.
     """
     x = _coerce(logits)
-    value, logits_grad = _nll_rows(x.data, weights)
+    if x.data.ndim != 2 or x.data.shape[1] == 0:
+        raise ShapeError(f"log_softmax_nll: logits must be (rows, classes >= 1), got {x.data.shape}")
+    k, n = x.data.shape
+    if np.ndim(weights) != 2 or np.shape(weights)[0] != k or np.shape(weights)[1] > n:
+        raise ShapeError(f"log_softmax_nll: weights {np.shape(weights)} do not fit logits {x.data.shape}")
+    rows = log_softmax_rows(x.data)
+    r, c = np.nonzero(weights)
+    w = np.asarray(weights[r, c], dtype=np.float64)
 
     def vjp(g):
         if x.requires_grad:
-            x._hand_over(logits_grad(g))
+            gr = np.zeros_like(rows)
+            gr[r, c] = 0.0 + -g * w
+            x._hand_over(gr - np.exp(rows) * gr.sum(axis=-1, keepdims=True))
 
-    return _op(value, (x,), vjp)
+    return _op(-(w * rows[r, c]).sum(), (x,), vjp)
 
 
 _TINY = np.finfo(np.float64).tiny

@@ -14,9 +14,7 @@ call; `model._token_array` with its Python-level flatten and
 `numerics.gather_rows` and `numerics.concat`; `EmbeddingDecoder.outputs`
 as the graph of two gathers, a concat and an affine map (a method of the
 decoder); and `losses.table_nll`, which `log_softmax_nll` below puts
-after `numerics.log_softmax`, as every text loss did; `numerics.context_nll`
-as that whole text graph, the decoder's gathers, concat and affine map,
-the head's affine map and `log_softmax_nll`; `numerics._matmul_rows`
+after `numerics.log_softmax`, as every text loss did; `numerics._matmul_rows`
 with its concatenated row blocks and `numerics.log_softmax_at` with its
 `max` reduction and a second `x - m` in the backward pass; and the
 lattice over batch rows in input order, each diagonal over every row and
@@ -166,11 +164,6 @@ def table_nll(rows: Tensor, weights: np.ndarray) -> Tensor:
 
 def log_softmax_nll(logits, weights) -> Tensor:
     return table_nll(nm.log_softmax(logits), weights)
-
-
-def context_nll(t0, t1, ctx, W1, b1, W2, b2, weights) -> Tensor:
-    e = concat(gather_rows(t0, ctx[..., 0]), gather_rows(t1, ctx[..., 1]))
-    return log_softmax_nll(nm.affine(nm.affine(e, W1, b1), W2, b2), weights)
 
 
 def lattice_cells(t_lens: Sequence[int], transcripts: Sequence[Sequence[int]], sos_id: int) -> LatticeCells:

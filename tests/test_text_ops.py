@@ -3,12 +3,11 @@
 `context_counts` must give byte-identical tables, and so must every table
 of one call's pass (`EventCodes.tables`); `train_lm` and `run_ilma` built
 on those tables must end byte-identical to their per-step loops
-(tests/reference_text.py).  Every text loss of an embedding decoder, now
-one `context_nll` op, must give byte-identical values and gradients to
-the graph of row gathers, concat, affine maps, `log_softmax` and
-`table_nll` it replaced, and to the three-node graph of `embed_affine`,
-`affine` and `log_softmax_nll` between them; the ILMA teacher's plain
-rows must be those of its graph, and `context_codes` those of its old
+(tests/reference_text.py).  Every text loss,
+now `embed_affine` into `log_softmax_nll`, must give byte-identical values
+and gradients to the graph of row gathers, concat, affine map,
+`log_softmax` and `table_nll` it replaced; the ILMA teacher's plain rows
+must be those of its graph, and `context_codes` those of its old
 formula.  Whole training runs with the
 replaced pieces patched back in must end in byte-identical parameters.
 Both sides run in one process, so they share one BLAS thread count.
@@ -29,7 +28,7 @@ from mhat.lattice import canonical_order
 from mhat.losses import batch_table, ilm_loss, mhat_loss, perplexity, text_nll
 from mhat.data import Corpus, Utterance
 from mhat.model import ContextTable, EmbeddingDecoder, EventCodes, MhatModel, VocabError, context_counts
-from mhat.numerics import ParameterSet, Tensor, gradient_check
+from mhat.numerics import ParameterSet, Tensor
 from mhat.training import TrainConfig, train_asr
 
 CFG = ExperimentConfig(n_train=320, n_dev=0, n_test=0, n_adapt_text=1000)
@@ -56,9 +55,8 @@ def old_text(monkeypatch):
             return model.context_log_prob_rows(ctx).data
 
     def install():
-        monkeypatch.setattr(EmbeddingDecoder, "outputs", lambda dec, ctx, ops=nm: ref.outputs(dec, ctx))
+        monkeypatch.setattr(EmbeddingDecoder, "outputs", ref.outputs)
         monkeypatch.setattr(nm, "log_softmax_nll", ref.log_softmax_nll)
-        monkeypatch.setattr(nm, "context_nll", ref.context_nll)
         monkeypatch.setattr(MhatModel, "context_log_prob_np", teacher_rows)
         monkeypatch.setattr(losses_mod, "context_counts", lambda seqs, v, eos: ContextTable(*ref_counts(seqs, v, eos)))
         monkeypatch.setattr(model_mod, "_token_array", ref._token_array)
@@ -199,67 +197,6 @@ class TestOpsOracle:
         loss.backward()
         old = ref.log_softmax_nll(Tensor(np.ones((2, 3))), np.zeros((2, 3)))
         assert same_bytes(loss.data, old.data) and same_bytes(x.grad, np.zeros((2, 3)))
-
-
-def three_nodes(t0, t1, ctx, W1, b1, W2, b2, weights):
-    """`context_nll` as the graph of engine ops it fuses."""
-    return nm.log_softmax_nll(nm.affine(nm.embed_affine(t0, t1, ctx, W1, b1), W2, b2), weights)
-
-
-class TestContextNllOracle:
-    """The fused op against its three-node graph, in value and in every gradient."""
-
-    def assert_same(self, params, tensors, weights, scale=1.0):
-        new, old = ([loss_and_grads(params, nm.mul(scale, op(*tensors, weights)))]
-                    for op in (nm.context_nll, three_nodes))
-        assert_same_runs(new, old)
-        assert all(t.grad is not None for t in tensors if isinstance(t, Tensor))
-
-    def test_mhat_internal_lm(self, real):
-        exp, batches32, _ = real
-        m = build_mhat(CFG, exp.vocab)
-        d = m.label_decoder
-        for batch in batches32[:3]:
-            ctx, counts = batch_table(m, batch)
-            tensors = (d.table0, d.table1, ctx, d.proj_w, d.proj_b, m.ilm_w, m.ilm_b)
-            self.assert_same(m.params, tensors, counts)
-            assert m.context_nll(ctx, counts).data.tobytes() == three_nodes(*tensors, counts).data.tobytes()
-
-    @pytest.mark.parametrize("eos", [True, False])  # without EOS the weights leave the last logit column out
-    def test_external_lm(self, real, eos):
-        exp, _, batches64 = real
-        lm = ExternalLm(exp.vocab, embed_dim=CFG.label_dim, seed=2)
-        d = lm.decoder
-        for batch in batches64[:3]:
-            ctx, counts = batch_table(lm, batch, eos)
-            assert counts.shape[1] == exp.vocab.size + eos
-            self.assert_same(lm.params, (d.table0, d.table1, ctx, d.proj_w, d.proj_b, lm.out_w, lm.out_b), counts)
-
-    @pytest.mark.parametrize("cols", [5, 4])
-    def test_tied_tables_and_a_zero_weight_row(self, cols):
-        rng = np.random.default_rng(11)
-        params = ParameterSet()
-        t0 = params.add("t0", rng.standard_normal((6, 3)), "ilm")
-        W1 = params.add("W1", rng.standard_normal((4, 6)), "ilm")
-        b1 = params.add("b1", rng.standard_normal(4), "ilm")
-        W2 = params.add("W2", rng.standard_normal((5, 4)), "ilm")
-        b2 = params.add("b2", rng.standard_normal(5), "ilm")
-        ctx = np.array([[5, 0], [0, 3], [5, 5], [2, 2], [1, 5]])  # ids repeat within and across columns
-        weights = rng.random((5, cols)) * rng.integers(0, 2, size=(5, cols))
-        weights[2] = 0.0
-        self.assert_same(params, (t0, t0, ctx, W1, b1, W2, b2), weights, scale=0.1)
-        err = gradient_check(lambda p: nm.context_nll(t0, t0, ctx, W1, b1, W2, b2, weights), params, rng=rng)
-        assert err < 1e-7
-
-    def test_gradient_check_untied(self):
-        rng = np.random.default_rng(12)
-        params = ParameterSet()
-        tensors = [params.add(n, rng.standard_normal(s), "ilm") for n, s in
-                   [("t0", (4, 2)), ("t1", (4, 2)), ("W1", (3, 4)), ("b1", (3,)), ("W2", (4, 3)), ("b2", (4,))]]
-        ctx = np.array([[3, 3], [3, 0], [1, 2]])
-        weights = np.array([[0.5, 0.0, 2.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.25]])  # narrower than the 4 logits
-        err = gradient_check(lambda p: nm.context_nll(*tensors[:2], ctx, *tensors[2:], weights), params, rng=rng)
-        assert err < 1e-7
 
 
 class TestIlmaTeacher:
