@@ -392,9 +392,10 @@ def read_corpus(path: str, vocab: Vocabulary) -> Corpus:
 
     A malformed manifest or feature file raises ConfigError, as do a
     `count` line that differs from the number of `utt` lines, a feature
-    file with bytes after the last record and a NaN or infinite feature,
-    which `write_corpus` refuses too; an unknown token raises VocabError
-    naming its line.
+    file with bytes after the last record, a NaN or infinite feature,
+    which `write_corpus` refuses too, and an utterance whose feature width
+    differs from the first's; an unknown token raises VocabError naming
+    its line.
     """
     try:
         with open(path, encoding="utf-8") as mf:
@@ -438,6 +439,9 @@ def read_corpus(path: str, vocab: Vocabulary) -> Corpus:
             shape = np.frombuffer(head, dtype="<u4") if len(head) == 8 else None
             if shape is None or int(shape[0]) != t_len:
                 raise ConfigError(f"{path}: feature record for {uid} does not match manifest")
+            if items and int(shape[1]) != items[0].features.shape[1]:
+                raise ConfigError(f"{path}: utterance {uid} has feature width {int(shape[1])}, "
+                                  f"utterance {items[0].uid} has {items[0].features.shape[1]}")
             size = 4 * t_len * int(shape[1])
             remaining -= 8 + size
             if remaining < 0:

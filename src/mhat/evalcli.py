@@ -683,6 +683,9 @@ def cmd_adapt(args) -> None:
 def cmd_decode(args) -> None:
     model = dat.load_checkpoint(args.ckpt, expect="asr")
     corpus = dat.read_corpus(args.data, model.vocab)
+    if corpus.items and corpus.items[0].features.shape[1] != model.enc_cfg.d_x:
+        raise ConfigError(f"{args.data}: feature width {corpus.items[0].features.shape[1]}, "
+                          f"but the checkpoint's encoder expects {model.enc_cfg.d_x}")
     lm = dat.load_checkpoint(args.lm, expect="lm") if args.lm else None
     fusion = FusionConfig(mode=args.fusion, lam_ext=args.lam_ext, lam_ilm=args.lam_ilm, lm=lm)
     decoded = decode_corpus(model, corpus, _config(args).beam, fusion)

@@ -14,7 +14,10 @@ order of T + U, so each diagonal fills only the box of rows that reach it
 and of columns their nodes can occupy; every node outside stays -inf.
 The gradient of each utterance's marginal log-probability with respect to
 each arc log-score is its posterior occupancy, wired into the engine as a
-custom backward rule.  A single utterance is a batch of one.
+custom backward rule.  `forward_log_prob` scores one utterance as a batch
+of one.  `build_lattice` and the enumeration oracle are the per-node
+reference: they read arc scores that `node_arc_scores` takes from the
+single-step heads, and `build_lattice` runs alpha and beta node by node.
 """
 
 from __future__ import annotations
@@ -147,12 +150,6 @@ def _betas(
     return beta
 
 
-def _node_grid(by_diagonal: np.ndarray, t_len: int, u_len: int) -> np.ndarray:
-    """Nodes (t, u) of the first row as a (T + 1, U + 1) grid; row 0 is -inf."""
-    t, u = np.ogrid[: t_len + 1, : u_len + 1]
-    return by_diagonal[t + u, 0, u + 1]
-
-
 def lattice_log_prob(log_blank: Tensor, log_label: Tensor, cells: LatticeCells) -> Tensor:
     """Marginal log-probability of every utterance of a batch, (B,), differentiable.
 
@@ -192,96 +189,86 @@ def batch_log_probs(model: MhatModel | HatModel, batch: Sequence[tuple[np.ndarra
 
 
 def forward_log_prob(model: MhatModel | HatModel, X: np.ndarray, tokens: Sequence[int]) -> Tensor:
-    """log P(tokens | X) by the forward recursion; scalar, graph-attached."""
-    return nm.total(batch_log_probs(model, [(X, tokens)]))
+    """log P(tokens | X) by the forward recursion; scalar, graph-attached.
+    NaN or +inf raises EvaluationError; -inf from underflow is legal."""
+    out = nm.total(batch_log_probs(model, [(X, tokens)]))
+    if not out.data < math.inf:  # NaN or +inf
+        raise nm.EvaluationError(f"forward_log_prob: log P is {float(out.data)!r}")
+    return out
+
+
+def node_arc_scores(model: MhatModel | HatModel, X: np.ndarray, tokens: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Blank (T, U+1) and label (T, U) arc log-scores of one utterance.
+
+    Entry [t-1, u] scores the arc out of node (t, u).  The scores come from
+    the single-step public heads, one decoder call per prefix, and not from
+    the batched `arc_log_scores`, so whatever reads them checks that too.
+    A blank posterior that rounds to 0 or 1 gives a -inf arc.
+    """
+    X, _ = model.encoder.frames([X])
+    model.vocab.check_ids(tokens)
+    u_len = len(tokens)
+    log_blank, log_label = np.empty((len(X), u_len + 1)), np.empty((len(X), u_len))
+    with nm.no_grad():
+        F = model.encode(X).data
+        for u in range(u_len + 1):
+            if isinstance(model, MhatModel):
+                g, ilm = model.decode_blank(tokens[:u]), model.ilm_log_probs(model.decode_label(tokens[:u]))
+                heads = [(model.blank_posterior(f, g), label_posterior(model.am_log_probs(f), ilm)) for f in F]
+            else:
+                g = model.decode_state(tokens[:u])
+                heads = [model.hat_joint(f, g) for f in F]
+            for t, (b, labels) in enumerate(heads):
+                log_blank[t, u] = math.log(b) if b > 0.0 else -math.inf
+                if u < u_len:
+                    log_label[t, u] = (math.log1p(-b) if b < 1.0 else -math.inf) + float(labels.data[tokens[u]])
+    return log_blank, log_label
 
 
 def build_lattice(model: MhatModel | HatModel, X: np.ndarray, tokens: Sequence[int]) -> AlignmentLattice:
-    """Materialize arc scores and both recursions for inspection and tests."""
-    with nm.no_grad():
-        log_blank, log_label, cells = model.arc_log_scores([(X, tokens)])
-    n, t, u = cells.n_label, cells.t, cells.u
-    rank, t_lens, u_lens = _row_order(cells.t_lens, cells.u_lens)
-    blank, label, final, _ = _diagonal_arcs(t_lens, u_lens, rank[cells.b], t, u, log_blank.data, log_label.data)
-    bounds = _bounds(t_lens, u_lens)
-    t_len, u_len = int(t_lens[0]), int(u_lens[0])
-    lb = np.empty((t_len, u_len + 1))
-    lb[t, u] = log_blank.data
-    ll = np.empty((t_len, u_len))
-    ll[t[:n], u[:n]] = log_label.data
-    alpha = _node_grid(_alphas(blank, label, bounds), t_len, u_len)
-    return AlignmentLattice(
-        t_len=t_len,
-        u_len=u_len,
-        log_blank=lb,
-        log_label=ll,
-        log_alpha=alpha,
-        log_beta=_node_grid(_betas(blank, label, final, u_lens, bounds), t_len, u_len),
-        log_prob=float(alpha[t_len, u_len] + final[0]),
-    )
+    """The arc scores of `node_arc_scores` and both recursions, node by node:
+    the per-node reference for the batched diagonals of `lattice_log_prob`.
+    A log P of NaN or +inf raises EvaluationError."""
+    log_blank, log_label = node_arc_scores(model, X, tokens)
+    t_len, u_len = log_label.shape
+    alpha, beta = np.full((2, t_len + 1, u_len + 1), -np.inf)
+    alpha[1, 0], beta[t_len, u_len] = 0.0, log_blank[t_len - 1, u_len]
+    for t, u in itertools.product(range(1, t_len + 1), range(u_len + 1)):
+        if t + u > 1:  # every node but the origin
+            alpha[t, u] = np.logaddexp(alpha[t - 1, u] + log_blank[t - 2, u] if t > 1 else -np.inf,
+                                       alpha[t, u - 1] + log_label[t - 1, u - 1] if u else -np.inf)
+    for t, u in itertools.product(range(t_len, 0, -1), range(u_len, -1, -1)):
+        if t + u < t_len + u_len:  # every node but the last
+            beta[t, u] = np.logaddexp(beta[t + 1, u] + log_blank[t - 1, u] if t < t_len else -np.inf,
+                                      beta[t, u + 1] + log_label[t - 1, u] if u < u_len else -np.inf)
+    log_prob = float(alpha[t_len, u_len] + log_blank[t_len - 1, u_len])
+    if not log_prob < math.inf:  # NaN or +inf
+        raise nm.EvaluationError(f"build_lattice: log P is {log_prob!r}")
+    return AlignmentLattice(t_len, u_len, log_blank, log_label, alpha, beta, log_prob)
 
 
 def brute_force_log_prob(model: MhatModel | HatModel, X: np.ndarray, tokens: Sequence[int]) -> float:
     """Enumeration oracle: sum over every monotone alignment explicitly.
 
-    Arc scores come from the single-step public heads (not the vectorized
-    grid builder), so the oracle also cross-checks grid assembly.  Refuses
-    instances beyond T+U <= 12.
+    The arc scores are `node_arc_scores`, so the oracle also cross-checks
+    grid assembly.  Refuses instances beyond T+U <= 12.
     """
-    X, _ = model.encoder.frames([X])
-    model.vocab.check_ids(tokens)
-    t_len, u_len = X.shape[0], len(tokens)
+    log_blank, log_label = node_arc_scores(model, X, tokens)
+    t_len, u_len = log_label.shape
     if t_len + u_len > BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"brute_force_log_prob refuses T+U={t_len + u_len} > {BRUTE_FORCE_LIMIT}"
-        )
-
-    with nm.no_grad():
-        f_rows = model.encode(X).data
-
-        blank_cache: dict[tuple[int, int], float] = {}
-        label_cache: dict[tuple[int, int], float] = {}
-
-        def log_b(t: int, u: int) -> float:
-            key = (t, u)
-            if key not in blank_cache:
-                prefix = tokens[:u]
-                if isinstance(model, MhatModel):
-                    b = model.blank_posterior(f_rows[t - 1], model.decode_blank(prefix))
-                else:
-                    b, _ = model.hat_joint(f_rows[t - 1], model.decode_state(prefix))
-                blank_cache[key] = math.log(b)
-                label_cache[key] = math.log1p(-b)
-            return blank_cache[key]
-
-        def log_label_arc(t: int, u: int) -> float:
-            log_b(t, u)  # fill caches
-            prefix = tokens[:u]
-            if isinstance(model, MhatModel):
-                post = label_posterior(
-                    model.am_log_probs(f_rows[t - 1]),
-                    model.ilm_log_probs(model.decode_label(prefix)),
-                ).data
+        raise ValueError(f"brute_force_log_prob refuses T+U={t_len + u_len} > {BRUTE_FORCE_LIMIT}")
+    paths = []
+    n_arcs = t_len + u_len - 1  # before the forced final blank
+    for label_positions in itertools.combinations(range(n_arcs), u_len):
+        t, u, score = 0, 0, 0.0
+        for arc in range(n_arcs):
+            if arc in label_positions:
+                score += log_label[t, u]
+                u += 1
             else:
-                _, lab = model.hat_joint(f_rows[t - 1], model.decode_state(prefix))
-                post = lab.data
-            return label_cache[(t, u)] + float(post[tokens[u]])
-
-        paths = []
-        n_arcs = t_len + u_len - 1  # before the forced final blank
-        for label_positions in itertools.combinations(range(n_arcs), u_len):
-            label_set = set(label_positions)
-            t, u = 1, 0
-            score = 0.0
-            for arc in range(n_arcs):
-                if arc in label_set:
-                    score += log_label_arc(t, u)
-                    u += 1
-                else:
-                    score += log_b(t, u)
-                    t += 1
-            score += log_b(t_len, u_len)
-            paths.append(score)
+                score += log_blank[t, u]
+                t += 1
+        paths.append(score + log_blank[t, u])
     return nm.log_sum_exp(np.array(paths))
 
 

@@ -141,6 +141,8 @@ def cli_text(edge: str, data: str) -> str:
         return f"{data}:8: unknown token name: 'zzz'"
     if edge == "NaN":  # `read_corpus` refuses it, naming the file and the uid
         return f"{data}: utterance {UIDS[2]} holds a non-finite feature"
+    if edge == "width":  # as is a width that differs from the first utterance's
+        return f"{data}: utterance {UIDS[2]} has feature width 5, utterance {UIDS[0]} has {D_X}"
     return EDGES[edge][3].format(u=2)
 
 
@@ -169,6 +171,18 @@ def test_cli_decode(tmp_path, capsys, edge):
     if edge == "T=0":  # `mhat decode` names the uid
         text = f"utterance {UIDS[2]} has no frames: no alignment exists for T=0"
     assert_cli_error(rc, capsys.readouterr().err, text)
+    assert not (tmp_path / "dec" / "decodes.tsv").exists()
+
+
+def test_cli_decode_corpus_of_another_width(tmp_path, capsys):
+    # every utterance is 5 wide, so `read_corpus` accepts the corpus and `mhat decode` refuses it
+    data = str(tmp_path / "test")
+    items = tuple(dat.Utterance(uid, np.zeros((4, 5)), tuple(Y)) for uid in UIDS)
+    dat.write_corpus(dat.Corpus("test", 0, Vocabulary.default(V), items), data)
+    dat.save_checkpoint(small_mhat(), str(tmp_path / "mhat.ckpt"))
+    capsys.readouterr()
+    rc = main(["decode", "--ckpt", str(tmp_path / "mhat.ckpt"), "--data", data, "--out-dir", str(tmp_path / "dec")])
+    assert_cli_error(rc, capsys.readouterr().err, f"{data}: feature width 5, but the checkpoint's encoder expects {D_X}")
     assert not (tmp_path / "dec" / "decodes.tsv").exists()
 
 
@@ -281,3 +295,27 @@ def test_perplexity_that_overflows_is_inf(cell):
     model = build()
     model.params[name].data[1] = -1e6  # token 1 is an event of TEXT
     assert call(model, TEXT) == np.inf
+
+
+# Item 14's lattice column: a NaN parameter makes log P NaN, which the
+# lattice's single-utterance entry points refuse, naming themselves;
+# `score_sequence` reaches `forward_log_prob`'s error.  `hat_loss` and
+# `batch_log_probs` stay unchecked: the trainers name the epoch and batch.
+NAN_PARAMETERS = {"mhat": ("encoder.layer0.weight", "label_decoder.table0"),
+                  "hat": ("encoder.layer0.weight", "decoder.table0")}
+LOG_PROB_ENTRIES = {
+    "forward_log_prob": ("forward_log_prob", lambda m: forward_log_prob(m, X, Y)),
+    "build_lattice": ("build_lattice", lambda m: build_lattice(m, X, Y)),
+    "score_sequence": ("forward_log_prob", lambda m: score_sequence(m, X, Y)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # NaN in logaddexp
+@pytest.mark.parametrize("entry", LOG_PROB_ENTRIES)
+@pytest.mark.parametrize("kind, name", [(k, n) for k, names in NAN_PARAMETERS.items() for n in names])
+def test_log_prob_of_a_non_finite_parameter(kind, name, entry):
+    where, call = LOG_PROB_ENTRIES[entry]
+    model = MODELS[kind]()
+    model.params[name].data[...] = np.nan
+    with raises_exactly(EvaluationError, f"{where}: log P is nan"):
+        call(model)

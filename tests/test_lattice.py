@@ -5,52 +5,36 @@ import pytest
 
 from conftest import random_utterance, small_hat, small_mhat
 from mhat import numerics as nm
-from mhat.evalcli import ExperimentConfig, build_hat, build_mhat
+from mhat.evalcli import ExperimentConfig, build_hat, build_mhat, make_experiment_data
 from mhat.lattice import (
     batch_log_probs,
     brute_force_log_prob,
     build_lattice,
     forward_log_prob,
     hat_loss,
+    lattice_log_prob,
+    node_arc_scores,
 )
 from mhat.losses import mhat_loss
-from mhat.model import StructureError, Vocabulary, label_posterior
-
-
-def node_scores(model, F, t, u, tokens):
-    """Arc scores at one node from the single-step heads (test-local)."""
-    prefix = tokens[:u]
-    if hasattr(model, "hat_joint"):
-        b, labels = model.hat_joint(F[t - 1], model.decode_state(prefix))
-        return b, labels.data
-    b = model.blank_posterior(F[t - 1], model.decode_blank(prefix))
-    labels = label_posterior(
-        model.am_log_probs(F[t - 1]), model.ilm_log_probs(model.decode_label(prefix))
-    ).data
-    return b, labels
+from mhat.model import StructureError, Vocabulary
+from mhat.numerics import Tensor
 
 
 class TestClosedForms:
     def test_single_path_t1_u1(self, mhat_small, rng):
         X = rng.standard_normal((1, 3))
         y = [2]
-        with nm.no_grad():
-            F = mhat_small.encode(X).data
-            b10, labels = node_scores(mhat_small, F, 1, 0, y)
-            b11, _ = node_scores(mhat_small, F, 1, 1, y)
-        expected = math.log1p(-b10) + labels[2] + math.log(b11)
+        log_blank, log_label = node_arc_scores(mhat_small, X, y)
+        expected = log_label[0, 0] + log_blank[0, 1]
         got = float(forward_log_prob(mhat_small, X, y).data)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(brute_force_log_prob(mhat_small, X, y), abs=1e-12)
 
     def test_all_blank_path(self, mhat_small, rng):
         X = rng.standard_normal((2, 3))
-        with nm.no_grad():
-            F = mhat_small.encode(X).data
-            b1, _ = node_scores(mhat_small, F, 1, 0, [])
-            b2, _ = node_scores(mhat_small, F, 2, 0, [])
+        log_blank, _ = node_arc_scores(mhat_small, X, [])
         got = float(forward_log_prob(mhat_small, X, []).data)
-        assert got == pytest.approx(math.log(b1) + math.log(b2), abs=1e-12)
+        assert got == pytest.approx(log_blank[0, 0] + log_blank[1, 0], abs=1e-12)
 
     def test_two_paths_t2_u1(self, hat_small, rng):
         X = rng.standard_normal((2, 3))
@@ -75,6 +59,14 @@ class TestOracleAgreement:
             ora = brute_force_log_prob(model, X, y)
             assert abs(fwd - ora) <= 1e-10 * max(1.0, abs(ora))
             assert fwd <= 1e-12  # log-probability
+
+    @pytest.mark.parametrize("bias", [50.0, -800.0])
+    def test_saturated_blank_gives_neg_inf_arcs(self, mhat_small, rng, bias):
+        # the blank posterior rounds to 1 (0): each label (blank) arc is -inf, not a math domain error
+        mhat_small.params["joint.v_bias"].data[...] = bias
+        X, y = random_utterance(rng, t_len=3, u_len=2)
+        log_blank, log_label = node_arc_scores(mhat_small, X, y)
+        assert np.isneginf(log_label if bias > 0 else log_blank).all()
 
     def test_structure_errors(self, mhat_small):
         with pytest.raises(StructureError):
@@ -268,3 +260,47 @@ class TestBatchedLattice:
         for (x, y), tot in zip(batch, totals):
             ora = brute_force_log_prob(model, x, y)
             assert abs(tot - ora) <= 1e-10 * max(1.0, abs(ora))
+
+
+# -- the per-node lattice against the batched one, at real lengths -----------
+
+
+@pytest.fixture(scope="module")
+def longest_utterances():
+    """The 4 longest seed-0 source-train utterances by T + U: T 80-88, U 40."""
+    items = make_experiment_data(REAL).src_train.paired()
+    return sorted(items, key=lambda it: -(len(it[0]) + len(it[1])))[:4]
+
+
+def occupancies(lat):
+    """Posterior occupancy exp(alpha + arc + beta - log P) of every arc, as
+    (T, U+1) blank and (T, U) label grids; the final blank's is 1, and a blank
+    out of the last frame before it has none."""
+    alpha, beta = lat.log_alpha[1:], lat.log_beta[1:]
+    blank = np.zeros_like(lat.log_blank)
+    blank[:-1] = np.exp(alpha[:-1] + lat.log_blank[:-1] + beta[1:] - lat.log_prob)
+    blank[-1, -1] = 1.0
+    return blank, np.exp(alpha[:, :-1] + lat.log_label + beta[:, 1:] - lat.log_prob)
+
+
+# Bounds from the measured spread on these utterances, with about ten times
+# the room: arcs 1.1e-15 relative, log P 2.2e-16 relative, occupancies
+# 2.8e-14 absolute.
+@pytest.mark.parametrize("kind", ["mhat", "hat"])
+def test_per_node_lattice_at_real_lengths(kind, longest_utterances):
+    """`build_lattice`, node by node from the single-step heads, against the
+    batched cells of `arc_log_scores`, the diagonals of `lattice_log_prob`
+    and their backward rule (alpha and beta of every diagonal box)."""
+    model, batch = real_model(kind), longest_utterances
+    with nm.no_grad():
+        log_blank, log_label, cells = model.arc_log_scores(batch)
+    leaves = Tensor(log_blank.data, requires_grad=True), Tensor(log_label.data, requires_grad=True)
+    totals = lattice_log_prob(*leaves, cells)
+    nm.total(totals).backward()
+    lats = [build_lattice(model, x, y) for x, y in batch]
+    np.testing.assert_allclose([lat.log_prob for lat in lats], totals.data, rtol=2e-15, atol=0)
+    arcs, occ = [(lat.log_blank, lat.log_label) for lat in lats], [occupancies(lat) for lat in lats]
+    for arc, leaf in enumerate(leaves):  # blank, then label
+        cell = list(zip(cells.b, cells.t, cells.u))[: leaf.size]  # the label arcs' cells come first
+        np.testing.assert_allclose([arcs[i][arc][j, k] for i, j, k in cell], leaf.data, rtol=1e-14, atol=0)
+        np.testing.assert_allclose([occ[i][arc][j, k] for i, j, k in cell], leaf.grad, rtol=0, atol=3e-13)

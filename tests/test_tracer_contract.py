@@ -2,6 +2,7 @@
 its targets resolvable, its decode op count non-zero and its scorer lookup
 counts equal to the table rows filled, without editing it."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -29,6 +30,41 @@ def test_every_target_resolves_in_mhat():
             assert meth in vars(getattr(mod, cls_name)), name
         else:
             assert callable(getattr(mod, path, None)), name
+
+
+def mhat_reads(path: str) -> set[tuple[str, tuple[str, ...]]]:
+    """(module, attribute chain) of every attribute read, such as `dec.beam_search`
+    or `lat.nm.no_grad`, that a file makes from an `mhat` module it imports."""
+    with open(path) as f:
+        tree = ast.parse(f.read(), path)
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update({a.asname or a.name: a.name for a in node.names if a.name == "mhat"})
+        elif isinstance(node, ast.ImportFrom) and node.module == "mhat":
+            modules.update({a.asname or a.name: f"mhat.{a.name}" for a in node.names})
+    reads = set()
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in modules:
+            reads.add((modules[node.id], tuple(chain)))
+    return reads
+
+
+def test_every_benchmark_read_resolves_in_mhat():
+    # perfbench's workloads and driver are run only by the benchmark, so a
+    # renamed function they call would otherwise fail there first
+    for path in ("workloads.py", "run.py"):
+        reads = mhat_reads(os.path.join(ROOT, "perfbench", path))
+        assert reads, path
+        for module, chain in reads:
+            obj = importlib.import_module(module)
+            for i, attr in enumerate(chain):
+                assert hasattr(obj, attr), f"{path}: {module}.{'.'.join(chain[: i + 1])}"
+                obj = getattr(obj, attr)
 
 
 # run in a child process: install() rewraps `mhat` for the life of the process
