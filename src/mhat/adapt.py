@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .losses import batch_table, ilm_loss, perplexity
+from .losses import batch_table, perplexity
 from .model import ConfigError, ContextTable, EventCodes, MhatModel
 from .numerics import Tensor
 from .training import Sgd, check_schedule
@@ -90,13 +90,12 @@ def ilma_loss(
     table: the data term by the next-token counts N, the teacher term by
     each context's token count times the teacher's full distribution (an
     exact expectation, not samples), which makes rho=1 exactly stationary
-    at the snapshot parameters.  rho=0 returns `ilm_loss` itself.
+    at the snapshot parameters.  At rho=0 the weights are N itself, so the
+    value and gradients are `ilm_loss`'s, bit for bit.
     `transcripts` may also be the batch's `ContextTable`.
     """
     if not (0.0 <= rho <= 1.0):
         raise ConfigError(f"rho must lie in [0, 1], got {rho}")
-    if rho == 0.0:
-        return ilm_loss(model, transcripts)
     if not isinstance(transcripts, ContextTable) and any(len(y) == 0 for y in transcripts):
         raise ConfigError("ilma_loss requires non-empty transcripts")
     ctx, counts = batch_table(model, transcripts)

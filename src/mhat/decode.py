@@ -80,13 +80,14 @@ class DecodeResult:
 class _Trie:
     """Prefix nodes, one tree per group (roots 0 .. n_roots-1), so a node
     names one (group, prefix): child[n, k] is node n extended by label k, or
-    -1.  A node keeps its group and its context code (`context_codes`);
-    `adv` is scratch space for the merge, -1 outside it."""
+    -1.  A node keeps its group, its context code (`context_codes`), its
+    parent and the label that made it; `adv` is scratch space for the
+    merge, -1 outside it."""
 
     def __init__(self, n_roots: int, v: int):
         cap = max(64, 4 * n_roots)
         self.child = np.full((cap, v), -1, dtype=np.int32)  # the largest table: int32 halves it
-        self.adv, self.ctx = np.full((2, cap), -1)
+        self.adv, self.ctx, self.parent, self.label = np.full((4, cap), -1)
         self.group = np.zeros(cap, dtype=np.intp)  # stays 0 under one root
         self.group[:n_roots] = np.arange(n_roots)
         self.ctx[:n_roots] = (v + 1) * (v + 1) - 1  # (SOS, SOS)
@@ -103,7 +104,7 @@ class _Trie:
             parents, labels = parents[new], labels[new]
             start, self.size = self.size, self.size + len(parents)
             if self.size > len(self.adv):
-                for name in ("child", "adv", "group", "ctx"):
+                for name in ("child", "adv", "group", "ctx", "parent", "label"):
                     old = getattr(self, name)
                     grown = np.full((self.size, *old.shape[1:]), 0 if name == "group" else -1, old.dtype)
                     setattr(self, name, np.concatenate((old, grown)))
@@ -112,19 +113,16 @@ class _Trie:
             if self.n_roots > 1:
                 self.group[start : self.size] = self.group[parents]
             self.ctx[start : self.size] = self.next_ctx[self.ctx[parents], labels]
+            self.parent[start : self.size], self.label[start : self.size] = parents, labels
         return nodes, existed
 
     def tokens(self, nodes: Sequence[int]) -> list[tuple[int, ...]]:
-        p, k = np.nonzero(self.child[: self.size] >= 0)
-        parent, token = np.empty(self.size, dtype=np.intp), np.empty(self.size, dtype=np.intp)
-        c = self.child[p, k]
-        parent[c], token[c] = p, k
-        parent, token = parent.tolist(), token.tolist()
+        parent, label = self.parent[: self.size].tolist(), self.label[: self.size].tolist()
         out = []
         for n in nodes:
             tok = []
             while n >= self.n_roots:
-                tok.append(token[n])
+                tok.append(label[n])
                 n = parent[n]
             out.append(tuple(reversed(tok)))
         return out
@@ -342,11 +340,13 @@ def greedy_decode(model: MhatModel | HatModel, X: np.ndarray) -> tuple[int, ...]
 
 
 def ilm_sequence_log_prob(model: MhatModel | HatModel, tokens: Sequence[int]) -> float:
-    """Internal-LM log-probability of a label sequence (no EOS event)."""
+    """Internal-LM log-probability of a label sequence (no EOS event).
+    NaN or +inf raises EvaluationError; -inf from underflow is legal."""
     model.vocab.check_ids(tokens)
     with nm.no_grad():
         rows = model.context_log_prob_rows(bigram_contexts(tokens, model.vocab.sos_id)).data
-    return float(rows[np.arange(len(tokens)), np.asarray(tokens, dtype=np.int64)].sum())
+    lp = float(rows[np.arange(len(tokens)), np.asarray(tokens, dtype=np.int64)].sum())
+    return nm.check_log_prob(lp, "ilm_sequence_log_prob")
 
 
 def score_sequence(
@@ -359,7 +359,8 @@ def score_sequence(
 
     The model component is the full lattice marginal; the external
     component includes the EOS event; the combined total applies the
-    fusion weights exactly as beam search does.
+    fusion weights exactly as beam search does.  A NaN or +inf component
+    raises EvaluationError naming the function that computed it.
     """
     _check_lm_vocab(model, fusion)
     with nm.no_grad():

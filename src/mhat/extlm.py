@@ -60,12 +60,12 @@ class ExternalLm:
         return self.context_log_prob_rows(bigram_contexts(tokens, self.vocab.sos_id))
 
     def sentence_log_prob(self, tokens: Sequence[int]) -> float:
-        """Full sentence log-prob including the terminating EOS event."""
+        """Full sentence log-prob including the terminating EOS event.
+        NaN or +inf raises EvaluationError; -inf from underflow is legal."""
         with nm.no_grad():
             rows = self.next_log_prob_rows(tokens).data
-        u = len(tokens)
         targets = np.append(np.asarray(tokens, dtype=np.int64), self.eos_id)
-        return float(rows[np.arange(u + 1), targets].sum())
+        return nm.check_log_prob(float(rows[np.arange(len(targets)), targets].sum()), "sentence_log_prob")
 
     def scorer(self) -> "LmScorer":
         return LmScorer(self)

@@ -23,7 +23,6 @@ single-step heads, and `build_lattice` runs alpha and beta node by node.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -192,8 +191,7 @@ def forward_log_prob(model: MhatModel | HatModel, X: np.ndarray, tokens: Sequenc
     """log P(tokens | X) by the forward recursion; scalar, graph-attached.
     NaN or +inf raises EvaluationError; -inf from underflow is legal."""
     out = nm.total(batch_log_probs(model, [(X, tokens)]))
-    if not out.data < math.inf:  # NaN or +inf
-        raise nm.EvaluationError(f"forward_log_prob: log P is {float(out.data)!r}")
+    nm.check_log_prob(float(out.data), "forward_log_prob")
     return out
 
 
@@ -203,7 +201,6 @@ def node_arc_scores(model: MhatModel | HatModel, X: np.ndarray, tokens: Sequence
     Entry [t-1, u] scores the arc out of node (t, u).  The scores come from
     the single-step public heads, one decoder call per prefix, and not from
     the batched `arc_log_scores`, so whatever reads them checks that too.
-    A blank posterior that rounds to 0 or 1 gives a -inf arc.
     """
     X, _ = model.encoder.frames([X])
     model.vocab.check_ids(tokens)
@@ -214,14 +211,14 @@ def node_arc_scores(model: MhatModel | HatModel, X: np.ndarray, tokens: Sequence
         for u in range(u_len + 1):
             if isinstance(model, MhatModel):
                 g, ilm = model.decode_blank(tokens[:u]), model.ilm_log_probs(model.decode_label(tokens[:u]))
-                heads = [(model.blank_posterior(f, g), label_posterior(model.am_log_probs(f), ilm)) for f in F]
+                heads = [(model.blank_logit(f, g).item(), label_posterior(model.am_log_probs(f), ilm)) for f in F]
             else:
                 g = model.decode_state(tokens[:u])
-                heads = [model.hat_joint(f, g) for f in F]
-            for t, (b, labels) in enumerate(heads):
-                log_blank[t, u] = math.log(b) if b > 0.0 else -math.inf
-                if u < u_len:
-                    log_label[t, u] = (math.log1p(-b) if b < 1.0 else -math.inf) + float(labels.data[tokens[u]])
+                heads = [(model.blank_logit(f, g).item(), model.hat_joint(f, g)[1]) for f in F]
+            s = np.array([logit for logit, _ in heads])
+            log_blank[:, u] = nm.log_sigmoid(s).data
+            if u < u_len:
+                log_label[:, u] = nm.log_sigmoid(-s).data + [labels.data[tokens[u]] for _, labels in heads]
     return log_blank, log_label
 
 
@@ -241,9 +238,7 @@ def build_lattice(model: MhatModel | HatModel, X: np.ndarray, tokens: Sequence[i
         if t + u < t_len + u_len:  # every node but the last
             beta[t, u] = np.logaddexp(beta[t + 1, u] + log_blank[t - 1, u] if t < t_len else -np.inf,
                                       beta[t, u + 1] + log_label[t - 1, u] if u < u_len else -np.inf)
-    log_prob = float(alpha[t_len, u_len] + log_blank[t_len - 1, u_len])
-    if not log_prob < math.inf:  # NaN or +inf
-        raise nm.EvaluationError(f"build_lattice: log P is {log_prob!r}")
+    log_prob = nm.check_log_prob(float(alpha[t_len, u_len] + log_blank[t_len - 1, u_len]), "build_lattice")
     return AlignmentLattice(t_len, u_len, log_blank, log_label, alpha, beta, log_prob)
 
 

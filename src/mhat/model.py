@@ -359,23 +359,24 @@ class Encoder:
         """The frames of a sequence of (T, d_x) utterances, stacked, and their
         lengths: the one check that utterances can be scored.  Per utterance,
         in turn: not 2-D raises ConfigError, a wrong width ConfigError, no
-        frames StructureError (no alignment exists); the first and the last
-        name its position in `xs`.  Then a non-finite feature raises
-        ConfigError naming its frame."""
+        frames StructureError (no alignment exists).  Then a non-finite
+        feature raises ConfigError naming its frame.  Each names the
+        utterance's position in `xs`."""
         xs = [np.asarray(x, dtype=np.float64) for x in xs]
         for u, x in enumerate(xs):
             if x.ndim != 2:
                 raise ConfigError(f"utterance {u} has shape {x.shape}: each utterance is a (T, d_x) array")
             if x.shape[1] != self.cfg.d_x:
-                raise ConfigError(f"feature dim mismatch: got {x.shape}, encoder expects (T, {self.cfg.d_x})")
+                raise ConfigError(f"feature dim mismatch: utterance {u} has shape {x.shape}, encoder expects (T, {self.cfg.d_x})")
             if not len(x):
                 raise StructureError(f"no alignment exists for utterance {u}: it has no frames (T=0)")
         X = np.concatenate(xs)
         t_lens = np.array([len(x) for x in xs])
         if not np.isfinite(X).all():
             i, d = np.argwhere(~np.isfinite(X))[0]
-            t = i - (np.cumsum(t_lens) - t_lens)[np.repeat(np.arange(len(xs)), t_lens)[i]]
-            raise ConfigError(f"non-finite feature {float(X[i, d])!r} at frame {t}")
+            u = np.repeat(np.arange(len(xs)), t_lens)[i]
+            t = i - (np.cumsum(t_lens) - t_lens)[u]
+            raise ConfigError(f"non-finite feature {float(X[i, d])!r} at frame {t} of utterance {u}")
         return X, t_lens
 
     def windows(self, xs: list[np.ndarray]) -> np.ndarray:
@@ -451,6 +452,10 @@ class _AsrModel:
         self.params = ParameterSet()
         self.encoder = Encoder(self.params, encoder, rng)
 
+    def blank_logit(self, f_t: Tensor | np.ndarray, g: Tensor | np.ndarray) -> Tensor:
+        """The blank logit at one (frame, step) pair; `g` is MHAT's blank decoder output, HAT's decoder output."""
+        return self.joint.blank_logit(self.joint.hidden(f_t, g))
+
     def context_log_prob_rows(self, ctx: np.ndarray) -> Tensor:
         """Internal-LM log-prob rows for (n, 2) decoder contexts: (n, |V|)."""
         return nm.log_softmax(self.context_logits(ctx))
@@ -516,9 +521,6 @@ class MhatModel(_AsrModel):
     def decode_label(self, prefix: Sequence[int]) -> Tensor:
         self.vocab.check_ids(prefix)
         return self.label_decoder.outputs(np.array(context_of(prefix, self.vocab.sos_id)))
-
-    def blank_logit(self, f_t: Tensor | np.ndarray, g_b: Tensor | np.ndarray) -> Tensor:
-        return self.joint.blank_logit(self.joint.hidden(f_t, g_b))
 
     def blank_posterior(self, f_t: Tensor | np.ndarray, g_b: Tensor | np.ndarray) -> float:
         return nm.sigmoid(self.blank_logit(f_t, g_b).item())

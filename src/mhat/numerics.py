@@ -24,6 +24,7 @@ __all__ = [
     "add",
     "affine",
     "check_finite",
+    "check_log_prob",
     "dot",
     "embed_affine",
     "gather_sum",
@@ -57,6 +58,14 @@ def check_finite(loss: "Tensor", where: str) -> None:
     """Raise EvaluationError naming `where` if a loss value is NaN or infinite."""
     if not np.isfinite(loss.data):
         raise EvaluationError(f"non-finite loss {float(loss.data)!r} at {where}")
+
+
+def check_log_prob(value: float, where: str) -> float:
+    """`value`, or EvaluationError naming `where` if it is NaN or +inf; a
+    -inf log-probability from underflow is legal."""
+    if not value < math.inf:
+        raise EvaluationError(f"{where}: log P is {value!r}")
+    return value
 
 
 _grad_enabled = True
@@ -449,34 +458,27 @@ def embed_affine(t0, t1, ctx, W, b) -> Tensor:
     return _op(data, (t0, t1, W, b), vjp)
 
 
-def dot(x, w, b=None) -> Tensor:
+def dot(x, w, b) -> Tensor:
     """Inner product with a vector over the trailing axis, plus a scalar bias."""
-    x, w = _coerce(x), _coerce(w)
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
     if w.data.ndim != 1 or x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(
             f"dot: x with shape {x.data.shape} does not conform with w {w.data.shape}"
         )
+    if b.data.shape not in ((), (1,)):
+        raise ShapeError(f"dot: bias must be scalar, got shape {b.data.shape}")
     h = w.data.shape[0]
-    data = x.data @ w.data
-    parents: tuple[Tensor, ...]
-    if b is not None:
-        b = _coerce(b)
-        if b.data.shape not in ((), (1,)):
-            raise ShapeError(f"dot: bias must be scalar, got shape {b.data.shape}")
-        data = data + b.data.reshape(())
-        parents = (x, w, b)
-    else:
-        parents = (x, w)
+    data = x.data @ w.data + b.data.reshape(())
 
     def vjp(g):
         if x.requires_grad:
             x._hand_over(g[..., None] * w.data)
         if w.requires_grad:
             w._hand_over(g.reshape(-1) @ x.data.reshape(-1, h))
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b._hand_over(np.asarray(g.sum()).reshape(b.data.shape))
 
-    return _op(data, parents, vjp)
+    return _op(data, (x, w, b), vjp)
 
 
 # -- nonlinearities -------------------------------------------------------

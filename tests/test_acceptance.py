@@ -22,6 +22,7 @@ from mhat.data import Corpus, Utterance
 from mhat.decode import FusionConfig, NO_FUSION, beam_search, score_sequence
 from mhat.evalcli import (
     ExperimentConfig,
+    MATRIX_ROWS,
     METHODS,
     build_mhat,
     decode_corpus,
@@ -295,6 +296,32 @@ def test_report_ilm_perplexities_are_the_unadapted_ones(pipeline):
     exp = result.data
     assert result.ilm_source_ppl == perplexity(result.models["mhat"], exp.src_dev.transcripts())
     assert result.ilm_target_ppl == perplexity(result.models["mhat"], exp.tgt_dev.transcripts())
+
+
+# Bound from the measured spread: over all 2,400 best hypotheses of the
+# seed-0 pipeline, ext_lp and ilm_lp within 7.0e-16 relative and model_lp
+# above the marginal by 3.9e-14 relative at most; 5.4e-16 and 2.2e-15 on
+# the 40 utterances below.
+BEAM_RTOL = 1e-12
+
+
+def test_beam_invariants_on_the_pipeline_decodes(pipeline):
+    """Each method's best hypothesis on the first target-test utterances,
+    rescored by `score_sequence`: the beam's LM components are the exact
+    ones, and its model_lp, a sum over the alignments it kept, does not
+    exceed the lattice marginal."""
+    cfg, result = pipeline
+    items = result.data.tgt_test.items[:40]
+    for key, _, fused, mode in MATRIX_ROWS:
+        model = result.models[key]
+        fusions = [NO_FUSION, FusionConfig(mode, *result.best_lambdas[fused], result.models["lm"])]
+        decoded = beam_search(model, [it.features for it in items], cfg.beam, fusions)
+        for it, per_fusion in zip(items, decoded):
+            for fusion, ranked in zip(fusions, per_fusion):
+                got, want = ranked[0], score_sequence(model, it.features, ranked[0].tokens, fusion)
+                np.testing.assert_allclose([got.ext_lp, got.ilm_lp], [want.ext_lp, want.ilm_lp],
+                                           rtol=BEAM_RTOL, atol=0)
+                assert got.model_lp <= want.model_lp + BEAM_RTOL * abs(want.model_lp), (key, it.uid, fusion.mode)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import small_hat, small_mhat
 from mhat import data as dat
-from mhat.decode import FusionConfig, beam_search, score_sequence
+from mhat.decode import FusionConfig, beam_search, ilm_sequence_log_prob, score_sequence
 from mhat.evalcli import evaluate_pairs, main
 from mhat.extlm import ExternalLm, lm_perplexity
 from mhat.lattice import brute_force_log_prob, build_lattice, forward_log_prob, hat_loss
@@ -29,6 +29,10 @@ from mhat.training import TrainConfig, train_asr
 
 D_X, V = 3, 4  # the conftest models' feature width and vocabulary size
 MODELS = {"mhat": small_mhat, "hat": small_hat}
+
+
+def small_lm():
+    return ExternalLm(Vocabulary.default(V), embed_dim=4)
 
 
 def utterance(seed: int, t_len: int = 4) -> tuple[np.ndarray, list[int]]:
@@ -47,8 +51,9 @@ X, Y = utterance(99)
 EDGES = {
     "T=0": (np.zeros((0, D_X)), Y, StructureError, "no alignment exists for utterance {u}: it has no frames (T=0)"),
     "1-D": (np.zeros(D_X), Y, ConfigError, f"utterance {{u}} has shape ({D_X},): each utterance is a (T, d_x) array"),
-    "width": (np.zeros((4, 5)), Y, ConfigError, f"feature dim mismatch: got (4, 5), encoder expects (T, {D_X})"),
-    "NaN": (with_nan(X), Y, ConfigError, "non-finite feature nan at frame 2"),
+    "width": (np.zeros((4, 5)), Y, ConfigError,
+              f"feature dim mismatch: utterance {{u}} has shape (4, 5), encoder expects (T, {D_X})"),
+    "NaN": (with_nan(X), Y, ConfigError, "non-finite feature nan at frame 2 of utterance {u}"),
     "token": (X, [1, V], VocabError, f"token id {V} out of range for |V|={V}"),
 }
 
@@ -256,7 +261,7 @@ def test_empty_loss_and_search():
     "call, text",
     [(lambda: train_asr(small_mhat(), [], TrainConfig(epochs=1)), "training corpus is empty"),
      (lambda: perplexity(small_mhat(), []), "perplexity requires at least one scored event"),
-     (lambda: lm_perplexity(ExternalLm(Vocabulary.default(V), embed_dim=4), []),
+     (lambda: lm_perplexity(small_lm(), []),
       "perplexity requires at least one scored event"),
      (lambda: evaluate_pairs([]).wer, "WER requires at least one reference token")],
     ids=["train_asr", "perplexity", "lm_perplexity", "evaluate_pairs"],
@@ -273,8 +278,8 @@ TEXT = [[0, 1, 2], [3, 3], [1]]
 PERPLEXITIES = {
     "perplexity-mhat": (small_mhat, "ilm_proj.bias", perplexity),
     "perplexity-hat": (small_hat, "label_head.bias", perplexity),
-    "perplexity-lm": (lambda: ExternalLm(Vocabulary.default(V), embed_dim=4), "out_proj.bias", perplexity),
-    "lm_perplexity": (lambda: ExternalLm(Vocabulary.default(V), embed_dim=4), "out_proj.bias", lm_perplexity),
+    "perplexity-lm": (small_lm, "out_proj.bias", perplexity),
+    "lm_perplexity": (small_lm, "out_proj.bias", lm_perplexity),
 }
 
 
@@ -317,5 +322,30 @@ def test_log_prob_of_a_non_finite_parameter(kind, name, entry):
     where, call = LOG_PROB_ENTRIES[entry]
     model = MODELS[kind]()
     model.params[name].data[...] = np.nan
+    with raises_exactly(EvaluationError, f"{where}: log P is nan"):
+        call(model)
+
+
+# The text half of the same rule: the internal LM's and the external LM's
+# sentence scores refuse a NaN log P, naming themselves, and shallow-fusion
+# `score_sequence` reaches the external LM's error.  Row V of a context
+# table is its SOS row, which only the first step reads; row V of the LM's
+# output projection is its EOS row.
+TEXT_LOG_PROB_CELLS = {
+    "ilm_sequence_log_prob-mhat": (small_mhat, "label_decoder.table0", "ilm_sequence_log_prob",
+                                   lambda m: ilm_sequence_log_prob(m, Y)),
+    "ilm_sequence_log_prob-hat": (small_hat, "decoder.table0", "ilm_sequence_log_prob",
+                                  lambda m: ilm_sequence_log_prob(m, Y)),
+    "sentence_log_prob": (small_lm, "out_proj.weight", "sentence_log_prob", lambda lm: lm.sentence_log_prob(Y)),
+    "score_sequence-shallow": (small_lm, "out_proj.weight", "sentence_log_prob",
+                               lambda lm: score_sequence(small_mhat(), X, Y, FusionConfig("shallow", 0.3, lm=lm))),
+}
+
+
+@pytest.mark.parametrize("cell", TEXT_LOG_PROB_CELLS)
+def test_text_log_prob_of_a_non_finite_parameter(cell):
+    build, name, where, call = TEXT_LOG_PROB_CELLS[cell]
+    model = build()
+    model.params[name].data[V] = np.nan
     with raises_exactly(EvaluationError, f"{where}: log P is nan"):
         call(model)

@@ -346,7 +346,7 @@ class TestWindowsOracle:
         xs = [np.zeros((4, 3)), np.zeros((5, 3)), np.zeros((3, 3))]
         xs[1][2, 1] = np.nan
         xs[2][0, 0] = np.inf
-        with pytest.raises(ConfigError, match=r"non-finite feature nan at frame 2$"):
+        with pytest.raises(ConfigError, match=r"non-finite feature nan at frame 2 of utterance 1$"):
             enc.windows(xs)
 
     def test_feature_dim_mismatch(self):
@@ -457,7 +457,7 @@ class TestHandover:
                 nm.mul(x, x),
                 nm.mul(h, h),
                 nm.neg(nm.mul(nm.add(h, x), h)),
-                nm.dot(ref.concat(x, v), w),
+                nm.dot(ref.concat(x, v), w, b[0]),
                 ref.concat(h, h),
                 x[1],
                 x[np.array([0, 2, 0])],

@@ -89,9 +89,9 @@ def test_zero_epochs_is_legal(rng):
 @pytest.mark.parametrize(
     "kind, error, message",
     [("token", VocabError, r"^token id 99 out of range for \|V\|=4$"),
-     ("nan", ConfigError, r"^non-finite feature nan at frame 2$"),
-     ("inf", ConfigError, r"^non-finite feature -inf at frame 2$"),
-     ("shape", ConfigError, r"^feature dim mismatch: got \(4, 2\)")],
+     ("nan", ConfigError, r"^non-finite feature nan at frame 2 of utterance {u}$"),
+     ("inf", ConfigError, r"^non-finite feature -inf at frame 2 of utterance {u}$"),
+     ("shape", ConfigError, r"^feature dim mismatch: utterance {u} has shape \(4, 2\)")],
 )
 def test_bad_item_rejected_before_any_step(rng, kind, error, message):
     items = batch(rng)
@@ -107,7 +107,7 @@ def test_bad_item_rejected_before_any_step(rng, kind, error, message):
     items[at] = (X, y)
     model = small_mhat()
     before = model.params.checksum()
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message.format(u=at)):
         train_asr(model, items, TrainConfig(epochs=1, batch_size=2, alpha=0.1))
     assert model.params.checksum() == before
 
