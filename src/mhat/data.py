@@ -323,15 +323,24 @@ def confusable_pair_domains(
 # -- text and paired corpus files -----------------------------------------
 
 
+def read_text_lines(path: str, what: str) -> list[str]:
+    """The lines of a UTF-8 text file; other bytes raise ConfigError naming
+    the file as `what`."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return list(f)
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not a {what} (not UTF-8 text)") from None
+
+
 def write_vocab(vocab: Vocabulary, path: str) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for name in vocab.names:
             f.write(name + "\n")
 
 
 def read_vocab(path: str) -> Vocabulary:
-    with open(path) as f:
-        names = [line.strip() for line in f if line.strip()]
+    names = [line.strip() for line in read_text_lines(path, "vocabulary file") if line.strip()]
     try:
         return Vocabulary(tuple(names))
     except VocabError as e:
@@ -339,23 +348,22 @@ def read_vocab(path: str) -> Vocabulary:
 
 
 def write_text_corpus(corpus: Corpus, path: str) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for it in corpus.items:
             f.write(corpus.vocab.text(it.tokens) + "\n")
 
 
 def read_text_corpus(path: str, vocab: Vocabulary) -> Corpus:
     items = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            names = line.split()
-            if not names:
-                continue
-            try:
-                tokens = tuple(vocab.id_of(n) for n in names)
-            except VocabError as e:
-                raise VocabError(f"{path}:{lineno}: {e}") from None
-            items.append(Utterance(uid=f"train-{lineno:05d}", features=None, tokens=tokens))
+    for lineno, line in enumerate(read_text_lines(path, "text corpus"), start=1):
+        names = line.split()
+        if not names:
+            continue
+        try:
+            tokens = tuple(vocab.id_of(n) for n in names)
+        except VocabError as e:
+            raise VocabError(f"{path}:{lineno}: {e}") from None
+        items.append(Utterance(uid=f"train-{lineno:05d}", features=None, tokens=tokens))
     return Corpus(split="train", seed=0, vocab=vocab, items=tuple(items))
 
 
@@ -374,7 +382,7 @@ def write_corpus(corpus: Corpus, path: str) -> None:
     for it, feats in zip(corpus.items, blobs):
         if not np.isfinite(feats).all():
             raise ConfigError(f"{path}: utterance {it.uid} holds a non-finite feature")
-    with open(path, "w") as mf, open(path + ".feats", "wb") as bf:
+    with open(path, "w", encoding="utf-8") as mf, open(path + ".feats", "wb") as bf:
         mf.write("format mhat-corpus-v1\n")
         mf.write(f"split {corpus.split}\n")
         mf.write(f"seed {corpus.seed}\n")
@@ -478,7 +486,7 @@ def save_checkpoint(model_or_lm, path: str) -> None:
     for name, blob in zip(names, blobs):
         if not np.isfinite(blob).all():
             raise CheckpointError(f"cannot save {path}: tensor {name!r} holds a non-finite value")
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(f"format {_CKPT_FORMAT}\n")
         f.write(f"kind {m.kind}\n")
         f.write("dtype float32\n")

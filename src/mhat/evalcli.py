@@ -329,9 +329,9 @@ def adapt_ilma_model(
     if path:
         dat.save_checkpoint(model, path)
     if report_dir:
-        with open(os.path.join(report_dir, "ilma_report.txt"), "w") as f:
+        with open(os.path.join(report_dir, "ilma_report.txt"), "w", encoding="utf-8") as f:
             f.write(report.render_text() + "\n")
-        with open(os.path.join(report_dir, "ilma_report.kv"), "w") as f:
+        with open(os.path.join(report_dir, "ilma_report.kv"), "w", encoding="utf-8") as f:
             f.write("\n".join(report.kv_lines()) + "\n")
     return report
 
@@ -455,7 +455,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, log=_log) 
                 for k, method in enumerate((plain, fused)):
                     if out_dir:
                         fname = method.replace("+", "_") + f"__{domain}.tsv"
-                        with open(os.path.join(ensure("decodes"), fname), "w") as f:
+                        with open(os.path.join(ensure("decodes"), fname), "w", encoding="utf-8") as f:
                             for uid, best in decoded:
                                 f.write(format_record(uid, best[k], exp.vocab) + "\n")
                     rep = evaluate_pairs([(it.tokens, best[k].tokens) for it, (_, best) in zip(corpus.items, decoded)])
@@ -476,7 +476,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, log=_log) 
             durations=dict(durations),
         )
         if out_dir:
-            with open(os.path.join(ensure("reports"), "wer_matrix.tsv"), "w") as f:
+            with open(os.path.join(ensure("reports"), "wer_matrix.tsv"), "w", encoding="utf-8") as f:
                 f.write("\n".join(result.matrix_lines()) + "\n")
     return result
 
@@ -637,7 +637,7 @@ def _write_resolved_config(args) -> None:
         for k, v in sorted(vars(args).items())
         if k != "func" and v is not None
     ]
-    with open(os.path.join(args.out_dir, "resolved-config.txt"), "w") as f:
+    with open(os.path.join(args.out_dir, "resolved-config.txt"), "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
 
@@ -654,7 +654,7 @@ def cmd_train(args) -> None:
     cfg = _config(args, d_x=corpus.items[0].features.shape[1])
     out = os.path.join(args.out_dir, f"{args.model}.ckpt")
     _, curve = train_asr_model(args.model, cfg, vocab, corpus.paired(), out, optimizer=args.optimizer)
-    with open(os.path.join(args.out_dir, "train_log.txt"), "w") as f:
+    with open(os.path.join(args.out_dir, "train_log.txt"), "w", encoding="utf-8") as f:
         for i, loss in enumerate(curve, start=1):
             f.write(f"epoch {i} loss_per_utt {loss!r}\n")
     _log(f"saved {out}")
@@ -665,7 +665,7 @@ def cmd_train_lm(args) -> None:
     corpus = dat.read_text_corpus(args.text, vocab)
     out = os.path.join(args.out_dir, "extlm.ckpt")
     _, ppl = train_lm_model(_config(args), corpus, out)
-    with open(os.path.join(args.out_dir, "lm_report.kv"), "w") as f:
+    with open(os.path.join(args.out_dir, "lm_report.kv"), "w", encoding="utf-8") as f:
         f.write(f"train_ppl {ppl!r}\n")
     _log(f"saved {out}")
 
@@ -690,7 +690,7 @@ def cmd_decode(args) -> None:
     fusion = FusionConfig(mode=args.fusion, lam_ext=args.lam_ext, lam_ilm=args.lam_ilm, lm=lm)
     decoded = decode_corpus(model, corpus, _config(args).beam, fusion)
     out = os.path.join(args.out_dir, "decodes.tsv")
-    with open(out, "w") as f:
+    with open(out, "w", encoding="utf-8") as f:
         for uid, res in decoded:
             f.write(format_record(uid, res, model.vocab) + "\n")
     _log(f"decoded {len(decoded)} utterances -> {out}")
@@ -700,23 +700,22 @@ def cmd_eval(args) -> None:
     vocab = dat.read_vocab(args.vocab)
     refs = dat.read_corpus(args.ref, vocab)
     hyps: dict[str, tuple[int, ...]] = {}
-    with open(args.hyp) as f:
-        for lineno, line in enumerate(f, start=1):
-            if line.strip():
-                uid, ids = parse_record(line)
-                if uid in hyps:
-                    raise ConfigError(f"{args.hyp}:{lineno}: second record for utterance {uid}")
-                try:
-                    vocab.check_ids(ids)
-                except VocabError as e:
-                    raise VocabError(f"{args.hyp}:{lineno}: {e}") from None
-                hyps[uid] = ids
+    for lineno, line in enumerate(dat.read_text_lines(args.hyp, "decodes file"), start=1):
+        if line.strip():
+            uid, ids = parse_record(line)
+            if uid in hyps:
+                raise ConfigError(f"{args.hyp}:{lineno}: second record for utterance {uid}")
+            try:
+                vocab.check_ids(ids)
+            except VocabError as e:
+                raise VocabError(f"{args.hyp}:{lineno}: {e}") from None
+            hyps[uid] = ids
     unknown = hyps.keys() - {it.uid for it in refs.items}
     if unknown:
         raise ConfigError(f"{args.hyp}: utterance {min(unknown)} is not in {args.ref}")
     report = evaluate_decodes(refs, hyps)
     lines = report.kv_lines()  # raises before eval.kv exists when nothing was scored
-    with open(os.path.join(args.out_dir, "eval.kv"), "w") as f:
+    with open(os.path.join(args.out_dir, "eval.kv"), "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
     _log(f"WER {report.wer:.3f}% "
          f"(S={report.subs} I={report.ins} D={report.dels} over {report.ref_tokens} ref tokens)")

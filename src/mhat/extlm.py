@@ -33,6 +33,8 @@ class ExternalLm:
     kind = "lm"
 
     def __init__(self, vocab: Vocabulary, embed_dim: int = 64, seed: int = 0):
+        if embed_dim < 1:
+            raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
         rng = np.random.default_rng(seed)
         self.vocab, self.embed_dim = vocab, embed_dim
         self.eos_id = vocab.size  # output index; contexts use sos_id = vocab.size

@@ -68,7 +68,7 @@ def _row_order(t_lens: np.ndarray, u_lens: np.ndarray) -> tuple[np.ndarray, np.n
 def _diagonal_arcs(
     t_lens: np.ndarray, u_lens: np.ndarray, rows: np.ndarray, t: np.ndarray, u: np.ndarray,
     log_blank: np.ndarray, log_label: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scatter arc scores into -inf-padded arrays laid out by anti-diagonal.
 
     Cell i sits in lattice row rows[i] at frame t[i] (0-based) and label
@@ -77,23 +77,16 @@ def _diagonal_arcs(
     (t + 1, u) of row r lands at [t + 1 + u, r, u + 1] of a
     (max T+U + 2, B, U_max + 3) array, flat index
     ((t + 1 + u) * B + r) * (U_max + 3) + u + 1; the outer rows and columns
-    stay -inf.  Returns (blank, label, final, flat index of each cell):
-    blank arcs out of a row's last frame are left out, and its final blank,
-    the mandatory terminal arc out of (T_b, U_b), is returned per row
-    instead.
+    stay -inf.  Returns (blank, label, flat index of each cell).
     """
     n_rows, width = t_lens.size, u_lens.max() + 3
     at = ((t + 1 + u) * n_rows + rows) * width + u + 1
-    last = t == t_lens[rows] - 1
-    final = np.empty(n_rows)
-    end = last & (u == u_lens[rows])
-    final[rows[end]] = log_blank[end]
     shape = ((t_lens + u_lens).max() + 2, n_rows, width)
     blank = np.full(shape, -np.inf)
-    blank.reshape(-1)[at[~last]] = log_blank[~last]
+    blank.reshape(-1)[at] = log_blank
     label = np.full(shape, -np.inf)
     label.reshape(-1)[at[: log_label.size]] = log_label
-    return blank, label, final, at
+    return blank, label, at
 
 
 def _bounds(t_lens: np.ndarray, u_lens: np.ndarray) -> list[tuple[int, int, int]]:
@@ -130,48 +123,44 @@ def _alphas(blank: np.ndarray, label: np.ndarray, bounds: list[tuple[int, int, i
 
 
 def _betas(
-    blank: np.ndarray, label: np.ndarray, final: np.ndarray, u_lens: np.ndarray, bounds: list[tuple[int, int, int]]
+    blank: np.ndarray, label: np.ndarray, t_lens: np.ndarray, u_lens: np.ndarray, bounds: list[tuple[int, int, int]]
 ) -> np.ndarray:
-    """Backward log-masses, laid out as `_alphas`.  Each row starts at its
-    own final node (T_b, U_b), whose mass is its final blank."""
+    """Backward log-masses, laid out as `_alphas`.  Each row starts from its
+    sink (T_b + 1, U_b) at mass 0: only its final blank reaches the sink, and
+    no diagonal's box covers it.  Other last-frame blanks reach -inf cells."""
     beta = np.full(blank.shape, -np.inf)
-    m_next = 0
+    beta[t_lens + u_lens + 1, np.arange(t_lens.size), u_lens + 1] = 0.0
     for k in range(len(bounds) - 1, 0, -1):
         m, lo, hi = bounds[k]
         nxt = beta[k + 1, :m]
         beta[k, :m, lo:hi] = np.logaddexp(
             nxt[:, lo:hi] + blank[k, :m, lo:hi], nxt[:, lo + 1 : hi + 1] + label[k, :m, lo:hi]
         )
-        if m > m_next:  # rows [m_next, m) end on diagonal k
-            done = np.arange(m_next, m)
-            beta[k, done, u_lens[done] + 1] = final[done]
-            m_next = m
     return beta
 
 
 def lattice_log_prob(log_blank: Tensor, log_label: Tensor, cells: LatticeCells) -> Tensor:
     """Marginal log-probability of every utterance of a batch, (B,), differentiable.
 
-    One padded forward pass covers the batch.  The backward rule weights
-    each arc by its posterior occupancy, alpha at its source plus beta at
-    its target, times the upstream gradient of its utterance; the
-    mandatory final blank has occupancy one.
+    One padded forward pass covers the batch; log P of a row is alpha at its
+    last node plus its final blank.  The backward rule weights each arc by
+    its posterior occupancy, alpha at its source plus beta at its target,
+    times the upstream gradient of its utterance.
     """
     b, t, u, n = cells.b, cells.t, cells.u, cells.n_label
     rank, t_lens, u_lens = _row_order(cells.t_lens, cells.u_lens)
-    blank, label, final, at = _diagonal_arcs(t_lens, u_lens, rank[b], t, u, log_blank.data, log_label.data)
+    blank, label, at = _diagonal_arcs(t_lens, u_lens, rank[b], t, u, log_blank.data, log_label.data)
     bounds = _bounds(t_lens, u_lens)
     alpha = _alphas(blank, label, bounds)
-    tot = (alpha[t_lens + u_lens, np.arange(t_lens.size), u_lens + 1] + final)[rank]
+    end = t_lens + u_lens, np.arange(t_lens.size), u_lens + 1
+    tot = (alpha[end] + blank[end])[rank]
 
     def vjp(g):
-        beta = _betas(blank, label, final, u_lens, bounds).reshape(-1)
+        beta = _betas(blank, label, t_lens, u_lens, bounds).reshape(-1)
         step = blank.shape[1] * blank.shape[2]  # one diagonal: at + step is the blank target
         src = alpha.reshape(-1)[at]
         if log_blank.requires_grad:
-            # a blank out of the last frame reaches a -inf beta cell
             gb = np.exp(src + log_blank.data + beta[at + step] - tot[b])
-            gb[(t == cells.t_lens[b] - 1) & (u == cells.u_lens[b])] += 1.0
             log_blank._hand_over(g[b] * gb)
         if log_label.requires_grad and n:
             gl = np.exp(src[:n] + log_label.data + beta[at[:n] + step + 1] - tot[b[:n]])

@@ -87,10 +87,7 @@ def mhat_loss(
     base = hat_loss(model, batch)
     if alpha == 0.0:
         return base
-    transcripts = [y for _, y in batch if len(y) > 0]
-    if not transcripts:
-        return base
-    return nm.add(base, nm.mul(alpha, ilm_loss(model, transcripts)))
+    return nm.add(base, nm.mul(alpha, ilm_loss(model, [y for _, y in batch if len(y) > 0])))
 
 
 def perplexity(model_or_lm, transcripts: Sequence[Sequence[int]]) -> float:

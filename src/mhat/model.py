@@ -340,7 +340,7 @@ class Encoder:
     """Stack of affine+tanh layers over a (2c+1)-frame zero-padded window."""
 
     def __init__(self, params: ParameterSet, cfg: EncoderConfig, rng: np.random.Generator):
-        if cfg.d_f < 1 or cfg.layers < 1 or cfg.context < 0:
+        if cfg.d_x < 1 or cfg.d_f < 1 or cfg.layers < 1 or cfg.context < 0:
             raise ConfigError(f"bad encoder config: {cfg}")
         self.cfg = cfg
         self.weights: list[tuple[Tensor, Tensor]] = []

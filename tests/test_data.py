@@ -1,5 +1,8 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -435,6 +438,50 @@ class TestTextCorpusIO:
         with pytest.raises(VocabError, match=f"v.txt: .*{what}"):
             read_vocab(str(path))
 
+    @pytest.mark.parametrize("read, what", [(read_vocab, "vocabulary file"),
+                                            (lambda path: read_text_corpus(path, Vocabulary.default(2)), "text corpus")])
+    def test_bytes_that_are_not_utf8_rejected_naming_the_file(self, tmp_path, read, what):
+        # used to raise UnicodeDecodeError, naming no file
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("w0\n\u00e9\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match=f"^{path}: not a {what} \\(not UTF-8 text\\)$"):
+            read(str(path))
+
+
+UTF8_ROUND_TRIP = """
+import sys
+import numpy as np
+from mhat import data as dat
+from mhat.extlm import ExternalLm
+from mhat.model import Vocabulary
+
+d = sys.argv[1]
+vocab = Vocabulary(("\\u00e9", "b"))
+dat.write_vocab(vocab, d + "/vocab.txt")
+assert dat.read_vocab(d + "/vocab.txt") == vocab
+items = tuple(dat.Utterance(f"train-{i:05d}", np.zeros((2, 3)), y) for i, y in enumerate([(0, 1), (1, 0), (0,)], 1))
+corpus = dat.Corpus("train", 0, vocab, items)
+dat.write_text_corpus(corpus, d + "/text.txt")
+assert dat.read_text_corpus(d + "/text.txt", vocab).transcripts() == corpus.transcripts()
+dat.write_corpus(corpus, d + "/paired")
+assert dat.read_corpus(d + "/paired", vocab).transcripts() == corpus.transcripts()
+dat.save_checkpoint(ExternalLm(vocab, embed_dim=2), d + "/lm.ckpt")
+assert dat.load_checkpoint(d + "/lm.ckpt").vocab == vocab
+"""
+
+
+def test_text_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # under the C locale each writer used to raise UnicodeEncodeError, and
+    # write_corpus to leave a partial manifest behind
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", UTF8_ROUND_TRIP, str(tmp_path)], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    for name in ("vocab.txt", "text.txt", "paired", "lm.ckpt"):
+        assert "\u00e9" in (tmp_path / name).read_text(encoding="utf-8"), name
+
 
 class TestPairedCorpusIO:
     def test_roundtrip_and_stable_bytes(self, tmp_path):
@@ -627,6 +674,20 @@ class TestCheckpoints:
         values[-1] = np.nan
         values.tofile(blob)
         with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("kind, line, why", [
+        ("lm", "config.embed_dim 8", "embed_dim must be >= 1, got 0"),
+        ("mhat", "config.encoder.d_x 3", "bad encoder config: EncoderConfig\\(d_x=0,"),
+    ])
+    def test_zero_size_in_the_manifest_rejected(self, tmp_path, kind, line, why):
+        # a zero size used to build, save and load; the LM then failed in numpy's reshape
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ExternalLm(Vocabulary.default(4), embed_dim=8) if kind == "lm" else small_mhat(), str(path))
+        text = path.read_text()
+        assert line + "\n" in text
+        path.write_text(text.replace(line + "\n", line[:-1] + "0\n"))
+        with pytest.raises(CheckpointError, match=f"^{path}: bad model config: {why}"):
             load_checkpoint(str(path))
 
     def test_bad_manifest_vocabulary_rejected(self, tmp_path):

@@ -699,6 +699,19 @@ class TestCli:
         assert why in capsys.readouterr().err
         assert not (out / "eval.kv").exists()
 
+    def test_eval_rejects_a_hypothesis_file_that_is_not_utf8(self, tmp_path, capsys):
+        # used to fail with UnicodeDecodeError, naming no file
+        vocab = Vocabulary.default(4)
+        dat.write_vocab(vocab, str(tmp_path / "vocab.txt"))
+        items = (dat.Utterance("train-00001", np.zeros((2, 3)), (0, 1)),)
+        dat.write_corpus(dat.Corpus("train", 0, vocab, items), str(tmp_path / "ref"))
+        hyp, out = tmp_path / "hyp.tsv", tmp_path / "out"
+        hyp.write_bytes("train-00001\t0 1\tw0 w1\u00e9\t0.0\t0.0\t0.0\n".encode("latin-1"))
+        assert main(["eval", "--ref", str(tmp_path / "ref"), "--vocab", str(tmp_path / "vocab.txt"),
+                     "--hyp", str(hyp), "--out-dir", str(out)]) == 2
+        assert f"error: {hyp}: not a decodes file (not UTF-8 text)" in capsys.readouterr().err
+        assert not (out / "eval.kv").exists()
+
     def test_eval_with_no_reference_token_writes_no_report(self, tmp_path, capsys):
         vocab = Vocabulary.default(4)
         dat.write_vocab(vocab, str(tmp_path / "vocab.txt"))

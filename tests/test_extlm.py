@@ -120,6 +120,12 @@ class TestTraining:
         with pytest.raises(ConfigError, match=f"^{field} must"):
             LmTrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_bad_embed_dim_rejected_by_the_lm_itself(self, value):
+        # a zero width used to build, save and load, then fail in numpy's reshape
+        with pytest.raises(ConfigError, match=f"^embed_dim must be >= 1, got {value}$"):
+            ExternalLm(Vocabulary.default(4), embed_dim=value)
+
     def test_non_finite_loss_names_epoch_and_batch(self, rng):
         # an Adam step of size 1e300 leaves overflowing weights, so the second
         # batch's loss is NaN (an infinite lr is rejected by the config)

@@ -68,6 +68,17 @@ class TestMhatLoss:
         )
         assert float(mhat_loss(mhat_small, batch, 0.1).data) == pytest.approx(expected, abs=1e-12)
 
+    def test_all_empty_transcripts_give_the_transducer_loss_bit_exact(self, mhat_small, rng):
+        batch = [random_utterance(rng, t_len=3, u_len=0), random_utterance(rng, t_len=2, u_len=0)]
+        runs = []
+        for loss in (hat_loss, lambda model, b: mhat_loss(model, b, 0.1)):
+            mhat_small.params.zero_grads()
+            out = loss(mhat_small, batch)
+            out.backward()
+            runs.append([out.data.tobytes()] + [t.grad if t.grad is None else t.grad.tobytes()
+                                                for t in mhat_small.params.entries.values()])
+        assert runs[0] == runs[1]
+
     def test_default_alpha(self, mhat_small, rng):
         batch = [random_utterance(rng, t_len=3), random_utterance(rng, t_len=2)]
         assert inspect.signature(mhat_loss).parameters["alpha"].default == 0.1

@@ -147,6 +147,12 @@ class TestModelSizes:
         with pytest.raises(ConfigError, match=f"^{name} must be >= 1, got {value}$"):
             small_hat(**{name: value})
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("build", [small_mhat, small_hat])
+    def test_bad_feature_width_rejected(self, build, value):
+        with pytest.raises(ConfigError, match=f"^bad encoder config: EncoderConfig\\(d_x={value},"):
+            build(d_x=value)
+
     def test_smallest_widths_train(self):
         for model in (small_mhat(label_dim=1, blank_dim=1, joint_dim=1), small_hat(decoder_dim=1, joint_dim=1)):
             loss = nm.total(model.arc_log_scores([(np.zeros((3, 3)), [1, 2])])[0])

@@ -5,7 +5,8 @@ private name (`_x`) is referenced somewhere in `src/mhat` besides its own
 definition, so a deletion that leaves an import or a helper behind fails
 here.  `numerics.__all__` lists exactly that module's public functions and
 classes.  `from __future__` imports and the package's re-exports in
-`__init__.py` are not checked for use.
+`__init__.py` are not checked for use.  Every text-mode `open` names
+UTF-8, so no file depends on the locale.
 """
 
 import ast
@@ -87,6 +88,28 @@ def test_every_private_name_is_referenced(module):
         if not any(used == name and id(node) not in own for found in USES.values() for used, node in found):
             unreferenced.append((name, definition.lineno))
     assert unreferenced == [], f"{module}: private names referenced nowhere else: {unreferenced}"
+
+
+def text_opens(module: str):
+    """(line, encoding) of every `open(...)` of a module whose mode has no `b`;
+    the encoding is None unless it is a literal."""
+    for node in ast.walk(TREES[module]):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            keywords = {k.arg: k.value for k in node.keywords}
+            mode = node.args[1] if len(node.args) > 1 else keywords.get("mode", ast.Constant("r"))
+            if "b" not in ast.literal_eval(mode):
+                encoding = keywords.get("encoding")
+                yield node.lineno, encoding.value if isinstance(encoding, ast.Constant) else None
+
+
+def test_text_opens_are_found():
+    assert {module for module in TREES if any(text_opens(module))} == {"data.py", "evalcli.py"}
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_text_open_names_utf8(module):
+    bad = [line for line, encoding in text_opens(module) if encoding != "utf-8"]
+    assert bad == [], f"{module}: text-mode open without encoding=\"utf-8\" at lines {bad}"
 
 
 def test_numerics_all_lists_exactly_its_public_functions_and_classes():

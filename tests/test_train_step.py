@@ -271,6 +271,30 @@ class TestLatticeOracle:
         rng = np.random.default_rng(len(t_lens))
         assert_same_lattice(-rng.exponential(size=cells.b.size), -rng.exponential(size=cells.n_label), cells)
 
+    def test_signed_zeros_and_neg_inf_arcs(self):
+        # every batch holds rows with U = 0, with T = 1 and with equal T + U; about
+        # a third of the arcs are 0.0, -0.0, -inf or -800, so some rows have a log P
+        # of -inf and NaN gradients, and some final blanks are -0.0 or -inf
+        rng = np.random.default_rng(30)
+        fixed = [(1, []), (1, [2]), (3, []), (2, [0]), (2, [0, 1]), (4, [1, 2, 0])]
+        impossible = certain = False
+        for seed in range(300):
+            rows = fixed + [(int(rng.integers(1, 7)), rng.integers(0, 4, rng.integers(0, 5)).tolist())
+                            for _ in range(rng.integers(0, 5))]
+            t_lens, seqs = zip(*(rows[i] for i in rng.permutation(len(rows))))
+            cells = lattice_cells(t_lens, seqs, 4)
+            arcs = [np.where(rng.random(size) < 0.35, rng.choice([0.0, -0.0, -np.inf, -800.0], size),
+                             -rng.exponential(size=size)) for size in (cells.b.size, cells.n_label)]
+            g = np.random.default_rng(seed).standard_normal(len(rows))
+            with np.errstate(invalid="ignore"):  # a log P of -inf: -inf - -inf in the occupancies
+                got = lattice_outputs(lattice_mod.lattice_log_prob, *arcs, cells, g)
+                want = lattice_outputs(ref.lattice_log_prob, *arcs, cells, g)
+            for x, y in zip(got, want):
+                assert same_bytes(x, y), seed
+            impossible |= np.isneginf(got[0]).any()
+            certain |= (got[0] == 0).any()
+        assert impossible and certain  # some row has P = 0, some P = 1
+
 
 class TestLogSoftmaxAtOracle:
     @pytest.mark.parametrize("width", [1, 2, 16, nm.ROW_MAX_FOLD_COLUMNS, nm.ROW_MAX_FOLD_COLUMNS + 1, 40])
