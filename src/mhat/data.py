@@ -9,11 +9,12 @@ between domains, which only a better label prior can fix.
 
 from __future__ import annotations
 
+import contextlib
 import operator
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -324,19 +325,40 @@ def confusable_pair_domains(
 
 
 def read_text_lines(path: str, what: str) -> list[str]:
-    """The lines of a UTF-8 text file; other bytes raise ConfigError naming
-    the file as `what`."""
+    """The lines of a UTF-8 text file, without their line ends; other bytes
+    raise ConfigError naming the file as `what`.  The one rule of every
+    reader: a line ends at a newline (a text-mode read turns CR LF and a
+    lone CR into one), and at nothing else."""
     try:
         with open(path, encoding="utf-8") as f:
-            return list(f)
+            return [line.removesuffix("\n") for line in f]
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not a {what} (not UTF-8 text)") from None
 
 
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[str]:
+    """A temporary path beside `path` for the block to write.  It replaces
+    `path` once the block completes and is removed if the block raises, so
+    every writer replaces its file whole or leaves it as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    """The one writer of every text file: each line and a newline, in UTF-8."""
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
+        f.writelines(line + "\n" for line in lines)
+
+
 def write_vocab(vocab: Vocabulary, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for name in vocab.names:
-            f.write(name + "\n")
+    write_lines(path, vocab.names)
 
 
 def read_vocab(path: str) -> Vocabulary:
@@ -348,9 +370,7 @@ def read_vocab(path: str) -> Vocabulary:
 
 
 def write_text_corpus(corpus: Corpus, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for it in corpus.items:
-            f.write(corpus.vocab.text(it.tokens) + "\n")
+    write_lines(path, (corpus.vocab.text(it.tokens) for it in corpus.items))
 
 
 def read_text_corpus(path: str, vocab: Vocabulary) -> Corpus:
@@ -382,17 +402,15 @@ def write_corpus(corpus: Corpus, path: str) -> None:
     for it, feats in zip(corpus.items, blobs):
         if not np.isfinite(feats).all():
             raise ConfigError(f"{path}: utterance {it.uid} holds a non-finite feature")
-    with open(path, "w", encoding="utf-8") as mf, open(path + ".feats", "wb") as bf:
-        mf.write("format mhat-corpus-v1\n")
-        mf.write(f"split {corpus.split}\n")
-        mf.write(f"seed {corpus.seed}\n")
-        mf.write(f"vocab.hash {corpus.vocab.digest()}\n")
-        mf.write(f"count {len(corpus.items)}\n")
-        for it, feats in zip(corpus.items, blobs):
-            mf.write(f"utt {it.uid} {feats.shape[0]} {corpus.vocab.text(it.tokens)}\n")
-            header = np.array(feats.shape, dtype="<u4")
-            bf.write(header.tobytes())
+    manifest = ["format mhat-corpus-v1", f"split {corpus.split}", f"seed {corpus.seed}",
+                f"vocab.hash {corpus.vocab.digest()}", f"count {len(corpus.items)}",
+                *(f"utt {it.uid} {feats.shape[0]} {corpus.vocab.text(it.tokens)}"
+                  for it, feats in zip(corpus.items, blobs))]
+    with _replacing(path + ".feats") as tmp, open(tmp, "wb") as bf:
+        for feats in blobs:
+            bf.write(np.array(feats.shape, dtype="<u4").tobytes())
             bf.write(feats.tobytes())
+    write_lines(path, manifest)
 
 
 def read_corpus(path: str, vocab: Vocabulary) -> Corpus:
@@ -405,11 +423,7 @@ def read_corpus(path: str, vocab: Vocabulary) -> Corpus:
     differs from the first's; an unknown token raises VocabError naming
     its line.
     """
-    try:
-        with open(path, encoding="utf-8") as mf:
-            lines = mf.read().splitlines()
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not a corpus manifest (not UTF-8 text)") from None
+    lines = read_text_lines(path, "corpus manifest")
     if not lines or lines[0] != "format mhat-corpus-v1":
         raise ConfigError(f"{path}: not a corpus manifest")
     header: dict[str, str] = {}
@@ -486,33 +500,26 @@ def save_checkpoint(model_or_lm, path: str) -> None:
     for name, blob in zip(names, blobs):
         if not np.isfinite(blob).all():
             raise CheckpointError(f"cannot save {path}: tensor {name!r} holds a non-finite value")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"format {_CKPT_FORMAT}\n")
-        f.write(f"kind {m.kind}\n")
-        f.write("dtype float32\n")
-        f.write(f"vocab.size {m.vocab.size}\n")
-        f.write(f"vocab.hash {m.vocab.digest()}\n")
-        for i, name in enumerate(m.vocab.names):
-            f.write(f"token.{i} {name}\n")
-        for key, value in sorted(m.config_items().items()):
-            f.write(f"config.{key} {value}\n")
-        for i, name in enumerate(names):
-            t = m.params[name]
-            shape = ",".join(str(d) for d in t.data.shape)
-            f.write(f"tensor.{i} {name} {m.params.group[name]} {shape}\n")
-    with open(path + ".bin", "wb") as bf:
+    with _replacing(path + ".bin") as tmp, open(tmp, "wb") as bf:
         for blob in blobs:
             bf.write(blob.tobytes())
+    write_lines(path, [
+        f"format {_CKPT_FORMAT}", f"kind {m.kind}", "dtype float32",
+        f"vocab.size {m.vocab.size}", f"vocab.hash {m.vocab.digest()}",
+        *(f"token.{i} {name}" for i, name in enumerate(m.vocab.names)),
+        *(f"config.{key} {value}" for key, value in sorted(m.config_items().items())),
+        *(f"tensor.{i} {name} {m.params.group[name]} {','.join(map(str, m.params[name].data.shape))}"
+          for i, name in enumerate(names)),
+    ])
 
 
 def _parse_manifest(path: str):
     try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
+        lines = read_text_lines(path, f"{_CKPT_FORMAT} manifest")
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint manifest {path}: {e}") from None
-    except UnicodeDecodeError:
-        lines = []
+    except ConfigError as e:
+        raise CheckpointError(str(e)) from None
     if not lines or lines[0] != f"format {_CKPT_FORMAT}":
         raise CheckpointError(f"{path}: not a {_CKPT_FORMAT} manifest")
     kind = None

@@ -329,10 +329,8 @@ def adapt_ilma_model(
     if path:
         dat.save_checkpoint(model, path)
     if report_dir:
-        with open(os.path.join(report_dir, "ilma_report.txt"), "w", encoding="utf-8") as f:
-            f.write(report.render_text() + "\n")
-        with open(os.path.join(report_dir, "ilma_report.kv"), "w", encoding="utf-8") as f:
-            f.write("\n".join(report.kv_lines()) + "\n")
+        dat.write_lines(os.path.join(report_dir, "ilma_report.txt"), [report.render_text()])
+        dat.write_lines(os.path.join(report_dir, "ilma_report.kv"), report.kv_lines())
     return report
 
 
@@ -455,9 +453,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, log=_log) 
                 for k, method in enumerate((plain, fused)):
                     if out_dir:
                         fname = method.replace("+", "_") + f"__{domain}.tsv"
-                        with open(os.path.join(ensure("decodes"), fname), "w", encoding="utf-8") as f:
-                            for uid, best in decoded:
-                                f.write(format_record(uid, best[k], exp.vocab) + "\n")
+                        dat.write_lines(os.path.join(ensure("decodes"), fname),
+                                        (format_record(uid, best[k], exp.vocab) for uid, best in decoded))
                     rep = evaluate_pairs([(it.tokens, best[k].tokens) for it, (_, best) in zip(corpus.items, decoded)])
                     wer[method][domain] = rep.wer
                     reports[method][domain] = rep
@@ -476,8 +473,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, log=_log) 
             durations=dict(durations),
         )
         if out_dir:
-            with open(os.path.join(ensure("reports"), "wer_matrix.tsv"), "w", encoding="utf-8") as f:
-                f.write("\n".join(result.matrix_lines()) + "\n")
+            dat.write_lines(os.path.join(ensure("reports"), "wer_matrix.tsv"), result.matrix_lines())
     return result
 
 
@@ -528,12 +524,7 @@ class _Parser(argparse.ArgumentParser):
 def read_kv_config(path: str) -> dict[str, str]:
     """`key=value` lines; `#` starts a comment.  Anything else raises ConfigError."""
     out: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not a UTF-8 text file") from None
-    for line in text.splitlines():
+    for line in dat.read_text_lines(path, "config file"):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -632,13 +623,8 @@ def _config(args, **fixed) -> ExperimentConfig:
 
 
 def _write_resolved_config(args) -> None:
-    lines = [
-        f"{k} {v}"
-        for k, v in sorted(vars(args).items())
-        if k != "func" and v is not None
-    ]
-    with open(os.path.join(args.out_dir, "resolved-config.txt"), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    dat.write_lines(os.path.join(args.out_dir, "resolved-config.txt"),
+                    [f"{k} {v}" for k, v in sorted(vars(args).items()) if k != "func" and v is not None])
 
 
 def cmd_gen_data(args) -> None:
@@ -654,9 +640,8 @@ def cmd_train(args) -> None:
     cfg = _config(args, d_x=corpus.items[0].features.shape[1])
     out = os.path.join(args.out_dir, f"{args.model}.ckpt")
     _, curve = train_asr_model(args.model, cfg, vocab, corpus.paired(), out, optimizer=args.optimizer)
-    with open(os.path.join(args.out_dir, "train_log.txt"), "w", encoding="utf-8") as f:
-        for i, loss in enumerate(curve, start=1):
-            f.write(f"epoch {i} loss_per_utt {loss!r}\n")
+    dat.write_lines(os.path.join(args.out_dir, "train_log.txt"),
+                    (f"epoch {i} loss_per_utt {loss!r}" for i, loss in enumerate(curve, start=1)))
     _log(f"saved {out}")
 
 
@@ -665,8 +650,7 @@ def cmd_train_lm(args) -> None:
     corpus = dat.read_text_corpus(args.text, vocab)
     out = os.path.join(args.out_dir, "extlm.ckpt")
     _, ppl = train_lm_model(_config(args), corpus, out)
-    with open(os.path.join(args.out_dir, "lm_report.kv"), "w", encoding="utf-8") as f:
-        f.write(f"train_ppl {ppl!r}\n")
+    dat.write_lines(os.path.join(args.out_dir, "lm_report.kv"), [f"train_ppl {ppl!r}"])
     _log(f"saved {out}")
 
 
@@ -690,9 +674,7 @@ def cmd_decode(args) -> None:
     fusion = FusionConfig(mode=args.fusion, lam_ext=args.lam_ext, lam_ilm=args.lam_ilm, lm=lm)
     decoded = decode_corpus(model, corpus, _config(args).beam, fusion)
     out = os.path.join(args.out_dir, "decodes.tsv")
-    with open(out, "w", encoding="utf-8") as f:
-        for uid, res in decoded:
-            f.write(format_record(uid, res, model.vocab) + "\n")
+    dat.write_lines(out, (format_record(uid, res, model.vocab) for uid, res in decoded))
     _log(f"decoded {len(decoded)} utterances -> {out}")
 
 
@@ -702,7 +684,10 @@ def cmd_eval(args) -> None:
     hyps: dict[str, tuple[int, ...]] = {}
     for lineno, line in enumerate(dat.read_text_lines(args.hyp, "decodes file"), start=1):
         if line.strip():
-            uid, ids = parse_record(line)
+            try:
+                uid, ids = parse_record(line)
+            except ValueError as e:
+                raise ConfigError(f"{args.hyp}:{lineno}: {e}") from None
             if uid in hyps:
                 raise ConfigError(f"{args.hyp}:{lineno}: second record for utterance {uid}")
             try:
@@ -714,9 +699,7 @@ def cmd_eval(args) -> None:
     if unknown:
         raise ConfigError(f"{args.hyp}: utterance {min(unknown)} is not in {args.ref}")
     report = evaluate_decodes(refs, hyps)
-    lines = report.kv_lines()  # raises before eval.kv exists when nothing was scored
-    with open(os.path.join(args.out_dir, "eval.kv"), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    dat.write_lines(os.path.join(args.out_dir, "eval.kv"), report.kv_lines())  # raises when nothing was scored
     _log(f"WER {report.wer:.3f}% "
          f"(S={report.subs} I={report.ins} D={report.dels} over {report.ref_tokens} ref tokens)")
 

@@ -45,8 +45,8 @@ class Vocabulary:
 
     The start-of-sentence id equals `size` and is used only as decoder
     context padding, never emitted or scored.  Names are distinct,
-    non-empty and free of whitespace, so that text files round-trip;
-    anything else, or no names at all, raises VocabError.
+    non-empty, free of whitespace and encodable as UTF-8, so that text
+    files round-trip; anything else, or no names at all, raises VocabError.
     """
 
     names: tuple[str, ...]
@@ -57,6 +57,8 @@ class Vocabulary:
         for i, name in enumerate(self.names):
             if name.split() != [name]:
                 raise VocabError(f"token name {name!r} is empty or contains whitespace")
+            if any("\ud800" <= c <= "\udfff" for c in name):  # the only code points UTF-8 cannot encode
+                raise VocabError(f"token name {name!r} holds a lone surrogate, which UTF-8 cannot encode")
             if name in self.names[:i]:
                 raise VocabError(f"duplicate token name {name!r}")
 

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import mhat.data
 import reference_data
 from conftest import small_hat, small_mhat
 from mhat.data import (
@@ -15,7 +17,9 @@ from mhat.data import (
     _emit_features,
     _pcg64_states,
     CheckpointError,
+    Corpus,
     DomainSpec,
+    Utterance,
     chain_entropy_rate,
     confusable_pair_domains,
     corpus_log_loss,
@@ -696,3 +700,84 @@ class TestCheckpoints:
         path.write_text(path.read_text().replace("token.1 w1", "token.1 w0"))
         with pytest.raises(CheckpointError, match="duplicate token name 'w0'"):
             load_checkpoint(str(path))
+
+
+class _SecondWriteFails:
+    """A binary file whose second write raises, as on a full disk; the
+    first write reaches the disk."""
+
+    def __init__(self, f):
+        self.f, self.writes = f, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.f.write(data)
+        self.f.flush()
+
+
+def _fill_the_disk(monkeypatch):
+    """From here on, every binary write of `mhat.data` fails at its second write."""
+    def fake_open(file, mode="r", **kw):
+        f = open(file, mode, **kw)
+        return _SecondWriteFails(f) if mode == "wb" else f
+
+    monkeypatch.setattr(mhat.data, "open", fake_open, raising=False)
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestWholeWrites:
+    """A write that fails part-way leaves its files as they were and no
+    other file behind; each of these used to leave a partial file."""
+
+    def test_write_lines(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old\n")
+
+        def lines():
+            yield "x" * 100_000  # more than one buffer, so it reaches the disk
+            assert sorted(p.stat().st_size for p in tmp_path.iterdir()) == [4, 100_001]
+            raise RuntimeError("the lines stopped part-way")
+
+        with pytest.raises(RuntimeError, match="part-way"):
+            mhat.data.write_lines(str(path), lines())
+        assert _files(tmp_path) == {"out.txt": b"old\n"}
+
+    def test_text_corpus_with_a_bad_token_id(self, tmp_path):
+        vocab = Vocabulary.default(2)
+        path = tmp_path / "text.txt"
+        write_text_corpus(Corpus("train", 0, vocab, (Utterance("a", None, (0, 1)),)), str(path))
+        before = _files(tmp_path)
+        items = (Utterance("a", None, (1,) * 50_000), Utterance("b", None, (2,)))
+        with pytest.raises(VocabError, match="token id 2 out of range"):
+            write_text_corpus(Corpus("train", 0, vocab, items), str(path))
+        assert _files(tmp_path) == before
+
+    def test_paired_corpus_features(self, tmp_path, monkeypatch):
+        spec = point_mass_spec()
+        path = tmp_path / "corpus"
+        write_corpus(gen_corpus(spec, seed=1, n_utts=3), str(path))
+        before = _files(tmp_path)
+        _fill_the_disk(monkeypatch)
+        with pytest.raises(OSError, match="No space left"):
+            write_corpus(gen_corpus(spec, seed=2, n_utts=4), str(path))
+        assert _files(tmp_path) == before
+
+    def test_checkpoint_blob(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(small_mhat(seed=1), str(path))
+        before = _files(tmp_path)
+        _fill_the_disk(monkeypatch)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(small_mhat(seed=2), str(path))
+        assert _files(tmp_path) == before

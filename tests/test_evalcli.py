@@ -699,6 +699,22 @@ class TestCli:
         assert why in capsys.readouterr().err
         assert not (out / "eval.kv").exists()
 
+    @pytest.mark.parametrize("record, why", [("train-00002\t1 x\tw1 ?\t0.0\t0.0\t0.0", "token ids '1 x'"),
+                                             ("train-00002\t2\tw2\t0.0\t0.0", "'train-00002\\t2")],
+                             ids=["bad token id", "five columns"])
+    def test_eval_names_the_line_of_a_malformed_record(self, tmp_path, capsys, record, why):
+        # the message used to name neither the file nor the line
+        vocab = Vocabulary.default(4)
+        dat.write_vocab(vocab, str(tmp_path / "vocab.txt"))
+        items = tuple(dat.Utterance(f"train-0000{i}", np.zeros((2, 3)), (i,)) for i in (1, 2))
+        dat.write_corpus(dat.Corpus("train", 0, vocab, items), str(tmp_path / "ref"))
+        hyp, out = tmp_path / "hyp.tsv", tmp_path / "out"
+        hyp.write_text("train-00001\t1\tw1\t0.0\t0.0\t0.0\n" + record + "\n")
+        assert main(["eval", "--ref", str(tmp_path / "ref"), "--vocab", str(tmp_path / "vocab.txt"),
+                     "--hyp", str(hyp), "--out-dir", str(out)]) == 2
+        assert f"error: {hyp}:2: malformed decode record: {why}" in capsys.readouterr().err
+        assert not (out / "eval.kv").exists()
+
     def test_eval_rejects_a_hypothesis_file_that_is_not_utf8(self, tmp_path, capsys):
         # used to fail with UnicodeDecodeError, naming no file
         vocab = Vocabulary.default(4)

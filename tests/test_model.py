@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,11 @@ class TestVocabulary:
     def test_bad_inventory_rejected(self, names, what):
         with pytest.raises(VocabError, match=what):
             Vocabulary(names)
+
+    def test_name_that_utf8_cannot_encode_rejected(self):
+        # a lone surrogate used to build, and the file writers then failed part-way
+        with pytest.raises(VocabError, match=re.escape(repr("\udce9")) + ".*UTF-8"):
+            Vocabulary(("b", "\udce9"))
 
     def test_id_roundtrip_and_errors(self):
         v = Vocabulary.default(3)

@@ -6,7 +6,8 @@ definition, so a deletion that leaves an import or a helper behind fails
 here.  `numerics.__all__` lists exactly that module's public functions and
 classes.  `from __future__` imports and the package's re-exports in
 `__init__.py` are not checked for use.  Every text-mode `open` names
-UTF-8, so no file depends on the locale.
+UTF-8, so no file depends on the locale, and there are two of them: the
+one text reader and the one text writer of `data.py`.
 """
 
 import ast
@@ -103,7 +104,26 @@ def text_opens(module: str):
 
 
 def test_text_opens_are_found():
-    assert {module for module in TREES if any(text_opens(module))} == {"data.py", "evalcli.py"}
+    assert {module for module in TREES if any(text_opens(module))} == {"data.py"}
+
+
+def text_open_sites():
+    """(module, innermost function around it, mode) of every `open(...)` of
+    `src/mhat` whose mode has no `b`."""
+    for module, tree in TREES.items():
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]  # outer ones first
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+                keywords = {k.arg: k.value for k in node.keywords}
+                mode = ast.literal_eval(node.args[1] if len(node.args) > 1 else keywords.get("mode", ast.Constant("r")))
+                if "b" not in mode:
+                    around = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                    yield module, around[-1] if around else None, mode
+
+
+def test_one_text_reader_and_one_text_writer():
+    # the text file format lives in two functions, which every text file goes through
+    assert sorted(text_open_sites()) == [("data.py", "read_text_lines", "r"), ("data.py", "write_lines", "w")]
 
 
 @pytest.mark.parametrize("module", sorted(TREES))
